@@ -1,8 +1,13 @@
 """Exact-arithmetic weighted graphs, shortest paths, walks, and edge-list I/O.
 
-Every weight is a `fractions.Fraction`; nothing in the core rounds through
-floats. Distances of disconnected pairs use the ``INF`` sentinel, which is
-only ever compared, never mixed into exact arithmetic.
+Weights enter and leave as `fractions.Fraction` (file I/O and the public
+API); nothing rounds through floats. Inside, each graph is scaled once: its
+`scale` is the LCM of the weight denominators, and `int_weights` holds every
+weight times `scale` as a Python int. Shortest paths, greedy scans, oracle
+searches and pruning tables all run on these ints, so each stretch test is
+an integer comparison. Distances of disconnected pairs use the ``INF``
+sentinel; it compares above every int, so a sum containing it fails every
+bound check.
 """
 from __future__ import annotations
 
@@ -79,6 +84,28 @@ class WeightedGraph:
     @cached_property
     def edge_keys(self) -> frozenset[EdgeKey]:
         return frozenset(self.weights)
+
+    @cached_property
+    def scale(self) -> int:
+        """LCM of the weight denominators: every weight times it is an int."""
+        return math.lcm(*(w.denominator for _, _, w in self.edges))
+
+    @cached_property
+    def int_weights(self) -> dict[EdgeKey, int]:
+        """Edge weights in units of 1/scale, as ints."""
+        return {k: w.numerator * (self.scale // w.denominator) for k, w in self.weights.items()}
+
+    def int_adjacency(self, keys: Iterable[EdgeKey] | None = None) -> list[list[tuple[int, int]]]:
+        """Adjacency lists over `keys` (default: every edge) with weights in
+        units of 1/scale, the input of `dijkstra`."""
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
+        weights = self.int_weights
+        for k in weights if keys is None else keys:
+            u, v = k
+            w = weights[k]
+            adj[u].append((v, w))
+            adj[v].append((u, w))
+        return adj
 
     @cached_property
     def adjacency(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
@@ -224,46 +251,62 @@ class EdgeMultiset:
         return f"EdgeMultiset({self.counts!r})"
 
 
-def _dijkstra(adj, source: int, n: int) -> list:
-    dist = [INF] * n
-    dist[source] = Fraction(0)
-    heap = [(Fraction(0), source)]
-    done = [False] * n
+def dijkstra(adj, source: int, target: int | None = None, limit: int | None = None) -> dict[int, int]:
+    """Exact shortest distances from `source` over int adjacency lists.
+
+    Returns {vertex: distance} for every settled vertex. The search stops
+    once `target` is settled and never settles a vertex farther than
+    `limit`, so ``target in dijkstra(adj, s, target, limit)`` holds exactly
+    when dist(s, target) <= limit.
+    """
+    dist = {source: 0}
+    done: dict[int, int] = {}
+    heap = [(0, source)]
     while heap:
         d, u = heappop(heap)
-        if done[u]:
+        if u in done:
             continue
-        done[u] = True
+        done[u] = d
+        if u == target:
+            break
         for v, w in adj[u]:
-            if done[v]:
-                continue
             nd = d + w
-            if dist[v] is INF or nd < dist[v]:
+            if (limit is None or nd <= limit) and (v not in dist or nd < dist[v]):
                 dist[v] = nd
                 heappush(heap, (nd, v))
-    return dist
+    return done
 
 
 class DistanceOracle:
     """All-pairs exact shortest-path distances with canonical paths.
 
-    The canonical path between two vertices is the lexicographically smallest
+    Distances are stored as ints in units of 1/scale of the graph. The
+    canonical path between two vertices is the lexicographically smallest
     vertex sequence among all minimum-weight paths; it is materialised lazily
     (one next-hop column per target) and requires strictly positive weights.
     """
 
     def __init__(self, g: WeightedGraph):
         self.graph = g
-        self._dist = [_dijkstra(g.adjacency, s, g.n) for s in range(g.n)]
+        self.scale = g.scale
+        self._adj = g.int_adjacency()
+        self._dist = []
+        for s in range(g.n):
+            row = [INF] * g.n
+            for v, d in dijkstra(self._adj, s).items():
+                row[v] = d
+            self._dist.append(row)
         self._next_hop: dict[int, list] = {}
         self._all_positive = all(w > 0 for _, _, w in g.edges)
 
     def dist(self, u: int, v: int):
-        """Exact distance, or the INF sentinel when disconnected."""
-        return self._dist[u][v]
+        """Exact distance as a Fraction, or the INF sentinel when disconnected."""
+        d = self._dist[u][v]
+        return d if d is INF else Fraction(d, self.scale)
 
     def row(self, u: int):
-        """The full distance row of u (read-only by convention)."""
+        """The distance row of u as ints in units of 1/scale, INF where
+        disconnected (read-only by convention)."""
         return self._dist[u]
 
     def connected(self, u: int, v: int) -> bool:
@@ -281,8 +324,8 @@ class DistanceOracle:
             # smallest neighbour lying on some shortest u-t path; choosing it
             # greedily yields the lex-min vertex sequence
             best = None
-            for v, w in self.graph.adjacency[u]:
-                if dist_t[v] is not INF and w + dist_t[v] == dist_t[u]:
+            for v, w in self._adj[u]:
+                if w + dist_t[v] == dist_t[u]:
                     best = v if best is None else min(best, v)
             col[u] = best
         self._next_hop[t] = col
@@ -316,21 +359,24 @@ def stretch(g: WeightedGraph, h: WeightedGraph):
     """
     if not h.is_subgraph_of(g):
         raise ValueError("h is not a subgraph of g")
-    if not g.edges:
-        return Fraction(1)
     dist_h = apsp(h)
-    worst = Fraction(0)
-    for u, v, w in g.edges:
-        d = dist_h.dist(u, v)
+    # h's weights are a subset of g's, so h.scale divides g.scale and
+    # d * factor is dist_h in units of 1/g.scale
+    factor = g.scale // h.scale
+    # the worst ratio so far is num / den; it starts at 1 because the
+    # lightest edge of g is always its own shortest path in h = g
+    num = den = 1
+    for (u, v), w in g.int_weights.items():
+        d = dist_h.row(u)[v]
         if d is INF:
             return INF
         if w == 0:
             if d > 0:
                 return INF
             continue
-        worst = max(worst, d / w)
-    # the lightest edge of g is always its own shortest path in h = g
-    return max(worst, Fraction(1))
+        if d * factor * den > num * w:
+            num, den = d * factor, w
+    return Fraction(num, den)
 
 
 def normalize_edges(g: WeightedGraph) -> WeightedGraph:
@@ -340,7 +386,7 @@ def normalize_edges(g: WeightedGraph) -> WeightedGraph:
     afterwards every remaining edge is its own shortest path. Idempotent.
     """
     oracle = apsp(g)
-    kept = tuple(e for e in g.edges if e[2] <= oracle.dist(e[0], e[1]))
+    kept = tuple(e for e in g.edges if g.int_weights[e[:2]] <= oracle.row(e[0])[e[1]])
     return WeightedGraph(g.n, kept, g.declared_planar)
 
 
@@ -354,12 +400,12 @@ def floor_pow2(x: int) -> int:
 def scale_to_integers(g: WeightedGraph) -> tuple[WeightedGraph, Fraction]:
     """Uniformly rescale so every weight is an integer; returns (graph, scale).
 
-    The scale is the LCM of the weight denominators. Uniform scaling keeps
-    every distance ratio, hence the stretch of any subgraph, unchanged.
+    The scale is `g.scale`, the LCM of the weight denominators. Uniform
+    scaling keeps every distance ratio, hence the stretch of any subgraph,
+    unchanged.
     """
-    scale = math.lcm(*(w.denominator for _, _, w in g.edges)) if g.edges else 1
-    scaled = tuple((u, v, w * scale) for u, v, w in g.edges)
-    return WeightedGraph(g.n, scaled, g.declared_planar), Fraction(scale)
+    scaled = tuple((u, v, w) for (u, v), w in g.int_weights.items())
+    return WeightedGraph(g.n, scaled, g.declared_planar), Fraction(g.scale)
 
 
 # --- edge-list text format ------------------------------------------------
@@ -394,7 +440,11 @@ def parse_graph(text: str) -> WeightedGraph:
         parts = line.split()
         if len(parts) != 3:
             raise ValueError(f"bad edge line {line!r}")
-        edges.append((int(parts[0]), int(parts[1]), Fraction(parts[2])))
+        try:
+            w = Fraction(parts[2])
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in edge line {line!r}") from None
+        edges.append((int(parts[0]), int(parts[1]), w))
     return WeightedGraph(n, tuple(edges), planar)
 
 

@@ -2,35 +2,8 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from heapq import heappop, heappush
 
-from .graphs import INF, WeightedGraph, edge_key, is_connected
-
-
-def _dist_within(adj, s: int, t: int, limit: Fraction):
-    """Shortest s-t distance in the partial spanner, or INF once it exceeds `limit`."""
-    if s == t:
-        return Fraction(0)
-    dist = {s: Fraction(0)}
-    done = set()
-    heap = [(Fraction(0), s)]
-    while heap:
-        d, u = heappop(heap)
-        if u in done:
-            continue
-        if d > limit:
-            return INF
-        if u == t:
-            return d
-        done.add(u)
-        for v, w in adj.get(u, ()):
-            if v in done:
-                continue
-            nd = d + w
-            if nd <= limit and (v not in dist or nd < dist[v]):
-                dist[v] = nd
-                heappush(heap, (nd, v))
-    return INF
+from .graphs import WeightedGraph, dijkstra, is_connected
 
 
 def greedy_spanner(g: WeightedGraph, t) -> WeightedGraph:
@@ -40,7 +13,9 @@ def greedy_spanner(g: WeightedGraph, t) -> WeightedGraph:
 
     Ties between equal-weight edges are broken by ascending (min endpoint,
     max endpoint), so the result is independent of input edge order. Each
-    distance query runs a fresh bounded Dijkstra on the current spanner.
+    distance query runs a fresh bounded Dijkstra on the current spanner, in
+    integer weights: an integer distance is at most t*w exactly when it is
+    at most floor(t*w).
     """
     t = Fraction(t)
     if t <= 1:
@@ -50,12 +25,12 @@ def greedy_spanner(g: WeightedGraph, t) -> WeightedGraph:
     if any(w <= 0 for _, _, w in g.edges):
         raise ValueError("greedy_spanner requires strictly positive weights")
 
-    order = sorted(g.edges, key=lambda e: (e[2], e[0], e[1]))
-    adj: dict[int, list[tuple[int, Fraction]]] = {}
+    order = sorted(g.int_weights.items(), key=lambda kw: (kw[1], kw[0]))
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
     chosen = []
-    for u, v, w in order:
-        if _dist_within(adj, u, v, t * w) > t * w:
-            chosen.append(edge_key(u, v))
-            adj.setdefault(u, []).append((v, w))
-            adj.setdefault(v, []).append((u, w))
+    for (u, v), w in order:
+        if v not in dijkstra(adj, u, v, t.numerator * w // t.denominator):
+            chosen.append((u, v))
+            adj[u].append((v, w))
+            adj[v].append((u, w))
     return g.subgraph(chosen)

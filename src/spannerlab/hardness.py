@@ -423,6 +423,8 @@ def parse_sat(text: str) -> SatInstance:
         if not line:
             continue
         parts = line.split()
+        if len(parts) < 2 and parts[0] in ("vars", "clause", "order+", "order-"):
+            raise ValueError(f"bad {parts[0]} line {line!r}: missing fields")
         if parts[0] == "vars":
             num_vars = int(parts[1])
         elif parts[0] == "clause":

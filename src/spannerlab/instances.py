@@ -7,10 +7,6 @@ from fractions import Fraction
 from .graphs import WeightedGraph
 
 
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 def ladder_u(i: int) -> int:
     """Vertex index of the i-th left post of a ladder."""
     return i
@@ -48,7 +44,7 @@ def gen_ladder(n: int, eps, perturb: bool = False) -> WeightedGraph:
     the star centers; a weight-ordered greedy scan can be driven into keeping
     every rung, which `perturb=True` forces deterministically.
     """
-    eps = _frac(eps)
+    eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
     if n < 1:
@@ -69,7 +65,7 @@ def gen_multiladder(k: int, n: int, eps, perturb: bool = False) -> WeightedGraph
     right star center; block internals match `gen_ladder`. Vertex count is
     k * (2n + 2) + 2.
     """
-    eps = _frac(eps)
+    eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
     if k < 1 or n < 1:
@@ -111,8 +107,8 @@ def gen_greedy_hard(eps, x) -> WeightedGraph:
     then must pay for every unit crossing. Requires 0 < eps < 1/4 and
     1 <= x <= sqrt(1/eps) / 2.
     """
-    eps = _frac(eps)
-    x = _frac(x)
+    eps = Fraction(eps)
+    x = Fraction(x)
     if not 0 < eps < Fraction(1, 4):
         raise ValueError("eps must lie in (0, 1/4)")
     if x < 1 or 4 * x * x * eps > 1:

@@ -4,9 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heappop, heappush
 
-from .graphs import INF, EdgeKey, WeightedGraph, apsp, edge_key, is_connected, stretch
+from .graphs import INF, EdgeKey, WeightedGraph, apsp, dijkstra, edge_key, is_connected, stretch
 from .hardness import SatInstance
 
 
@@ -27,49 +26,13 @@ class OracleResult:
     nodes_explored: int
 
 
-def _bounded_dist(adj, s: int, t: int, limit):
-    """Dijkstra that gives up once the frontier passes `limit`."""
-    if s == t:
-        return Fraction(0)
-    dist = {s: Fraction(0)}
-    done = set()
-    heap = [(Fraction(0), s)]
-    while heap:
-        d, u = heappop(heap)
-        if u in done:
-            continue
-        if d > limit:
-            return INF
-        if u == t:
-            return d
-        done.add(u)
-        for v, w in adj.get(u, ()):
-            if v in done:
-                continue
-            nd = d + w
-            if nd <= limit and (v not in dist or nd < dist[v]):
-                dist[v] = nd
-                heappush(heap, (nd, v))
-    return INF
-
-
-def _build_adj(g: WeightedGraph, keys) -> dict[int, list[tuple[int, Fraction]]]:
-    adj: dict[int, list[tuple[int, Fraction]]] = {}
-    for k in keys:
-        w = g.weights[k]
-        u, v = k
-        adj.setdefault(u, []).append((v, w))
-        adj.setdefault(v, []).append((u, w))
-    return adj
-
-
 def _feasible(g: WeightedGraph, keys, thresholds) -> bool:
     """Does the edge set `keys` keep every g-edge within its threshold?"""
-    adj = _build_adj(g, keys)
+    adj = g.int_adjacency(keys)
     for (u, v), limit in thresholds.items():
         if edge_key(u, v) in keys:
             continue
-        if _bounded_dist(adj, u, v, limit) is INF:
+        if v not in dijkstra(adj, u, v, limit):
             return False
     return True
 
@@ -77,18 +40,18 @@ def _feasible(g: WeightedGraph, keys, thresholds) -> bool:
 def _local_ok(g: WeightedGraph, keys, thresholds, around: EdgeKey) -> bool:
     """Cheap necessary check after dropping `around`: every g-edge touching
     one of its endpoints must still be within threshold."""
-    adj = _build_adj(g, keys)
+    adj = g.int_adjacency(keys)
     for x in around:
         for y, _ in g.adjacency[x]:
             k = edge_key(x, y)
             if k in keys:
                 continue
-            if _bounded_dist(adj, x, y, thresholds[k]) is INF:
+            if y not in dijkstra(adj, x, y, thresholds[k]):
                 return False
     return True
 
 
-def _completion_bound(g: WeightedGraph, fixed_keys, free_rest) -> Fraction | None:
+def _completion_bound(g: WeightedGraph, fixed_keys, free_rest) -> int | None:
     """Cheapest extra weight connecting the components of `fixed_keys` using
     edges from `free_rest`; None when even all of them cannot connect."""
     parent = list(range(g.n))
@@ -106,8 +69,8 @@ def _completion_bound(g: WeightedGraph, fixed_keys, free_rest) -> Fraction | Non
             parent[ru] = rv
             comps -= 1
     if comps == 1:
-        return Fraction(0)
-    extra = Fraction(0)
+        return 0
+    extra = 0
     for w, (u, v) in free_rest:
         ru, rv = find(u), find(v)
         if ru != rv:
@@ -127,43 +90,46 @@ def exact_opt_spanner(g: WeightedGraph, eps, max_edges: int = 24) -> OracleResul
     route within stretch are forced up front; the remaining edges are decided
     heaviest-first, exclusion branch first, pruning on a spanning-completion
     lower bound against the incumbent. Among equal-weight optima the
-    lexicographically smallest edge set is returned.
+    lexicographically smallest edge set is returned. The search runs on the
+    int weights of `g`; with eps = p/q an integer distance d' meets the
+    threshold (1+eps)*d exactly when d' <= (p+q)*d // q.
     """
     eps = Fraction(eps)
     if not is_connected(g):
         raise ValueError("exact_opt_spanner requires a connected graph")
-    zeros = frozenset(k for k, w in g.weights.items() if w == 0)
-    candidates = [k for k, w in g.weights.items() if w > 0]
+    weights = g.int_weights
+    zeros = frozenset(k for k, w in weights.items() if w == 0)
+    candidates = [k for k, w in weights.items() if w > 0]
     if len(candidates) > max_edges:
         raise OracleCapError(
             f"{len(candidates)} positive-weight edges exceed the cap {max_edges}"
         )
 
     oracle = apsp(g)
-    thresholds = {k: (1 + eps) * oracle.dist(*k) for k in g.weights}
+    p, q = eps.numerator, eps.denominator
+    thresholds = {(u, v): (p + q) * oracle.row(u)[v] // q for u, v in weights}
 
     nodes = 0
-    all_keys = frozenset(g.weights)
+    all_keys = frozenset(weights)
     forced = set()
     for k in candidates:
         nodes += 1
-        adj = _build_adj(g, all_keys - {k})
-        if _bounded_dist(adj, k[0], k[1], thresholds[k]) is INF:
+        if k[1] not in dijkstra(g.int_adjacency(all_keys - {k}), k[0], k[1], thresholds[k]):
             forced.add(k)
-    free = sorted((k for k in candidates if k not in forced), key=lambda k: (-g.weights[k], k))
-    free_weights = [g.weights[k] for k in free]
+    free = sorted((k for k in candidates if k not in forced), key=lambda k: (-weights[k], k))
+    free_weights = [weights[k] for k in free]
     base = zeros | forced
-    base_weight = sum((g.weights[k] for k in forced), Fraction(0))
+    base_weight = sum(weights[k] for k in forced)
 
     # full edge set is always feasible, giving the starting incumbent
     best_weight = sum(free_weights, base_weight)
     best_edges = tuple(sorted(all_keys))
 
-    suffix: list[list[tuple[Fraction, EdgeKey]]] = [[] for _ in range(len(free) + 1)]
+    suffix: list[list[tuple[int, EdgeKey]]] = [[] for _ in range(len(free) + 1)]
     for i in range(len(free) - 1, -1, -1):
         suffix[i] = sorted(suffix[i + 1] + [(free_weights[i], free[i])])
 
-    def search(idx: int, chosen: set[EdgeKey], chosen_weight: Fraction, available: set[EdgeKey]):
+    def search(idx: int, chosen: set[EdgeKey], chosen_weight: int, available: set[EdgeKey]):
         nonlocal nodes, best_weight, best_edges
         nodes += 1
         bound = _completion_bound(g, base | chosen, suffix[idx])
@@ -188,8 +154,8 @@ def exact_opt_spanner(g: WeightedGraph, eps, max_edges: int = 24) -> OracleResul
         search(idx + 1, chosen, chosen_weight + free_weights[idx], available)
         chosen.discard(k)
 
-    search(0, set(), Fraction(0), set(all_keys))
-    return OracleResult(best_weight, frozenset(best_edges), nodes)
+    search(0, set(), 0, set(all_keys))
+    return OracleResult(Fraction(best_weight, g.scale), frozenset(best_edges), nodes)
 
 
 def sat_brute_force(inst: SatInstance, max_vars: int = 20) -> tuple[bool, ...] | None:

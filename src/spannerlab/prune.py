@@ -26,7 +26,6 @@ from .graphs import (
     apsp,
     concat,
     edge_key,
-    floor_pow2,
     is_connected,
     stretch,
 )
@@ -100,23 +99,6 @@ def is_hanging(dist: DistanceOracle, edge, walk: Walk, kappa, eps) -> HangingWit
     return None
 
 
-def _plain_rows(dist: DistanceOracle, n: int) -> list[list]:
-    """Distance rows with None for disconnected and plain ints where the
-    value is integral; exactness is unchanged, comparisons get much faster."""
-    rows = []
-    for s in range(n):
-        row = []
-        for x in dist.row(s):
-            if x is INF:
-                row.append(None)
-            elif x.denominator == 1:
-                row.append(x.numerator)
-            else:
-                row.append(x)
-        rows.append(row)
-    return rows
-
-
 def endpoint_hanging_sets(
     g: WeightedGraph, pool: frozenset[EdgeKey], dist: DistanceOracle, eps
 ) -> dict[tuple[int, int], frozenset[EdgeKey]]:
@@ -129,40 +111,30 @@ def endpoint_hanging_sets(
     """
     eps = Fraction(eps)
     kappa = hanging_kappa(eps)
-    # comparisons run over integers: distances are exact rationals, so the
-    # tests d >= kappa*w and lhs <= (1+eps)*w are cross-multiplied up front
+    stretch_bound = 1 + eps
+    # distances are ints in units of 1/scale, so d >= kappa*w holds exactly
+    # when d >= ceil(kappa*w) and lhs <= (1+eps)*w when lhs <= floor((1+eps)*w)
     pool_edges = []
     for k in sorted(pool):
-        need = kappa * g.weights[k]
-        budget = (1 + eps) * g.weights[k]
-        pool_edges.append(
-            (k[0], k[1], need.numerator, need.denominator, budget.numerator, budget.denominator)
-        )
-    rows = _plain_rows(dist, g.n)
+        w = g.int_weights[k]
+        need = -(-kappa.numerator * w // kappa.denominator)
+        budget = stretch_bound.numerator * w // stretch_bound.denominator
+        pool_edges.append((k[0], k[1], need, budget))
+    rows = [dist.row(s) for s in range(g.n)]
     out: dict[tuple[int, int], frozenset[EdgeKey]] = {}
     for s in range(g.n):
         dist_s = rows[s]
         for t in range(s + 1, g.n):
             d = dist_s[t]
-            if d is None:
+            if d is INF:
                 continue
             dist_t = rows[t]
             members = []
-            for a, b, need_n, need_d, bud_n, bud_d in pool_edges:
-                if d * need_d < need_n:
+            for a, b, need, budget in pool_edges:
+                if d < need:
                     continue
-                das, dbs = dist_s[a], dist_s[b]
-                dta, dtb = dist_t[a], dist_t[b]
-                ok = (
-                    das is not None
-                    and dtb is not None
-                    and (das + d + dtb) * bud_d <= bud_n
-                ) or (
-                    dbs is not None
-                    and dta is not None
-                    and (dbs + d + dta) * bud_d <= bud_n
-                )
-                if ok:
+                # an INF term makes the sum INF, which fails the budget
+                if dist_s[a] + d + dist_t[b] <= budget or dist_s[b] + d + dist_t[a] <= budget:
                     members.append((a, b))
             fs = frozenset(members)
             out[(s, t)] = fs
@@ -182,7 +154,6 @@ class DpEntry:
 
     value: int
     back: tuple[int, int, bool] | None
-    realizable: bool = True
 
 
 class WalkTables:
@@ -260,15 +231,18 @@ def fill_tables(
         raise ValueError("eps must be positive")
     cap = _resolve_cell_cap(cell_cap)
     n = g.n
+    p, q = eps.numerator, eps.denominator
 
+    # integer weights give scale 1, so the rows hold the distances themselves
+    rows = [dist.row(s) for s in range(n)]
     bounds: dict[tuple[int, int], int] = {}
     max_level = 0
     for s in range(n):
         for t in range(s + 1, n):
-            d = dist.dist(s, t)
+            d = rows[s][t]
             if d is INF:
                 continue
-            b = int((1 + eps) * d)  # exact floor: the value is nonnegative
+            b = (p + q) * d // q
             bounds[(s, t)] = bounds[(t, s)] = b
             max_level = max(max_level, b)
     if max_level + 1 > cap:
@@ -279,7 +253,7 @@ def fill_tables(
 
     anchored = endpoint_hanging_sets(g, pool, dist, eps)
     anchored_weight = {
-        pair: int(sum(g.weights[k] for k in edges)) for pair, edges in anchored.items()
+        pair: sum(g.int_weights[k] for k in edges) for pair, edges in anchored.items()
     }
 
     entries: dict[tuple[int, int], dict[int, DpEntry]] = {}
@@ -287,9 +261,8 @@ def fill_tables(
         entries[(s, s)] = {0: DpEntry(0, None)}
 
     base_at: dict[int, list[tuple[int, int]]] = {}
-    for (s, t), b in bounds.items():
-        d = int(dist.dist(s, t))
-        base_at.setdefault(d, []).append((s, t))
+    for s, t in bounds:
+        base_at.setdefault(rows[s][t], []).append((s, t))
 
     starts: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]  # s -> (t, L, value)
     ends: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]  # t -> (s, L, value)

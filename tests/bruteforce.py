@@ -52,6 +52,18 @@ def brute_all_distances(g: WeightedGraph):
     }
 
 
+def brute_greedy(g: WeightedGraph, t) -> frozenset:
+    """Greedy t-spanner edge keys straight from the definition: scan edges by
+    (w, u, v) and keep an edge iff the shortest path over the edges kept so
+    far, found by simple-path enumeration, is longer than t * w."""
+    t = Fraction(t)
+    kept = []
+    for u, v, w in sorted(g.edges, key=lambda e: (e[2], e[0], e[1])):
+        if brute_shortest(WeightedGraph(g.n, tuple(kept)), u, v)[0] > t * w:
+            kept.append((u, v, w))
+    return frozenset((u, v) for u, v, _ in kept)
+
+
 def brute_stretch_over_pairs(g: WeightedGraph, h: WeightedGraph):
     """max over vertex pairs of dist_h / dist_g, straight from the definition."""
     dg = brute_all_distances(g)
@@ -132,6 +144,30 @@ def brute_opt_spanner(g: WeightedGraph, eps):
                 if best is None or cand < best:
                     best = cand
     return best  # (weight, edge keys) or None
+
+
+def brute_endpoint_hanging_sets(g: WeightedGraph, pool, eps):
+    """Endpoint hanging sets straight from their definition, in Fractions:
+    (a, b) of weight w hangs at (s, t) when d(s, t) >= w / (3 (1 + eps)) and
+    d(a, s) + d(s, t) + d(t, b) <= (1 + eps) w in one of the orientations."""
+    eps = Fraction(eps)
+    d = brute_all_distances(g)
+    out = {}
+    for s in range(g.n):
+        for t in range(s + 1, g.n):
+            if d[(s, t)] is INF:
+                continue
+            members = set()
+            for a, b in pool:
+                w = g.weights[(a, b)]
+                if d[(s, t)] < w / (3 * (1 + eps)):
+                    continue
+                for x, y in ((a, b), (b, a)):
+                    if INF not in (d[(x, s)], d[(t, y)]):
+                        if d[(x, s)] + d[(s, t)] + d[(t, y)] <= (1 + eps) * w:
+                            members.add((a, b))
+            out[(s, t)] = out[(t, s)] = frozenset(members)
+    return out
 
 
 def brute_walk_tables(g: WeightedGraph, pool, dist, eps, floor_pow2, anchored_weight):

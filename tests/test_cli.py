@@ -106,6 +106,29 @@ def test_parameter_errors(tmp_path, ladder_file):
     assert main(["verify", str(ladder_file), str(tmp_path / "missing.g"), "--eps", "1"]) == EXIT_PARAM
 
 
+def _one_error_line(capsys) -> bool:
+    err = capsys.readouterr().err
+    return err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_zero_denominator_weight_exits_3(tmp_path, capsys):
+    bad = tmp_path / "bad.g"
+    bad.write_text("2 1 planar:0\n0 1 1/0\n")
+    assert main(["run", "greedy", str(bad), "--eps", "1/4", "--out", str(tmp_path / "o")]) == EXIT_PARAM
+    assert _one_error_line(capsys)
+    assert main(["verify", str(bad), str(bad), "--eps", "1/4"]) == EXIT_PARAM
+    assert _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("text", ["vars\n", "vars 1\nclause\n", "vars 1\norder+\n"])
+def test_malformed_formula_exits_3(tmp_path, capsys, text):
+    formula = tmp_path / "f.txt"
+    formula.write_text(text)
+    code = main(["gen", "sat", "--in", str(formula), "--eps", "1/10", "--out", str(tmp_path / "s.g")])
+    assert code == EXIT_PARAM
+    assert _one_error_line(capsys)
+
+
 def test_run_scaled_on_wide_weight_range(tmp_path):
     lad = gen_ladder(3, F(1, 4))
     big = WeightedGraph(

@@ -11,6 +11,7 @@ from spannerlab.graphs import (
     WeightedGraph,
     apsp,
     concat,
+    dijkstra,
     edge_key,
     floor_pow2,
     format_graph,
@@ -107,6 +108,34 @@ class TestApsp:
         # two equal-weight routes 0-1-3 and 0-2-3; lex picks the one through 1
         g = WeightedGraph(4, ((0, 1, F(1)), (1, 3, F(1)), (0, 2, F(1)), (2, 3, F(1))))
         assert apsp(g).path(0, 3).vertices == (0, 1, 3)
+
+
+class TestDijkstra:
+    @settings(max_examples=60, deadline=None)
+    @given(small_graphs(max_n=7, positive=False), st.randoms(use_true_random=False))
+    def test_target_and_limit_match_enumeration(self, g, rng):
+        # zero-weight edges included: settled vertices may tie at distance 0
+        adj = g.int_adjacency()
+        brute = brute_all_distances(g)
+        oracle = apsp(g)
+        for s in range(g.n):
+            exact = {t: d * g.scale for (u, t), d in brute.items() if u == s and d is not INF}
+            assert dijkstra(adj, s) == exact
+            assert oracle.row(s) == [exact.get(t, INF) for t in range(g.n)]
+            limit = rng.randint(0, max(exact.values()) + 1)
+            assert dijkstra(adj, s, limit=limit) == {t: d for t, d in exact.items() if d <= limit}
+            for t in range(g.n):
+                got = dijkstra(adj, s, t, limit)
+                assert (t in got) == (t in exact and exact[t] <= limit)
+                assert all(exact[v] == d for v, d in got.items())
+
+    def test_int_weights_use_the_lcm_scale(self):
+        g = WeightedGraph(3, ((0, 1, F(3, 2)), (1, 2, F(5, 6)), (0, 2, F(0))))
+        assert g.scale == 6
+        assert g.int_weights == {(0, 1): 9, (0, 2): 0, (1, 2): 5}
+        assert g.int_adjacency([(0, 1)]) == [[(1, 9)], [(0, 9)], []]
+        assert apsp(g).dist(1, 2) == F(5, 6) and apsp(g).row(1)[2] == 5
+        assert WeightedGraph(2).scale == 1
 
 
 class TestStretch:
@@ -268,6 +297,10 @@ class TestGraphIO:
             parse_graph("2 2 planar:0\n0 1 1\n")
         with pytest.raises(ValueError):
             parse_graph("")
+
+    def test_zero_denominator_is_a_value_error(self):
+        with pytest.raises(ValueError, match="0 1 1/0"):
+            parse_graph("2 1 planar:0\n0 1 1/0\n")
 
     def test_connectivity_helper(self):
         assert is_connected(WeightedGraph(1))

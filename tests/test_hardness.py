@@ -256,3 +256,6 @@ class TestSatFormat:
             parse_sat("clause above 0\n")
         with pytest.raises(ValueError):
             parse_sat("vars 1\nfrobnicate\n")
+        for text in ("vars\n", "vars 1\nclause\n", "vars 1\norder+\n", "vars 1\norder-\n"):
+            with pytest.raises(ValueError, match="bad"):
+                parse_sat(text)

@@ -68,14 +68,15 @@ class TestExactOptSpanner:
             exact_opt_spanner(WeightedGraph(3, ((0, 1, F(1)),)), F(1, 2))
 
     def test_matches_full_enumeration(self):
-        rng = random.Random(42)
-        for _ in range(12):
-            g = random_connected_graph(rng, max_n=6, max_extra=4, max_w=6)
-            eps = rng.choice([F(1, 10), F(1, 3), F(1)])
-            res = exact_opt_spanner(g, eps)
-            brute_w, brute_edges = brute_opt_spanner(g, eps)
-            assert res.opt_weight == brute_w
-            assert tuple(sorted(res.opt_edges)) == brute_edges
+        for integer in (True, False):
+            rng = random.Random(42)
+            for _ in range(12):
+                g = random_connected_graph(rng, max_n=6, max_extra=4, max_w=6, integer=integer)
+                eps = rng.choice([F(1, 10), F(1, 3), F(1)])
+                res = exact_opt_spanner(g, eps)
+                brute_w, brute_edges = brute_opt_spanner(g, eps)
+                assert res.opt_weight == brute_w
+                assert tuple(sorted(res.opt_edges)) == brute_edges
 
     def test_one_edge_removal_sweep(self):
         rng = random.Random(7)

@@ -30,7 +30,10 @@ from spannerlab.prune import (
     select_best_triple,
 )
 
-from bruteforce import random_connected_graph
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bruteforce import brute_endpoint_hanging_sets, random_connected_graph
 
 EPS = F(1, 4)
 
@@ -121,6 +124,16 @@ class TestEndpointHangingSets:
                         assert seg >= kappa * g.weights[key]
                     if at_endpoints:
                         assert key in tables.anchored[(s, t)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.randoms(use_true_random=False), st.sampled_from([F(1, 64), F(1, 10), F(1, 4), F(1)]))
+    def test_matches_definition_on_rational_weights(self, rng, eps):
+        # rational weights leave kappa*w and (1+eps)*w fractional in units of
+        # 1/scale, so the ceil and floor of the integer thresholds both matter
+        g = random_connected_graph(rng, max_n=7, max_extra=4, integer=False)
+        pool = frozenset(k for k in sorted(g.edge_keys) if rng.random() < 0.7)
+        got = endpoint_hanging_sets(g, pool, apsp(g), eps)
+        assert got == brute_endpoint_hanging_sets(g, pool, eps)
 
     def test_empty_pool_gives_empty_sets(self):
         g, _ = scaled_ladder(3)
