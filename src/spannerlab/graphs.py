@@ -108,6 +108,10 @@ class WeightedGraph:
         return adj
 
     @cached_property
+    def _oracle(self) -> "DistanceOracle":
+        return DistanceOracle(self)
+
+    @cached_property
     def adjacency(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
         adj: list[list[tuple[int, Fraction]]] = [[] for _ in range(self.n)]
         for u, v, w in self.edges:
@@ -284,11 +288,16 @@ class DistanceOracle:
     canonical path between two vertices is the lexicographically smallest
     vertex sequence among all minimum-weight paths; it is materialised lazily
     (one next-hop column per target) and requires strictly positive weights.
+    `memo` holds tables other modules derive from these distances (pruning
+    keeps its walk plans there); they live as long as the oracle. The oracle
+    keeps no reference to g, so g can hold its own oracle (see `apsp`)
+    without a reference cycle that only the cyclic collector would free.
     """
 
     def __init__(self, g: WeightedGraph):
-        self.graph = g
+        self.n = g.n
         self.scale = g.scale
+        self._weights = g.weights
         self._adj = g.int_adjacency()
         self._dist = []
         for s in range(g.n):
@@ -297,6 +306,7 @@ class DistanceOracle:
                 row[v] = d
             self._dist.append(row)
         self._next_hop: dict[int, list] = {}
+        self.memo: dict = {}
         self._all_positive = all(w > 0 for _, _, w in g.edges)
 
     def dist(self, u: int, v: int):
@@ -316,9 +326,9 @@ class DistanceOracle:
         col = self._next_hop.get(t)
         if col is not None:
             return col
-        col = [None] * self.graph.n
+        col = [None] * self.n
         dist_t = self._dist[t]
-        for u in range(self.graph.n):
+        for u in range(self.n):
             if u == t or dist_t[u] is INF:
                 continue
             # smallest neighbour lying on some shortest u-t path; choosing it
@@ -340,12 +350,18 @@ class DistanceOracle:
         verts = [s]
         while verts[-1] != t:
             verts.append(col[verts[-1]])
-        return Walk.from_vertices(self.graph, verts)
+        # every step follows an edge of the graph, so no check is needed
+        return Walk(tuple(verts), tuple(self._weights[edge_key(a, b)] for a, b in zip(verts, verts[1:])))
 
 
 def apsp(g: WeightedGraph) -> DistanceOracle:
-    """Exact all-pairs shortest paths with deterministic tie-breaking."""
-    return DistanceOracle(g)
+    """Exact all-pairs shortest paths with deterministic tie-breaking.
+
+    Computed once per graph object: later calls return the same oracle, so
+    every pruning pass over g shares its distances and what is memoised on
+    them.
+    """
+    return g._oracle
 
 
 def stretch(g: WeightedGraph, h: WeightedGraph):
@@ -355,27 +371,34 @@ def stretch(g: WeightedGraph, h: WeightedGraph):
     which equals the maximum over all vertex pairs of dist_h / dist_g: along
     a shortest g-path every edge contributes exactly its weight, so a bound
     per edge lifts to every pair. Returns INF when h disconnects a pair that
-    g connects, and exactly 1 for h = g.
+    g connects, and exactly 1 for h = g. One Dijkstra in h runs per vertex
+    that is the smaller endpoint of an edge of g, and each distance map is
+    dropped once that vertex's edges are checked, so memory stays linear.
     """
     if not h.is_subgraph_of(g):
         raise ValueError("h is not a subgraph of g")
-    dist_h = apsp(h)
+    edges_from: dict[int, list[tuple[int, int]]] = {}
+    for (u, v), w in g.int_weights.items():
+        edges_from.setdefault(u, []).append((v, w))
+    adj = h.int_adjacency()
     # h's weights are a subset of g's, so h.scale divides g.scale and
     # d * factor is dist_h in units of 1/g.scale
     factor = g.scale // h.scale
     # the worst ratio so far is num / den; it starts at 1 because the
     # lightest edge of g is always its own shortest path in h = g
     num = den = 1
-    for (u, v), w in g.int_weights.items():
-        d = dist_h.row(u)[v]
-        if d is INF:
-            return INF
-        if w == 0:
-            if d > 0:
+    for u, edges in edges_from.items():
+        dist_u = dijkstra(adj, u)
+        for v, w in edges:
+            d = dist_u.get(v)
+            if d is None:
                 return INF
-            continue
-        if d * factor * den > num * w:
-            num, den = d * factor, w
+            if w == 0:
+                if d > 0:
+                    return INF
+                continue
+            if d * factor * den > num * w:
+                num, den = d * factor, w
     return Fraction(num, den)
 
 

@@ -6,15 +6,21 @@ exactly L on which a heavy multiset of current spanner edges "hangs" (each
 edge admits a nearby detour through a sub-walk covering a constant fraction
 of its weight). The best walk-to-multiset weight ratio is realised via a
 table of entries indexed by (source, target, length) with backpointers, the
-walk is added, and the hanging edges are dropped. Passes are repeated a
-number of times governed by the iterated logarithm of 1/eps.
+walk is added, and the hanging edges are dropped. Which cells exist and how
+they join depends only on the distances and eps, so that plan is built once
+per graph and eps; each round only recomputes the values. Passes are
+repeated a number of times governed by the iterated logarithm of 1/eps.
 """
 from __future__ import annotations
 
 import os
 import warnings
+from array import array
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from heapq import heapify, heappop, heappush
 
 from .graphs import (
     INF,
@@ -107,39 +113,50 @@ def endpoint_hanging_sets(
 
     An edge (a, b) of weight w qualifies when dist(s, t) >= kappa * w and the
     better orientation satisfies dist(a, s) + dist(s, t) + dist(t, b)
-    <= (1 + eps) * w. The result is symmetric in (s, t).
+    <= (1 + eps) * w. The result is symmetric in (s, t). `dist` must be the
+    oracle of g: the pairs at which an edge hangs do not depend on the pool,
+    so they are found once per edge and kept on the oracle per eps.
     """
     eps = Fraction(eps)
+    memo = dist.memo.get(("hanging", eps))
+    if memo is None:
+        pairs = [(s, t) for s in range(g.n) for t in range(s + 1, g.n) if dist.row(s)[t] is not INF]
+        none_hang = dict.fromkeys((pair for s, t in pairs for pair in ((s, t), (t, s))), frozenset())
+        memo = dist.memo[("hanging", eps)] = (pairs, none_hang, {})
+    pairs, none_hang, hangs_at = memo
+    members: dict[tuple[int, int], list[EdgeKey]] = {}
+    for k in pool:
+        at = hangs_at.get(k)
+        if at is None:
+            at = hangs_at[k] = _hanging_pairs(k, g.int_weights[k], pairs, dist, eps)
+        for pair in at:
+            members.setdefault(pair, []).append(k)
+    out = none_hang.copy()
+    for (s, t), keys in members.items():
+        out[(s, t)] = out[(t, s)] = frozenset(keys)
+    return out
+
+
+def _hanging_pairs(edge: EdgeKey, w: int, pairs, dist: DistanceOracle, eps: Fraction) -> tuple:
+    """The pairs (s, t) of `pairs` at whose endpoints `edge`, of int weight w, hangs."""
+    a, b = edge
     kappa = hanging_kappa(eps)
     stretch_bound = 1 + eps
     # distances are ints in units of 1/scale, so d >= kappa*w holds exactly
     # when d >= ceil(kappa*w) and lhs <= (1+eps)*w when lhs <= floor((1+eps)*w)
-    pool_edges = []
-    for k in sorted(pool):
-        w = g.int_weights[k]
-        need = -(-kappa.numerator * w // kappa.denominator)
-        budget = stretch_bound.numerator * w // stretch_bound.denominator
-        pool_edges.append((k[0], k[1], need, budget))
-    rows = [dist.row(s) for s in range(g.n)]
-    out: dict[tuple[int, int], frozenset[EdgeKey]] = {}
-    for s in range(g.n):
-        dist_s = rows[s]
-        for t in range(s + 1, g.n):
-            d = dist_s[t]
-            if d is INF:
-                continue
-            dist_t = rows[t]
-            members = []
-            for a, b, need, budget in pool_edges:
-                if d < need:
-                    continue
-                # an INF term makes the sum INF, which fails the budget
-                if dist_s[a] + d + dist_t[b] <= budget or dist_s[b] + d + dist_t[a] <= budget:
-                    members.append((a, b))
-            fs = frozenset(members)
-            out[(s, t)] = fs
-            out[(t, s)] = fs
-    return out
+    need = -(-kappa.numerator * w // kappa.denominator)
+    budget = stretch_bound.numerator * w // stretch_bound.denominator
+    out = []
+    for s, t in pairs:
+        dist_s = dist.row(s)
+        d = dist_s[t]
+        if d < need:
+            continue
+        dist_t = dist.row(t)
+        # an INF term makes the sum INF, which fails the budget
+        if dist_s[a] + d + dist_t[b] <= budget or dist_s[b] + d + dist_t[a] <= budget:
+            out.append((s, t))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -156,6 +173,179 @@ class DpEntry:
     back: tuple[int, int, bool] | None
 
 
+def _length_bounds(dist: DistanceOracle, eps: Fraction) -> tuple[dict[tuple[int, int], int], int]:
+    """floor((1+eps) * dist(s, t)) for every connected pair s != t, and the largest of them."""
+    p, q = eps.numerator, eps.denominator
+    n = dist.n
+    bounds: dict[tuple[int, int], int] = {}
+    max_level = 0
+    for s in range(n):
+        row = dist.row(s)
+        for t in range(s + 1, n):
+            d = row[t]
+            if d is INF:
+                continue
+            b = (p + q) * d // q
+            bounds[(s, t)] = bounds[(t, s)] = b
+            max_level = max(max_level, b)
+    return bounds, max_level
+
+
+def _check_cap(max_level: int, cap: int) -> None:
+    if max_level + 1 > cap:
+        raise CellCapError(
+            f"length range {max_level + 1} exceeds the per-pair cell cap {cap}; "
+            f"set {CELL_CAP_ENV} or pass cell_cap to override"
+        )
+
+
+class _WalkPlan:
+    """The pool-independent half of the walk tables of one (distances, eps).
+
+    Which cells are realizable, and through which joins, depends only on
+    the distances and eps, so the plan is built once and re-evaluated for
+    every pool. Cells are numbered in the order they are finalised: the
+    empty walk at each vertex first, then by ascending length and pair.
+    A round's values live in one list: index 0 holds 0, index 1 + i the
+    endpoint hanging weight of `pairs[i]` (in both orders), and index
+    `offset + c` the value of cell c. Join j of a cell adds the values at
+    `join_left[j]` and `join_right[j]` (its two halves) and at
+    `join_bonus[j]` (the cell's pair when the join collects its endpoint
+    hanging set, else 0); each cell's joins are sorted by (via, left length).
+    """
+
+    def __init__(self, dist: DistanceOracle, bounds: dict[tuple[int, int], int], max_level: int):
+        n = dist.n
+        rows = [dist.row(s) for s in range(n)]
+        self.bounds = bounds
+        self.max_level = max_level
+        self.pairs = sorted(pair for pair in bounds if pair[0] < pair[1])
+        slot = {}
+        for i, (s, t) in enumerate(self.pairs, 1):
+            slot[(s, t)] = slot[(t, s)] = i
+        self.offset = offset = 1 + len(self.pairs)
+        # pair -> {length: cell}, lengths ascending
+        self.cells_of = cells_of = {(s, s): {0: s} for s in range(n)}
+        self.cell_s = cell_s = list(range(n))
+        self.cell_t = cell_t = list(range(n))
+        self.cell_len = cell_len = [0] * n
+        self.base = base = [0] * n  # value index of a base cell's value, -1 for a join-only cell
+        self.join_start = join_start = array("i", [0] * (n + 1))  # cell c: joins join_start[c]:join_start[c+1]
+        self.join_left, self.join_right, self.join_bonus = array("i"), array("i"), array("i")
+        join_left, join_right, join_bonus = self.join_left, self.join_right, self.join_bonus
+
+        base_at: dict[int, list[tuple[int, int]]] = {}
+        for s, t in bounds:
+            base_at.setdefault(rows[s][t], []).append((s, t))
+        # only occupied levels are visited: base lengths, plus each length a
+        # join first reaches. A pending join is packed as via << 32 | left
+        # cell (a plan of 2**32 cells would not fit in memory), so sorting
+        # the codes sorts the joins by (via, left length).
+        levels = list(base_at)
+        heapify(levels)
+        pending: dict[int, dict[tuple[int, int], array]] = {}
+        starts: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]  # s -> (t, L, cell)
+        ends: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]  # t -> (s, L, cell)
+
+        def offer(total: int, pair: tuple[int, int], code: int) -> None:
+            slots = pending.get(total)
+            if slots is None:
+                slots = pending[total] = {}
+                if total not in base_at:
+                    heappush(levels, total)
+            codes = slots.get(pair)
+            if codes is None:
+                codes = slots[pair] = array("q")
+            codes.append(code)
+
+        while levels:
+            level = heappop(levels)
+            joins_at = pending.pop(level, {})
+            top = 1 << (level.bit_length() - 1)
+            for pair in sorted(joins_at.keys() | base_at.get(level, ())):
+                s, t = pair
+                c = len(cell_len)
+                cells_of.setdefault(pair, {})[level] = c
+                cell_s.append(s)
+                cell_t.append(t)
+                cell_len.append(level)
+                base.append(slot[pair] if rows[s][t] == level else -1)
+                for code in sorted(joins_at.get(pair, ())):
+                    via, left = code >> 32, code & 0xFFFFFFFF
+                    l_left = cell_len[left]
+                    join_left.append(offset + left)
+                    join_right.append(offset + cells_of[(via, t)][level - l_left])
+                    join_bonus.append(slot[pair] if max(l_left, level - l_left) < top else 0)
+                join_start.append(len(join_left))
+                # pair the new cell with every finalised cell it extends; each
+                # pair of cells is joined once, by the later of the two
+                for x, l_left, left in ends[s]:
+                    bound = bounds.get((x, t))
+                    if bound is not None and l_left + level <= bound:
+                        offer(l_left + level, (x, t), s << 32 | left)
+                for y, l_right, _ in starts[t]:
+                    bound = bounds.get((s, y))
+                    if bound is not None and level + l_right <= bound:
+                        offer(level + l_right, (s, y), t << 32 | c)
+                starts[s].append((t, level, c))
+                ends[t].append((s, level, c))
+
+        # off-diagonal cells in (s, t, L) order, the order of iter_entries
+        self.by_pair = [c for pair in sorted(cells_of) if pair[0] != pair[1] for c in cells_of[pair].values()]
+
+    def evaluate(self, hanging: list[int]) -> tuple[list[int], array]:
+        """The round's value list (see the class docstring) for the endpoint
+        hanging weights of `pairs`, and each cell's chosen join (-1: base).
+
+        A cell starts from its base value and takes each join whose sum is
+        strictly larger, so ties go to the base cell, then to the smallest
+        (via, left length)."""
+        offset, base, start = self.offset, self.base, self.join_start
+        jl, jr, jb = self.join_left, self.join_right, self.join_bonus
+        n_cells = len(base)
+        values = [0, *hanging, *[0] * n_cells]
+        picks = array("q", [-1]) * n_cells
+        for c in range(n_cells):
+            b = base[c]
+            best = values[b] if b >= 0 else -1
+            for j in range(start[c], start[c + 1]):
+                v = values[jl[j]] + values[jr[j]] + values[jb[j]]
+                if v > best:
+                    best = v
+                    picks[c] = j
+            values[offset + c] = best
+        return values, picks
+
+
+def _walk_plan(dist: DistanceOracle, eps: Fraction, cap: int) -> _WalkPlan:
+    """The plan of (dist, eps), built on first use and kept on the oracle;
+    the cap is checked before any plan is built."""
+    plan = dist.memo.get(("walk-plan", eps))
+    if plan is None:
+        bounds, max_level = _length_bounds(dist, eps)
+        _check_cap(max_level, cap)
+        plan = dist.memo[("walk-plan", eps)] = _WalkPlan(dist, bounds, max_level)
+    _check_cap(plan.max_level, cap)
+    return plan
+
+
+class _PairCells(Mapping):
+    """The realizable cells of one pair, length -> DpEntry, built on access."""
+
+    def __init__(self, tables: "WalkTables", cells: dict[int, int]):
+        self._tables = tables
+        self._cells = cells
+
+    def __getitem__(self, length: int) -> DpEntry:
+        return self._tables._entry(self._cells[length])
+
+    def __iter__(self):
+        return iter(self._cells)
+
+    def __len__(self) -> int:
+        return len(self._cells)
+
+
 class WalkTables:
     """Length-indexed tables of realizable walks and their hanging weight.
 
@@ -163,50 +353,54 @@ class WalkTables:
     (1+eps) * dist(s, t); a cell is realizable when a walk of weight exactly
     L exists that is derivable from shortest paths by concatenation. Each
     realizable cell stores the heaviest multiset weight of pool edges
-    hanging on its walk that the join rule can certify.
+    hanging on its walk that the join rule can certify. `entries` maps each
+    pair to its cells (length -> DpEntry); entries are built on access.
     """
 
-    def __init__(self, g, dist, eps, pool, anchored, anchored_weight, bounds, entries, max_level):
+    def __init__(self, g, dist, eps, pool, anchored, anchored_weight, plan: _WalkPlan, values, picks):
         self.graph = g
         self.dist = dist
         self.eps = eps
         self.pool = pool
         self.anchored = anchored
         self.anchored_weight = anchored_weight
-        self.bounds = bounds
-        self.entries = entries
-        self.max_level = max_level
+        self.bounds = plan.bounds
+        self.max_level = plan.max_level
+        self._plan = plan
+        self._values = values
+        self._picks = picks
+
+    def _entry(self, c: int) -> DpEntry:
+        plan = self._plan
+        value = self._values[plan.offset + c]
+        j = self._picks[c]
+        if j < 0:
+            return DpEntry(value, None)
+        left = plan.join_left[j] - plan.offset
+        return DpEntry(value, (plan.cell_t[left], plan.cell_len[left], plan.join_bonus[j] != 0))
+
+    @cached_property
+    def entries(self) -> dict[tuple[int, int], Mapping[int, DpEntry]]:
+        return {pair: _PairCells(self, cells) for pair, cells in self._plan.cells_of.items()}
 
     def entry(self, s: int, t: int, length: int) -> DpEntry | None:
-        return self.entries.get((s, t), {}).get(length)
+        c = self._plan.cells_of.get((s, t), {}).get(length)
+        return None if c is None else self._entry(c)
 
     def levels(self, s: int, t: int) -> list[int]:
-        return sorted(self.entries.get((s, t), {}))
+        return list(self._plan.cells_of.get((s, t), {}))
 
     def iter_entries(self):
         """Yield (s, t, L, entry) for every realizable off-diagonal cell."""
-        for pair in sorted(self.entries):
-            if pair[0] == pair[1]:
-                continue
-            cells = self.entries[pair]
-            for length in sorted(cells):
-                yield pair[0], pair[1], length, cells[length]
+        plan = self._plan
+        for c in plan.by_pair:
+            yield plan.cell_s[c], plan.cell_t[c], plan.cell_len[c], self._entry(c)
 
 
 def _require_positive_integers(g: WeightedGraph) -> None:
     for u, v, w in g.edges:
         if w.denominator != 1 or w <= 0:
             raise ValueError(f"edge ({u},{v}) weight {w} is not a positive integer")
-
-
-def _back_rank(back):
-    return (0,) if back is None else (1, back[0], back[1])
-
-
-def _offer(cands: dict, pair, value: int, back) -> None:
-    cur = cands.get(pair)
-    if cur is None or value > cur[0] or (value == cur[0] and _back_rank(back) < _back_rank(cur[1])):
-        cands[pair] = (value, back)
 
 
 def fill_tables(
@@ -222,112 +416,24 @@ def fill_tables(
     endpoint hanging set. A cell (s, t, L) is realizable through a join when
     some via vertex z and split 0 < L' < L have both sub-cells realizable;
     its value maximises left + right, plus the endpoint hanging weight of
-    (s, t) whenever max(L', L - L') < floor_pow2(L). Levels are processed in
-    ascending order, so every join reads only finalised cells.
+    (s, t) whenever max(L', L - L') < floor_pow2(L). Which cells exist and
+    how they join is planned once per (dist, eps), where `dist` is the
+    oracle of g; each round only re-evaluates the plan, in ascending length
+    order, for the pool's hanging weights.
     """
     _require_positive_integers(g)
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    cap = _resolve_cell_cap(cell_cap)
-    n = g.n
-    p, q = eps.numerator, eps.denominator
-
-    # integer weights give scale 1, so the rows hold the distances themselves
-    rows = [dist.row(s) for s in range(n)]
-    bounds: dict[tuple[int, int], int] = {}
-    max_level = 0
-    for s in range(n):
-        for t in range(s + 1, n):
-            d = rows[s][t]
-            if d is INF:
-                continue
-            b = (p + q) * d // q
-            bounds[(s, t)] = bounds[(t, s)] = b
-            max_level = max(max_level, b)
-    if max_level + 1 > cap:
-        raise CellCapError(
-            f"length range {max_level + 1} exceeds the per-pair cell cap {cap}; "
-            f"set {CELL_CAP_ENV} or pass cell_cap to override"
-        )
-
+    plan = _walk_plan(dist, eps, _resolve_cell_cap(cell_cap))
     anchored = endpoint_hanging_sets(g, pool, dist, eps)
-    anchored_weight = {
-        pair: sum(g.int_weights[k] for k in edges) for pair, edges in anchored.items()
-    }
-
-    entries: dict[tuple[int, int], dict[int, DpEntry]] = {}
-    for s in range(n):
-        entries[(s, s)] = {0: DpEntry(0, None)}
-
-    base_at: dict[int, list[tuple[int, int]]] = {}
-    for s, t in bounds:
-        base_at.setdefault(rows[s][t], []).append((s, t))
-
-    starts: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]  # s -> (t, L, value)
-    ends: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]  # t -> (s, L, value)
-    pending: dict[int, dict[tuple[int, int], tuple[int, tuple]]] = {}
-
-    bounds_get = bounds.get
-    for level in range(1, max_level + 1):
-        cands: dict[tuple[int, int], tuple[int, tuple | None]] = {}
-        for pair in base_at.get(level, ()):
-            _offer(cands, pair, anchored_weight[pair], None)
-        for pair, (value, back) in pending.pop(level, {}).items():
-            _offer(cands, pair, value, back)
-        for s, t in sorted(cands):
-            value, back = cands[(s, t)]
-            entries.setdefault((s, t), {})[level] = DpEntry(value, back)
-            # join with already finalised cells; both orders are generated
-            # exactly once because the later cell of a pair does the pairing.
-            # pending slots hold only join candidates, so ties compare the
-            # (via, left_length) key directly
-            for x, l_left, v_left in ends[s]:
-                pair2 = (x, t)
-                bound2 = bounds_get(pair2)
-                if bound2 is None:
-                    continue
-                total = l_left + level
-                if total > bound2:
-                    continue
-                mx = l_left if l_left > level else level
-                if mx < 1 << (total.bit_length() - 1):
-                    cand = (v_left + value + anchored_weight[pair2], (s, l_left, True))
-                else:
-                    cand = (v_left + value, (s, l_left, False))
-                slot = pending.setdefault(total, {})
-                cur = slot.get(pair2)
-                if (
-                    cur is None
-                    or cand[0] > cur[0]
-                    or (cand[0] == cur[0] and (s, l_left) < cur[1][:2])
-                ):
-                    slot[pair2] = cand
-            for y, l_right, v_right in starts[t]:
-                pair2 = (s, y)
-                bound2 = bounds_get(pair2)
-                if bound2 is None:
-                    continue
-                total = level + l_right
-                if total > bound2:
-                    continue
-                mx = level if level > l_right else l_right
-                if mx < 1 << (total.bit_length() - 1):
-                    cand = (value + v_right + anchored_weight[pair2], (t, level, True))
-                else:
-                    cand = (value + v_right, (t, level, False))
-                slot = pending.setdefault(total, {})
-                cur = slot.get(pair2)
-                if (
-                    cur is None
-                    or cand[0] > cur[0]
-                    or (cand[0] == cur[0] and (t, level) < cur[1][:2])
-                ):
-                    slot[pair2] = cand
-            starts[s].append((t, level, value))
-            ends[t].append((s, level, value))
-
-    return WalkTables(g, dist, eps, pool, anchored, anchored_weight, bounds, entries, max_level)
+    weight = g.int_weights.__getitem__
+    hanging = [sum(map(weight, anchored[pair])) for pair in plan.pairs]
+    anchored_weight = {}
+    for (s, t), w in zip(plan.pairs, hanging):
+        anchored_weight[(s, t)] = anchored_weight[(t, s)] = w
+    values, picks = plan.evaluate(hanging)
+    return WalkTables(g, dist, eps, pool, anchored, anchored_weight, plan, values, picks)
 
 
 def select_best_triple(tables: WalkTables):
@@ -338,17 +444,18 @@ def select_best_triple(tables: WalkTables):
     letting a longer walk trade structure away for no weight gain. Returns
     (s, t, L, ratio) or None when every value is zero.
     """
-    best = None
-    for s, t, length, entry in tables.iter_entries():
-        if length < 1 or entry.value == 0:
-            continue
-        ratio = Fraction(entry.value, length)
-        if best is None or ratio > best[0] or (ratio == best[0] and (s, t, length) < best[1]):
-            best = (ratio, (s, t, length))
+    plan, values = tables._plan, tables._values
+    offset, cell_len = plan.offset, plan.cell_len
+    # value / L > best_value / best_length, compared as ints; the first cell
+    # (in (s, t, L) order) reaching the maximum keeps it
+    best, best_value, best_length = None, 0, 1
+    for c in plan.by_pair:
+        value, length = values[offset + c], cell_len[c]
+        if value * best_length > best_value * length:
+            best, best_value, best_length = c, value, length
     if best is None:
         return None
-    ratio, (s, t, length) = best
-    return s, t, length, ratio
+    return plan.cell_s[best], plan.cell_t[best], best_length, Fraction(best_value, best_length)
 
 
 def reconstruct(tables: WalkTables, s: int, t: int, length: int) -> tuple[Walk, EdgeMultiset]:
@@ -445,8 +552,8 @@ def prune_round(
     dist: DistanceOracle | None = None,
     cell_cap: int | None = None,
 ) -> bool:
-    """Run one round: rebuild tables over the remaining pool, take the best
-    ratio, and exchange walk for multiset when the ratio reaches 1.
+    """Run one round: evaluate the tables for the remaining pool, take the
+    best ratio, and exchange walk for multiset when the ratio reaches 1.
 
     Returns True when an exchange happened; False leaves the state untouched.
     """

@@ -2,7 +2,9 @@
 
 Everything here enumerates: simple paths for distances, edge subsets for
 spanning structures and optimum spanners. Nothing imports algorithmic code
-from the package beyond the graph container itself.
+from the package beyond the graph container itself, except the `previous_*`
+reference copies at the end, which keep replaced table code for differential
+tests and use the package's small validation helpers.
 """
 from __future__ import annotations
 
@@ -10,7 +12,15 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from spannerlab.graphs import INF, WeightedGraph, edge_key
+from spannerlab.graphs import INF, DistanceOracle, EdgeKey, WeightedGraph, edge_key
+from spannerlab.prune import (
+    CELL_CAP_ENV,
+    CellCapError,
+    DpEntry,
+    _require_positive_integers,
+    _resolve_cell_cap,
+    hanging_kappa,
+)
 
 
 def all_simple_paths(g: WeightedGraph, s: int, t: int):
@@ -235,3 +245,244 @@ def random_connected_graph(
     for pair in all_pairs[: rng.randint(0, max_extra)]:
         keys.add(pair)
     return WeightedGraph(n, tuple((u, v, weight()) for u, v in sorted(keys)))
+
+
+# --- the pruning table code that the plan and value pass replaced ------------
+#
+# Verbatim copies (renamed with a `previous_` prefix) of endpoint_hanging_sets,
+# WalkTables, fill_tables and select_best_triple as they were before the
+# pruning tables were split into a pool-independent plan and a per-round value
+# pass. The differential tests require the new code to produce the same cells,
+# backpointers, best triples and round logs.
+
+
+def previous_endpoint_hanging_sets(
+    g: WeightedGraph, pool: frozenset[EdgeKey], dist: DistanceOracle, eps
+) -> dict[tuple[int, int], frozenset[EdgeKey]]:
+    """For every ordered pair (s, t), the pool edges hanging at exactly the
+    endpoints of the canonical shortest s-t path.
+
+    An edge (a, b) of weight w qualifies when dist(s, t) >= kappa * w and the
+    better orientation satisfies dist(a, s) + dist(s, t) + dist(t, b)
+    <= (1 + eps) * w. The result is symmetric in (s, t).
+    """
+    eps = Fraction(eps)
+    kappa = hanging_kappa(eps)
+    stretch_bound = 1 + eps
+    # distances are ints in units of 1/scale, so d >= kappa*w holds exactly
+    # when d >= ceil(kappa*w) and lhs <= (1+eps)*w when lhs <= floor((1+eps)*w)
+    pool_edges = []
+    for k in sorted(pool):
+        w = g.int_weights[k]
+        need = -(-kappa.numerator * w // kappa.denominator)
+        budget = stretch_bound.numerator * w // stretch_bound.denominator
+        pool_edges.append((k[0], k[1], need, budget))
+    rows = [dist.row(s) for s in range(g.n)]
+    out: dict[tuple[int, int], frozenset[EdgeKey]] = {}
+    for s in range(g.n):
+        dist_s = rows[s]
+        for t in range(s + 1, g.n):
+            d = dist_s[t]
+            if d is INF:
+                continue
+            dist_t = rows[t]
+            members = []
+            for a, b, need, budget in pool_edges:
+                if d < need:
+                    continue
+                # an INF term makes the sum INF, which fails the budget
+                if dist_s[a] + d + dist_t[b] <= budget or dist_s[b] + d + dist_t[a] <= budget:
+                    members.append((a, b))
+            fs = frozenset(members)
+            out[(s, t)] = fs
+            out[(t, s)] = fs
+    return out
+
+
+class PreviousWalkTables:
+    """Length-indexed tables of realizable walks and their hanging weight.
+
+    For a pair (s, t), cells exist for integer lengths L up to
+    (1+eps) * dist(s, t); a cell is realizable when a walk of weight exactly
+    L exists that is derivable from shortest paths by concatenation. Each
+    realizable cell stores the heaviest multiset weight of pool edges
+    hanging on its walk that the join rule can certify.
+    """
+
+    def __init__(self, g, dist, eps, pool, anchored, anchored_weight, bounds, entries, max_level):
+        self.graph = g
+        self.dist = dist
+        self.eps = eps
+        self.pool = pool
+        self.anchored = anchored
+        self.anchored_weight = anchored_weight
+        self.bounds = bounds
+        self.entries = entries
+        self.max_level = max_level
+
+    def entry(self, s: int, t: int, length: int) -> DpEntry | None:
+        return self.entries.get((s, t), {}).get(length)
+
+    def levels(self, s: int, t: int) -> list[int]:
+        return sorted(self.entries.get((s, t), {}))
+
+    def iter_entries(self):
+        """Yield (s, t, L, entry) for every realizable off-diagonal cell."""
+        for pair in sorted(self.entries):
+            if pair[0] == pair[1]:
+                continue
+            cells = self.entries[pair]
+            for length in sorted(cells):
+                yield pair[0], pair[1], length, cells[length]
+
+
+def _previous_back_rank(back):
+    return (0,) if back is None else (1, back[0], back[1])
+
+
+def _previous_offer(cands: dict, pair, value: int, back) -> None:
+    cur = cands.get(pair)
+    if cur is None or value > cur[0] or (value == cur[0] and _previous_back_rank(back) < _previous_back_rank(cur[1])):
+        cands[pair] = (value, back)
+
+
+def previous_fill_tables(
+    g: WeightedGraph,
+    pool: frozenset[EdgeKey],
+    dist: DistanceOracle,
+    eps,
+    cell_cap: int | None = None,
+) -> PreviousWalkTables:
+    """Fill the (source, target, length) tables for one pruning round.
+
+    Base cells sit at L = dist(s, t) with value equal to the weight of the
+    endpoint hanging set. A cell (s, t, L) is realizable through a join when
+    some via vertex z and split 0 < L' < L have both sub-cells realizable;
+    its value maximises left + right, plus the endpoint hanging weight of
+    (s, t) whenever max(L', L - L') < floor_pow2(L). Levels are processed in
+    ascending order, so every join reads only finalised cells.
+    """
+    _require_positive_integers(g)
+    eps = Fraction(eps)
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    cap = _resolve_cell_cap(cell_cap)
+    n = g.n
+    p, q = eps.numerator, eps.denominator
+
+    # integer weights give scale 1, so the rows hold the distances themselves
+    rows = [dist.row(s) for s in range(n)]
+    bounds: dict[tuple[int, int], int] = {}
+    max_level = 0
+    for s in range(n):
+        for t in range(s + 1, n):
+            d = rows[s][t]
+            if d is INF:
+                continue
+            b = (p + q) * d // q
+            bounds[(s, t)] = bounds[(t, s)] = b
+            max_level = max(max_level, b)
+    if max_level + 1 > cap:
+        raise CellCapError(
+            f"length range {max_level + 1} exceeds the per-pair cell cap {cap}; "
+            f"set {CELL_CAP_ENV} or pass cell_cap to override"
+        )
+
+    anchored = previous_endpoint_hanging_sets(g, pool, dist, eps)
+    anchored_weight = {
+        pair: sum(g.int_weights[k] for k in edges) for pair, edges in anchored.items()
+    }
+
+    entries: dict[tuple[int, int], dict[int, DpEntry]] = {}
+    for s in range(n):
+        entries[(s, s)] = {0: DpEntry(0, None)}
+
+    base_at: dict[int, list[tuple[int, int]]] = {}
+    for s, t in bounds:
+        base_at.setdefault(rows[s][t], []).append((s, t))
+
+    starts: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]  # s -> (t, L, value)
+    ends: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]  # t -> (s, L, value)
+    pending: dict[int, dict[tuple[int, int], tuple[int, tuple]]] = {}
+
+    bounds_get = bounds.get
+    for level in range(1, max_level + 1):
+        cands: dict[tuple[int, int], tuple[int, tuple | None]] = {}
+        for pair in base_at.get(level, ()):
+            _previous_offer(cands, pair, anchored_weight[pair], None)
+        for pair, (value, back) in pending.pop(level, {}).items():
+            _previous_offer(cands, pair, value, back)
+        for s, t in sorted(cands):
+            value, back = cands[(s, t)]
+            entries.setdefault((s, t), {})[level] = DpEntry(value, back)
+            # join with already finalised cells; both orders are generated
+            # exactly once because the later cell of a pair does the pairing.
+            # pending slots hold only join candidates, so ties compare the
+            # (via, left_length) key directly
+            for x, l_left, v_left in ends[s]:
+                pair2 = (x, t)
+                bound2 = bounds_get(pair2)
+                if bound2 is None:
+                    continue
+                total = l_left + level
+                if total > bound2:
+                    continue
+                mx = l_left if l_left > level else level
+                if mx < 1 << (total.bit_length() - 1):
+                    cand = (v_left + value + anchored_weight[pair2], (s, l_left, True))
+                else:
+                    cand = (v_left + value, (s, l_left, False))
+                slot = pending.setdefault(total, {})
+                cur = slot.get(pair2)
+                if (
+                    cur is None
+                    or cand[0] > cur[0]
+                    or (cand[0] == cur[0] and (s, l_left) < cur[1][:2])
+                ):
+                    slot[pair2] = cand
+            for y, l_right, v_right in starts[t]:
+                pair2 = (s, y)
+                bound2 = bounds_get(pair2)
+                if bound2 is None:
+                    continue
+                total = level + l_right
+                if total > bound2:
+                    continue
+                mx = level if level > l_right else l_right
+                if mx < 1 << (total.bit_length() - 1):
+                    cand = (value + v_right + anchored_weight[pair2], (t, level, True))
+                else:
+                    cand = (value + v_right, (t, level, False))
+                slot = pending.setdefault(total, {})
+                cur = slot.get(pair2)
+                if (
+                    cur is None
+                    or cand[0] > cur[0]
+                    or (cand[0] == cur[0] and (t, level) < cur[1][:2])
+                ):
+                    slot[pair2] = cand
+            starts[s].append((t, level, value))
+            ends[t].append((s, level, value))
+
+    return PreviousWalkTables(g, dist, eps, pool, anchored, anchored_weight, bounds, entries, max_level)
+
+
+def previous_select_best_triple(tables: PreviousWalkTables):
+    """Realizable (s, t, L) with L >= 1 maximising value / L.
+
+    Ties take the lexicographically smallest (s, t, L); at ratio exactly 1
+    this drains the pool through the cheapest self-exchanges first instead of
+    letting a longer walk trade structure away for no weight gain. Returns
+    (s, t, L, ratio) or None when every value is zero.
+    """
+    best = None
+    for s, t, length, entry in tables.iter_entries():
+        if length < 1 or entry.value == 0:
+            continue
+        ratio = Fraction(entry.value, length)
+        if best is None or ratio > best[0] or (ratio == best[0] and (s, t, length) < best[1]):
+            best = (ratio, (s, t, length))
+    if best is None:
+        return None
+    ratio, (s, t, length) = best
+    return s, t, length, ratio

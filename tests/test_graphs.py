@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -76,6 +77,11 @@ class TestApsp:
         g = gen_ladder(2, F(1, 2))
         d = apsp(g)
         assert d.dist(ladder_u(0), ladder_v(2, 0)) == F(1)
+
+    def test_one_oracle_per_graph(self):
+        g = WeightedGraph(3, ((0, 1, F(1)), (1, 2, F(2))))
+        assert apsp(g) is apsp(g)
+        assert apsp(WeightedGraph(3, g.edges)) is not apsp(g)
 
     def test_single_vertex(self):
         assert apsp(WeightedGraph(1)).dist(0, 0) == 0
@@ -161,12 +167,30 @@ class TestStretch:
             stretch(g, WeightedGraph(3, ((1, 2, F(1)),)))
 
     @settings(max_examples=40, deadline=None)
-    @given(small_graphs(), st.randoms(use_true_random=False))
+    @given(st.booleans().flatmap(lambda positive: small_graphs(positive=positive)), st.randoms(use_true_random=False))
     def test_edge_form_equals_pairwise_form(self, g, rng):
+        # zero-weight edges included: h must keep such pairs at distance 0
         keys = sorted(g.edge_keys)
         keep = [k for k in keys if rng.random() < 0.7]
         h = g.subgraph(keep)
         assert stretch(g, h) == brute_stretch_over_pairs(g, h)
+
+    def test_zero_weight_edge_needs_zero_distance(self):
+        g = WeightedGraph(3, ((0, 1, F(0)), (0, 2, F(0)), (1, 2, F(1))))
+        assert stretch(g, g.subgraph([(0, 2), (1, 2)])) is INF
+        assert stretch(g, g.subgraph([(0, 1), (0, 2)])) == 1
+        assert stretch(g, g) == 1
+
+    def test_edgeless_graph_needs_no_distance_table(self):
+        # an n x n table would take about 72 MB here
+        g = WeightedGraph(3000)
+        tracemalloc.start()
+        try:
+            assert stretch(g, g) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestNormalize:

@@ -1,9 +1,11 @@
+import importlib
 import random
 from fractions import Fraction as F
 
 import pytest
 
 from spannerlab.graphs import (
+    DistanceOracle,
     Walk,
     WeightedGraph,
     apsp,
@@ -12,7 +14,7 @@ from spannerlab.graphs import (
     stretch,
 )
 from spannerlab.greedy import greedy_spanner
-from spannerlab.instances import gen_greedy_hard, gen_ladder, ladder_u, ladder_v
+from spannerlab.instances import gen_greedy_hard, gen_ladder, gen_multiladder, ladder_u, ladder_v
 from spannerlab.prune import (
     CellCapError,
     PruneState,
@@ -33,7 +35,15 @@ from spannerlab.prune import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bruteforce import brute_endpoint_hanging_sets, random_connected_graph
+from bruteforce import (
+    brute_endpoint_hanging_sets,
+    previous_fill_tables,
+    previous_select_best_triple,
+    random_connected_graph,
+)
+
+# the package attribute `spannerlab.prune` is the function, not the module
+prune_module = importlib.import_module("spannerlab.prune")
 
 EPS = F(1, 4)
 
@@ -126,14 +136,17 @@ class TestEndpointHangingSets:
                         assert key in tables.anchored[(s, t)]
 
     @settings(max_examples=40, deadline=None)
-    @given(st.randoms(use_true_random=False), st.sampled_from([F(1, 64), F(1, 10), F(1, 4), F(1)]))
-    def test_matches_definition_on_rational_weights(self, rng, eps):
+    @given(st.randoms(use_true_random=False))
+    def test_matches_definition_on_rational_weights(self, rng):
         # rational weights leave kappa*w and (1+eps)*w fractional in units of
-        # 1/scale, so the ceil and floor of the integer thresholds both matter
+        # 1/scale, so the ceil and floor of the integer thresholds both matter;
+        # every eps and a shrinking pool reuse one oracle and its memo
         g = random_connected_graph(rng, max_n=7, max_extra=4, integer=False)
         pool = frozenset(k for k in sorted(g.edge_keys) if rng.random() < 0.7)
-        got = endpoint_hanging_sets(g, pool, apsp(g), eps)
-        assert got == brute_endpoint_hanging_sets(g, pool, eps)
+        for eps in (F(1, 64), F(1, 10), F(1, 4), F(1)):
+            for subpool in (pool, frozenset(k for k in sorted(pool) if rng.random() < 0.5)):
+                got = endpoint_hanging_sets(g, subpool, apsp(g), eps)
+                assert got == brute_endpoint_hanging_sets(g, subpool, eps)
 
     def test_empty_pool_gives_empty_sets(self):
         g, _ = scaled_ladder(3)
@@ -208,6 +221,88 @@ class TestFillTables:
         assert tables.entry(0, 1, 3_000_000) is not None
         monkeypatch.delenv("SPANNER_LAB_CELL_CAP")
         assert fill_tables(g, g.edge_keys, apsp(g), EPS, cell_cap=4_000_000) is not None
+
+    def test_cell_cap_applies_to_a_cached_plan(self):
+        g = WeightedGraph(2, ((0, 1, F(300)),))
+        dist = apsp(g)
+        assert fill_tables(g, g.edge_keys, dist, EPS, cell_cap=376).levels(0, 1) == [300]
+        with pytest.raises(CellCapError):
+            fill_tables(g, g.edge_keys, dist, EPS, cell_cap=375)
+
+    def test_only_occupied_levels_are_visited(self):
+        # 1.25 * 10**12 lengths lie in range; a scan over them would not end
+        g = WeightedGraph(2, ((0, 1, F(10**12)),))
+        tables = fill_tables(g, g.edge_keys, apsp(g), EPS, cell_cap=10**13)
+        assert tables.levels(0, 1) == [10**12]
+        assert tables.max_level == 10**12 * 5 // 4
+
+
+def all_cells(tables):
+    """Every cell of a table, the diagonal included: {(s, t, L): DpEntry}."""
+    return {(*pair, length): entry for pair, cells in tables.entries.items() for length, entry in cells.items()}
+
+
+def assert_same_tables(new, old):
+    assert all_cells(new) == all_cells(old)
+    assert list(new.iter_entries()) == list(old.iter_entries())
+    assert all(new.levels(s, t) == old.levels(s, t) for s, t in old.entries)
+    assert (new.bounds, new.max_level) == (old.bounds, old.max_level)
+    assert (new.anchored, new.anchored_weight) == (old.anchored, old.anchored_weight)
+    assert select_best_triple(new) == previous_select_best_triple(old)
+
+
+def catalogue_instance(name):
+    """(scaled graph, eps, initial spanner or None) of a benchmark-style pruning
+    job; ladders start from the greedy spanner of their perturbed twin."""
+    if name == "greedyhard":
+        eps = F(1, 64)
+        return scale_to_integers(gen_greedy_hard(eps, F(2)))[0], eps, None
+    eps = F(1, 4)
+    make = {"ladder": lambda p: gen_ladder(8, eps, p), "multiladder": lambda p: gen_multiladder(2, 4, eps, p)}[name]
+    g = scale_to_integers(make(False))[0]
+    return g, eps, g.subgraph(greedy_spanner(make(True), 1 + eps).edge_keys)
+
+
+class TestAgainstPreviousTables:
+    """The plan and value pass against verbatim copies of the code they replaced."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.randoms(use_true_random=False), st.booleans())
+    def test_same_cells_and_best_triple_on_random_graphs(self, rng, integer):
+        # integer=False draws rational weights, scaled to integers here
+        g, _ = scale_to_integers(random_connected_graph(rng, max_n=7, max_extra=4, integer=integer))
+        pool = frozenset(k for k in sorted(g.edge_keys) if rng.random() < 0.7)
+        dist = apsp(g)
+        for eps in (F(1, 64), F(1, 10), F(1, 4), F(1, 2), F(1)):  # one oracle, one plan per eps
+            assert_same_tables(fill_tables(g, pool, dist, eps), previous_fill_tables(g, pool, dist, eps))
+
+    @pytest.mark.parametrize("name", ["ladder", "multiladder", "greedyhard"])
+    def test_reused_plan_matches_fresh_and_previous_every_round(self, name):
+        g, eps, h = catalogue_instance(name)
+        h = h or greedy_spanner(g, 1 + eps)
+        dist = apsp(g)
+        state = PruneState()
+        rounds = 0
+        while True:
+            pool = frozenset(h.edge_keys - state.added - state.removed)
+            reused = fill_tables(g, pool, dist, eps)
+            assert_same_tables(reused, previous_fill_tables(g, pool, dist, eps))
+            assert all_cells(fill_tables(g, pool, DistanceOracle(g), eps)) == all_cells(reused)
+            if not prune_round(g, h, state, eps, dist=dist):
+                break
+            rounds += 1
+        assert rounds > 3
+
+    @pytest.mark.parametrize("name", ["ladder", "multiladder", "greedyhard"])
+    def test_iterate_prune_round_logs_match_previous(self, name, monkeypatch):
+        g, eps, initial = catalogue_instance(name)
+        new = iterate_prune(g, eps, initial_spanner=initial)
+        monkeypatch.setattr(prune_module, "fill_tables", previous_fill_tables)
+        monkeypatch.setattr(prune_module, "select_best_triple", previous_select_best_triple)
+        old = iterate_prune(g, eps, initial_spanner=initial)
+        assert new[0] == old[0] and new[1] == old[1]
+        assert [s.rounds for s in new[2]] == [s.rounds for s in old[2]]
+        assert [(s.added, s.removed) for s in new[2]] == [(s.added, s.removed) for s in old[2]]
 
 
 class TestSelectBestTriple:
