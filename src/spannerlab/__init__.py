@@ -3,20 +3,15 @@
 Construction (greedy scan, iterative pruning, weight-range scaling wrapper),
 verification (exact stretch), exact optima by branch and bound, benchmark
 instance generators, and a SAT-to-spanner threshold reduction.
+
+The package root holds the user-facing API. The pruning internals (walk
+tables, hanging sets, single passes and rounds) live in `spannerlab.prune`.
 """
 from .graphs import (
     INF,
-    DistanceOracle,
-    EdgeMultiset,
-    Walk,
     WeightedGraph,
     apsp,
-    concat,
-    edge_key,
-    floor_pow2,
     format_graph,
-    is_connected,
-    normalize_edges,
     parse_graph,
     read_graph,
     scale_to_integers,
@@ -26,37 +21,15 @@ from .graphs import (
 from .greedy import greedy_spanner
 from .hardness import (
     Clause,
-    PreprocessResult,
     ReductionOutput,
     SatInstance,
     assignment_to_spanner,
     parse_sat,
-    preprocess,
     reduce_sat,
     spanner_to_assignment,
 )
 from .instances import gen_greedy_hard, gen_ladder, gen_multiladder
 from .oracle import OracleCapError, OracleResult, exact_opt_spanner, is_spanner, sat_brute_force
-from .prune import (
-    CellCapError,
-    DpEntry,
-    HangingWitness,
-    IterationLog,
-    PruneState,
-    RoundLog,
-    WalkTables,
-    contract_and_round,
-    endpoint_hanging_sets,
-    fill_tables,
-    hanging_kappa,
-    is_hanging,
-    iterate_prune,
-    log_star_ceil,
-    prune,
-    prune_round,
-    prune_with_scaling,
-    reconstruct,
-    select_best_triple,
-)
+from .prune import CellCapError, iterate_prune, prune_with_scaling
 
 __version__ = "0.1.0"

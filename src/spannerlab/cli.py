@@ -27,12 +27,14 @@ from .greedy import greedy_spanner
 from .hardness import read_sat, reduce_sat, write_sidecar
 from .instances import gen_greedy_hard, gen_ladder, gen_multiladder
 from .oracle import OracleCapError, exact_opt_spanner
-from .prune import CellCapError, iterate_prune, prune, prune_with_scaling
+from .prune import DEFAULT_CELL_CAP, CellCapError, iterate_prune, prune, prune_with_scaling
 
 EXIT_OK = 0
 EXIT_VERIFY = 2
 EXIT_PARAM = 3
 EXIT_CAP = 4
+
+MANIFEST_KEYS = ("eps", "t", "initial", "max_edges", "cell_cap")
 
 
 class ParameterError(Exception):
@@ -60,6 +62,17 @@ def _frac_str(x) -> str:
 
 def _dec_str(x) -> str:
     return "inf" if x is INF else f"{float(x):.6g}"
+
+
+def _spanner_fields(g: WeightedGraph, h: WeightedGraph) -> dict:
+    """The weight and stretch fields of a report row for spanner h of g."""
+    s = stretch(g, h)
+    return {
+        "weight": _frac_str(h.total_weight),
+        "weight_decimal": _dec_str(h.total_weight),
+        "stretch": _frac_str(s),
+        "stretch_decimal": _dec_str(s),
+    }
 
 
 def build_parser() -> _Parser:
@@ -97,7 +110,7 @@ def build_parser() -> _Parser:
     r.add_argument("--t", default=None, help="stretch target for greedy (default 1+eps)")
     r.add_argument("--initial", default=None, help="initial spanner file for prune/iterate")
     r.add_argument("--max-edges", type=int, default=24)
-    r.add_argument("--cell-cap", type=int, default=None)
+    r.add_argument("--cell-cap", type=int, default=DEFAULT_CELL_CAP)
     r.add_argument("--out", default=None, help="spanner edge-list output")
     r.add_argument("--report", default=None, help="JSON report output")
 
@@ -195,16 +208,12 @@ def _cmd_run(args) -> int:
 
     # re-verify from the emitted file rather than trusting in-memory state
     emitted = read_graph(out_path)
-    s = stretch(g, emitted)
     report = {
         "instance": {"file": args.graph, "n": g.n, "m": g.m},
         "algorithm": args.algorithm,
         "params": {"eps": args.eps, "t": args.t},
         "spanner_file": str(out_path),
-        "weight": _frac_str(emitted.total_weight),
-        "weight_decimal": _dec_str(emitted.total_weight),
-        "stretch": _frac_str(s),
-        "stretch_decimal": _dec_str(s),
+        **_spanner_fields(g, emitted),
         "wall_time_s": round(elapsed, 6),
     }
     report.update(extra)
@@ -249,6 +258,9 @@ def _parse_manifest(text: str):
             if "=" not in kv:
                 raise ParameterError(f"bad manifest parameter {kv!r}")
             k, v = kv.split("=", 1)
+            if k not in MANIFEST_KEYS:
+                known = ", ".join(MANIFEST_KEYS)
+                raise ParameterError(f"unknown manifest parameter {k!r}; expected one of {known}")
             params[k] = v
         rows.append((parts[0], parts[1], params))
     return rows
@@ -264,22 +276,17 @@ def _cmd_bench(args) -> int:
             t=params.get("t"),
             initial=params.get("initial"),
             max_edges=int(params.get("max_edges", 24)),
-            cell_cap=int(params["cell_cap"]) if "cell_cap" in params else None,
+            cell_cap=int(params.get("cell_cap", DEFAULT_CELL_CAP)),
         )
         started = time.perf_counter()
         keys, _ = _run_algorithm(algorithm, g, ns)
         elapsed = time.perf_counter() - started
-        h = g.subgraph(keys)
-        s = stretch(g, h)
         results.append(
             {
                 "instance": graph_file,
                 "algorithm": algorithm,
                 "params": " ".join(f"{k}={v}" for k, v in sorted(params.items())),
-                "weight": _frac_str(h.total_weight),
-                "weight_decimal": _dec_str(h.total_weight),
-                "stretch": _frac_str(s),
-                "stretch_decimal": _dec_str(s),
+                **_spanner_fields(g, g.subgraph(keys)),
                 "wall_time_s": f"{elapsed:.6f}",
             }
         )

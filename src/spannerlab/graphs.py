@@ -213,48 +213,6 @@ def concat(a: Walk, b: Walk) -> Walk:
     return Walk(a.vertices + b.vertices[1:], a.step_weights + b.step_weights)
 
 
-class EdgeMultiset:
-    """Multiset of edge keys; union sums multiplicities."""
-
-    __slots__ = ("counts",)
-
-    def __init__(self, counts: dict[EdgeKey, int] | None = None):
-        self.counts: dict[EdgeKey, int] = {}
-        for k, c in (counts or {}).items():
-            if c <= 0:
-                raise ValueError("multiplicities must be positive")
-            self.counts[k] = c
-
-    @classmethod
-    def from_keys(cls, keys: Iterable[EdgeKey]) -> "EdgeMultiset":
-        ms = cls()
-        for k in keys:
-            ms.counts[k] = ms.counts.get(k, 0) + 1
-        return ms
-
-    def union(self, other: "EdgeMultiset") -> "EdgeMultiset":
-        out = EdgeMultiset(dict(self.counts))
-        for k, c in other.counts.items():
-            out.counts[k] = out.counts.get(k, 0) + c
-        return out
-
-    @property
-    def support(self) -> frozenset[EdgeKey]:
-        return frozenset(self.counts)
-
-    def total_multiplicity(self) -> int:
-        return sum(self.counts.values())
-
-    def weight(self, g: WeightedGraph) -> Fraction:
-        return sum((c * g.weights[k] for k, c in self.counts.items()), Fraction(0))
-
-    def __eq__(self, other):
-        return isinstance(other, EdgeMultiset) and self.counts == other.counts
-
-    def __repr__(self):
-        return f"EdgeMultiset({self.counts!r})"
-
-
 def dijkstra(adj, source: int, target: int | None = None, limit: int | None = None) -> dict[int, int]:
     """Exact shortest distances from `source` over int adjacency lists.
 
@@ -318,9 +276,6 @@ class DistanceOracle:
         """The distance row of u as ints in units of 1/scale, INF where
         disconnected (read-only by convention)."""
         return self._dist[u]
-
-    def connected(self, u: int, v: int) -> bool:
-        return self._dist[u][v] is not INF or u == v
 
     def _column(self, t: int) -> list:
         col = self._next_hop.get(t)

@@ -13,20 +13,17 @@ repeated a number of times governed by the iterated logarithm of 1/eps.
 """
 from __future__ import annotations
 
-import os
 import warnings
 from array import array
-from collections.abc import Mapping
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from heapq import heapify, heappop, heappush
 
 from .graphs import (
     INF,
     DistanceOracle,
     EdgeKey,
-    EdgeMultiset,
     Walk,
     WeightedGraph,
     apsp,
@@ -38,18 +35,10 @@ from .graphs import (
 from .greedy import greedy_spanner
 
 DEFAULT_CELL_CAP = 2_000_000
-CELL_CAP_ENV = "SPANNER_LAB_CELL_CAP"
 
 
 class CellCapError(RuntimeError):
     """Raised when the (source, target) length-table would exceed the cell cap."""
-
-
-def _resolve_cell_cap(cell_cap: int | None) -> int:
-    if cell_cap is not None:
-        return cell_cap
-    env = os.environ.get(CELL_CAP_ENV)
-    return int(env) if env else DEFAULT_CELL_CAP
 
 
 def hanging_kappa(eps: Fraction) -> Fraction:
@@ -195,7 +184,7 @@ def _check_cap(max_level: int, cap: int) -> None:
     if max_level + 1 > cap:
         raise CellCapError(
             f"length range {max_level + 1} exceeds the per-pair cell cap {cap}; "
-            f"set {CELL_CAP_ENV} or pass cell_cap to override"
+            "pass cell_cap (--cell-cap) to override"
         )
 
 
@@ -329,23 +318,6 @@ def _walk_plan(dist: DistanceOracle, eps: Fraction, cap: int) -> _WalkPlan:
     return plan
 
 
-class _PairCells(Mapping):
-    """The realizable cells of one pair, length -> DpEntry, built on access."""
-
-    def __init__(self, tables: "WalkTables", cells: dict[int, int]):
-        self._tables = tables
-        self._cells = cells
-
-    def __getitem__(self, length: int) -> DpEntry:
-        return self._tables._entry(self._cells[length])
-
-    def __iter__(self):
-        return iter(self._cells)
-
-    def __len__(self) -> int:
-        return len(self._cells)
-
-
 class WalkTables:
     """Length-indexed tables of realizable walks and their hanging weight.
 
@@ -354,18 +326,18 @@ class WalkTables:
     L exists that is derivable from shortest paths by concatenation. Each
     realizable cell stores the heaviest multiset weight of pool edges
     hanging on its walk that the join rule can certify. `entries` maps each
-    pair to its cells (length -> DpEntry); entries are built on access.
+    pair to its cells (length -> cell number of the plan); `entry`, `levels`
+    and `iter_entries` build DpEntry values on access.
     """
 
-    def __init__(self, g, dist, eps, pool, anchored, anchored_weight, plan: _WalkPlan, values, picks):
-        self.graph = g
+    def __init__(self, dist, pool, anchored, anchored_weight, plan: _WalkPlan, values, picks):
         self.dist = dist
-        self.eps = eps
         self.pool = pool
         self.anchored = anchored
         self.anchored_weight = anchored_weight
         self.bounds = plan.bounds
         self.max_level = plan.max_level
+        self.entries = plan.cells_of
         self._plan = plan
         self._values = values
         self._picks = picks
@@ -379,16 +351,12 @@ class WalkTables:
         left = plan.join_left[j] - plan.offset
         return DpEntry(value, (plan.cell_t[left], plan.cell_len[left], plan.join_bonus[j] != 0))
 
-    @cached_property
-    def entries(self) -> dict[tuple[int, int], Mapping[int, DpEntry]]:
-        return {pair: _PairCells(self, cells) for pair, cells in self._plan.cells_of.items()}
-
     def entry(self, s: int, t: int, length: int) -> DpEntry | None:
-        c = self._plan.cells_of.get((s, t), {}).get(length)
+        c = self.entries.get((s, t), {}).get(length)
         return None if c is None else self._entry(c)
 
     def levels(self, s: int, t: int) -> list[int]:
-        return list(self._plan.cells_of.get((s, t), {}))
+        return list(self.entries.get((s, t), {}))
 
     def iter_entries(self):
         """Yield (s, t, L, entry) for every realizable off-diagonal cell."""
@@ -408,7 +376,7 @@ def fill_tables(
     pool: frozenset[EdgeKey],
     dist: DistanceOracle,
     eps,
-    cell_cap: int | None = None,
+    cell_cap: int = DEFAULT_CELL_CAP,
 ) -> WalkTables:
     """Fill the (source, target, length) tables for one pruning round.
 
@@ -425,7 +393,7 @@ def fill_tables(
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    plan = _walk_plan(dist, eps, _resolve_cell_cap(cell_cap))
+    plan = _walk_plan(dist, eps, cell_cap)
     anchored = endpoint_hanging_sets(g, pool, dist, eps)
     weight = g.int_weights.__getitem__
     hanging = [sum(map(weight, anchored[pair])) for pair in plan.pairs]
@@ -433,7 +401,7 @@ def fill_tables(
     for (s, t), w in zip(plan.pairs, hanging):
         anchored_weight[(s, t)] = anchored_weight[(t, s)] = w
     values, picks = plan.evaluate(hanging)
-    return WalkTables(g, dist, eps, pool, anchored, anchored_weight, plan, values, picks)
+    return WalkTables(dist, pool, anchored, anchored_weight, plan, values, picks)
 
 
 def select_best_triple(tables: WalkTables):
@@ -458,8 +426,9 @@ def select_best_triple(tables: WalkTables):
     return plan.cell_s[best], plan.cell_t[best], best_length, Fraction(best_value, best_length)
 
 
-def reconstruct(tables: WalkTables, s: int, t: int, length: int) -> tuple[Walk, EdgeMultiset]:
-    """Extract the walk and hanging multiset of a realizable cell.
+def reconstruct(tables: WalkTables, s: int, t: int, length: int) -> tuple[Walk, Counter]:
+    """Extract the walk and hanging multiset (edge key -> multiplicity) of a
+    realizable cell.
 
     The walk weighs exactly `length` and the multiset weight equals the cell
     value; shared sub-cells are expanded once.
@@ -467,7 +436,7 @@ def reconstruct(tables: WalkTables, s: int, t: int, length: int) -> tuple[Walk, 
     root = (s, t, length)
     if tables.entry(*root) is None:
         raise ValueError(f"cell {root} is not realizable")
-    done: dict[tuple[int, int, int], tuple[Walk, EdgeMultiset]] = {}
+    done: dict[tuple[int, int, int], tuple[Walk, Counter]] = {}
     stack: list[tuple[tuple[int, int, int], bool]] = [(root, False)]
     while stack:
         key, expanded = stack.pop()
@@ -480,10 +449,10 @@ def reconstruct(tables: WalkTables, s: int, t: int, length: int) -> tuple[Walk, 
         if entry.back is None:
             if ks == kt:
                 walk = Walk((ks,), ())
-                mset = EdgeMultiset()
+                mset = Counter()
             else:
                 walk = tables.dist.path(ks, kt)
-                mset = EdgeMultiset.from_keys(sorted(tables.anchored[(ks, kt)]))
+                mset = Counter(tables.anchored[(ks, kt)])
             if walk.weight != kl:
                 raise AssertionError(f"base walk weight {walk.weight} != level {kl}")
             done[key] = (walk, mset)
@@ -498,9 +467,10 @@ def reconstruct(tables: WalkTables, s: int, t: int, length: int) -> tuple[Walk, 
             continue
         lw, lm = done[left]
         rw, rm = done[right]
-        mset = lm.union(rm)
+        # a fresh sum, so updating it leaves the shared sub-results alone
+        mset = lm + rm
         if collected:
-            mset = mset.union(EdgeMultiset.from_keys(sorted(tables.anchored[(ks, kt)])))
+            mset.update(tables.anchored[(ks, kt)])
         done[key] = (concat(lw, rw), mset)
     return done[root]
 
@@ -550,7 +520,7 @@ def prune_round(
     state: PruneState,
     eps,
     dist: DistanceOracle | None = None,
-    cell_cap: int | None = None,
+    cell_cap: int = DEFAULT_CELL_CAP,
 ) -> bool:
     """Run one round: evaluate the tables for the remaining pool, take the
     best ratio, and exchange walk for multiset when the ratio reaches 1.
@@ -570,7 +540,7 @@ def prune_round(
     if beta < 1:
         return False
     walk, mset = reconstruct(tables, s, t, length)
-    support = mset.support
+    support = frozenset(mset)
     pruned_weight = int(sum(g.weights[k] for k in support))
     state.added |= walk.edge_keys()
     state.removed |= support
@@ -582,7 +552,7 @@ def prune_round(
             length=length,
             beta=beta,
             walk_weight=int(walk.weight),
-            multiset_weight=int(mset.weight(g)),
+            multiset_weight=int(sum(c * g.weights[k] for k, c in mset.items())),
             pruned_weight=pruned_weight,
             pool_weight_remaining=remaining,
         )
@@ -591,7 +561,7 @@ def prune_round(
 
 
 def prune(
-    g: WeightedGraph, h: WeightedGraph, eps, cell_cap: int | None = None
+    g: WeightedGraph, h: WeightedGraph, eps, cell_cap: int = DEFAULT_CELL_CAP
 ) -> tuple[WeightedGraph, PruneState]:
     """One full pruning pass over spanner h of g.
 
@@ -654,7 +624,7 @@ def iterate_prune(
     g: WeightedGraph,
     eps,
     initial_spanner: WeightedGraph | None = None,
-    cell_cap: int | None = None,
+    cell_cap: int = DEFAULT_CELL_CAP,
 ) -> tuple[WeightedGraph, list[IterationLog], list[PruneState]]:
     """Driver: start from a greedy (1+eps)-spanner (or a caller-provided one)
     and run pruning passes until a pass changes nothing, capped at
@@ -745,7 +715,7 @@ def contract_and_round(g: WeightedGraph, eps) -> tuple[WeightedGraph, dict[EdgeK
 
 
 def prune_with_scaling(
-    g: WeightedGraph, eps, cell_cap: int | None = None
+    g: WeightedGraph, eps, cell_cap: int = DEFAULT_CELL_CAP
 ) -> tuple[WeightedGraph, ScalingLog]:
     """Weight-range-robust driver.
 
@@ -755,6 +725,8 @@ def prune_with_scaling(
     expanded and unioned with every original edge of weight at most W/n.
     """
     eps = Fraction(eps)
+    if eps <= 0:
+        raise ValueError("eps must be positive")
     _require_positive_integers(g)
     if not is_connected(g):
         raise ValueError("prune_with_scaling requires a connected graph")

@@ -14,11 +14,10 @@ from itertools import combinations
 
 from spannerlab.graphs import INF, DistanceOracle, EdgeKey, WeightedGraph, edge_key
 from spannerlab.prune import (
-    CELL_CAP_ENV,
+    DEFAULT_CELL_CAP,
     CellCapError,
     DpEntry,
     _require_positive_integers,
-    _resolve_cell_cap,
     hanging_kappa,
 )
 
@@ -351,7 +350,7 @@ def previous_fill_tables(
     pool: frozenset[EdgeKey],
     dist: DistanceOracle,
     eps,
-    cell_cap: int | None = None,
+    cell_cap: int = DEFAULT_CELL_CAP,
 ) -> PreviousWalkTables:
     """Fill the (source, target, length) tables for one pruning round.
 
@@ -366,7 +365,7 @@ def previous_fill_tables(
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    cap = _resolve_cell_cap(cell_cap)
+    cap = cell_cap
     n = g.n
     p, q = eps.numerator, eps.denominator
 
@@ -385,7 +384,7 @@ def previous_fill_tables(
     if max_level + 1 > cap:
         raise CellCapError(
             f"length range {max_level + 1} exceeds the per-pair cell cap {cap}; "
-            f"set {CELL_CAP_ENV} or pass cell_cap to override"
+            "pass cell_cap (--cell-cap) to override"
         )
 
     anchored = previous_endpoint_hanging_sets(g, pool, dist, eps)

@@ -133,13 +133,13 @@ def test_criterion_4_table_consistency(capsys):
             for s, t, length, entry in tables.iter_entries():
                 walk, mset = reconstruct(tables, s, t, length)
                 assert walk.weight == length
-                assert mset.weight(g) == entry.value
+                assert sum(c * g.weights[k] for k, c in mset.items()) == entry.value
                 # the endpoint-set lower bound is well-posed exactly at the
                 # base length, where the base candidate realises it; at other
                 # lengths it cannot coexist with walk-weight exactness
                 if length == int(dist.dist(s, t)):
                     assert entry.value >= tables.anchored_weight[(s, t)]
-                for key in sorted(mset.support):
+                for key in sorted(mset):
                     edge = (key[0], key[1], g.weights[key])
                     assert is_hanging(dist, edge, walk, kappa, eps) is not None
                 checked += 1

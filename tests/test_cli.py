@@ -129,6 +129,13 @@ def test_malformed_formula_exits_3(tmp_path, capsys, text):
     assert _one_error_line(capsys)
 
 
+@pytest.mark.parametrize("eps", ["0", "-1/2"])
+def test_run_scaled_nonpositive_eps_exits_3(tmp_path, ladder_file, capsys, eps):
+    code = main(["run", "scaled", str(ladder_file), f"--eps={eps}", "--out", str(tmp_path / "o")])
+    assert code == EXIT_PARAM
+    assert capsys.readouterr().err == "error: eps must be positive\n"
+
+
 def test_run_scaled_on_wide_weight_range(tmp_path):
     lad = gen_ladder(3, F(1, 4))
     big = WeightedGraph(
@@ -199,6 +206,15 @@ def test_bench_manifest(tmp_path, capsys):
     empty.write_text("# nothing\n")
     assert main(["bench", str(empty), "--out", str(out_csv)]) == EXIT_OK
     assert out_csv.read_text().strip().splitlines()[0].startswith("instance,")
+
+
+def test_bench_rejects_unknown_manifest_keys(tmp_path, ladder_file, capsys):
+    manifest = tmp_path / "m.txt"
+    manifest.write_text(f"{ladder_file} greedy t=5/4 cellcap=1\n")
+    assert main(["bench", str(manifest)]) == EXIT_PARAM
+    assert "'cellcap'" in capsys.readouterr().err
+    manifest.write_text(f"{ladder_file} iterate eps=1/4 cell_cap=1\n")
+    assert main(["bench", str(manifest)]) == EXIT_CAP
 
 
 def test_bench_greedy_gap_ratio(tmp_path):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from spannerlab.graphs import (
     INF,
-    EdgeMultiset,
     Walk,
     WeightedGraph,
     apsp,
@@ -290,20 +289,6 @@ class TestWalks:
             right = Walk.from_vertices(g, verts[cut:])
             assert concat(left, right) == walk
             assert left.weight + right.weight == walk.weight
-
-
-class TestEdgeMultiset:
-    def test_union_sums_multiplicities(self):
-        a = EdgeMultiset({(0, 1): 2})
-        b = EdgeMultiset({(0, 1): 1, (1, 2): 3})
-        u = a.union(b)
-        assert u.counts == {(0, 1): 3, (1, 2): 3}
-
-    def test_weight(self):
-        g = WeightedGraph(3, ((0, 1, F(2)), (1, 2, F(1, 2))))
-        ms = EdgeMultiset({(0, 1): 2, (1, 2): 1})
-        assert ms.weight(g) == F(9, 2)
-        assert ms.support == {(0, 1), (1, 2)}
 
 
 class TestGraphIO:

@@ -1,18 +1,21 @@
-"""Fuzzers for the two text formats: any input either parses or is refused
-with ValueError (which the CLI maps to exit code 3), and formatting a value
-then parsing it gives the value back."""
+"""Fuzzers for the text formats: any graph or formula text either parses or
+is refused with ValueError (which the CLI maps to exit code 3), formatting a
+value then parsing it gives the value back, and any bench manifest maps to a
+documented exit code."""
 import contextlib
 import io
 import tempfile
 from fractions import Fraction as F
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spannerlab.cli import EXIT_OK, EXIT_PARAM, main
-from spannerlab.graphs import WeightedGraph, format_graph, parse_graph
+from spannerlab.cli import EXIT_CAP, EXIT_OK, EXIT_PARAM, EXIT_VERIFY, main
+from spannerlab.graphs import WeightedGraph, format_graph, parse_graph, write_graph
 from spannerlab.hardness import ABOVE, BELOW, Clause, SatInstance, format_sat, parse_sat
+from spannerlab.instances import gen_ladder
 
 ENDPOINTS = ["0", "1", "2", "3", "-1", "x"]
 WEIGHTS = ["0", "1", "3/2", "-1", "1/0", "-0/0", "1/-2", "0.5", "1e2", "nan", "x"]
@@ -112,3 +115,61 @@ def test_verify_maps_any_graph_file_to_an_exit_code(text):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main(["verify", str(path), str(path), "--eps", "1/4"])
     assert code in (EXIT_OK, EXIT_PARAM)
+
+
+# small values only: a large eps or cell cap would make a pruning table huge
+MANIFEST_VALUES = {
+    "eps": ["1/4", "1/2", "2", "0", "-1", "1/0", "x", ""],
+    "t": ["5/4", "2", "1", "0", "x"],
+    "max_edges": ["24", "2", "0", "-1", "x"],
+    "cell_cap": ["2000000", "10", "1", "0", "-5", "x"],
+    "initial": ["{ladder}", "{tree}", "{other}", "{missing}"],
+}
+MANIFEST_ALGORITHMS = ["greedy", "prune", "iterate", "scaled", "oracle", "exact"]
+MANIFEST_GRAPHS = ["{ladder}", "{tree}", "{other}", "{missing}", "{zero}"]
+
+
+@st.composite
+def manifest_texts(draw):
+    """Manifest lines of known and misspelt keys over a few small graph
+    files; `{name}` stands for the file's path."""
+    param = st.one_of(
+        st.sampled_from(sorted(MANIFEST_VALUES)).flatmap(
+            lambda k: st.sampled_from(MANIFEST_VALUES[k]).map(lambda v: f"{k}={v}")
+        ),
+        st.sampled_from(["cellcap=1", "Eps=1/4", "=1", "eps", "x=y=z", "#"]),
+    )
+    line = st.tuples(
+        st.sampled_from(MANIFEST_GRAPHS),
+        st.sampled_from(MANIFEST_ALGORITHMS),
+        st.lists(param, max_size=3),
+    ).map(lambda row: " ".join([row[0], row[1], *row[2]]))
+    junk = st.lists(st.sampled_from(MANIFEST_GRAPHS + MANIFEST_ALGORITHMS + ["#", "eps=1/4"]), max_size=2)
+    lines = draw(st.lists(line | junk.map(" ".join), max_size=4))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def manifest_files(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("manifest")
+    graphs = {
+        "ladder": gen_ladder(2, F(1, 4)),
+        "tree": WeightedGraph(3, ((0, 1, F(1, 2)), (1, 2, F(3)))),
+        "other": WeightedGraph(2, ((0, 1, F(1)),)),
+        "zero": WeightedGraph(3, ((0, 1, F(0)), (1, 2, F(1)), (0, 2, F(1)))),
+    }
+    paths = {name: tmp / f"{name}.g" for name in [*graphs, "missing"]}
+    for name, g in graphs.items():
+        write_graph(g, paths[name])
+    return tmp, paths
+
+
+@settings(max_examples=80, deadline=None)
+@given(text=manifest_texts())
+def test_bench_maps_any_manifest_to_an_exit_code(manifest_files, text):
+    tmp, paths = manifest_files
+    manifest = tmp / "manifest.txt"
+    manifest.write_text(text.format(**paths))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["bench", str(manifest), "--out", str(tmp / "out.csv")])
+    assert code in (EXIT_OK, EXIT_VERIFY, EXIT_PARAM, EXIT_CAP)
