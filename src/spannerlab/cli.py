@@ -12,6 +12,7 @@ import io
 import json
 import sys
 import time
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -326,7 +327,19 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
+    # warnings print as one plain line instead of the source location; the
+    # caller's filters stay active, so an ignored warning stays silent
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        return _main(argv)
+
+
+def _main(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

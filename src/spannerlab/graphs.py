@@ -213,24 +213,31 @@ def concat(a: Walk, b: Walk) -> Walk:
     return Walk(a.vertices + b.vertices[1:], a.step_weights + b.step_weights)
 
 
-def dijkstra(adj, source: int, target: int | None = None, limit: int | None = None) -> dict[int, int]:
+def dijkstra(
+    adj, source: int, targets: Iterable[int] | None = None, limit: int | None = None
+) -> dict[int, int]:
     """Exact shortest distances from `source` over int adjacency lists.
 
-    Returns {vertex: distance} for every settled vertex. The search stops
-    once `target` is settled and never settles a vertex farther than
-    `limit`, so ``target in dijkstra(adj, s, target, limit)`` holds exactly
-    when dist(s, target) <= limit.
+    Returns {vertex: distance} for every settled vertex, each exact. The
+    search stops once every vertex of the set `targets` is settled (None:
+    it settles all it can reach; an empty set stops at the source) and
+    never settles a vertex farther than `limit`, so
+    ``t in dijkstra(adj, s, targets, limit)`` holds for a target t exactly
+    when dist(s, t) <= limit.
     """
     dist = {source: 0}
     done: dict[int, int] = {}
     heap = [(0, source)]
+    pending = None if targets is None else set(targets)
     while heap:
         d, u = heappop(heap)
         if u in done:
             continue
         done[u] = d
-        if u == target:
-            break
+        if pending is not None:
+            pending.discard(u)
+            if not pending:
+                break
         for v, w in adj[u]:
             nd = d + w
             if (limit is None or nd <= limit) and (v not in dist or nd < dist[v]):
@@ -326,25 +333,29 @@ def stretch(g: WeightedGraph, h: WeightedGraph):
     which equals the maximum over all vertex pairs of dist_h / dist_g: along
     a shortest g-path every edge contributes exactly its weight, so a bound
     per edge lifts to every pair. Returns INF when h disconnects a pair that
-    g connects, and exactly 1 for h = g. One Dijkstra in h runs per vertex
-    that is the smaller endpoint of an edge of g, and each distance map is
-    dropped once that vertex's edges are checked, so memory stays linear.
+    g connects, or leaves a zero-weight edge's endpoints apart, and exactly
+    1 for h = g. An edge that h keeps has ratio at most 1, so only the edges
+    h drops are checked: one Dijkstra in h per smaller endpoint of a dropped
+    edge, stopping once that vertex's dropped neighbours are settled. h = g
+    runs none, and each distance map is dropped once used, so memory stays
+    linear.
     """
     if not h.is_subgraph_of(g):
         raise ValueError("h is not a subgraph of g")
-    edges_from: dict[int, list[tuple[int, int]]] = {}
+    dropped_from: dict[int, dict[int, int]] = {}
     for (u, v), w in g.int_weights.items():
-        edges_from.setdefault(u, []).append((v, w))
+        if (u, v) not in h.weights:
+            dropped_from.setdefault(u, {})[v] = w
     adj = h.int_adjacency()
     # h's weights are a subset of g's, so h.scale divides g.scale and
     # d * factor is dist_h in units of 1/g.scale
     factor = g.scale // h.scale
-    # the worst ratio so far is num / den; it starts at 1 because the
-    # lightest edge of g is always its own shortest path in h = g
+    # the worst ratio so far is num / den; it starts at 1, the ratio of
+    # every edge h keeps (h = g has no other)
     num = den = 1
-    for u, edges in edges_from.items():
-        dist_u = dijkstra(adj, u)
-        for v, w in edges:
+    for u, dropped in dropped_from.items():
+        dist_u = dijkstra(adj, u, dropped.keys())
+        for v, w in dropped.items():
             d = dist_u.get(v)
             if d is None:
                 return INF

@@ -29,7 +29,7 @@ def greedy_spanner(g: WeightedGraph, t) -> WeightedGraph:
     adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
     chosen = []
     for (u, v), w in order:
-        if v not in dijkstra(adj, u, v, t.numerator * w // t.denominator):
+        if v not in dijkstra(adj, u, {v}, t.numerator * w // t.denominator):
             chosen.append((u, v))
             adj[u].append((v, w))
             adj[v].append((u, w))

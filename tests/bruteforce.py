@@ -3,16 +3,18 @@
 Everything here enumerates: simple paths for distances, edge subsets for
 spanning structures and optimum spanners. Nothing imports algorithmic code
 from the package beyond the graph container itself, except the `previous_*`
-reference copies at the end, which keep replaced table code for differential
-tests and use the package's small validation helpers.
+reference copies at the end, which keep replaced table and exact-check code
+for differential tests and use the package's small helpers.
 """
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import combinations
 
-from spannerlab.graphs import INF, DistanceOracle, EdgeKey, WeightedGraph, edge_key
+from spannerlab.graphs import INF, DistanceOracle, EdgeKey, WeightedGraph, apsp, edge_key, is_connected
+from spannerlab.oracle import OracleCapError, OracleResult
 from spannerlab.prune import (
     DEFAULT_CELL_CAP,
     CellCapError,
@@ -485,3 +487,208 @@ def previous_select_best_triple(tables: PreviousWalkTables):
         return None
     ratio, (s, t, length) = best
     return s, t, length, ratio
+
+
+# --- the exact checks that the target-set searches replaced -----------------
+#
+# Verbatim copies (renamed with a `previous_` prefix) of dijkstra, stretch and
+# exact_opt_spanner with its three helpers, as they were before stretch
+# checked only the edges h drops and the branch and bound edited one
+# adjacency in place. The differential tests require equal results, down to
+# the oracle's node count.
+
+
+def _previous_dijkstra(adj, source: int, target: int | None = None, limit: int | None = None) -> dict[int, int]:
+    """Exact shortest distances from `source` over int adjacency lists.
+
+    Returns {vertex: distance} for every settled vertex. The search stops
+    once `target` is settled and never settles a vertex farther than
+    `limit`, so ``target in dijkstra(adj, s, target, limit)`` holds exactly
+    when dist(s, target) <= limit.
+    """
+    dist = {source: 0}
+    done: dict[int, int] = {}
+    heap = [(0, source)]
+    while heap:
+        d, u = heappop(heap)
+        if u in done:
+            continue
+        done[u] = d
+        if u == target:
+            break
+        for v, w in adj[u]:
+            nd = d + w
+            if (limit is None or nd <= limit) and (v not in dist or nd < dist[v]):
+                dist[v] = nd
+                heappush(heap, (nd, v))
+    return done
+
+
+def previous_stretch(g: WeightedGraph, h: WeightedGraph):
+    """Worst distance blow-up of h relative to g, as an exact Fraction.
+
+    Computed as the maximum over edges (u,v) of g of dist_h(u,v) / w(u,v),
+    which equals the maximum over all vertex pairs of dist_h / dist_g: along
+    a shortest g-path every edge contributes exactly its weight, so a bound
+    per edge lifts to every pair. Returns INF when h disconnects a pair that
+    g connects, and exactly 1 for h = g. One Dijkstra in h runs per vertex
+    that is the smaller endpoint of an edge of g, and each distance map is
+    dropped once that vertex's edges are checked, so memory stays linear.
+    """
+    if not h.is_subgraph_of(g):
+        raise ValueError("h is not a subgraph of g")
+    edges_from: dict[int, list[tuple[int, int]]] = {}
+    for (u, v), w in g.int_weights.items():
+        edges_from.setdefault(u, []).append((v, w))
+    adj = h.int_adjacency()
+    # h's weights are a subset of g's, so h.scale divides g.scale and
+    # d * factor is dist_h in units of 1/g.scale
+    factor = g.scale // h.scale
+    # the worst ratio so far is num / den; it starts at 1 because the
+    # lightest edge of g is always its own shortest path in h = g
+    num = den = 1
+    for u, edges in edges_from.items():
+        dist_u = _previous_dijkstra(adj, u)
+        for v, w in edges:
+            d = dist_u.get(v)
+            if d is None:
+                return INF
+            if w == 0:
+                if d > 0:
+                    return INF
+                continue
+            if d * factor * den > num * w:
+                num, den = d * factor, w
+    return Fraction(num, den)
+
+
+def _previous_feasible(g: WeightedGraph, keys, thresholds) -> bool:
+    """Does the edge set `keys` keep every g-edge within its threshold?"""
+    adj = g.int_adjacency(keys)
+    for (u, v), limit in thresholds.items():
+        if edge_key(u, v) in keys:
+            continue
+        if v not in _previous_dijkstra(adj, u, v, limit):
+            return False
+    return True
+
+
+def _previous_local_ok(g: WeightedGraph, keys, thresholds, around: EdgeKey) -> bool:
+    """Cheap necessary check after dropping `around`: every g-edge touching
+    one of its endpoints must still be within threshold."""
+    adj = g.int_adjacency(keys)
+    for x in around:
+        for y, _ in g.adjacency[x]:
+            k = edge_key(x, y)
+            if k in keys:
+                continue
+            if y not in _previous_dijkstra(adj, x, y, thresholds[k]):
+                return False
+    return True
+
+
+def _previous_completion_bound(g: WeightedGraph, fixed_keys, free_rest) -> int | None:
+    """Cheapest extra weight connecting the components of `fixed_keys` using
+    edges from `free_rest`; None when even all of them cannot connect."""
+    parent = list(range(g.n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    comps = g.n
+    for u, v in fixed_keys:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            comps -= 1
+    if comps == 1:
+        return 0
+    extra = 0
+    for w, (u, v) in free_rest:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            comps -= 1
+            extra += w
+            if comps == 1:
+                return extra
+    return None
+
+
+def previous_exact_opt_spanner(g: WeightedGraph, eps, max_edges: int = 24) -> OracleResult:
+    """Exact minimum-weight (1+eps)-spanner by exhaustive branch and bound.
+
+    Weight-zero edges can only help and are always included, so the cap
+    `max_edges` counts positive-weight edges only. Edges with no alternative
+    route within stretch are forced up front; the remaining edges are decided
+    heaviest-first, exclusion branch first, pruning on a spanning-completion
+    lower bound against the incumbent. Among equal-weight optima the
+    lexicographically smallest edge set is returned. The search runs on the
+    int weights of `g`; with eps = p/q an integer distance d' meets the
+    threshold (1+eps)*d exactly when d' <= (p+q)*d // q.
+    """
+    eps = Fraction(eps)
+    if not is_connected(g):
+        raise ValueError("exact_opt_spanner requires a connected graph")
+    weights = g.int_weights
+    zeros = frozenset(k for k, w in weights.items() if w == 0)
+    candidates = [k for k, w in weights.items() if w > 0]
+    if len(candidates) > max_edges:
+        raise OracleCapError(
+            f"{len(candidates)} positive-weight edges exceed the cap {max_edges}"
+        )
+
+    oracle = apsp(g)
+    p, q = eps.numerator, eps.denominator
+    thresholds = {(u, v): (p + q) * oracle.row(u)[v] // q for u, v in weights}
+
+    nodes = 0
+    all_keys = frozenset(weights)
+    forced = set()
+    for k in candidates:
+        nodes += 1
+        if k[1] not in _previous_dijkstra(g.int_adjacency(all_keys - {k}), k[0], k[1], thresholds[k]):
+            forced.add(k)
+    free = sorted((k for k in candidates if k not in forced), key=lambda k: (-weights[k], k))
+    free_weights = [weights[k] for k in free]
+    base = zeros | forced
+    base_weight = sum(weights[k] for k in forced)
+
+    # full edge set is always feasible, giving the starting incumbent
+    best_weight = sum(free_weights, base_weight)
+    best_edges = tuple(sorted(all_keys))
+
+    suffix: list[list[tuple[int, EdgeKey]]] = [[] for _ in range(len(free) + 1)]
+    for i in range(len(free) - 1, -1, -1):
+        suffix[i] = sorted(suffix[i + 1] + [(free_weights[i], free[i])])
+
+    def search(idx: int, chosen: set[EdgeKey], chosen_weight: int, available: set[EdgeKey]):
+        nonlocal nodes, best_weight, best_edges
+        nodes += 1
+        bound = _previous_completion_bound(g, base | chosen, suffix[idx])
+        if bound is None or base_weight + chosen_weight + bound > best_weight:
+            return
+        if idx == len(free):
+            keys = base | chosen
+            if _previous_feasible(g, keys, thresholds):
+                total = base_weight + chosen_weight
+                cand = tuple(sorted(keys))
+                if total < best_weight or (total == best_weight and cand < best_edges):
+                    best_weight = total
+                    best_edges = cand
+            return
+        k = free[idx]
+        # exclusion first so light incumbents appear early
+        available.discard(k)
+        if _previous_local_ok(g, available, thresholds, k):
+            search(idx + 1, chosen, chosen_weight, available)
+        available.add(k)
+        chosen.add(k)
+        search(idx + 1, chosen, chosen_weight + free_weights[idx], available)
+        chosen.discard(k)
+
+    search(0, set(), 0, set(all_keys))
+    return OracleResult(Fraction(best_weight, g.scale), frozenset(best_edges), nodes)

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 from fractions import Fraction as F
 
 import pytest
@@ -134,6 +135,25 @@ def test_run_scaled_nonpositive_eps_exits_3(tmp_path, ladder_file, capsys, eps):
     code = main(["run", "scaled", str(ladder_file), f"--eps={eps}", "--out", str(tmp_path / "o")])
     assert code == EXIT_PARAM
     assert capsys.readouterr().err == "error: eps must be positive\n"
+
+
+@pytest.mark.parametrize("algorithm", ["prune", "iterate", "scaled"])
+def test_large_eps_warning_is_one_plain_line(tmp_path, ladder_file, capsys, algorithm):
+    args = ["run", algorithm, str(ladder_file), "--eps", "1/4", "--out", str(tmp_path / "o")]
+    with warnings.catch_warnings():
+        # the interpreter's default filters; the test settings ignore this warning
+        warnings.simplefilter("default")
+        assert main(args) == EXIT_OK
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("warning:")] == [
+        "warning: eps=1/4 is above 1/100; the pruning guarantees are calibrated for smaller values"
+    ]
+    assert ".py:" not in err
+    # the caller's filters stay in force
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message=r"eps=.* is above 1/100", category=UserWarning)
+        assert main(args) == EXIT_OK
+    assert capsys.readouterr().err == ""
 
 
 def test_run_scaled_on_wide_weight_range(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spannerlab.graphs as graphs_module
 from spannerlab.graphs import (
     INF,
     Walk,
@@ -23,7 +24,7 @@ from spannerlab.graphs import (
 )
 from spannerlab.instances import gen_ladder, ladder_u, ladder_v
 
-from bruteforce import brute_all_distances, brute_shortest, brute_stretch_over_pairs
+from bruteforce import brute_all_distances, brute_shortest, brute_stretch_over_pairs, previous_stretch
 
 
 @st.composite
@@ -130,9 +131,19 @@ class TestDijkstra:
             limit = rng.randint(0, max(exact.values()) + 1)
             assert dijkstra(adj, s, limit=limit) == {t: d for t, d in exact.items() if d <= limit}
             for t in range(g.n):
-                got = dijkstra(adj, s, t, limit)
+                got = dijkstra(adj, s, {t}, limit)
                 assert (t in got) == (t in exact and exact[t] <= limit)
                 assert all(exact[v] == d for v, d in got.items())
+            # target sets mixing unreachable vertices, vertices beyond the
+            # limit and zero-distance ties; an empty set stops at the source
+            assert dijkstra(adj, s, set(), limit) == {s: 0}
+            for _ in range(4):
+                targets = {t for t in range(g.n) if rng.random() < 0.4}
+                for lim in (limit, None):
+                    got = dijkstra(adj, s, targets, lim)
+                    for t in targets:
+                        assert (t in got) == (t in exact and (lim is None or exact[t] <= lim))
+                    assert all(exact[v] == d for v, d in got.items())
 
     def test_int_weights_use_the_lcm_scale(self):
         g = WeightedGraph(3, ((0, 1, F(3, 2)), (1, 2, F(5, 6)), (0, 2, F(0))))
@@ -173,6 +184,33 @@ class TestStretch:
         keep = [k for k in keys if rng.random() < 0.7]
         h = g.subgraph(keep)
         assert stretch(g, h) == brute_stretch_over_pairs(g, h)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.booleans().flatmap(lambda positive: small_graphs(max_n=8, positive=positive)),
+        st.sampled_from([0, 0.3, 0.7, 0.95, 1]),
+        st.randoms(use_true_random=False),
+    )
+    def test_matches_previous_stretch(self, g, keep_prob, rng):
+        # rational and zero weights; low keep probabilities disconnect h
+        h = g.subgraph(k for k in sorted(g.edge_keys) if rng.random() < keep_prob)
+        assert stretch(g, h) == previous_stretch(g, h)
+
+    def test_checks_only_dropped_edges(self, monkeypatch):
+        calls = []
+        real = graphs_module.dijkstra
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(graphs_module, "dijkstra", counting)
+        side = 16
+        edges = [(r * side + c, r * side + c + 1, F(1)) for r in range(side) for c in range(side - 1)]
+        edges += [(r * side + c, (r + 1) * side + c, F(1)) for r in range(side - 1) for c in range(side)]
+        g = WeightedGraph(side * side, tuple(edges))
+        assert stretch(g, g) == 1 and calls == []
+        assert stretch(g, g.subgraph(g.edge_keys - {(0, 1)})) == 3 and calls == [0]
 
     def test_zero_weight_edge_needs_zero_distance(self):
         g = WeightedGraph(3, ((0, 1, F(0)), (0, 2, F(0)), (1, 2, F(1))))

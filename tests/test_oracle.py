@@ -3,8 +3,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from spannerlab.graphs import WeightedGraph, edge_key
-from spannerlab.hardness import ABOVE, BELOW, Clause, SatInstance
+from spannerlab.hardness import ABOVE, BELOW, Clause, SatInstance, reduce_sat
 from spannerlab.instances import gen_ladder, ladder_u, ladder_v
 from spannerlab.oracle import (
     OracleCapError,
@@ -13,7 +16,8 @@ from spannerlab.oracle import (
     sat_brute_force,
 )
 
-from bruteforce import brute_opt_spanner, random_connected_graph
+from bruteforce import brute_opt_spanner, previous_exact_opt_spanner, random_connected_graph
+from test_acceptance import _hardness_catalogue
 
 
 class TestIsSpanner:
@@ -100,6 +104,41 @@ class TestExactOptSpanner:
                 for eps in (F(1, 100), F(1, 10), F(1, 2), F(2))
             ]
             assert weights == sorted(weights, reverse=True)
+
+
+class TestAgainstPreviousOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(st.randoms(use_true_random=False), st.booleans(), st.sampled_from([0, 0.2, 0.5]))
+    def test_drawn_graphs(self, rng, integer, zero_prob):
+        g = random_connected_graph(rng, max_n=7, max_extra=6, max_w=6, integer=integer)
+        g = WeightedGraph(g.n, tuple((u, v, F(0) if rng.random() < zero_prob else w) for u, v, w in g.edges))
+        for eps in (F(0), F(1, 10), F(1, 3), F(1), F(3)):
+            assert exact_opt_spanner(g, eps) == previous_exact_opt_spanner(g, eps)
+
+    def test_sat_threshold_graphs(self):
+        eps = F(1, 10)
+        for inst in _hardness_catalogue():
+            g = reduce_sat(inst, eps).graph
+            assert exact_opt_spanner(g, eps, max_edges=64) == previous_exact_opt_spanner(g, eps, max_edges=64)
+
+    def test_adjacency_is_built_once_per_call(self, monkeypatch):
+        calls = []
+        real = WeightedGraph.int_adjacency
+
+        def counting(self, keys=None):
+            calls.append(keys)
+            return real(self, keys)
+
+        monkeypatch.setattr(WeightedGraph, "int_adjacency", counting)
+        eps = F(1, 10)
+        explored = []
+        for inst in _hardness_catalogue():
+            g = reduce_sat(inst, eps).graph
+            calls.clear()
+            explored.append(exact_opt_spanner(g, eps, max_edges=64).nodes_explored)
+            # one for the distance oracle, one for the search
+            assert len(calls) == 2
+        assert max(explored) > 10 * min(explored)
 
 
 class TestSatBruteForce:
