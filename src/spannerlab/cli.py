@@ -16,14 +16,7 @@ import warnings
 from fractions import Fraction
 from pathlib import Path
 
-from .graphs import (
-    INF,
-    WeightedGraph,
-    read_graph,
-    scale_to_integers,
-    stretch,
-    write_graph,
-)
+from .graphs import INF, WeightedGraph, read_graph, stretch, write_graph
 from .greedy import greedy_spanner
 from .hardness import read_sat, reduce_sat, write_sidecar
 from .instances import gen_greedy_hard, gen_ladder, gen_multiladder
@@ -146,64 +139,57 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _scaled_for_pruning(g: WeightedGraph):
-    if any(w == 0 for _, _, w in g.edges):
-        raise ParameterError("pruning algorithms need strictly positive weights")
-    return scale_to_integers(g)
-
-
-def _run_algorithm(algorithm: str, g: WeightedGraph, args) -> tuple[frozenset, dict]:
-    """Returns the spanner's edge keys (in g) and algorithm-specific log data."""
+def _run_algorithm(algorithm: str, g: WeightedGraph, args) -> tuple[WeightedGraph, dict]:
+    """Returns the spanner (a subgraph of g) and algorithm-specific log data;
+    pruning logs give weights in units of 1/scale."""
     extra: dict = {}
     if algorithm == "greedy":
         t = _frac(args.t) if args.t else 1 + _frac(args.eps or "0")
         if t <= 1:
             raise ParameterError("greedy needs --t > 1 or --eps > 0")
-        h = greedy_spanner(g, t)
-        return h.edge_keys, {"t": _frac_str(t)}
+        return greedy_spanner(g, t), {"t": _frac_str(t)}
     if algorithm == "oracle":
         if args.eps is None:
             raise ParameterError("oracle needs --eps")
         res = exact_opt_spanner(g, _frac(args.eps), max_edges=args.max_edges)
-        return res.opt_edges, {"nodes_explored": res.nodes_explored}
+        return g.subgraph(res.opt_edges), {"nodes_explored": res.nodes_explored}
     if args.eps is None:
         raise ParameterError(f"{algorithm} needs --eps")
     eps = _frac(args.eps)
-    scaled, scale = _scaled_for_pruning(g)
-    extra["scale"] = _frac_str(scale)
+    if any(w == 0 for _, _, w in g.edges):
+        raise ParameterError("pruning algorithms need strictly positive weights")
+    extra["scale"] = _frac_str(g.scale)
     if algorithm == "prune":
         if args.initial:
-            h0 = read_graph(args.initial)
-            h0 = scaled.subgraph(h0.edge_keys)
+            h0 = g.subgraph(read_graph(args.initial).edge_keys)
         else:
-            h0 = greedy_spanner(scaled, 1 + eps)
-        h1, state = prune(scaled, h0, eps, cell_cap=args.cell_cap)
+            h0 = greedy_spanner(g, 1 + eps)
+        h1, state = prune(g, h0, eps, cell_cap=args.cell_cap)
         extra["rounds"] = [r.as_dict() for r in state.rounds]
-        return h1.edge_keys, extra
+        return h1, extra
     if algorithm == "iterate":
         initial = None
         if args.initial:
-            initial = scaled.subgraph(read_graph(args.initial).edge_keys)
-        h, logs, states = iterate_prune(scaled, eps, initial_spanner=initial, cell_cap=args.cell_cap)
+            initial = g.subgraph(read_graph(args.initial).edge_keys)
+        h, logs, states = iterate_prune(g, eps, initial_spanner=initial, cell_cap=args.cell_cap)
         extra["iterations"] = [entry.as_dict() for entry in logs]
         extra["rounds"] = [r.as_dict() for st in states for r in st.rounds]
-        return h.edge_keys, extra
+        return h, extra
     if algorithm == "scaled":
-        h, log = prune_with_scaling(scaled, eps, cell_cap=args.cell_cap)
+        h, log = prune_with_scaling(g, eps, cell_cap=args.cell_cap)
         extra["iterations"] = [entry.as_dict() for entry in log.iterations]
         extra["contracted"] = log.scaled
         if log.inner_stretch is not None:
             extra["inner_stretch"] = _frac_str(log.inner_stretch)
-        return h.edge_keys, extra
+        return h, extra
     raise ParameterError(f"unknown algorithm {algorithm}")
 
 
 def _cmd_run(args) -> int:
     g = read_graph(args.graph)
     started = time.perf_counter()
-    keys, extra = _run_algorithm(args.algorithm, g, args)
+    spanner, extra = _run_algorithm(args.algorithm, g, args)
     elapsed = time.perf_counter() - started
-    spanner = g.subgraph(keys)
     out_path = args.out or (Path(args.graph).name + f".{args.algorithm}.spanner")
     write_graph(spanner, out_path)
 
@@ -280,14 +266,14 @@ def _cmd_bench(args) -> int:
             cell_cap=int(params.get("cell_cap", DEFAULT_CELL_CAP)),
         )
         started = time.perf_counter()
-        keys, _ = _run_algorithm(algorithm, g, ns)
+        h, _ = _run_algorithm(algorithm, g, ns)
         elapsed = time.perf_counter() - started
         results.append(
             {
                 "instance": graph_file,
                 "algorithm": algorithm,
                 "params": " ".join(f"{k}={v}" for k, v in sorted(params.items())),
-                **_spanner_fields(g, g.subgraph(keys)),
+                **_spanner_fields(g, h),
                 "wall_time_s": f"{elapsed:.6f}",
             }
         )

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from heapq import heappop, heappush
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 INF = math.inf
 
@@ -62,7 +62,8 @@ class WeightedGraph:
             key = edge_key(u, v)
             if key in seen:
                 raise ValueError(f"duplicate edge {key}")
-            w = _as_fraction(w)
+            if not isinstance(w, Fraction):
+                w = _as_fraction(w)
             if w < 0:
                 raise ValueError(f"negative weight on edge {key}")
             seen[key] = w
@@ -111,20 +112,6 @@ class WeightedGraph:
     def _oracle(self) -> "DistanceOracle":
         return DistanceOracle(self)
 
-    @cached_property
-    def adjacency(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
-        adj: list[list[tuple[int, Fraction]]] = [[] for _ in range(self.n)]
-        for u, v, w in self.edges:
-            adj[u].append((v, w))
-            adj[v].append((u, w))
-        return tuple(tuple(sorted(a)) for a in adj)
-
-    def weight_of(self, u: int, v: int) -> Fraction:
-        return self.weights[edge_key(u, v)]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return edge_key(u, v) in self.weights
-
     @property
     def total_weight(self) -> Fraction:
         return sum((w for _, _, w in self.edges), Fraction(0))
@@ -144,18 +131,26 @@ class WeightedGraph:
         return all(g.weights.get(k) == w for k, w in self.weights.items())
 
 
+def _find(parent: list[int], x: int) -> int:
+    """Root of x in the union-find forest `parent`, halving the path."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def components(n: int, keys) -> tuple[list[int], int]:
+    """Component labels 0..c-1 of the vertices under the edge set `keys`, and c."""
+    parent = list(range(n))
+    for u, v in keys:
+        parent[_find(parent, u)] = _find(parent, v)
+    roots: dict[int, int] = {}
+    label = [roots.setdefault(_find(parent, x), len(roots)) for x in range(n)]
+    return label, len(roots)
+
+
 def is_connected(g: WeightedGraph) -> bool:
-    if g.n <= 1:
-        return True
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v, _ in g.adjacency[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == g.n
+    return components(g.n, g.weights)[1] <= 1
 
 
 @dataclass(frozen=True)
@@ -171,16 +166,6 @@ class Walk:
         if len(self.step_weights) != len(self.vertices) - 1:
             raise ValueError("step weight count must be len(vertices) - 1")
 
-    @classmethod
-    def from_vertices(cls, g: WeightedGraph, vertices: Sequence[int]) -> "Walk":
-        verts = tuple(vertices)
-        steps = []
-        for a, b in zip(verts, verts[1:]):
-            if not g.has_edge(a, b):
-                raise ValueError(f"({a},{b}) is not an edge of the host graph")
-            steps.append(g.weight_of(a, b))
-        return cls(verts, tuple(steps))
-
     @property
     def weight(self) -> Fraction:
         return sum(self.step_weights, Fraction(0))
@@ -195,15 +180,6 @@ class Walk:
 
     def edge_keys(self) -> frozenset[EdgeKey]:
         return frozenset(edge_key(a, b) for a, b in zip(self.vertices, self.vertices[1:]))
-
-    def prefix_weights(self) -> list[Fraction]:
-        """prefix_weights()[i] = weight of the walk up to vertex i."""
-        acc = Fraction(0)
-        out = [acc]
-        for w in self.step_weights:
-            acc += w
-            out.append(acc)
-        return out
 
 
 def concat(a: Walk, b: Walk) -> Walk:
@@ -252,7 +228,8 @@ class DistanceOracle:
     Distances are stored as ints in units of 1/scale of the graph. The
     canonical path between two vertices is the lexicographically smallest
     vertex sequence among all minimum-weight paths; it is materialised lazily
-    (one next-hop column per target) and requires strictly positive weights.
+    (one next-hop column per target) and requires strictly positive weights,
+    which `all_positive` records.
     `memo` holds tables other modules derive from these distances (pruning
     keeps its walk plans there); they live as long as the oracle. The oracle
     keeps no reference to g, so g can hold its own oracle (see `apsp`)
@@ -272,7 +249,7 @@ class DistanceOracle:
             self._dist.append(row)
         self._next_hop: dict[int, list] = {}
         self.memo: dict = {}
-        self._all_positive = all(w > 0 for _, _, w in g.edges)
+        self.all_positive = all(w > 0 for _, _, w in g.edges)
 
     def dist(self, u: int, v: int):
         """Exact distance as a Fraction, or the INF sentinel when disconnected."""
@@ -304,7 +281,7 @@ class DistanceOracle:
         return col
 
     def path(self, s: int, t: int) -> Walk:
-        if not self._all_positive:
+        if not self.all_positive:
             raise ValueError("canonical paths require strictly positive weights")
         if self._dist[s][t] is INF:
             raise ValueError(f"vertices {s} and {t} are disconnected")
@@ -366,17 +343,6 @@ def stretch(g: WeightedGraph, h: WeightedGraph):
             if d * factor * den > num * w:
                 num, den = d * factor, w
     return Fraction(num, den)
-
-
-def normalize_edges(g: WeightedGraph) -> WeightedGraph:
-    """Drop every edge that is strictly heavier than the distance it spans.
-
-    Such edges lie on no shortest path, so removal changes no distance;
-    afterwards every remaining edge is its own shortest path. Idempotent.
-    """
-    oracle = apsp(g)
-    kept = tuple(e for e in g.edges if g.int_weights[e[:2]] <= oracle.row(e[0])[e[1]])
-    return WeightedGraph(g.n, kept, g.declared_planar)
 
 
 def floor_pow2(x: int) -> int:

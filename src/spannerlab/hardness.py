@@ -81,9 +81,6 @@ class SatInstance:
     def negative_clauses(self, i: int) -> tuple[int, ...]:
         return self.neg_order[i]
 
-    def occurrences(self, i: int) -> int:
-        return len(self.pos_order[i]) + len(self.neg_order[i])
-
     def h(self, i: int) -> int:
         return max(len(self.pos_order[i]), len(self.neg_order[i]))
 

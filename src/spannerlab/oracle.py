@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import INF, EdgeKey, WeightedGraph, apsp, dijkstra, edge_key, is_connected, stretch
+from .graphs import INF, EdgeKey, WeightedGraph, _find, apsp, components, dijkstra, edge_key, is_connected, stretch
 from .hardness import SatInstance
 
 
@@ -37,12 +37,12 @@ def _feasible(adj, keys, thresholds) -> bool:
     return True
 
 
-def _local_ok(g: WeightedGraph, adj, keys, thresholds, around: EdgeKey) -> bool:
+def _local_ok(neighbours, adj, keys, thresholds, around: EdgeKey) -> bool:
     """Cheap necessary check after dropping `around` from the edge set `keys`
-    (adjacency `adj`): every g-edge touching one of its endpoints must still
-    be within threshold."""
+    (adjacency `adj`): every g-edge touching one of its endpoints (g's
+    neighbour lists are `neighbours`) must still be within threshold."""
     for x in around:
-        for y, _ in g.adjacency[x]:
+        for y in neighbours[x]:
             k = edge_key(x, y)
             if k in keys:
                 continue
@@ -61,23 +61,6 @@ def _restore(adj, k: EdgeKey, w: int) -> None:
     u, v = k
     adj[u].append((v, w))
     adj[v].append((u, w))
-
-
-def _find(parent: list[int], x: int) -> int:
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
-
-
-def _components(n: int, keys) -> tuple[list[int], int]:
-    """Component labels 0..c-1 of the vertices under the edge set `keys`, and c."""
-    parent = list(range(n))
-    for u, v in keys:
-        parent[_find(parent, u)] = _find(parent, v)
-    roots: dict[int, int] = {}
-    label = [roots.setdefault(_find(parent, x), len(roots)) for x in range(n)]
-    return label, len(roots)
 
 
 def _completion_bound(label: list[int], comps: int, chosen, free_rest) -> int | None:
@@ -137,6 +120,10 @@ def exact_opt_spanner(g: WeightedGraph, eps, max_edges: int = 24) -> OracleResul
     nodes = 0
     all_keys = frozenset(weights)
     adj = g.int_adjacency()
+    neighbours: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in weights:
+        neighbours[u].append(v)
+        neighbours[v].append(u)
     forced = set()
     for k in candidates:
         nodes += 1
@@ -146,7 +133,7 @@ def exact_opt_spanner(g: WeightedGraph, eps, max_edges: int = 24) -> OracleResul
         _restore(adj, k, weights[k])
     free = sorted((k for k in candidates if k not in forced), key=lambda k: (-weights[k], k))
     free_weights = [weights[k] for k in free]
-    label, comps = _components(g.n, zeros | forced)
+    label, comps = components(g.n, zeros | forced)
     base_weight = sum(weights[k] for k in forced)
 
     # full edge set is always feasible, giving the starting incumbent
@@ -179,7 +166,7 @@ def exact_opt_spanner(g: WeightedGraph, eps, max_edges: int = 24) -> OracleResul
         # exclusion first so light incumbents appear early
         available.discard(k)
         _drop(adj, k, w)
-        if _local_ok(g, adj, available, thresholds, k):
+        if _local_ok(neighbours, adj, available, thresholds, k):
             search(idx + 1, chosen, chosen_weight)
         _restore(adj, k, w)
         available.add(k)

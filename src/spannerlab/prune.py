@@ -1,15 +1,17 @@
 """Iterative pruning of a spanner: exchange heavy hanging edges for light walks.
 
 One pruning pass repeatedly searches, over all vertex pairs (s, t) and every
-integer length L up to (1+eps) times the s-t distance, for a walk of weight
-exactly L on which a heavy multiset of current spanner edges "hangs" (each
-edge admits a nearby detour through a sub-walk covering a constant fraction
-of its weight). The best walk-to-multiset weight ratio is realised via a
+length L up to (1+eps) times the s-t distance, for a walk of weight exactly L
+on which a heavy multiset of current spanner edges "hangs" (each edge admits
+a nearby detour through a sub-walk covering a constant fraction of its
+weight). The best walk-to-multiset weight ratio is realised via a
 table of entries indexed by (source, target, length) with backpointers, the
 walk is added, and the hanging edges are dropped. Which cells exist and how
 they join depends only on the distances and eps, so that plan is built once
 per graph and eps; each round only recomputes the values. Passes are
 repeated a number of times governed by the iterated logarithm of 1/eps.
+Weights may be any positive rationals: lengths, distances and the weights in
+the logs are the graph's ints, in units of 1/scale (see `graphs`).
 """
 from __future__ import annotations
 
@@ -26,6 +28,7 @@ from .graphs import (
     EdgeKey,
     Walk,
     WeightedGraph,
+    _find,
     apsp,
     concat,
     edge_key,
@@ -44,54 +47,6 @@ class CellCapError(RuntimeError):
 def hanging_kappa(eps: Fraction) -> Fraction:
     """Cover fraction used when collecting hanging edges: 1 / (3 (1 + eps))."""
     return Fraction(1, 3) / (1 + eps)
-
-
-@dataclass(frozen=True)
-class HangingWitness:
-    """Positions (i, j) on a walk witnessing that `edge` hangs on it."""
-
-    edge: EdgeKey
-    i: int
-    j: int
-    kappa: Fraction
-
-
-def is_hanging(dist: DistanceOracle, edge, walk: Walk, kappa, eps) -> HangingWitness | None:
-    """Search a walk for hanging positions of an edge (a, b, w).
-
-    A pair of positions i < j is a witness when the sub-walk between them
-    weighs at least kappa * w and, in the better of the two edge
-    orientations, dist(a, v_i) + subwalk + dist(v_j, b) <= (1 + eps) * w.
-    Returns the lexicographically smallest witness, or None.
-    """
-    a, b, w = edge
-    kappa = Fraction(kappa)
-    eps = Fraction(eps)
-    need = kappa * w
-    budget = (1 + eps) * w
-    pre = walk.prefix_weights()
-    verts = walk.vertices
-    k = len(verts)
-    for i in range(k - 1):
-        vi = verts[i]
-        da_vi = dist.dist(a, vi)
-        db_vi = dist.dist(b, vi)
-        if da_vi is INF and db_vi is INF:
-            continue
-        for j in range(i + 1, k):
-            seg = pre[j] - pre[i]
-            if seg < need:
-                continue
-            vj = verts[j]
-            if da_vi is not INF:
-                d_tail = dist.dist(vj, b)
-                if d_tail is not INF and da_vi + seg + d_tail <= budget:
-                    return HangingWitness(edge_key(a, b), i, j, kappa)
-            if db_vi is not INF:
-                d_tail = dist.dist(vj, a)
-                if d_tail is not INF and db_vi + seg + d_tail <= budget:
-                    return HangingWitness(edge_key(a, b), i, j, kappa)
-    return None
 
 
 def endpoint_hanging_sets(
@@ -178,6 +133,14 @@ def _length_bounds(dist: DistanceOracle, eps: Fraction) -> tuple[dict[tuple[int,
             bounds[(s, t)] = bounds[(t, s)] = b
             max_level = max(max_level, b)
     return bounds, max_level
+
+
+_NOT_POSITIVE = "pruning requires strictly positive weights"
+
+
+def _require_positive(g: WeightedGraph) -> None:
+    if 0 in g.int_weights.values():
+        raise ValueError(_NOT_POSITIVE)
 
 
 def _check_cap(max_level: int, cap: int) -> None:
@@ -308,9 +271,12 @@ class _WalkPlan:
 
 def _walk_plan(dist: DistanceOracle, eps: Fraction, cap: int) -> _WalkPlan:
     """The plan of (dist, eps), built on first use and kept on the oracle;
-    the cap is checked before any plan is built."""
+    the weights are checked positive and the cap is checked before any plan
+    is built."""
     plan = dist.memo.get(("walk-plan", eps))
     if plan is None:
+        if not dist.all_positive:
+            raise ValueError(_NOT_POSITIVE)
         bounds, max_level = _length_bounds(dist, eps)
         _check_cap(max_level, cap)
         plan = dist.memo[("walk-plan", eps)] = _WalkPlan(dist, bounds, max_level)
@@ -365,12 +331,6 @@ class WalkTables:
             yield plan.cell_s[c], plan.cell_t[c], plan.cell_len[c], self._entry(c)
 
 
-def _require_positive_integers(g: WeightedGraph) -> None:
-    for u, v, w in g.edges:
-        if w.denominator != 1 or w <= 0:
-            raise ValueError(f"edge ({u},{v}) weight {w} is not a positive integer")
-
-
 def fill_tables(
     g: WeightedGraph,
     pool: frozenset[EdgeKey],
@@ -380,16 +340,18 @@ def fill_tables(
 ) -> WalkTables:
     """Fill the (source, target, length) tables for one pruning round.
 
-    Base cells sit at L = dist(s, t) with value equal to the weight of the
-    endpoint hanging set. A cell (s, t, L) is realizable through a join when
-    some via vertex z and split 0 < L' < L have both sub-cells realizable;
-    its value maximises left + right, plus the endpoint hanging weight of
-    (s, t) whenever max(L', L - L') < floor_pow2(L). Which cells exist and
+    Lengths, distances and values are ints in units of 1/g.scale, so g may
+    carry any positive rational weights; a zero weight raises ValueError
+    when the plan is built. Base cells sit at L = dist(s, t) with value
+    equal to the weight of the endpoint hanging set. A cell (s, t, L) is
+    realizable through a join when some via vertex z and split 0 < L' < L
+    have both sub-cells realizable; its value maximises left + right, plus
+    the endpoint hanging weight of (s, t) whenever
+    max(L', L - L') < floor_pow2(L). Which cells exist and
     how they join is planned once per (dist, eps), where `dist` is the
     oracle of g; each round only re-evaluates the plan, in ascending length
     order, for the pool's hanging weights.
     """
-    _require_positive_integers(g)
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -430,8 +392,9 @@ def reconstruct(tables: WalkTables, s: int, t: int, length: int) -> tuple[Walk, 
     """Extract the walk and hanging multiset (edge key -> multiplicity) of a
     realizable cell.
 
-    The walk weighs exactly `length` and the multiset weight equals the cell
-    value; shared sub-cells are expanded once.
+    The walk weighs exactly `length` in units of 1/scale of the oracle, and
+    the multiset weight equals the cell value; shared sub-cells are expanded
+    once.
     """
     root = (s, t, length)
     if tables.entry(*root) is None:
@@ -453,8 +416,8 @@ def reconstruct(tables: WalkTables, s: int, t: int, length: int) -> tuple[Walk, 
             else:
                 walk = tables.dist.path(ks, kt)
                 mset = Counter(tables.anchored[(ks, kt)])
-            if walk.weight != kl:
-                raise AssertionError(f"base walk weight {walk.weight} != level {kl}")
+            if walk.weight * tables.dist.scale != kl:
+                raise AssertionError(f"base walk weight {walk.weight} != level {kl}/{tables.dist.scale}")
             done[key] = (walk, mset)
             continue
         via, l_left, collected = entry.back
@@ -477,6 +440,8 @@ def reconstruct(tables: WalkTables, s: int, t: int, length: int) -> tuple[Walk, 
 
 @dataclass(frozen=True)
 class RoundLog:
+    """One exchange; its length and weights are ints in units of 1/g.scale."""
+
     source: int
     target: int
     length: int
@@ -484,7 +449,7 @@ class RoundLog:
     walk_weight: int
     multiset_weight: int
     pruned_weight: int
-    pool_weight_remaining: Fraction
+    pool_weight_remaining: int
 
     def as_dict(self) -> dict:
         return {
@@ -541,20 +506,19 @@ def prune_round(
         return False
     walk, mset = reconstruct(tables, s, t, length)
     support = frozenset(mset)
-    pruned_weight = int(sum(g.weights[k] for k in support))
     state.added |= walk.edge_keys()
     state.removed |= support
-    remaining = sum((g.weights[k] for k in pool - support), Fraction(0))
+    weight = g.int_weights.__getitem__
     state.rounds.append(
         RoundLog(
             source=s,
             target=t,
             length=length,
             beta=beta,
-            walk_weight=int(walk.weight),
-            multiset_weight=int(sum(c * g.weights[k] for k, c in mset.items())),
-            pruned_weight=pruned_weight,
-            pool_weight_remaining=remaining,
+            walk_weight=length,
+            multiset_weight=sum(c * weight(k) for k, c in mset.items()),
+            pruned_weight=sum(map(weight, support)),
+            pool_weight_remaining=sum(map(weight, pool - support)),
         )
     )
     return True
@@ -566,11 +530,12 @@ def prune(
     """One full pruning pass over spanner h of g.
 
     Rounds repeat until no exchange with ratio >= 1 exists; the result is
-    added | (h - removed). Requires g connected with positive integer
-    weights; h must be a subgraph of g.
+    added | (h - removed), a subgraph of g. Requires g connected with
+    positive rational weights; h must be a subgraph of g. The round logs
+    give lengths and weights as ints in units of 1/g.scale.
     """
     eps = Fraction(eps)
-    _require_positive_integers(g)
+    _require_positive(g)
     if not is_connected(g):
         raise ValueError("prune requires a connected graph")
     if not h.is_subgraph_of(g):
@@ -609,8 +574,10 @@ def log_star_ceil(x) -> int:
 
 @dataclass(frozen=True)
 class IterationLog:
+    """Stretch and total weight of one spanner, the weight in units of 1/g.scale."""
+
     stretch: Fraction
-    total_weight: Fraction
+    total_weight: int
 
     def as_dict(self) -> dict:
         if self.stretch is INF:
@@ -630,11 +597,12 @@ def iterate_prune(
     and run pruning passes until a pass changes nothing, capped at
     log*(1/eps) + 2 passes.
 
-    Returns the final spanner, a weight/stretch log (entry 0 describes the
-    starting spanner), and the per-pass states.
+    g may carry any positive rational weights. Returns the final spanner (a
+    subgraph of g), a weight/stretch log (entry 0 describes the starting
+    spanner; weights in units of 1/g.scale), and the per-pass states.
     """
     eps = Fraction(eps)
-    _require_positive_integers(g)
+    _require_positive(g)
     if not is_connected(g):
         raise ValueError("iterate_prune requires a connected graph")
     if initial_spanner is None:
@@ -643,13 +611,14 @@ def iterate_prune(
         if not initial_spanner.is_subgraph_of(g):
             raise ValueError("initial spanner must be a subgraph of g")
         h = initial_spanner
-    logs = [IterationLog(stretch(g, h), h.total_weight)]
+    weight = g.int_weights.__getitem__
+    logs = [IterationLog(stretch(g, h), sum(map(weight, h.edge_keys)))]
     states: list[PruneState] = []
     passes = log_star_ceil(1 / eps) + 2
     for _ in range(passes):
         h1, state = prune(g, h, eps, cell_cap=cell_cap)
         states.append(state)
-        logs.append(IterationLog(stretch(g, h1), h1.total_weight))
+        logs.append(IterationLog(stretch(g, h1), sum(map(weight, h1.edge_keys))))
         if h1.edge_keys == h.edge_keys:
             break
         h = h1
@@ -669,40 +638,34 @@ def contract_and_round(g: WeightedGraph, eps) -> tuple[WeightedGraph, dict[EdgeK
     """Contract components spanned by edges lighter than eps*W/n^2 and round
     the surviving weights to floor(w * n^2 / (W * eps)).
 
-    Returns the contracted graph and a map from its edge keys back to the
-    original edge chosen to represent each contracted pair (the one with the
-    smallest rounded weight, ties by original weight then key).
+    Weights w and W are g's ints in units of 1/g.scale. Returns the
+    contracted graph and a map from its edge keys back to the original edge
+    chosen to represent each contracted pair (the one with the smallest
+    rounded weight, ties by original weight then key). Contracted vertices
+    are numbered in the order of their union-find roots.
     """
     eps = Fraction(eps)
-    _require_positive_integers(g)
+    _require_positive(g)
     n = g.n
-    w_max = max(w for _, _, w in g.edges)
+    weights = g.int_weights
+    w_max = max(weights.values())
     threshold = eps * w_max / (n * n)
     parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v, w in g.edges:
+    for (u, v), w in weights.items():
         if w < threshold:
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
+            parent[_find(parent, u)] = _find(parent, v)
 
-    roots = sorted({find(v) for v in range(n)})
+    roots = sorted({_find(parent, v) for v in range(n)})
     comp = {r: i for i, r in enumerate(roots)}
     factor = Fraction(n * n) / (w_max * eps)
-    best: dict[EdgeKey, tuple[int, Fraction, EdgeKey]] = {}
-    for u, v, w in g.edges:
-        cu, cv = comp[find(u)], comp[find(v)]
+    best: dict[EdgeKey, tuple[int, int, EdgeKey]] = {}
+    for (u, v), w in weights.items():
+        cu, cv = comp[_find(parent, u)], comp[_find(parent, v)]
         if cu == cv:
             continue
         key = edge_key(cu, cv)
         rounded = int(w * factor)
-        cand = (rounded, w, edge_key(u, v))
+        cand = (rounded, w, (u, v))
         if key not in best or cand < best[key]:
             best[key] = cand
     contracted = WeightedGraph(
@@ -723,15 +686,17 @@ def prune_with_scaling(
     spanned by tiny edges are contracted, weights are rounded down by
     n^2/(W*eps), pruning runs on the contracted graph, and the result is
     expanded and unioned with every original edge of weight at most W/n.
+    W and the weights are g's ints in units of 1/g.scale.
     """
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    _require_positive_integers(g)
+    _require_positive(g)
     if not is_connected(g):
         raise ValueError("prune_with_scaling requires a connected graph")
     n = g.n
-    w_max = max(w for _, _, w in g.edges)
+    weights = g.int_weights
+    w_max = max(weights.values())
     if w_max < Fraction(n * n) / eps:
         h, logs, _ = iterate_prune(g, eps, cell_cap=cell_cap)
         return h, ScalingLog(scaled=False, iterations=logs)
@@ -740,7 +705,7 @@ def prune_with_scaling(
     inner, logs, _ = iterate_prune(contracted, eps, cell_cap=cell_cap)
     inner_stretch = stretch(contracted, inner)
     keep = {back[k] for k in inner.edge_keys}
-    small = {edge_key(u, v) for u, v, w in g.edges if w * n <= w_max}
+    small = {k for k, w in weights.items() if w * n <= w_max}
     keep |= small
     return g.subgraph(keep), ScalingLog(
         scaled=True,

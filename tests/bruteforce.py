@@ -2,38 +2,51 @@
 
 Everything here enumerates: simple paths for distances, edge subsets for
 spanning structures and optimum spanners. Nothing imports algorithmic code
-from the package beyond the graph container itself, except the `previous_*`
-reference copies at the end, which keep replaced table and exact-check code
-for differential tests and use the package's small helpers.
+from the package beyond the graph container itself, except the definitional
+references in the middle (walks built from vertex lists, hanging witnesses
+on a walk, edge normalization), which read the package's distance oracle,
+and the `previous_*` reference copies at the end, which keep replaced table
+and exact-check code for differential tests and use the package's small
+helpers.
 """
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import combinations
+from typing import Sequence
 
-from spannerlab.graphs import INF, DistanceOracle, EdgeKey, WeightedGraph, apsp, edge_key, is_connected
+from spannerlab.graphs import INF, DistanceOracle, EdgeKey, Walk, WeightedGraph, apsp, edge_key, is_connected
 from spannerlab.oracle import OracleCapError, OracleResult
-from spannerlab.prune import (
-    DEFAULT_CELL_CAP,
-    CellCapError,
-    DpEntry,
-    _require_positive_integers,
-    hanging_kappa,
-)
+from spannerlab.prune import DEFAULT_CELL_CAP, CellCapError, DpEntry, hanging_kappa
+
+
+def adjacency(g: WeightedGraph) -> list[list[tuple[int, Fraction]]]:
+    """Neighbour lists of g with Fraction weights, each sorted by neighbour."""
+    adj: list[list[tuple[int, Fraction]]] = [[] for _ in range(g.n)]
+    for u, v, w in g.edges:
+        adj[u].append((v, w))
+        adj[v].append((u, w))
+    return [sorted(a) for a in adj]
+
+
+def weight_of(g: WeightedGraph, u: int, v: int) -> Fraction:
+    return g.weights[edge_key(u, v)]
 
 
 def all_simple_paths(g: WeightedGraph, s: int, t: int):
     """Yield (weight, vertex tuple) of every simple s-t path."""
     path = [s]
     seen = {s}
+    adj = adjacency(g)
 
     def walk(u, acc):
         if u == t:
             yield acc, tuple(path)
             return
-        for v, w in g.adjacency[u]:
+        for v, w in adj[u]:
             if v in seen:
                 continue
             seen.add(v)
@@ -248,13 +261,107 @@ def random_connected_graph(
     return WeightedGraph(n, tuple((u, v, weight()) for u, v in sorted(keys)))
 
 
+# --- definitional references ------------------------------------------------
+#
+# Walks from vertex lists, hanging witnesses searched along a whole walk, and
+# edge normalization: straight from their definitions, in Fractions. The
+# package needs none of them; tests check its results against them.
+
+
+def walk_from_vertices(g: WeightedGraph, vertices: Sequence[int]) -> Walk:
+    """The walk through `vertices`, each step an edge of g."""
+    verts = tuple(vertices)
+    steps = []
+    for a, b in zip(verts, verts[1:]):
+        if edge_key(a, b) not in g.weights:
+            raise ValueError(f"({a},{b}) is not an edge of the host graph")
+        steps.append(weight_of(g, a, b))
+    return Walk(verts, tuple(steps))
+
+
+def prefix_weights(walk: Walk) -> list[Fraction]:
+    """prefix_weights(walk)[i] = weight of the walk up to vertex i."""
+    acc = Fraction(0)
+    out = [acc]
+    for w in walk.step_weights:
+        acc += w
+        out.append(acc)
+    return out
+
+
+@dataclass(frozen=True)
+class HangingWitness:
+    """Positions (i, j) on a walk witnessing that `edge` hangs on it."""
+
+    edge: EdgeKey
+    i: int
+    j: int
+    kappa: Fraction
+
+
+def is_hanging(dist: DistanceOracle, edge, walk: Walk, kappa, eps) -> HangingWitness | None:
+    """Search a walk for hanging positions of an edge (a, b, w).
+
+    A pair of positions i < j is a witness when the sub-walk between them
+    weighs at least kappa * w and, in the better of the two edge
+    orientations, dist(a, v_i) + subwalk + dist(v_j, b) <= (1 + eps) * w.
+    Returns the lexicographically smallest witness, or None.
+    """
+    a, b, w = edge
+    kappa = Fraction(kappa)
+    eps = Fraction(eps)
+    need = kappa * w
+    budget = (1 + eps) * w
+    pre = prefix_weights(walk)
+    verts = walk.vertices
+    k = len(verts)
+    for i in range(k - 1):
+        vi = verts[i]
+        da_vi = dist.dist(a, vi)
+        db_vi = dist.dist(b, vi)
+        if da_vi is INF and db_vi is INF:
+            continue
+        for j in range(i + 1, k):
+            seg = pre[j] - pre[i]
+            if seg < need:
+                continue
+            vj = verts[j]
+            if da_vi is not INF:
+                d_tail = dist.dist(vj, b)
+                if d_tail is not INF and da_vi + seg + d_tail <= budget:
+                    return HangingWitness(edge_key(a, b), i, j, kappa)
+            if db_vi is not INF:
+                d_tail = dist.dist(vj, a)
+                if d_tail is not INF and db_vi + seg + d_tail <= budget:
+                    return HangingWitness(edge_key(a, b), i, j, kappa)
+    return None
+
+
+def normalize_edges(g: WeightedGraph) -> WeightedGraph:
+    """Drop every edge that is strictly heavier than the distance it spans.
+
+    Such edges lie on no shortest path, so removal changes no distance;
+    afterwards every remaining edge is its own shortest path. Idempotent.
+    """
+    oracle = apsp(g)
+    kept = tuple(e for e in g.edges if g.int_weights[e[:2]] <= oracle.row(e[0])[e[1]])
+    return WeightedGraph(g.n, kept, g.declared_planar)
+
+
 # --- the pruning table code that the plan and value pass replaced ------------
 #
 # Verbatim copies (renamed with a `previous_` prefix) of endpoint_hanging_sets,
 # WalkTables, fill_tables and select_best_triple as they were before the
 # pruning tables were split into a pool-independent plan and a per-round value
 # pass. The differential tests require the new code to produce the same cells,
-# backpointers, best triples and round logs.
+# backpointers, best triples and round logs. The integer-weight precondition
+# below is a copy too, since the package's pruning now takes rational weights.
+
+
+def _require_positive_integers(g: WeightedGraph) -> None:
+    for u, v, w in g.edges:
+        if w.denominator != 1 or w <= 0:
+            raise ValueError(f"edge ({u},{v}) weight {w} is not a positive integer")
 
 
 def previous_endpoint_hanging_sets(
@@ -495,7 +602,8 @@ def previous_select_best_triple(tables: PreviousWalkTables):
 # exact_opt_spanner with its three helpers, as they were before stretch
 # checked only the edges h drops and the branch and bound edited one
 # adjacency in place. The differential tests require equal results, down to
-# the oracle's node count.
+# the oracle's node count. The graph's Fraction adjacency has since left the
+# package, so neighbour lookups read `adjacency` above.
 
 
 def _previous_dijkstra(adj, source: int, target: int | None = None, limit: int | None = None) -> dict[int, int]:
@@ -578,7 +686,7 @@ def _previous_local_ok(g: WeightedGraph, keys, thresholds, around: EdgeKey) -> b
     one of its endpoints must still be within threshold."""
     adj = g.int_adjacency(keys)
     for x in around:
-        for y, _ in g.adjacency[x]:
+        for y, _ in adjacency(g)[x]:
             k = edge_key(x, y)
             if k in keys:
                 continue

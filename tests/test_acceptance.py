@@ -27,14 +27,13 @@ from spannerlab.oracle import exact_opt_spanner, is_spanner, sat_brute_force
 from spannerlab.prune import (
     fill_tables,
     hanging_kappa,
-    is_hanging,
     iterate_prune,
     prune,
     prune_with_scaling,
     reconstruct,
 )
 
-from bruteforce import random_connected_graph
+from bruteforce import is_hanging, random_connected_graph
 
 
 def _report(capsys, criterion: int, started: float, budget_s: float, detail: str):

@@ -7,8 +7,9 @@ from fractions import Fraction as F
 import pytest
 
 from spannerlab.cli import EXIT_CAP, EXIT_OK, EXIT_PARAM, EXIT_VERIFY, main
-from spannerlab.graphs import read_graph, write_graph, WeightedGraph
+from spannerlab.graphs import read_graph, scale_to_integers, write_graph, WeightedGraph
 from spannerlab.instances import gen_ladder
+from spannerlab.prune import iterate_prune
 
 
 @pytest.fixture
@@ -77,6 +78,21 @@ def test_run_iterate_from_initial_spanner(tmp_path, ladder_file):
     assert data["weight"] == "5/2"
     assert data["stretch"] == "5/4"
     assert data["iterations"][0]["total_weight"] != data["iterations"][-1]["total_weight"]
+
+
+def test_run_iterate_report_on_rational_input(tmp_path, ladder_file):
+    # pruning runs on the file's rational weights; the logs are in units of
+    # 1/scale, the numbers a run on the scaled copy gives
+    report = tmp_path / "report.json"
+    code = main(["run", "iterate", str(ladder_file), "--eps", "1/4",
+                 "--out", str(tmp_path / "it.spanner"), "--report", str(report)])
+    assert code == EXIT_OK
+    data = json.loads(report.read_text())
+    scaled, scale = scale_to_integers(read_graph(ladder_file))
+    _, logs, states = iterate_prune(scaled, F(1, 4))
+    assert F(data["scale"]) == scale == 8
+    assert data["iterations"] == [entry.as_dict() for entry in logs]
+    assert data["rounds"] == [r.as_dict() for st in states for r in st.rounds] != []
 
 
 def test_run_oracle(tmp_path):

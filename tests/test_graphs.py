@@ -17,14 +17,20 @@ from spannerlab.graphs import (
     floor_pow2,
     format_graph,
     is_connected,
-    normalize_edges,
     parse_graph,
     scale_to_integers,
     stretch,
 )
 from spannerlab.instances import gen_ladder, ladder_u, ladder_v
 
-from bruteforce import brute_all_distances, brute_shortest, brute_stretch_over_pairs, previous_stretch
+from bruteforce import (
+    brute_all_distances,
+    brute_shortest,
+    brute_stretch_over_pairs,
+    normalize_edges,
+    previous_stretch,
+    walk_from_vertices,
+)
 
 
 @st.composite
@@ -292,13 +298,13 @@ class TestWalks:
     def test_concat_identity(self):
         g = WeightedGraph(2, ((0, 1, F(2)),))
         single = Walk((0,), ())
-        edge = Walk.from_vertices(g, (0, 1))
+        edge = walk_from_vertices(g, (0, 1))
         assert concat(single, edge) == edge
 
     def test_concat_weights_add(self):
         g = WeightedGraph(3, ((0, 1, F(1)), (1, 2, F(5, 2))))
-        a = Walk.from_vertices(g, (0, 1))
-        b = Walk.from_vertices(g, (1, 2))
+        a = walk_from_vertices(g, (0, 1))
+        b = walk_from_vertices(g, (1, 2))
         joined = concat(a, b)
         assert joined.vertices == (0, 1, 2)
         assert joined.weight == a.weight + b.weight == F(7, 2)
@@ -306,12 +312,12 @@ class TestWalks:
     def test_concat_endpoint_mismatch(self):
         g = WeightedGraph(4, ((0, 1, F(1)), (2, 3, F(1))))
         with pytest.raises(ValueError):
-            concat(Walk.from_vertices(g, (0, 1)), Walk.from_vertices(g, (2, 3)))
+            concat(walk_from_vertices(g, (0, 1)), walk_from_vertices(g, (2, 3)))
 
     def test_walk_requires_host_edges(self):
         g = WeightedGraph(3, ((0, 1, F(1)),))
         with pytest.raises(ValueError):
-            Walk.from_vertices(g, (0, 2))
+            walk_from_vertices(g, (0, 2))
 
     def test_single_vertex_weight_zero(self):
         assert Walk((4,), ()).weight == 0
@@ -321,10 +327,10 @@ class TestWalks:
     def test_concat_additive_on_random_walks(self, mids):
         g = WeightedGraph(4, tuple((u, v, F(u + v + 1, 2)) for u in range(4) for v in range(u + 1, 4)))
         verts = [0] + [m for prev, m in zip([0] + mids, mids) if m != prev]
-        walk = Walk.from_vertices(g, verts)
+        walk = walk_from_vertices(g, verts)
         for cut in range(len(verts)):
-            left = Walk.from_vertices(g, verts[: cut + 1])
-            right = Walk.from_vertices(g, verts[cut:])
+            left = walk_from_vertices(g, verts[: cut + 1])
+            right = walk_from_vertices(g, verts[cut:])
             assert concat(left, right) == walk
             assert left.weight + right.weight == walk.weight
 

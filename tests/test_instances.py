@@ -4,6 +4,7 @@ import pytest
 
 from spannerlab.graphs import apsp, edge_key, is_connected, scale_to_integers, stretch
 from spannerlab.greedy import greedy_spanner
+from spannerlab.hardness import reduce_sat
 from spannerlab.instances import (
     gen_greedy_hard,
     gen_ladder,
@@ -126,3 +127,24 @@ class TestGreedyHard:
         assert stretch(g, witness) == 1 + eps
         ratio = hg.total_weight / witness.total_weight
         assert ratio > 1 / (8 * x * x * eps)
+
+
+def test_declared_planar_graphs_are_planar():
+    # the constructors check only m <= 3n - 6; this checks planarity itself
+    nx = pytest.importorskip("networkx")
+    from test_acceptance import _hardness_catalogue
+
+    eps = F(1, 4)
+    graphs = [
+        gen_ladder(6, eps),
+        gen_ladder(6, eps, perturb=True),
+        gen_multiladder(2, 3, eps),
+        gen_greedy_hard(F(1, 64), F(2)),
+        *(reduce_sat(inst, F(1, 10)).graph for inst in _hardness_catalogue()),
+    ]
+    for g in graphs:
+        assert g.declared_planar
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edge_keys)
+        assert nx.check_planarity(h)[0]

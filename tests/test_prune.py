@@ -9,7 +9,6 @@ import pytest
 import spannerlab.prune as prune_module
 from spannerlab.graphs import (
     DistanceOracle,
-    Walk,
     WeightedGraph,
     apsp,
     edge_key,
@@ -25,7 +24,6 @@ from spannerlab.prune import (
     endpoint_hanging_sets,
     fill_tables,
     hanging_kappa,
-    is_hanging,
     iterate_prune,
     log_star_ceil,
     prune,
@@ -40,9 +38,11 @@ from hypothesis import strategies as st
 
 from bruteforce import (
     brute_endpoint_hanging_sets,
+    is_hanging,
     previous_fill_tables,
     previous_select_best_triple,
     random_connected_graph,
+    walk_from_vertices,
 )
 
 EPS = F(1, 4)
@@ -81,7 +81,7 @@ class TestIsHanging:
     def test_edge_hangs_on_itself(self):
         g = WeightedGraph(2, ((0, 1, F(5)),))
         dist = apsp(g)
-        walk = Walk.from_vertices(g, (0, 1))
+        walk = walk_from_vertices(g, (0, 1))
         for kappa in (F(1), F(1, 2), hanging_kappa(EPS)):
             w = is_hanging(dist, (0, 1, F(5)), walk, kappa, EPS)
             assert w is not None and (w.i, w.j) == (0, 1)
@@ -90,7 +90,7 @@ class TestIsHanging:
         n = 4
         g = gen_ladder(n, EPS)
         dist = apsp(g)
-        walk = Walk.from_vertices(g, (ladder_u(0), ladder_v(n, 0)))
+        walk = walk_from_vertices(g, (ladder_u(0), ladder_v(n, 0)))
         kappa = hanging_kappa(EPS)
         w = is_hanging(dist, (ladder_u(2), ladder_v(n, 2), F(1)), walk, kappa, EPS)
         # detour eps/2 + 1 + eps/2 = 1 + eps meets the budget exactly
@@ -99,13 +99,13 @@ class TestIsHanging:
     def test_too_heavy_for_short_walk(self):
         g = WeightedGraph(3, ((0, 1, F(1)), (0, 2, F(10))))
         dist = apsp(g)
-        walk = Walk.from_vertices(g, (0, 1))
+        walk = walk_from_vertices(g, (0, 1))
         assert is_hanging(dist, (0, 2, F(10)), walk, F(2, 3), EPS) is None
 
     def test_lex_smallest_witness(self):
         g = WeightedGraph(3, ((0, 1, F(1)), (1, 2, F(1))))
         dist = apsp(g)
-        walk = Walk.from_vertices(g, (0, 1, 2))
+        walk = walk_from_vertices(g, (0, 1, 2))
         w = is_hanging(dist, (0, 1, F(1)), walk, F(1, 2), F(1))
         assert (w.i, w.j) == (0, 1)
 
@@ -196,10 +196,31 @@ class TestFillTables:
                 seen += 1
         assert seen > 50
 
-    def test_rejects_bad_weights(self):
+    def test_every_entry_rejects_a_zero_weight(self):
+        g = WeightedGraph(3, ((0, 1, F(1)), (1, 2, F(0))))
+        entries = (
+            lambda: fill_tables(g, g.edge_keys, apsp(g), EPS),
+            lambda: prune(g, g, EPS),
+            lambda: iterate_prune(g, EPS),
+            lambda: prune_with_scaling(g, EPS),
+            lambda: contract_and_round(g, EPS),
+        )
+        for entry in entries:
+            with pytest.raises(ValueError, match="pruning requires strictly positive weights"):
+                entry()
+
+    def test_accepts_rational_weights(self):
+        # lengths and log weights are ints in units of 1/scale
         g = WeightedGraph(2, ((0, 1, F(1, 2)),))
-        with pytest.raises(ValueError):
-            fill_tables(g, g.edge_keys, apsp(g), EPS)
+        assert fill_tables(g, g.edge_keys, apsp(g), EPS).levels(0, 1) == [1]
+        h, state = prune(g, g, EPS)
+        assert h == g and [(r.length, r.walk_weight, r.multiset_weight) for r in state.rounds] == [(1, 1, 1)]
+        # the spanner drops the only half-integer edge, so its own scale is 1,
+        # but its logged weight stays in units of 1/g.scale
+        g = WeightedGraph(3, ((0, 1, F(1)), (1, 2, F(1)), (0, 2, F(5, 2))))
+        h, logs, _ = iterate_prune(g, EPS)
+        assert (h.scale, g.scale) == (1, 2)
+        assert [entry.total_weight for entry in logs] == [4, 4]
 
     def test_matches_direct_recurrence_enumeration(self):
         import random
@@ -260,15 +281,17 @@ def assert_same_tables(new, old):
 
 
 def catalogue_instance(name):
-    """(scaled graph, eps, initial spanner or None) of a benchmark-style pruning
-    job; ladders start from the greedy spanner of their perturbed twin."""
+    """(rational graph, its scaled copy, eps, initial spanner edge keys or
+    None) of a benchmark-style pruning job; ladders start from the greedy
+    spanner of their perturbed twin."""
     if name == "greedyhard":
         eps = F(1, 64)
-        return scale_to_integers(gen_greedy_hard(eps, F(2)))[0], eps, None
+        g = gen_greedy_hard(eps, F(2))
+        return g, scale_to_integers(g)[0], eps, None
     eps = F(1, 4)
     make = {"ladder": lambda p: gen_ladder(8, eps, p), "multiladder": lambda p: gen_multiladder(2, 4, eps, p)}[name]
-    g = scale_to_integers(make(False))[0]
-    return g, eps, g.subgraph(greedy_spanner(make(True), 1 + eps).edge_keys)
+    g = make(False)
+    return g, scale_to_integers(g)[0], eps, greedy_spanner(make(True), 1 + eps).edge_keys
 
 
 class TestAgainstPreviousTables:
@@ -277,37 +300,52 @@ class TestAgainstPreviousTables:
     @settings(max_examples=40, deadline=None)
     @given(st.randoms(use_true_random=False), st.booleans())
     def test_same_cells_and_best_triple_on_random_graphs(self, rng, integer):
-        # integer=False draws rational weights, scaled to integers here
-        g, _ = scale_to_integers(random_connected_graph(rng, max_n=7, max_extra=4, integer=integer))
+        # integer=False draws rational weights: the new tables run on them
+        # directly, the previous code on their scaled copy
+        g = random_connected_graph(rng, max_n=7, max_extra=4, integer=integer)
+        scaled, _ = scale_to_integers(g)
         pool = frozenset(k for k in sorted(g.edge_keys) if rng.random() < 0.7)
-        dist = apsp(g)
+        dist, scaled_dist = apsp(g), apsp(scaled)
         for eps in (F(1, 64), F(1, 10), F(1, 4), F(1, 2), F(1)):  # one oracle, one plan per eps
-            assert_same_tables(fill_tables(g, pool, dist, eps), previous_fill_tables(g, pool, dist, eps))
+            assert_same_tables(fill_tables(g, pool, dist, eps), previous_fill_tables(scaled, pool, scaled_dist, eps))
 
     @pytest.mark.parametrize("name", ["ladder", "multiladder", "greedyhard"])
     def test_reused_plan_matches_fresh_and_previous_every_round(self, name):
-        g, eps, h = catalogue_instance(name)
-        h = h or greedy_spanner(g, 1 + eps)
-        dist = apsp(g)
-        state = PruneState()
+        # the unscaled graph runs the same rounds on its own int weights
+        g, scaled, eps, init = catalogue_instance(name)
+        h = scaled.subgraph(init) if init else greedy_spanner(scaled, 1 + eps)
+        h_rational = g.subgraph(h.edge_keys)
+        dist, rational_dist = apsp(scaled), apsp(g)
+        state, rational_state = PruneState(), PruneState()
         rounds = 0
         while True:
             pool = frozenset(h.edge_keys - state.added - state.removed)
-            reused = fill_tables(g, pool, dist, eps)
-            assert_same_tables(reused, previous_fill_tables(g, pool, dist, eps))
-            assert all_cells(fill_tables(g, pool, DistanceOracle(g), eps)) == all_cells(reused)
-            if not prune_round(g, h, state, eps, dist=dist):
+            reused = fill_tables(scaled, pool, dist, eps)
+            previous = previous_fill_tables(scaled, pool, dist, eps)
+            assert_same_tables(reused, previous)
+            assert_same_tables(fill_tables(g, pool, rational_dist, eps), previous)
+            assert all_cells(fill_tables(scaled, pool, DistanceOracle(scaled), eps)) == all_cells(reused)
+            exchanged = prune_round(scaled, h, state, eps, dist=dist)
+            assert prune_round(g, h_rational, rational_state, eps, dist=rational_dist) == exchanged
+            assert (rational_state.added, rational_state.removed) == (state.added, state.removed)
+            assert rational_state.rounds == state.rounds
+            if not exchanged:
                 break
             rounds += 1
         assert rounds > 3
 
     @pytest.mark.parametrize("name", ["ladder", "multiladder", "greedyhard"])
     def test_iterate_prune_round_logs_match_previous(self, name, monkeypatch):
-        g, eps, initial = catalogue_instance(name)
-        new = iterate_prune(g, eps, initial_spanner=initial)
+        g, scaled, eps, init = catalogue_instance(name)
+        new = iterate_prune(scaled, eps, initial_spanner=scaled.subgraph(init) if init else None)
+        # the unscaled graph gives the same edges and logs, in units of 1/g.scale
+        rational = iterate_prune(g, eps, initial_spanner=g.subgraph(init) if init else None)
+        assert rational[0].edge_keys == new[0].edge_keys and rational[1] == new[1]
+        assert [s.rounds for s in rational[2]] == [s.rounds for s in new[2]]
+        assert [(s.added, s.removed) for s in rational[2]] == [(s.added, s.removed) for s in new[2]]
         monkeypatch.setattr(prune_module, "fill_tables", previous_fill_tables)
         monkeypatch.setattr(prune_module, "select_best_triple", previous_select_best_triple)
-        old = iterate_prune(g, eps, initial_spanner=initial)
+        old = iterate_prune(scaled, eps, initial_spanner=scaled.subgraph(init) if init else None)
         assert new[0] == old[0] and new[1] == old[1]
         assert [s.rounds for s in new[2]] == [s.rounds for s in old[2]]
         assert [(s.added, s.removed) for s in new[2]] == [(s.added, s.removed) for s in old[2]]
