@@ -296,11 +296,10 @@ class WalkTables:
     and `iter_entries` build DpEntry values on access.
     """
 
-    def __init__(self, dist, pool, anchored, anchored_weight, plan: _WalkPlan, values, picks):
+    def __init__(self, dist, pool, anchored, plan: _WalkPlan, values, picks):
         self.dist = dist
         self.pool = pool
         self.anchored = anchored
-        self.anchored_weight = anchored_weight
         self.bounds = plan.bounds
         self.max_level = plan.max_level
         self.entries = plan.cells_of
@@ -356,14 +355,16 @@ def fill_tables(
     if eps <= 0:
         raise ValueError("eps must be positive")
     plan = _walk_plan(dist, eps, cell_cap)
+    anchored, hanging = _hanging_weights(g, pool, dist, eps, plan)
+    values, picks = plan.evaluate(hanging)
+    return WalkTables(dist, pool, anchored, plan, values, picks)
+
+
+def _hanging_weights(g: WeightedGraph, pool, dist: DistanceOracle, eps: Fraction, plan: _WalkPlan):
+    """The pool's endpoint hanging sets, and their weights in `plan.pairs` order."""
     anchored = endpoint_hanging_sets(g, pool, dist, eps)
     weight = g.int_weights.__getitem__
-    hanging = [sum(map(weight, anchored[pair])) for pair in plan.pairs]
-    anchored_weight = {}
-    for (s, t), w in zip(plan.pairs, hanging):
-        anchored_weight[(s, t)] = anchored_weight[(t, s)] = w
-    values, picks = plan.evaluate(hanging)
-    return WalkTables(dist, pool, anchored, anchored_weight, plan, values, picks)
+    return anchored, [sum(map(weight, anchored[pair])) for pair in plan.pairs]
 
 
 def select_best_triple(tables: WalkTables):
@@ -464,6 +465,78 @@ class RoundLog:
         }
 
 
+class _Tail:
+    """The rounds of a pass after one of best ratio exactly 1, answered from
+    that round's values v0. The pool only shrinks, so values only fall: the
+    best cell is the first, in (s, t, L) order, with v0 = L whose value is
+    still v0 (intact). That holds when some contributor tight in v0 (the
+    base, then the joins in stored order) has all terms intact, and the
+    first such is the value pass's pick. A broken cell stays broken for the
+    pass. Valid for the same g, oracle and eps and a pool within the last.
+    """
+
+    def __init__(self, g: WeightedGraph, dist: DistanceOracle, eps: Fraction, tables: WalkTables):
+        self.g, self.dist, self.eps, self.pool = g, dist, eps, tables.pool
+        self.plan, self.values = plan, values = tables._plan, tables._values
+        self.cands = [c for c in plan.by_pair if values[plan.offset + c] == plan.cell_len[c]]
+        self.cursor = 0  # cands before it are broken
+        self.broken = bytearray(len(values))  # by value index
+        self.picks = tables._picks  # rewritten for the cells found intact
+
+    def best(self, pool: frozenset, hanging: list[int]) -> int | None:
+        """The cell the value pass would select for `pool`, whose endpoint
+        hanging weights are `hanging`, or None when no cell keeps ratio 1."""
+        self.pool = pool
+        values, broken = self.values, self.broken
+        for i, w in enumerate(hanging, 1):
+            if w != values[i]:
+                broken[i] = 1
+        intact: set[int] = set()
+        while self.cursor < len(self.cands):
+            c = self.cands[self.cursor]
+            x = self.plan.offset + c
+            if not broken[x] and self._intact(x, intact):
+                return c
+            self.cursor += 1
+        return None
+
+    def _intact(self, root: int, intact: set[int]) -> bool:
+        """Whether the cell at value index `root` is intact; every cell
+        decided on the way joins `intact` (with its pick) or `broken`."""
+        plan, v0, broken, picks = self.plan, self.values, self.broken, self.picks
+        offset, base, start = plan.offset, plan.base, plan.join_start
+        jl, jr, jb = plan.join_left, plan.join_right, plan.join_bonus
+        stack = [[root, -1]]  # value index, contributor to resume at (-1: the base)
+        while stack:
+            frame = stack[-1]
+            x, j = frame
+            c, target = x - offset, v0[x]
+            if j < 0:
+                b = base[c]
+                if b >= 0 and v0[b] == target and not broken[b]:
+                    picks[c] = -1
+                    intact.add(x)
+                    stack.pop()
+                    continue
+                j = start[c]
+            for j in range(j, start[c + 1]):
+                left, right, bonus = jl[j], jr[j], jb[j]
+                if v0[left] + v0[right] + v0[bonus] != target or broken[left] or broken[right] or broken[bonus]:
+                    continue
+                if left in intact and right in intact:
+                    picks[c] = j
+                    intact.add(x)
+                    stack.pop()
+                else:  # decide the undecided half first, then resume at this join
+                    frame[1] = j
+                    stack.append([right if left in intact else left, -1])
+                break
+            else:
+                broken[x] = 1
+                stack.pop()
+        return root in intact
+
+
 @dataclass
 class PruneState:
     """Edge bookkeeping across the rounds of one pruning pass.
@@ -471,12 +544,14 @@ class PruneState:
     `added` collects walk edges (a subset of the host graph's edges),
     `removed` collects pruned spanner edges; the pass result is
     added | (spanner - removed). `removed` grows strictly every round,
-    which bounds the number of rounds by the spanner size.
+    which bounds the number of rounds by the spanner size. `tail` carries
+    the values of the pass's last ratio-1 round that needed a value pass.
     """
 
     added: set[EdgeKey] = field(default_factory=set)
     removed: set[EdgeKey] = field(default_factory=set)
     rounds: list[RoundLog] = field(default_factory=list)
+    tail: _Tail | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def prune_round(
@@ -489,21 +564,35 @@ def prune_round(
 ) -> bool:
     """Run one round: evaluate the tables for the remaining pool, take the
     best ratio, and exchange walk for multiset when the ratio reaches 1.
+    Rounds after one of ratio exactly 1 are answered by the state's `_Tail`.
 
-    Returns True when an exchange happened; False leaves the state untouched.
+    Returns True when an exchange happened; False leaves the state's edges
+    and logs untouched.
     """
     pool = frozenset(h.edge_keys - state.added - state.removed)
     if not pool:
         return False
     if dist is None:
         dist = apsp(g)
-    tables = fill_tables(g, pool, dist, eps, cell_cap)
-    best = select_best_triple(tables)
-    if best is None:
-        return False
-    s, t, length, beta = best
-    if beta < 1:
-        return False
+    eps = Fraction(eps)
+    tail = state.tail
+    if tail and tail.g is g and tail.dist is dist and tail.eps == eps and pool <= tail.pool:
+        plan = _walk_plan(dist, eps, cell_cap)
+        anchored, hanging = _hanging_weights(g, pool, dist, eps, plan)
+        cell = tail.best(pool, hanging)
+        if cell is None:
+            return False
+        tables = WalkTables(dist, pool, anchored, plan, tail.values, tail.picks)
+        s, t, length, beta = plan.cell_s[cell], plan.cell_t[cell], plan.cell_len[cell], Fraction(1)
+    else:
+        tables = fill_tables(g, pool, dist, eps, cell_cap)
+        best = select_best_triple(tables)
+        if best is None:
+            return False
+        s, t, length, beta = best
+        if beta < 1:
+            return False
+        state.tail = _Tail(g, dist, eps, tables) if beta == 1 else None
     walk, mset = reconstruct(tables, s, t, length)
     support = frozenset(mset)
     state.added |= walk.edge_keys()
@@ -557,6 +646,7 @@ def prune(
             raise AssertionError("no progress recorded despite an exchange")
     else:
         raise AssertionError("pruning failed to terminate within |E(h)| rounds")
+    state.tail = None  # its values serve only this pass
     keys = state.added | (h.edge_keys - state.removed)
     return g.subgraph(keys), state
 
@@ -648,6 +738,8 @@ def contract_and_round(g: WeightedGraph, eps) -> tuple[WeightedGraph, dict[EdgeK
     _require_positive(g)
     n = g.n
     weights = g.int_weights
+    if not weights:  # nothing to contract or round
+        return WeightedGraph(n, (), g.declared_planar), {}
     w_max = max(weights.values())
     threshold = eps * w_max / (n * n)
     parent = list(range(n))
@@ -696,7 +788,7 @@ def prune_with_scaling(
         raise ValueError("prune_with_scaling requires a connected graph")
     n = g.n
     weights = g.int_weights
-    w_max = max(weights.values())
+    w_max = max(weights.values(), default=0)
     if w_max < Fraction(n * n) / eps:
         h, logs, _ = iterate_prune(g, eps, cell_cap=cell_cap)
         return h, ScalingLog(scaled=False, iterations=logs)

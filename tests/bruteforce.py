@@ -5,22 +5,35 @@ spanning structures and optimum spanners. Nothing imports algorithmic code
 from the package beyond the graph container itself, except the definitional
 references in the middle (walks built from vertex lists, hanging witnesses
 on a walk, edge normalization), which read the package's distance oracle,
-and the `previous_*` reference copies at the end, which keep replaced table
-and exact-check code for differential tests and use the package's small
-helpers.
+and the `previous_*` reference copies at the end, which keep replaced table,
+round-loop and exact-check code for differential tests and use the
+package's small helpers.
 """
 from __future__ import annotations
 
 import random
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import combinations
 from typing import Sequence
 
-from spannerlab.graphs import INF, DistanceOracle, EdgeKey, Walk, WeightedGraph, apsp, edge_key, is_connected
+from spannerlab.graphs import INF, DistanceOracle, EdgeKey, Walk, WeightedGraph, apsp, edge_key, is_connected, stretch
+from spannerlab.greedy import greedy_spanner
 from spannerlab.oracle import OracleCapError, OracleResult
-from spannerlab.prune import DEFAULT_CELL_CAP, CellCapError, DpEntry, hanging_kappa
+from spannerlab.prune import (
+    DEFAULT_CELL_CAP,
+    CellCapError,
+    DpEntry,
+    IterationLog,
+    PruneState,
+    RoundLog,
+    _require_positive,
+    hanging_kappa,
+    log_star_ceil,
+    reconstruct,
+)
 
 
 def adjacency(g: WeightedGraph) -> list[list[tuple[int, Fraction]]]:
@@ -259,6 +272,23 @@ def random_connected_graph(
     for pair in all_pairs[: rng.randint(0, max_extra)]:
         keys.add(pair)
     return WeightedGraph(n, tuple((u, v, weight()) for u, v in sorted(keys)))
+
+
+def seeded_grid(k: int, seed: int) -> WeightedGraph:
+    """A planar k x k grid: each unit square gets its down-right diagonal
+    with probability 1/2, every edge an integer weight uniform in 1..4."""
+    rng = random.Random(seed)
+    keys = []
+    for i in range(k):
+        for j in range(k):
+            v = i * k + j
+            if j + 1 < k:
+                keys.append((v, v + 1))
+            if i + 1 < k:
+                keys.append((v, v + k))
+            if i + 1 < k and j + 1 < k and rng.random() < 0.5:
+                keys.append((v, v + k + 1))
+    return WeightedGraph(k * k, tuple((u, v, Fraction(rng.randint(1, 4))) for u, v in keys), True)
 
 
 # --- definitional references ------------------------------------------------
@@ -594,6 +624,137 @@ def previous_select_best_triple(tables: PreviousWalkTables):
         return None
     ratio, (s, t, length) = best
     return s, t, length, ratio
+
+
+# --- the pruning round loop before the ratio-1 tail ---------------------------
+#
+# Copies (renamed with a `previous_` prefix) of prune_round, prune and
+# iterate_prune as they were when every round ran a full value pass, verbatim
+# except that they call previous_fill_tables and previous_select_best_triple
+# above, so no part of the reference runs the package's tables. Those need
+# integer weights: run the copies on the scaled graph. `reconstruct` and the
+# log types are the package's, which that change left as they were. The
+# differential tests require equal round logs, edge sets and iteration logs.
+
+
+def previous_prune_round(
+    g: WeightedGraph,
+    h: WeightedGraph,
+    state: PruneState,
+    eps,
+    dist: DistanceOracle | None = None,
+    cell_cap: int = DEFAULT_CELL_CAP,
+) -> bool:
+    """Run one round: evaluate the tables for the remaining pool, take the
+    best ratio, and exchange walk for multiset when the ratio reaches 1.
+
+    Returns True when an exchange happened; False leaves the state untouched.
+    """
+    pool = frozenset(h.edge_keys - state.added - state.removed)
+    if not pool:
+        return False
+    if dist is None:
+        dist = apsp(g)
+    tables = previous_fill_tables(g, pool, dist, eps, cell_cap)
+    best = previous_select_best_triple(tables)
+    if best is None:
+        return False
+    s, t, length, beta = best
+    if beta < 1:
+        return False
+    walk, mset = reconstruct(tables, s, t, length)
+    support = frozenset(mset)
+    state.added |= walk.edge_keys()
+    state.removed |= support
+    weight = g.int_weights.__getitem__
+    state.rounds.append(
+        RoundLog(
+            source=s,
+            target=t,
+            length=length,
+            beta=beta,
+            walk_weight=length,
+            multiset_weight=sum(c * weight(k) for k, c in mset.items()),
+            pruned_weight=sum(map(weight, support)),
+            pool_weight_remaining=sum(map(weight, pool - support)),
+        )
+    )
+    return True
+
+
+def previous_prune(
+    g: WeightedGraph, h: WeightedGraph, eps, cell_cap: int = DEFAULT_CELL_CAP
+) -> tuple[WeightedGraph, PruneState]:
+    """One full pruning pass over spanner h of g.
+
+    Rounds repeat until no exchange with ratio >= 1 exists; the result is
+    added | (h - removed), a subgraph of g. Requires g connected with
+    positive rational weights; h must be a subgraph of g. The round logs
+    give lengths and weights as ints in units of 1/g.scale.
+    """
+    eps = Fraction(eps)
+    _require_positive(g)
+    if not is_connected(g):
+        raise ValueError("prune requires a connected graph")
+    if not h.is_subgraph_of(g):
+        raise ValueError("h must be a subgraph of g")
+    if eps > Fraction(1, 100):
+        warnings.warn(
+            f"eps={eps} is above 1/100; the pruning guarantees are calibrated "
+            "for smaller values",
+            stacklevel=2,
+        )
+    dist = apsp(g)
+    state = PruneState()
+    max_rounds = h.m + 1
+    for _ in range(max_rounds):
+        before = len(state.removed)
+        if not previous_prune_round(g, h, state, eps, dist=dist, cell_cap=cell_cap):
+            break
+        if len(state.removed) <= before:
+            raise AssertionError("no progress recorded despite an exchange")
+    else:
+        raise AssertionError("pruning failed to terminate within |E(h)| rounds")
+    keys = state.added | (h.edge_keys - state.removed)
+    return g.subgraph(keys), state
+
+
+def previous_iterate_prune(
+    g: WeightedGraph,
+    eps,
+    initial_spanner: WeightedGraph | None = None,
+    cell_cap: int = DEFAULT_CELL_CAP,
+) -> tuple[WeightedGraph, list[IterationLog], list[PruneState]]:
+    """Driver: start from a greedy (1+eps)-spanner (or a caller-provided one)
+    and run pruning passes until a pass changes nothing, capped at
+    log*(1/eps) + 2 passes.
+
+    g may carry any positive rational weights. Returns the final spanner (a
+    subgraph of g), a weight/stretch log (entry 0 describes the starting
+    spanner; weights in units of 1/g.scale), and the per-pass states.
+    """
+    eps = Fraction(eps)
+    _require_positive(g)
+    if not is_connected(g):
+        raise ValueError("iterate_prune requires a connected graph")
+    if initial_spanner is None:
+        h = greedy_spanner(g, 1 + eps)
+    else:
+        if not initial_spanner.is_subgraph_of(g):
+            raise ValueError("initial spanner must be a subgraph of g")
+        h = initial_spanner
+    weight = g.int_weights.__getitem__
+    logs = [IterationLog(stretch(g, h), sum(map(weight, h.edge_keys)))]
+    states: list[PruneState] = []
+    passes = log_star_ceil(1 / eps) + 2
+    for _ in range(passes):
+        h1, state = previous_prune(g, h, eps, cell_cap=cell_cap)
+        states.append(state)
+        logs.append(IterationLog(stretch(g, h1), sum(map(weight, h1.edge_keys))))
+        if h1.edge_keys == h.edge_keys:
+            break
+        h = h1
+    return h, logs, states
 
 
 # --- the exact checks that the target-set searches replaced -----------------

@@ -137,7 +137,7 @@ def test_criterion_4_table_consistency(capsys):
                 # base length, where the base candidate realises it; at other
                 # lengths it cannot coexist with walk-weight exactness
                 if length == int(dist.dist(s, t)):
-                    assert entry.value >= tables.anchored_weight[(s, t)]
+                    assert entry.value >= sum(g.int_weights[k] for k in tables.anchored[(s, t)])
                 for key in sorted(mset):
                     edge = (key[0], key[1], g.weights[key])
                     assert is_hanging(dist, edge, walk, kappa, eps) is not None

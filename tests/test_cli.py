@@ -189,6 +189,18 @@ def test_run_scaled_on_wide_weight_range(tmp_path):
     assert "inner_stretch" in data
 
 
+@pytest.mark.parametrize("algorithm", ["prune", "iterate", "scaled"])
+def test_pruning_an_edgeless_graph_gives_the_empty_spanner(tmp_path, algorithm):
+    path = tmp_path / "point.g"
+    path.write_text("1 0 planar:0\n")
+    out = tmp_path / "point.spanner"
+    report = tmp_path / "r.json"
+    code = main(["run", algorithm, str(path), "--eps", "1/4", "--out", str(out), "--report", str(report)])
+    assert code == EXIT_OK
+    assert (read_graph(out).n, read_graph(out).m) == (1, 0)
+    assert json.loads(report.read_text()).get("contracted", False) is False
+
+
 def test_gen_sat_zero_eta_flag(tmp_path):
     formula = tmp_path / "f.txt"
     formula.write_text("vars 2\nclause above 0 1\nclause below 0 1\n")

@@ -1,6 +1,8 @@
+import copy
 import inspect
 import random
 import sys
+from array import array
 from collections import Counter
 from fractions import Fraction as F
 
@@ -40,8 +42,12 @@ from bruteforce import (
     brute_endpoint_hanging_sets,
     is_hanging,
     previous_fill_tables,
+    previous_iterate_prune,
+    previous_prune,
+    previous_prune_round,
     previous_select_best_triple,
     random_connected_graph,
+    seeded_grid,
     walk_from_vertices,
 )
 
@@ -66,6 +72,11 @@ def scaled_ladder(n, eps=EPS):
 
 def rung(n, i):
     return edge_key(ladder_u(i), ladder_v(n, i))
+
+
+def hanging_weight(g, tables, pair):
+    """The endpoint hanging weight of `pair`, summed from `tables.anchored`."""
+    return sum(g.int_weights[k] for k in tables.anchored[pair])
 
 
 def ladder_tables(n, with_center_rung):
@@ -116,7 +127,7 @@ class TestEndpointHangingSets:
         g, dist, tables = ladder_tables(n, with_center_rung=False)
         pair = (ladder_u(0), ladder_v(n, 0))
         assert tables.anchored[pair] == {rung(n, i) for i in range(1, n + 1)}
-        assert tables.anchored_weight[pair] == 32
+        assert hanging_weight(g, tables, pair) == 32
 
     def test_center_pair_with_full_pool_adds_the_rung_itself(self):
         n = 6
@@ -178,7 +189,7 @@ class TestFillTables:
         entry = tables.entry(u0, v0, 8)
         assert entry is not None and entry.back is None
         assert entry.value == 32  # four rungs of scaled weight 8 each
-        assert entry.value >= tables.anchored_weight[(u0, v0)]
+        assert entry.value >= hanging_weight(g, tables, (u0, v0))
 
     def test_single_edge_graph_has_only_base(self):
         g = WeightedGraph(2, ((0, 1, F(3)),))
@@ -192,7 +203,7 @@ class TestFillTables:
         seen = 0
         for s, t, length, entry in tables.iter_entries():
             if length == int(dist.dist(s, t)):
-                assert entry.value >= tables.anchored_weight[(s, t)]
+                assert entry.value >= hanging_weight(g, tables, (s, t))
                 seen += 1
         assert seen > 50
 
@@ -236,9 +247,8 @@ class TestFillTables:
             pool = greedy_spanner(g, 1 + eps).edge_keys
             dist = apsp(g)
             tables = fill_tables(g, frozenset(pool), dist, eps)
-            ref = brute_walk_tables(
-                g, pool, dist, eps, floor_pow2, tables.anchored_weight
-            )
+            anchored_weight = {pair: hanging_weight(g, tables, pair) for pair in tables.anchored}
+            ref = brute_walk_tables(g, pool, dist, eps, floor_pow2, anchored_weight)
             mine = {(s, t, L): e.value for s, t, L, e in tables.iter_entries()}
             assert mine == ref
             compared += len(ref)
@@ -276,7 +286,8 @@ def assert_same_tables(new, old):
     assert list(new.iter_entries()) == list(old.iter_entries())
     assert all(new.levels(s, t) == old.levels(s, t) for s, t in old.entries)
     assert (new.bounds, new.max_level) == (old.bounds, old.max_level)
-    assert (new.anchored, new.anchored_weight) == (old.anchored, old.anchored_weight)
+    assert new.anchored == old.anchored
+    assert {pair: hanging_weight(old.graph, new, pair) for pair in new.anchored} == old.anchored_weight
     assert select_best_triple(new) == previous_select_best_triple(old)
 
 
@@ -335,7 +346,7 @@ class TestAgainstPreviousTables:
         assert rounds > 3
 
     @pytest.mark.parametrize("name", ["ladder", "multiladder", "greedyhard"])
-    def test_iterate_prune_round_logs_match_previous(self, name, monkeypatch):
+    def test_iterate_prune_round_logs_match_previous(self, name):
         g, scaled, eps, init = catalogue_instance(name)
         new = iterate_prune(scaled, eps, initial_spanner=scaled.subgraph(init) if init else None)
         # the unscaled graph gives the same edges and logs, in units of 1/g.scale
@@ -343,12 +354,161 @@ class TestAgainstPreviousTables:
         assert rational[0].edge_keys == new[0].edge_keys and rational[1] == new[1]
         assert [s.rounds for s in rational[2]] == [s.rounds for s in new[2]]
         assert [(s.added, s.removed) for s in rational[2]] == [(s.added, s.removed) for s in new[2]]
-        monkeypatch.setattr(prune_module, "fill_tables", previous_fill_tables)
-        monkeypatch.setattr(prune_module, "select_best_triple", previous_select_best_triple)
-        old = iterate_prune(scaled, eps, initial_spanner=scaled.subgraph(init) if init else None)
+        old = previous_iterate_prune(scaled, eps, initial_spanner=scaled.subgraph(init) if init else None)
         assert new[0] == old[0] and new[1] == old[1]
         assert [s.rounds for s in new[2]] == [s.rounds for s in old[2]]
         assert [(s.added, s.removed) for s in new[2]] == [(s.added, s.removed) for s in old[2]]
+
+
+def assert_same_prune(g, scaled, eps, init):
+    """`prune` and `iterate_prune` on g against the previous round loop on
+    its scaled copy, from the spanner with edge keys `init` (None: greedy)."""
+    h = greedy_spanner(g, 1 + eps) if init is None else g.subgraph(init)
+    new_h, new_state = prune(g, h, eps)
+    old_h, old_state = previous_prune(scaled, scaled.subgraph(h.edge_keys), eps)
+    assert new_h.edge_keys == old_h.edge_keys
+    assert new_state.rounds == old_state.rounds
+    assert (new_state.added, new_state.removed) == (old_state.added, old_state.removed)
+    new = iterate_prune(g, eps, initial_spanner=None if init is None else h)
+    old = previous_iterate_prune(scaled, eps, initial_spanner=None if init is None else scaled.subgraph(init))
+    assert new[0].edge_keys == old[0].edge_keys and new[1] == old[1]
+    assert [(st.rounds, st.added, st.removed) for st in new[2]] == [(st.rounds, st.added, st.removed) for st in old[2]]
+    return sum(len(st.rounds) for st in new[2])
+
+
+def lockstep(g, h, eps, dist, state, old_state):
+    """One round of `prune_round` and of the previous round loop on copies
+    of the same state; asserts they agree and returns whether they exchanged."""
+    exchanged = prune_round(g, h, state, eps, dist=dist)
+    assert previous_prune_round(g, h, old_state, eps, dist=dist) == exchanged
+    assert (state.added, state.removed, state.rounds) == (old_state.added, old_state.removed, old_state.rounds)
+    return exchanged
+
+
+def copy_state(state):
+    old = PruneState()
+    old.added, old.removed, old.rounds = set(state.added), set(state.removed), list(state.rounds)
+    return old
+
+
+class TestRatioOneTail:
+    """Rounds after a ratio-1 round are answered without a value pass; they
+    must give exactly what the previous loop, a value pass per round, gave."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.randoms(use_true_random=False),
+        st.booleans(),
+        st.sampled_from([F(1, 64), F(1, 10), F(1, 4), F(1, 2), F(1)]),
+        st.sampled_from([None, 0.4, 0.8, 1.0]),
+    )
+    def test_prune_and_iterate_match_previous_on_random_graphs(self, rng, integer, eps, keep):
+        # integer=False draws rational weights, which the previous loop runs
+        # on their scaled copy; keep=None starts from the greedy spanner
+        g = random_connected_graph(rng, max_n=8, max_extra=6, integer=integer)
+        init = None if keep is None else frozenset(k for k in sorted(g.edge_keys) if rng.random() < keep)
+        assert_same_prune(g, scale_to_integers(g)[0], eps, init)
+
+    def test_prune_and_iterate_match_previous_on_a_planar_grid(self):
+        g = seeded_grid(5, 5)
+        assert assert_same_prune(g, g, F(1, 4), None) > 10
+
+    def test_value_passes_only_start_a_pass_or_follow_a_gain(self, monkeypatch):
+        g, scaled, eps, init = catalogue_instance("multiladder")
+        evaluate = prune_module._WalkPlan.evaluate
+        calls = []
+
+        def counted(plan, hanging):
+            calls.append(1)
+            return evaluate(plan, hanging)
+
+        monkeypatch.setattr(prune_module._WalkPlan, "evaluate", counted)
+        _, _, states = iterate_prune(scaled, eps, initial_spanner=scaled.subgraph(init))
+        rounds = [r for st in states for r in st.rounds]
+        gains = sum(r.beta > 1 for r in rounds)
+        assert len(rounds) > 20 and len(calls) <= len(states) + gains
+
+    @pytest.mark.parametrize("name", ["ladder", "multiladder", "greedyhard"])
+    def test_a_grown_pool_falls_back_to_a_value_pass(self, name):
+        g, scaled, eps, init = catalogue_instance(name)
+        h = scaled.subgraph(init) if init else greedy_spanner(scaled, 1 + eps)
+        h = scaled.subgraph(sorted(h.edge_keys)[::2])  # every other edge
+        dist = apsp(scaled)
+        state, old_state = PruneState(), PruneState()
+        while state.tail is None:  # up to the first ratio-1 round
+            assert lockstep(scaled, h, eps, dist, state, old_state)
+        # one round from the tail; then every edge of g is in h, so the pool
+        # grows past the tail's and a value pass must answer
+        assert lockstep(scaled, h, eps, dist, state, old_state)
+        assert not scaled.edge_keys - state.added - state.removed <= state.tail.pool
+        while lockstep(scaled, scaled, eps, dist, state, old_state):
+            pass
+
+    @pytest.mark.parametrize("name", ["ladder", "multiladder", "greedyhard"])
+    def test_a_pool_restored_within_the_reference_pool_falls_back(self, name):
+        # a tail round marks cells broken for its own pool; a pool that grows
+        # back, even within the pool of the tail's first round, may revive them
+        g, scaled, eps, init = catalogue_instance(name)
+        h = scaled.subgraph(init) if init else greedy_spanner(scaled, 1 + eps)
+        dist = apsp(scaled)
+        state, old_state = PruneState(), PruneState()
+        while True:
+            before = copy_state(state)
+            assert lockstep(scaled, h, eps, dist, state, old_state)
+            if state.tail is not None:
+                break
+        assert lockstep(scaled, h, eps, dist, state, old_state)  # a tail round
+        state.added, state.removed, state.rounds = set(before.added), set(before.removed), list(before.rounds)
+        assert not h.edge_keys - state.added - state.removed <= state.tail.pool
+        assert lockstep(scaled, h, eps, dist, state, copy_state(before))
+        assert state.rounds[-1] == old_state.rounds[len(before.rounds)]
+
+    @pytest.mark.parametrize("name", ["ladder", "multiladder", "greedyhard", "grid5", "grid5-sparse"])
+    def test_tail_marks_and_picks_agree_with_a_value_pass(self, name):
+        # white box, every round the tail answers: a cell marked broken has a
+        # value below its reference value under a full value pass for the
+        # round's pool, and stays marked for the rest of the pass; a cell
+        # found intact keeps its reference value and gets the value pass's
+        # pick. A probe, a copy of the tail, decides every cell of the plan.
+        if name.startswith("grid5"):
+            # the sparse start leaves cells that no pool edge hangs on, whose
+            # base and joins all tie at 0
+            scaled, eps = seeded_grid(5, 5), F(1, 4)
+            h = greedy_spanner(scaled, 1 + eps)
+            if name == "grid5-sparse":
+                h = scaled.subgraph(sorted(h.edge_keys)[::3])
+        else:
+            g, scaled, eps, init = catalogue_instance(name)
+            h = scaled.subgraph(init) if init else greedy_spanner(scaled, 1 + eps)
+        dist = apsp(scaled)
+        state = PruneState()
+        marked, tail_rounds = set(), 0
+        while True:
+            tail = state.tail
+            pool = frozenset(h.edge_keys - state.added - state.removed)
+            exchanged = prune_round(scaled, h, state, eps, dist=dist)
+            if state.tail is not tail:  # a value pass ran
+                marked = set()
+            elif tail is not None and tail.pool == pool:  # the tail answered
+                tail_rounds += 1
+                full = fill_tables(scaled, pool, dist, eps)
+                probe = copy.copy(tail)
+                probe.broken, probe.picks = bytearray(tail.broken), array("q", tail.picks)
+                intact, offset = set(), tail.plan.offset
+                for x in range(offset, len(tail.values)):
+                    if not probe.broken[x]:
+                        probe._intact(x, intact)
+                now = {x for x, b in enumerate(tail.broken) if b}
+                assert marked <= now
+                for x in range(offset, len(tail.values)):
+                    if probe.broken[x]:
+                        assert full._values[x] < tail.values[x] and x not in intact
+                    else:
+                        assert full._values[x] == tail.values[x] and full._picks[x - offset] == probe.picks[x - offset]
+                marked = now
+            if not exchanged:
+                break
+        assert tail_rounds > 3 and marked
 
 
 class TestSelectBestTriple:
@@ -611,3 +771,10 @@ class TestPruneWithScaling:
             assert w.denominator == 1 and w >= 1
             orig = g.weights[back[(u, v)]]
             assert w == int(orig * n * n / (w_max * EPS))
+
+    def test_edgeless_graph_has_nothing_to_contract(self):
+        g = WeightedGraph(1, ())
+        contracted, back = contract_and_round(g, EPS)
+        assert (contracted.n, contracted.m, back) == (1, 0, {})
+        h, log = prune_with_scaling(g, EPS)
+        assert h == g and not log.scaled
