@@ -143,6 +143,9 @@ def _run_algorithm(algorithm: str, g: WeightedGraph, args) -> tuple[WeightedGrap
     """Returns the spanner (a subgraph of g) and algorithm-specific log data;
     pruning logs give weights in units of 1/scale."""
     extra: dict = {}
+    for name, value, least in (("cell cap", args.cell_cap, 1), ("max edges", args.max_edges, 0)):
+        if value < least:
+            raise ParameterError(f"{name} must be at least {least}, got {value}")
     if algorithm == "greedy":
         t = _frac(args.t) if args.t else 1 + _frac(args.eps or "0")
         if t <= 1:

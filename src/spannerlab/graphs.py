@@ -121,7 +121,8 @@ class WeightedGraph:
         keys = set(keys)
         missing = keys - self.edge_keys
         if missing:
-            raise ValueError(f"edges {sorted(missing)} not in graph")
+            shown = ", ".join(map(str, sorted(missing)[:3])) + (", ..." if len(missing) > 3 else "")
+            raise ValueError(f"{len(missing)} edges not in graph: {shown}")
         kept = tuple(e for e in self.edges if (e[0], e[1]) in keys)
         return WeightedGraph(self.n, kept, self.declared_planar)
 

@@ -159,11 +159,14 @@ class _WalkPlan:
     every pool. Cells are numbered in the order they are finalised: the
     empty walk at each vertex first, then by ascending length and pair.
     A round's values live in one list: index 0 holds 0, index 1 + i the
-    endpoint hanging weight of `pairs[i]` (in both orders), and index
-    `offset + c` the value of cell c. Join j of a cell adds the values at
-    `join_left[j]` and `join_right[j]` (its two halves) and at
-    `join_bonus[j]` (the cell's pair when the join collects its endpoint
-    hanging set, else 0); each cell's joins are sorted by (via, left length).
+    endpoint hanging weight of `pairs[i]` (in both orders; the pair (s, t)
+    has key s*n + t, and `slot[key]` is its 1 + i), and index `offset + c`
+    the value of cell c. Join j of a cell adds the values at `join_left[j]`
+    and `join_right[j]` (its two halves) and at `join_bonus[j]` (the cell's
+    pair when the join collects its endpoint hanging set, else 0); each
+    cell's joins are sorted by (via, left length). A new cell is joined
+    with each partner pair's finalised cells in ascending length, up to the
+    first whose sum passes the bound.
     """
 
     def __init__(self, dist: DistanceOracle, bounds: dict[tuple[int, int], int], max_level: int):
@@ -172,9 +175,9 @@ class _WalkPlan:
         self.bounds = bounds
         self.max_level = max_level
         self.pairs = sorted(pair for pair in bounds if pair[0] < pair[1])
-        slot = {}
+        self.slot = slot = [0] * (n * n)  # key -> index of the pair's hanging weight
         for i, (s, t) in enumerate(self.pairs, 1):
-            slot[(s, t)] = slot[(t, s)] = i
+            slot[s * n + t] = slot[t * n + s] = i
         self.offset = offset = 1 + len(self.pairs)
         # pair -> {length: cell}, lengths ascending
         self.cells_of = cells_of = {(s, s): {0: s} for s in range(n)}
@@ -184,63 +187,80 @@ class _WalkPlan:
         self.base = base = [0] * n  # value index of a base cell's value, -1 for a join-only cell
         self.join_start = join_start = array("i", [0] * (n + 1))  # cell c: joins join_start[c]:join_start[c+1]
         self.join_left, self.join_right, self.join_bonus = array("i"), array("i"), array("i")
-        join_left, join_right, join_bonus = self.join_left, self.join_right, self.join_bonus
+        add_left, add_right, add_bonus = self.join_left.append, self.join_right.append, self.join_bonus.append
+        at = [None] * (n * n)  # key -> the pair's dict in cells_of, the diagonal's set now
+        at[:: n + 1] = cells_of.values()
 
-        base_at: dict[int, list[tuple[int, int]]] = {}
-        for s, t in bounds:
-            base_at.setdefault(rows[s][t], []).append((s, t))
+        bound = [[-1] * n for _ in range(n)]  # bound[s][t]; -1 when t == s or t is unreachable
+        base_at: dict[int, list[int]] = {}
+        for (s, t), b in bounds.items():
+            bound[s][t] = b
+            base_at.setdefault(rows[s][t], []).append(s * n + t)
         # only occupied levels are visited: base lengths, plus each length a
         # join first reaches. A pending join is packed as via << 32 | left
         # cell (a plan of 2**32 cells would not fit in memory), so sorting
         # the codes sorts the joins by (via, left length).
         levels = list(base_at)
         heapify(levels)
-        pending: dict[int, dict[tuple[int, int], array]] = {}
-        starts: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]  # s -> (t, L, cell)
-        ends: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]  # t -> (s, L, cell)
-
-        def offer(total: int, pair: tuple[int, int], code: int) -> None:
-            slots = pending.get(total)
-            if slots is None:
-                slots = pending[total] = {}
-                if total not in base_at:
-                    heappush(levels, total)
-            codes = slots.get(pair)
-            if codes is None:
-                codes = slots[pair] = array("q")
-            codes.append(code)
-
+        pending: dict[int, dict[int, list[int]]] = {}  # length -> key -> codes
+        # partners of finalised cells: ends[t] holds each s with a cell from s
+        # to t, starts[s] each such t; the first cell of a pair is its base
+        ends: list[list[int]] = [[] for _ in range(n)]
+        starts: list[list[int]] = [[] for _ in range(n)]
         while levels:
             level = heappop(levels)
             joins_at = pending.pop(level, {})
             top = 1 << (level.bit_length() - 1)
-            for pair in sorted(joins_at.keys() | base_at.get(level, ())):
-                s, t = pair
+            for key in sorted(joins_at.keys() | base_at.get(level, ())):
+                s, t = pair = divmod(key, n)
                 c = len(cell_len)
-                cells_of.setdefault(pair, {})[level] = c
+                if at[key] is None:
+                    at[key] = cells_of[pair] = {}
+                    starts[s].append(t)
+                    ends[t].append(s)
+                at[key][level] = c
                 cell_s.append(s)
                 cell_t.append(t)
                 cell_len.append(level)
-                base.append(slot[pair] if rows[s][t] == level else -1)
-                for code in sorted(joins_at.get(pair, ())):
-                    via, left = code >> 32, code & 0xFFFFFFFF
+                base.append(slot[key] if rows[s][t] == level else -1)
+                for code in sorted(joins_at.get(key, ())):
+                    left = code & 0xFFFFFFFF
                     l_left = cell_len[left]
-                    join_left.append(offset + left)
-                    join_right.append(offset + cells_of[(via, t)][level - l_left])
-                    join_bonus.append(slot[pair] if max(l_left, level - l_left) < top else 0)
-                join_start.append(len(join_left))
-                # pair the new cell with every finalised cell it extends; each
-                # pair of cells is joined once, by the later of the two
-                for x, l_left, left in ends[s]:
-                    bound = bounds.get((x, t))
-                    if bound is not None and l_left + level <= bound:
-                        offer(l_left + level, (x, t), s << 32 | left)
-                for y, l_right, _ in starts[t]:
-                    bound = bounds.get((s, y))
-                    if bound is not None and level + l_right <= bound:
-                        offer(level + l_right, (s, y), t << 32 | c)
-                starts[s].append((t, level, c))
-                ends[t].append((s, level, c))
+                    add_left(offset + left)
+                    add_right(offset + at[(code >> 32) * n + t][level - l_left])
+                    add_bonus(slot[key] if level - top < l_left < top else 0)
+                join_start.append(len(self.join_left))
+                # pair the new cell with every finalised cell it extends, up
+                # to the bound; a partner's lengths ascend from its distance.
+                # Each pair of cells is joined once, by the later of the two
+                for x in ends[s]:
+                    lim = bound[t][x] - level
+                    if rows[s][x] > lim:
+                        continue
+                    out = x * n + t
+                    for l, left in at[x * n + s].items():
+                        if l > lim:
+                            break
+                        slots = pending.get(l + level)
+                        if slots is None:
+                            slots = pending[l + level] = {}
+                            if l + level not in base_at:
+                                heappush(levels, l + level)
+                        slots.setdefault(out, []).append(s << 32 | left)
+                for y in starts[t]:
+                    lim = bound[s][y] - level
+                    if rows[t][y] > lim:
+                        continue
+                    out = s * n + y
+                    for l in at[t * n + y]:
+                        if l > lim:
+                            break
+                        slots = pending.get(level + l)
+                        if slots is None:
+                            slots = pending[level + l] = {}
+                            if level + l not in base_at:
+                                heappush(levels, level + l)
+                        slots.setdefault(out, []).append(t << 32 | c)
 
         # off-diagonal cells in (s, t, L) order, the order of iter_entries
         self.by_pair = [c for pair in sorted(cells_of) if pair[0] != pair[1] for c in cells_of[pair].values()]
@@ -355,16 +375,10 @@ def fill_tables(
     if eps <= 0:
         raise ValueError("eps must be positive")
     plan = _walk_plan(dist, eps, cell_cap)
-    anchored, hanging = _hanging_weights(g, pool, dist, eps, plan)
-    values, picks = plan.evaluate(hanging)
-    return WalkTables(dist, pool, anchored, plan, values, picks)
-
-
-def _hanging_weights(g: WeightedGraph, pool, dist: DistanceOracle, eps: Fraction, plan: _WalkPlan):
-    """The pool's endpoint hanging sets, and their weights in `plan.pairs` order."""
     anchored = endpoint_hanging_sets(g, pool, dist, eps)
     weight = g.int_weights.__getitem__
-    return anchored, [sum(map(weight, anchored[pair])) for pair in plan.pairs]
+    values, picks = plan.evaluate([sum(map(weight, anchored[pair])) for pair in plan.pairs])
+    return WalkTables(dist, pool, anchored, plan, values, picks)
 
 
 def select_best_triple(tables: WalkTables):
@@ -471,26 +485,31 @@ class _Tail:
     best cell is the first, in (s, t, L) order, with v0 = L whose value is
     still v0 (intact). That holds when some contributor tight in v0 (the
     base, then the joins in stored order) has all terms intact, and the
-    first such is the value pass's pick. A broken cell stays broken for the
-    pass. Valid for the same g, oracle and eps and a pool within the last.
+    first such is the value pass's pick. Weights are positive, so a pair's
+    hanging weight leaves v0 exactly when a departed pool edge hangs there;
+    the other pairs keep the reference round's `anchored` sets. A broken
+    cell stays broken for the pass. Valid for the same g, oracle and eps
+    and a pool within the last.
     """
 
     def __init__(self, g: WeightedGraph, dist: DistanceOracle, eps: Fraction, tables: WalkTables):
         self.g, self.dist, self.eps, self.pool = g, dist, eps, tables.pool
         self.plan, self.values = plan, values = tables._plan, tables._values
+        self.anchored = tables.anchored
         self.cands = [c for c in plan.by_pair if values[plan.offset + c] == plan.cell_len[c]]
         self.cursor = 0  # cands before it are broken
         self.broken = bytearray(len(values))  # by value index
         self.picks = tables._picks  # rewritten for the cells found intact
 
-    def best(self, pool: frozenset, hanging: list[int]) -> int | None:
-        """The cell the value pass would select for `pool`, whose endpoint
-        hanging weights are `hanging`, or None when no cell keeps ratio 1."""
+    def best(self, pool: frozenset) -> int | None:
+        """The cell the value pass would select for `pool`, or None when no
+        cell keeps ratio 1."""
+        broken, slot, n = self.broken, self.plan.slot, self.dist.n
+        hangs_at = self.dist.memo[("hanging", self.eps)][2]  # filled by the reference round
+        for k in self.pool - pool:
+            for s, t in hangs_at[k]:
+                broken[slot[s * n + t]] = 1
         self.pool = pool
-        values, broken = self.values, self.broken
-        for i, w in enumerate(hanging, 1):
-            if w != values[i]:
-                broken[i] = 1
         intact: set[int] = set()
         while self.cursor < len(self.cands):
             c = self.cands[self.cursor]
@@ -578,11 +597,10 @@ def prune_round(
     tail = state.tail
     if tail and tail.g is g and tail.dist is dist and tail.eps == eps and pool <= tail.pool:
         plan = _walk_plan(dist, eps, cell_cap)
-        anchored, hanging = _hanging_weights(g, pool, dist, eps, plan)
-        cell = tail.best(pool, hanging)
+        cell = tail.best(pool)
         if cell is None:
             return False
-        tables = WalkTables(dist, pool, anchored, plan, tail.values, tail.picks)
+        tables = WalkTables(dist, pool, tail.anchored, plan, tail.values, tail.picks)
         s, t, length, beta = plan.cell_s[cell], plan.cell_t[cell], plan.cell_len[cell], Fraction(1)
     else:
         tables = fill_tables(g, pool, dist, eps, cell_cap)

@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import random
 import warnings
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from itertools import combinations
+from types import SimpleNamespace
 from typing import Sequence
 
 from spannerlab.graphs import INF, DistanceOracle, EdgeKey, Walk, WeightedGraph, apsp, edge_key, is_connected, stretch
@@ -755,6 +757,96 @@ def previous_iterate_prune(
             break
         h = h1
     return h, logs, states
+
+
+# --- the plan builder before per-partner length lists ------------------------
+#
+# A verbatim copy of `_WalkPlan.__init__` as it was when every finalised cell
+# scanned every finalised cell it could extend, with `self` a namespace. The
+# differential test requires every field of the package's plan to equal it.
+
+
+def previous_walk_plan(dist: DistanceOracle, bounds: dict[tuple[int, int], int], max_level: int):
+    """The fields of the previous `_WalkPlan` of (dist, bounds, max_level)."""
+    self = SimpleNamespace()
+    n = dist.n
+    rows = [dist.row(s) for s in range(n)]
+    self.bounds = bounds
+    self.max_level = max_level
+    self.pairs = sorted(pair for pair in bounds if pair[0] < pair[1])
+    slot = {}
+    for i, (s, t) in enumerate(self.pairs, 1):
+        slot[(s, t)] = slot[(t, s)] = i
+    self.offset = offset = 1 + len(self.pairs)
+    # pair -> {length: cell}, lengths ascending
+    self.cells_of = cells_of = {(s, s): {0: s} for s in range(n)}
+    self.cell_s = cell_s = list(range(n))
+    self.cell_t = cell_t = list(range(n))
+    self.cell_len = cell_len = [0] * n
+    self.base = base = [0] * n  # value index of a base cell's value, -1 for a join-only cell
+    self.join_start = join_start = array("i", [0] * (n + 1))  # cell c: joins join_start[c]:join_start[c+1]
+    self.join_left, self.join_right, self.join_bonus = array("i"), array("i"), array("i")
+    join_left, join_right, join_bonus = self.join_left, self.join_right, self.join_bonus
+
+    base_at: dict[int, list[tuple[int, int]]] = {}
+    for s, t in bounds:
+        base_at.setdefault(rows[s][t], []).append((s, t))
+    # only occupied levels are visited: base lengths, plus each length a
+    # join first reaches. A pending join is packed as via << 32 | left
+    # cell (a plan of 2**32 cells would not fit in memory), so sorting
+    # the codes sorts the joins by (via, left length).
+    levels = list(base_at)
+    heapify(levels)
+    pending: dict[int, dict[tuple[int, int], array]] = {}
+    starts: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]  # s -> (t, L, cell)
+    ends: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]  # t -> (s, L, cell)
+
+    def offer(total: int, pair: tuple[int, int], code: int) -> None:
+        slots = pending.get(total)
+        if slots is None:
+            slots = pending[total] = {}
+            if total not in base_at:
+                heappush(levels, total)
+        codes = slots.get(pair)
+        if codes is None:
+            codes = slots[pair] = array("q")
+        codes.append(code)
+
+    while levels:
+        level = heappop(levels)
+        joins_at = pending.pop(level, {})
+        top = 1 << (level.bit_length() - 1)
+        for pair in sorted(joins_at.keys() | base_at.get(level, ())):
+            s, t = pair
+            c = len(cell_len)
+            cells_of.setdefault(pair, {})[level] = c
+            cell_s.append(s)
+            cell_t.append(t)
+            cell_len.append(level)
+            base.append(slot[pair] if rows[s][t] == level else -1)
+            for code in sorted(joins_at.get(pair, ())):
+                via, left = code >> 32, code & 0xFFFFFFFF
+                l_left = cell_len[left]
+                join_left.append(offset + left)
+                join_right.append(offset + cells_of[(via, t)][level - l_left])
+                join_bonus.append(slot[pair] if max(l_left, level - l_left) < top else 0)
+            join_start.append(len(join_left))
+            # pair the new cell with every finalised cell it extends; each
+            # pair of cells is joined once, by the later of the two
+            for x, l_left, left in ends[s]:
+                bound = bounds.get((x, t))
+                if bound is not None and l_left + level <= bound:
+                    offer(l_left + level, (x, t), s << 32 | left)
+            for y, l_right, _ in starts[t]:
+                bound = bounds.get((s, y))
+                if bound is not None and level + l_right <= bound:
+                    offer(level + l_right, (s, y), t << 32 | c)
+            starts[s].append((t, level, c))
+            ends[t].append((s, level, c))
+
+    # off-diagonal cells in (s, t, L) order, the order of iter_entries
+    self.by_pair = [c for pair in sorted(cells_of) if pair[0] != pair[1] for c in cells_of[pair].values()]
+    return self
 
 
 # --- the exact checks that the target-set searches replaced -----------------

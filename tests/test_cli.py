@@ -218,6 +218,41 @@ def test_cap_exit_codes(tmp_path, ladder_file):
     assert main(["run", "oracle", str(ladder_file), "--eps", "1/4", "--max-edges", "3"]) == EXIT_CAP
 
 
+@pytest.mark.parametrize(
+    "algorithm, flag, value",
+    [("prune", "--cell-cap", "0"), ("prune", "--cell-cap", "-5"), ("iterate", "--cell-cap", "0"),
+     ("oracle", "--max-edges", "-1")],
+)
+def test_caps_below_their_least_value_are_parameter_errors(tmp_path, ladder_file, capsys, algorithm, flag, value):
+    # a cap that no run can meet is a bad parameter (3), not a resource cap (4)
+    manifest = tmp_path / "m.txt"
+    manifest.write_text(f"{ladder_file} {algorithm} eps=1/4 {flag[2:].replace('-', '_')}={value}\n")
+    assert main(["run", algorithm, str(ladder_file), "--eps", "1/4", flag, value]) == EXIT_PARAM
+    assert main(["bench", str(manifest)]) == EXIT_PARAM
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("parameter error: ") and value in line for line in err)
+
+
+def test_least_caps_are_accepted(tmp_path, ladder_file):
+    # --max-edges 0 and --cell-cap 1 are valid; the ladder trips both caps
+    assert main(["run", "oracle", str(ladder_file), "--eps", "1/4", "--max-edges", "0"]) == EXIT_CAP
+    assert main(["run", "prune", str(ladder_file), "--eps", "1/4", "--cell-cap", "1"]) == EXIT_CAP
+
+
+def test_initial_spanner_outside_the_graph_names_a_few_edges(tmp_path, capsys):
+    ladder, other = tmp_path / "ladder8.g", tmp_path / "multiladder2x4.g"
+    assert main(["gen", "ladder", "--n", "8", "--eps", "1/4", "--out", str(ladder)]) == EXIT_OK
+    assert main(["gen", "multiladder", "--k", "2", "--n", "4", "--eps", "1/4", "--out", str(other)]) == EXIT_OK
+    capsys.readouterr()
+    args = ["run", "iterate", str(ladder), "--eps", "1/4", "--initial", str(other), "--out", str(tmp_path / "o")]
+    assert main(args) == EXIT_PARAM
+    err = capsys.readouterr().err
+    missing = read_graph(other).edge_keys - read_graph(ladder).edge_keys
+    assert len(missing) > 20 and err.count("\n") == 1
+    assert err.startswith(f"error: {len(missing)} edges not in graph: ") and err.count("(") == 3
+    assert err.rstrip().endswith(", ...")
+
+
 def test_spanner_files_are_byte_identical_across_runs(tmp_path, ladder_file):
     outs = []
     for name in ("a", "b"):

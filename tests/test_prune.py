@@ -46,6 +46,7 @@ from bruteforce import (
     previous_prune,
     previous_prune_round,
     previous_select_best_triple,
+    previous_walk_plan,
     random_connected_graph,
     seeded_grid,
     walk_from_vertices,
@@ -305,6 +306,53 @@ def catalogue_instance(name):
     return g, scale_to_integers(g)[0], eps, greedy_spanner(make(True), 1 + eps).edge_keys
 
 
+PLAN_FIELDS = (
+    "pairs", "offset", "cell_s", "cell_t", "cell_len", "base",
+    "join_start", "join_left", "join_right", "join_bonus", "by_pair", "bounds", "max_level",
+)
+
+
+def assert_same_plan(g, eps):
+    """The plan of (apsp(g), eps) against the previous builder, field by
+    field; `cells_of` in insertion order, lengths included. Returns the join count."""
+    dist = apsp(g)
+    bounds, max_level = prune_module._length_bounds(dist, eps)
+    new = prune_module._WalkPlan(dist, bounds, max_level)
+    old = previous_walk_plan(dist, bounds, max_level)
+    for name in PLAN_FIELDS:
+        assert getattr(new, name) == getattr(old, name), name
+    assert [(p, list(c.items())) for p, c in new.cells_of.items()] == [
+        (p, list(c.items())) for p, c in old.cells_of.items()
+    ]
+    n = g.n
+    for i, (s, t) in enumerate(new.pairs, 1):
+        assert new.slot[s * n + t] == new.slot[t * n + s] == i
+    assert sum(map(bool, new.slot)) == 2 * len(new.pairs)
+    return len(new.join_left)
+
+
+class TestPlanAgainstPreviousBuilder:
+    """The plan builder, which joins each new cell only with partner cells
+    whose lengths fit the bound, against a verbatim copy of the builder that
+    scanned every finalised cell."""
+
+    @pytest.mark.parametrize("name", ["ladder", "multiladder", "greedyhard"])
+    def test_catalogue(self, name):
+        g, scaled, eps, _ = catalogue_instance(name)
+        assert assert_same_plan(scaled, eps) == assert_same_plan(g, eps) > 1000
+
+    @pytest.mark.parametrize("k", [4, 5, 6])
+    def test_seeded_grids(self, k):
+        assert assert_same_plan(seeded_grid(k, k), F(1, 4)) > 1000
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.randoms(use_true_random=False), st.booleans())
+    def test_random_graphs(self, rng, integer):
+        g = random_connected_graph(rng, max_n=8, max_extra=6, integer=integer)
+        for eps in (F(1, 64), F(1, 10), F(1, 4), F(1, 2), F(1)):
+            assert_same_plan(g, eps)
+
+
 class TestAgainstPreviousTables:
     """The plan and value pass against verbatim copies of the code they replaced."""
 
@@ -391,6 +439,21 @@ def copy_state(state):
     return old
 
 
+TAIL_INSTANCES = ["ladder", "multiladder", "greedyhard", "grid5", "grid5-sparse"]
+
+
+def tail_instance(name):
+    """(g, start spanner, eps) of one of TAIL_INSTANCES."""
+    if name.startswith("grid5"):
+        # the sparse start leaves cells that no pool edge hangs on, whose
+        # base and joins all tie at 0
+        g, eps = seeded_grid(5, 5), F(1, 4)
+        h = greedy_spanner(g, 1 + eps)
+        return g, g.subgraph(sorted(h.edge_keys)[::3]) if name == "grid5-sparse" else h, eps
+    _, g, eps, init = catalogue_instance(name)
+    return g, g.subgraph(init) if init else greedy_spanner(g, 1 + eps), eps
+
+
 class TestRatioOneTail:
     """Rounds after a ratio-1 round are answered without a value pass; they
     must give exactly what the previous loop, a value pass per round, gave."""
@@ -463,23 +526,33 @@ class TestRatioOneTail:
         assert lockstep(scaled, h, eps, dist, state, copy_state(before))
         assert state.rounds[-1] == old_state.rounds[len(before.rounds)]
 
-    @pytest.mark.parametrize("name", ["ladder", "multiladder", "greedyhard", "grid5", "grid5-sparse"])
+    @pytest.mark.parametrize("name", ["ladder", "multiladder", "greedyhard"])
+    def test_a_pool_shrunk_by_the_caller_is_marked_from_what_left(self, name):
+        # an edge the caller drops from h leaves the pool without being pruned
+        # or walked; the tail still answers, and must mark where it hung
+        _, scaled, eps, init = catalogue_instance(name)
+        h = scaled.subgraph(init) if init else greedy_spanner(scaled, 1 + eps)
+        dist = apsp(scaled)
+        state, old_state = PruneState(), PruneState()
+        while state.tail is None:  # up to the first ratio-1 round
+            assert lockstep(scaled, h, eps, dist, state, old_state)
+        tail, answered = state.tail, 0
+        while True:
+            pool = sorted(h.edge_keys - state.added - state.removed)
+            h = scaled.subgraph(h.edge_keys - set(pool[:1]))
+            if not lockstep(scaled, h, eps, dist, state, old_state):
+                break
+            answered += state.tail is tail
+        assert answered > 0
+
+    @pytest.mark.parametrize("name", TAIL_INSTANCES)
     def test_tail_marks_and_picks_agree_with_a_value_pass(self, name):
         # white box, every round the tail answers: a cell marked broken has a
         # value below its reference value under a full value pass for the
         # round's pool, and stays marked for the rest of the pass; a cell
         # found intact keeps its reference value and gets the value pass's
         # pick. A probe, a copy of the tail, decides every cell of the plan.
-        if name.startswith("grid5"):
-            # the sparse start leaves cells that no pool edge hangs on, whose
-            # base and joins all tie at 0
-            scaled, eps = seeded_grid(5, 5), F(1, 4)
-            h = greedy_spanner(scaled, 1 + eps)
-            if name == "grid5-sparse":
-                h = scaled.subgraph(sorted(h.edge_keys)[::3])
-        else:
-            g, scaled, eps, init = catalogue_instance(name)
-            h = scaled.subgraph(init) if init else greedy_spanner(scaled, 1 + eps)
+        scaled, h, eps = tail_instance(name)
         dist = apsp(scaled)
         state = PruneState()
         marked, tail_rounds = set(), 0
@@ -509,6 +582,45 @@ class TestRatioOneTail:
             if not exchanged:
                 break
         assert tail_rounds > 3 and marked
+
+    @pytest.mark.parametrize("name", TAIL_INSTANCES)
+    def test_marks_from_departed_edges_equal_the_changed_hanging_weights(self, name):
+        # white box, every round the tail answers: the hanging slots marked
+        # from the edges that left the pool are exactly those whose hanging
+        # weight for the round's pool differs from the reference value
+        scaled, h, eps = tail_instance(name)
+        dist = apsp(scaled)
+        state = PruneState()
+        tail_rounds = 0
+        while True:
+            tail = state.tail
+            pool = frozenset(h.edge_keys - state.added - state.removed)
+            exchanged = prune_round(scaled, h, state, eps, dist=dist)
+            if tail is not None and state.tail is tail and tail.pool == pool:
+                tail_rounds += 1
+                anchored = endpoint_hanging_sets(scaled, pool, dist, eps)
+                hanging = [sum(scaled.int_weights[k] for k in anchored[pair]) for pair in tail.plan.pairs]
+                changed = {i for i, w in enumerate(hanging, 1) if w != tail.values[i]}
+                assert {i for i in range(1, tail.plan.offset) if tail.broken[i]} == changed
+            if not exchanged:
+                break
+        assert tail_rounds > 3
+
+    def test_hanging_sets_are_built_only_for_value_passes(self, monkeypatch):
+        g, scaled, eps, init = catalogue_instance("multiladder")
+        counts = Counter()
+
+        def counted(name, original):
+            def wrapper(*args):
+                counts[name] += 1
+                return original(*args)
+            return wrapper
+
+        monkeypatch.setattr(prune_module, "endpoint_hanging_sets", counted("hanging", prune_module.endpoint_hanging_sets))
+        monkeypatch.setattr(prune_module._WalkPlan, "evaluate", counted("evaluate", prune_module._WalkPlan.evaluate))
+        _, _, states = iterate_prune(scaled, eps, initial_spanner=scaled.subgraph(init))
+        assert sum(len(st.rounds) for st in states) > 20
+        assert counts["hanging"] == counts["evaluate"] > 0
 
 
 class TestSelectBestTriple:
