@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -69,7 +70,9 @@ def _spanner_fields(g: WeightedGraph, h: WeightedGraph) -> dict:
     }
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once: parsing never changes it."""
     p = _Parser(prog="spannerlab")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -154,7 +157,10 @@ def _run_algorithm(algorithm: str, g: WeightedGraph, args) -> tuple[WeightedGrap
     if algorithm == "oracle":
         if args.eps is None:
             raise ParameterError("oracle needs --eps")
-        res = exact_opt_spanner(g, _frac(args.eps), max_edges=args.max_edges)
+        eps = _frac(args.eps)
+        if eps < 0:
+            raise ParameterError(f"oracle needs --eps >= 0, got {args.eps}")
+        res = exact_opt_spanner(g, eps, max_edges=args.max_edges)
         return g.subgraph(res.opt_edges), {"nodes_explored": res.nodes_explored}
     if args.eps is None:
         raise ParameterError(f"{algorithm} needs --eps")

@@ -26,27 +26,62 @@ class OracleResult:
     nodes_explored: int
 
 
-def _feasible(adj, keys, thresholds) -> bool:
+def _path(adj, done: dict[int, int], v: int) -> tuple[EdgeKey, ...]:
+    """The edges of a shortest path from the source of the search that
+    settled `done` (vertex -> distance, in settle order) to its vertex v,
+    over the adjacency `adj` it searched, listed from v back to the
+    source. Each step goes back to a neighbour settled earlier whose
+    distance plus the edge weight is the current one, so zero-weight ties
+    cannot loop."""
+    order = {x: i for i, x in enumerate(done)}
+    path = []
+    x = v
+    while order[x]:
+        ix, dx = order[x], done[x]
+        for y, w in adj[x]:
+            if order.get(y, ix) < ix and done[y] + w == dx:
+                break
+        path.append(edge_key(x, y))
+        x = y
+    return tuple(path)
+
+
+def _within(adj, keys, witness, k: EdgeKey, limit: int) -> bool:
+    """Is dist(u, v) <= limit for the g-edge k = (u, v) over the edge set
+    `keys`, with adjacency `adj`? `witness` maps g-edges to a path within
+    their limit found earlier: when all its edges are in `keys` the answer
+    is yes without a search, and a search that answers yes stores its path."""
+    path = witness.get(k)
+    if path is not None and keys.issuperset(path):
+        return True
+    u, v = k
+    done = dijkstra(adj, u, {v}, limit)
+    if v not in done:
+        return False
+    witness[k] = _path(adj, done, v)
+    return True
+
+
+def _feasible(adj, keys, thresholds, witness) -> bool:
     """Does the edge set `keys`, with adjacency `adj`, keep every g-edge
     within its threshold?"""
-    for (u, v), limit in thresholds.items():
-        if (u, v) in keys:
-            continue
-        if v not in dijkstra(adj, u, {v}, limit):
+    for k, limit in thresholds.items():
+        if k not in keys and not _within(adj, keys, witness, k, limit):
             return False
     return True
 
 
-def _local_ok(neighbours, adj, keys, thresholds, around: EdgeKey) -> bool:
+def _local_ok(neighbours, adj, keys, thresholds, witness, around: EdgeKey) -> bool:
     """Cheap necessary check after dropping `around` from the edge set `keys`
     (adjacency `adj`): every g-edge touching one of its endpoints (g's
-    neighbour lists are `neighbours`) must still be within threshold."""
+    neighbour lists are `neighbours`) must still be within threshold. The
+    dropped edge touches both endpoints and is checked once, first."""
+    if not _within(adj, keys, witness, around, thresholds[around]):
+        return False
     for x in around:
         for y in neighbours[x]:
             k = edge_key(x, y)
-            if k in keys:
-                continue
-            if y not in dijkstra(adj, x, {y}, thresholds[k]):
+            if k != around and k not in keys and not _within(adj, keys, witness, k, thresholds[k]):
                 return False
     return True
 
@@ -100,9 +135,15 @@ def exact_opt_spanner(g: WeightedGraph, eps, max_edges: int = 24) -> OracleResul
     threshold (1+eps)*d exactly when d' <= (p+q)*d // q. One adjacency of
     the edges still available is built once and edited in place as edges
     are excluded and restored, and the zero-weight and forced edges are
-    contracted into components once for the completion bound.
+    contracted into components once for the completion bound. Each
+    threshold check that passes keeps the path it found as a witness; a
+    later check of the same g-edge whose witness is still wholly available
+    answers yes without a search, so Dijkstra runs mostly for checks that
+    fail. eps must be >= 0 (ValueError otherwise).
     """
     eps = Fraction(eps)
+    if eps < 0:
+        raise ValueError(f"exact_opt_spanner needs eps >= 0, got {eps}")
     if not is_connected(g):
         raise ValueError("exact_opt_spanner requires a connected graph")
     weights = g.int_weights
@@ -124,13 +165,19 @@ def exact_opt_spanner(g: WeightedGraph, eps, max_edges: int = 24) -> OracleResul
     for u, v in weights:
         neighbours[u].append(v)
         neighbours[v].append(u)
+    # the edges not excluded so far; `adj` is always their adjacency
+    available = set(all_keys)
+    # g-edge -> a path within its threshold, reused while all its edges are available
+    witness: dict[EdgeKey, tuple[EdgeKey, ...]] = {}
     forced = set()
     for k in candidates:
         nodes += 1
+        available.discard(k)
         _drop(adj, k, weights[k])
-        if k[1] not in dijkstra(adj, k[0], {k[1]}, thresholds[k]):
+        if not _within(adj, available, witness, k, thresholds[k]):
             forced.add(k)
         _restore(adj, k, weights[k])
+        available.add(k)
     free = sorted((k for k in candidates if k not in forced), key=lambda k: (-weights[k], k))
     free_weights = [weights[k] for k in free]
     label, comps = components(g.n, zeros | forced)
@@ -144,9 +191,6 @@ def exact_opt_spanner(g: WeightedGraph, eps, max_edges: int = 24) -> OracleResul
     for i in range(len(free) - 1, -1, -1):
         suffix[i] = sorted(suffix[i + 1] + [(free_weights[i], free[i])])
 
-    # the edges not excluded so far; `adj` is always their adjacency
-    available = set(all_keys)
-
     def search(idx: int, chosen: set[EdgeKey], chosen_weight: int):
         nonlocal nodes, best_weight, best_edges
         nodes += 1
@@ -155,7 +199,7 @@ def exact_opt_spanner(g: WeightedGraph, eps, max_edges: int = 24) -> OracleResul
             return
         if idx == len(free):
             # each free edge is now chosen or excluded: available == base | chosen
-            if _feasible(adj, available, thresholds):
+            if _feasible(adj, available, thresholds, witness):
                 total = base_weight + chosen_weight
                 cand = tuple(sorted(available))
                 if total < best_weight or (total == best_weight and cand < best_edges):
@@ -166,7 +210,7 @@ def exact_opt_spanner(g: WeightedGraph, eps, max_edges: int = 24) -> OracleResul
         # exclusion first so light incumbents appear early
         available.discard(k)
         _drop(adj, k, w)
-        if _local_ok(neighbours, adj, available, thresholds, k):
+        if _local_ok(neighbours, adj, available, thresholds, witness, k):
             search(idx + 1, chosen, chosen_weight)
         _restore(adj, k, w)
         available.add(k)

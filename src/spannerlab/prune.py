@@ -90,13 +90,14 @@ def _hanging_pairs(edge: EdgeKey, w: int, pairs, dist: DistanceOracle, eps: Frac
     # when d >= ceil(kappa*w) and lhs <= (1+eps)*w when lhs <= floor((1+eps)*w)
     need = -(-kappa.numerator * w // kappa.denominator)
     budget = stretch_bound.numerator * w // stretch_bound.denominator
+    rows = [dist.row(x) for x in range(dist.n)]
     out = []
     for s, t in pairs:
-        dist_s = dist.row(s)
+        dist_s = rows[s]
         d = dist_s[t]
         if d < need:
             continue
-        dist_t = dist.row(t)
+        dist_t = rows[t]
         # an INF term makes the sum INF, which fails the budget
         if dist_s[a] + d + dist_t[b] <= budget or dist_s[b] + d + dist_t[a] <= budget:
             out.append((s, t))

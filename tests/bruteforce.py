@@ -1053,3 +1053,29 @@ def previous_exact_opt_spanner(g: WeightedGraph, eps, max_edges: int = 24) -> Or
 
     search(0, set(), 0, set(all_keys))
     return OracleResult(Fraction(best_weight, g.scale), frozenset(best_edges), nodes)
+
+
+# --- the hanging-pair scan before it fetched the distance rows once ---------
+#
+# Verbatim copy (renamed with a `previous_` prefix) of prune._hanging_pairs as
+# it was when it fetched both distance rows once per pair. The differential
+# test requires identical tuples, order included.
+
+
+def previous_hanging_pairs(edge: EdgeKey, w: int, pairs, dist: DistanceOracle, eps: Fraction) -> tuple:
+    """The pairs (s, t) of `pairs` at whose endpoints `edge`, of int weight w, hangs."""
+    a, b = edge
+    kappa = hanging_kappa(eps)
+    stretch_bound = 1 + eps
+    need = -(-kappa.numerator * w // kappa.denominator)
+    budget = stretch_bound.numerator * w // stretch_bound.denominator
+    out = []
+    for s, t in pairs:
+        dist_s = dist.row(s)
+        d = dist_s[t]
+        if d < need:
+            continue
+        dist_t = dist.row(t)
+        if dist_s[a] + d + dist_t[b] <= budget or dist_s[b] + d + dist_t[a] <= budget:
+            out.append((s, t))
+    return tuple(out)

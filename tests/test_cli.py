@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from spannerlab.cli import EXIT_CAP, EXIT_OK, EXIT_PARAM, EXIT_VERIFY, main
+from spannerlab.cli import EXIT_CAP, EXIT_OK, EXIT_PARAM, EXIT_VERIFY, build_parser, main
 from spannerlab.graphs import read_graph, scale_to_integers, write_graph, WeightedGraph
 from spannerlab.instances import gen_ladder
 from spannerlab.prune import iterate_prune
@@ -104,6 +104,41 @@ def test_run_oracle(tmp_path):
                  "--out", str(tmp_path / "o.spanner"), "--report", str(report)])
     assert code == EXIT_OK
     assert F(json.loads(report.read_text())["weight"]) == 2
+
+
+def test_negative_oracle_eps_is_a_parameter_error(tmp_path, capsys):
+    path = tmp_path / "l.g"
+    write_graph(gen_ladder(3, F(1, 2)), path)
+    out = tmp_path / "o.spanner"
+    message = "parameter error: oracle needs --eps >= 0, got -1/2\n"
+    assert main(["run", "oracle", str(path), "--eps=-1/2", "--out", str(out)]) == EXIT_PARAM
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+    manifest = tmp_path / "m.txt"
+    manifest.write_text(f"{path} greedy t=3/2\n{path} oracle eps=-1/2\n")
+    assert main(["bench", str(manifest), "--out", str(tmp_path / "b.csv")]) == EXIT_PARAM
+    assert capsys.readouterr().err == message
+    # eps = 0 stays valid: the optimum keeps every shortest path exact
+    assert main(["run", "oracle", str(path), "--eps", "0", "--out", str(out)]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["stretch"] == "1/1"
+
+
+def test_parser_is_built_once_and_survives_parse_errors(tmp_path, ladder_file, capsys):
+    assert build_parser() is build_parser()
+    args = ["run", "iterate", str(ladder_file), "--eps", "1/4", "--out", str(tmp_path / "o")]
+
+    def report():
+        assert main(args) == EXIT_OK
+        data = json.loads(capsys.readouterr().out)
+        del data["wall_time_s"]
+        return data
+
+    before = report()
+    for bad in (["run"], ["run", "iterate", str(ladder_file), "--cell-cap", "x"], ["gen", "ladder", "--n", "3"]):
+        assert main(bad) == EXIT_PARAM
+        err = capsys.readouterr().err
+        assert err.startswith("parameter error: ") and err.count("\n") == 1
+    assert report() == before
 
 
 def test_verify_ok_and_fail(tmp_path, ladder_file):

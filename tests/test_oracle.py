@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spannerlab.graphs import WeightedGraph, edge_key
+import spannerlab.oracle as oracle_module
+from spannerlab.graphs import WeightedGraph, dijkstra, edge_key
 from spannerlab.hardness import ABOVE, BELOW, Clause, SatInstance, reduce_sat
 from spannerlab.instances import gen_ladder, ladder_u, ladder_v
 from spannerlab.oracle import (
@@ -66,6 +67,10 @@ class TestExactOptSpanner:
         g = WeightedGraph(8, edges)
         with pytest.raises(OracleCapError):
             exact_opt_spanner(g, F(1, 2), max_edges=10)
+
+    def test_rejects_negative_eps(self):
+        with pytest.raises(ValueError, match="eps >= 0"):
+            exact_opt_spanner(gen_ladder(3, F(1, 2)), F(-1, 2))
 
     def test_rejects_disconnected(self):
         with pytest.raises(ValueError):
@@ -139,6 +144,92 @@ class TestAgainstPreviousOracle:
             # one for the distance oracle, one for the search
             assert len(calls) == 2
         assert max(explored) > 10 * min(explored)
+
+
+def _zero_weighted(rng, g, zero_prob):
+    """g with each weight zeroed at probability zero_prob and, on three or
+    more vertices, a cycle of zero-weight edges added or zeroed."""
+    weights = {k: F(0) if rng.random() < zero_prob else w for k, w in g.weights.items()}
+    if g.n >= 3:
+        cycle = rng.sample(range(g.n), rng.randint(3, min(g.n, 5)))
+        for x, y in zip(cycle, cycle[1:] + cycle[:1]):
+            weights[edge_key(x, y)] = F(0)
+    return WeightedGraph(g.n, tuple((u, v, w) for (u, v), w in sorted(weights.items())))
+
+
+def _check_witness_answers(mp, g) -> list[bool]:
+    """Wrap the oracle's `_within` on g so that every answer is checked
+    against a fresh search over an adjacency rebuilt from the same edge set,
+    and every witness it keeps is a u-v path over that edge set within the
+    limit. Returns the answers, appended as they are given."""
+    real = oracle_module._within
+    answers = []
+
+    def checked(adj, keys, witness, k, limit):
+        got = real(adj, keys, witness, k, limit)
+        fresh = g.int_adjacency(keys)
+        assert [sorted(row) for row in adj] == [sorted(row) for row in fresh]
+        u, v = k
+        assert got == (v in dijkstra(fresh, u, {v}, limit))
+        if got:
+            # the witness runs from v back to u
+            x, total = v, 0
+            for e in witness[k]:
+                assert e in keys and x in e
+                x = e[0] if x == e[1] else e[1]
+                total += g.int_weights[e]
+            assert x == u and total <= limit
+        answers.append(got)
+        return got
+
+    mp.setattr(oracle_module, "_within", checked)
+    return answers
+
+
+class TestWitnessPaths:
+    """Threshold checks answered from stored witness paths give the same
+    booleans as a fresh search, and every stored witness is a real path."""
+
+    def test_sat_threshold_graphs(self):
+        eps = F(1, 10)
+        for inst in _hardness_catalogue():
+            g = reduce_sat(inst, eps).graph
+            with pytest.MonkeyPatch.context() as mp:
+                answers = _check_witness_answers(mp, g)
+                exact_opt_spanner(g, eps, max_edges=64)
+            assert True in answers and False in answers
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.randoms(use_true_random=False), st.booleans(), st.sampled_from([0, 0.2, 0.5]))
+    def test_drawn_graphs_with_zero_weight_cycles(self, rng, integer, zero_prob):
+        g = random_connected_graph(rng, max_n=7, max_extra=6, max_w=6, integer=integer)
+        g = _zero_weighted(rng, g, zero_prob)
+        for eps in (F(0), F(1, 10), F(1, 3), F(1)):
+            with pytest.MonkeyPatch.context() as mp:
+                _check_witness_answers(mp, g)
+                res = exact_opt_spanner(g, eps)
+            assert res == previous_exact_opt_spanner(g, eps)
+
+    def test_dijkstra_calls_on_the_sat_catalogue(self, monkeypatch):
+        # Searching afresh for every check, and checking the dropped edge
+        # from both of its endpoints, took 16,751 calls here, 13,768 of them
+        # answering yes. Witnesses leave mostly the checks that fail.
+        real = oracle_module.dijkstra
+        calls = []
+
+        def counting(adj, source, targets=None, limit=None):
+            done = real(adj, source, targets, limit)
+            calls.append(all(t in done for t in targets))
+            return done
+
+        monkeypatch.setattr(oracle_module, "dijkstra", counting)
+        eps = F(1, 10)
+        nodes = sum(
+            exact_opt_spanner(reduce_sat(inst, eps).graph, eps, max_edges=64).nodes_explored
+            for inst in _hardness_catalogue()
+        )
+        assert nodes == 14_793
+        assert (len(calls), sum(calls)) == (3_346, 363)
 
 
 class TestSatBruteForce:

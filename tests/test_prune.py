@@ -42,6 +42,7 @@ from bruteforce import (
     brute_endpoint_hanging_sets,
     is_hanging,
     previous_fill_tables,
+    previous_hanging_pairs,
     previous_iterate_prune,
     previous_prune,
     previous_prune_round,
@@ -180,6 +181,22 @@ class TestEndpointHangingSets:
     def test_no_diagonal_entries(self):
         g, dist, tables = ladder_tables(3, with_center_rung=True)
         assert (2, 2) not in tables.anchored
+
+    @pytest.mark.parametrize("name", ["ladder", "multiladder", "greedyhard", "grid"])
+    def test_memoised_pairs_match_the_previous_scan(self, name):
+        # the pairs of every edge, as memoised on the oracle, against the scan
+        # that fetched both distance rows per pair: same tuples, same order
+        if name == "grid":
+            g, eps = seeded_grid(5, 5), EPS
+        else:
+            _, g, eps, _ = catalogue_instance(name)
+        dist = apsp(g)
+        endpoint_hanging_sets(g, g.edge_keys, dist, eps)
+        pairs, _, hangs_at = dist.memo[("hanging", eps)]
+        assert hangs_at.keys() == g.edge_keys
+        assert any(hangs_at.values())
+        for k, at in hangs_at.items():
+            assert at == previous_hanging_pairs(k, g.int_weights[k], pairs, dist, eps)
 
 
 class TestFillTables:
