@@ -21,7 +21,7 @@ from .graphs import INF, WeightedGraph, read_graph, stretch, write_graph
 from .greedy import greedy_spanner
 from .hardness import read_sat, reduce_sat, write_sidecar
 from .instances import gen_greedy_hard, gen_ladder, gen_multiladder
-from .oracle import OracleCapError, exact_opt_spanner
+from .oracle import DEFAULT_MAX_EDGES, OracleCapError, exact_opt_spanner
 from .prune import DEFAULT_CELL_CAP, CellCapError, iterate_prune, prune, prune_with_scaling
 
 EXIT_OK = 0
@@ -106,7 +106,7 @@ def build_parser() -> _Parser:
     r.add_argument("--eps", default=None)
     r.add_argument("--t", default=None, help="stretch target for greedy (default 1+eps)")
     r.add_argument("--initial", default=None, help="initial spanner file for prune/iterate")
-    r.add_argument("--max-edges", type=int, default=24)
+    r.add_argument("--max-edges", type=int, default=DEFAULT_MAX_EDGES)
     r.add_argument("--cell-cap", type=int, default=DEFAULT_CELL_CAP)
     r.add_argument("--out", default=None, help="spanner edge-list output")
     r.add_argument("--report", default=None, help="JSON report output")
@@ -224,6 +224,8 @@ def _cmd_verify(args) -> int:
     g = read_graph(args.graph)
     h = read_graph(args.spanner)
     eps = _frac(args.eps)
+    if eps < 0:
+        raise ParameterError(f"verify needs --eps >= 0, got {args.eps}")
     if not h.is_subgraph_of(g):
         raise ParameterError("spanner file is not a subgraph of the graph file")
     s = stretch(g, h)
@@ -271,7 +273,7 @@ def _cmd_bench(args) -> int:
             eps=params.get("eps"),
             t=params.get("t"),
             initial=params.get("initial"),
-            max_edges=int(params.get("max_edges", 24)),
+            max_edges=int(params.get("max_edges", DEFAULT_MAX_EDGES)),
             cell_cap=int(params.get("cell_cap", DEFAULT_CELL_CAP)),
         )
         started = time.perf_counter()

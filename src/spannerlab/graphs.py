@@ -346,13 +346,6 @@ def stretch(g: WeightedGraph, h: WeightedGraph):
     return Fraction(num, den)
 
 
-def floor_pow2(x: int) -> int:
-    """Largest power of two not exceeding x (x must be a positive integer)."""
-    if not isinstance(x, int) or isinstance(x, bool) or x < 1:
-        raise ValueError(f"floor_pow2 needs a positive integer, got {x!r}")
-    return 1 << (x.bit_length() - 1)
-
-
 def scale_to_integers(g: WeightedGraph) -> tuple[WeightedGraph, Fraction]:
     """Uniformly rescale so every weight is an integer; returns (graph, scale).
 

@@ -8,6 +8,8 @@ from fractions import Fraction
 from .graphs import INF, EdgeKey, WeightedGraph, _find, apsp, components, dijkstra, edge_key, is_connected, stretch
 from .hardness import SatInstance
 
+DEFAULT_MAX_EDGES = 24
+
 
 class OracleCapError(RuntimeError):
     """Instance exceeds the configured exhaustive-search budget."""
@@ -122,7 +124,7 @@ def _completion_bound(label: list[int], comps: int, chosen, free_rest) -> int | 
     return None
 
 
-def exact_opt_spanner(g: WeightedGraph, eps, max_edges: int = 24) -> OracleResult:
+def exact_opt_spanner(g: WeightedGraph, eps, max_edges: int = DEFAULT_MAX_EDGES) -> OracleResult:
     """Exact minimum-weight (1+eps)-spanner by exhaustive branch and bound.
 
     Weight-zero edges can only help and are always included, so the cap

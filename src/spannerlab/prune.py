@@ -4,11 +4,11 @@ One pruning pass repeatedly searches, over all vertex pairs (s, t) and every
 length L up to (1+eps) times the s-t distance, for a walk of weight exactly L
 on which a heavy multiset of current spanner edges "hangs" (each edge admits
 a nearby detour through a sub-walk covering a constant fraction of its
-weight). The best walk-to-multiset weight ratio is realised via a
-table of entries indexed by (source, target, length) with backpointers, the
-walk is added, and the hanging edges are dropped. Which cells exist and how
-they join depends only on the distances and eps, so that plan is built once
-per graph and eps; each round only recomputes the values. Passes are
+weight). The best walk-to-multiset weight ratio is realised via a table
+of numbered (source, target, length) cells, each with the join it picked;
+the walk is added, and the hanging edges are dropped. Which cells exist and
+how they join depends only on the distances and eps, so that plan is built
+once per graph and eps; each round only recomputes the values. Passes are
 repeated a number of times governed by the iterated logarithm of 1/eps.
 Weights may be any positive rationals: lengths, distances and the weights in
 the logs are the graph's ints, in units of 1/scale (see `graphs`).
@@ -102,20 +102,6 @@ def _hanging_pairs(edge: EdgeKey, w: int, pairs, dist: DistanceOracle, eps: Frac
         if dist_s[a] + d + dist_t[b] <= budget or dist_s[b] + d + dist_t[a] <= budget:
             out.append((s, t))
     return tuple(out)
-
-
-@dataclass(frozen=True)
-class DpEntry:
-    """One realizable (source, target, length) cell.
-
-    `back` is None for a base cell (the walk is the canonical shortest path)
-    and (via, left_length, collected_anchor) for a cell built by joining two
-    sub-cells at `via`; `collected_anchor` records whether the endpoint
-    hanging set of the pair was added on top of the two sub-values.
-    """
-
-    value: int
-    back: tuple[int, int, bool] | None
 
 
 def _length_bounds(dist: DistanceOracle, eps: Fraction) -> tuple[dict[tuple[int, int], int], int]:
@@ -263,7 +249,7 @@ class _WalkPlan:
                                 heappush(levels, level + l)
                         slots.setdefault(out, []).append(t << 32 | c)
 
-        # off-diagonal cells in (s, t, L) order, the order of iter_entries
+        # off-diagonal cells in (s, t, L) order
         self.by_pair = [c for pair in sorted(cells_of) if pair[0] != pair[1] for c in cells_of[pair].values()]
 
     def evaluate(self, hanging: list[int]) -> tuple[list[int], array]:
@@ -306,49 +292,22 @@ def _walk_plan(dist: DistanceOracle, eps: Fraction, cap: int) -> _WalkPlan:
 
 
 class WalkTables:
-    """Length-indexed tables of realizable walks and their hanging weight.
+    """The walk tables of one round: the plan's numbered cells, the round's
+    `values` (indexed as in `_WalkPlan`) and each cell's picked join in
+    `picks` (-1: the base cell, whose walk is the canonical shortest path).
 
     For a pair (s, t), cells exist for integer lengths L up to
     (1+eps) * dist(s, t); a cell is realizable when a walk of weight exactly
     L exists that is derivable from shortest paths by concatenation. Each
-    realizable cell stores the heaviest multiset weight of pool edges
+    realizable cell's value is the heaviest multiset weight of pool edges
     hanging on its walk that the join rule can certify. `entries` maps each
-    pair to its cells (length -> cell number of the plan); `entry`, `levels`
-    and `iter_entries` build DpEntry values on access.
+    pair to its cells (length -> cell number).
     """
 
     def __init__(self, dist, pool, anchored, plan: _WalkPlan, values, picks):
-        self.dist = dist
-        self.pool = pool
-        self.anchored = anchored
-        self.bounds = plan.bounds
-        self.max_level = plan.max_level
-        self.entries = plan.cells_of
-        self._plan = plan
-        self._values = values
-        self._picks = picks
-
-    def _entry(self, c: int) -> DpEntry:
-        plan = self._plan
-        value = self._values[plan.offset + c]
-        j = self._picks[c]
-        if j < 0:
-            return DpEntry(value, None)
-        left = plan.join_left[j] - plan.offset
-        return DpEntry(value, (plan.cell_t[left], plan.cell_len[left], plan.join_bonus[j] != 0))
-
-    def entry(self, s: int, t: int, length: int) -> DpEntry | None:
-        c = self.entries.get((s, t), {}).get(length)
-        return None if c is None else self._entry(c)
-
-    def levels(self, s: int, t: int) -> list[int]:
-        return list(self.entries.get((s, t), {}))
-
-    def iter_entries(self):
-        """Yield (s, t, L, entry) for every realizable off-diagonal cell."""
-        plan = self._plan
-        for c in plan.by_pair:
-            yield plan.cell_s[c], plan.cell_t[c], plan.cell_len[c], self._entry(c)
+        self.dist, self.pool, self.anchored = dist, pool, anchored
+        self.plan, self.values, self.picks = plan, values, picks
+        self.entries, self.max_level = plan.cells_of, plan.max_level
 
 
 def fill_tables(
@@ -366,11 +325,11 @@ def fill_tables(
     equal to the weight of the endpoint hanging set. A cell (s, t, L) is
     realizable through a join when some via vertex z and split 0 < L' < L
     have both sub-cells realizable; its value maximises left + right, plus
-    the endpoint hanging weight of (s, t) whenever
-    max(L', L - L') < floor_pow2(L). Which cells exist and
-    how they join is planned once per (dist, eps), where `dist` is the
-    oracle of g; each round only re-evaluates the plan, in ascending length
-    order, for the pool's hanging weights.
+    the endpoint hanging weight of (s, t) whenever max(L', L - L') is below
+    the largest power of two not above L. Which cells exist and how they
+    join is planned once per (dist, eps), where `dist` is the oracle of g;
+    each round only re-evaluates the plan, in ascending length order, for
+    the pool's hanging weights.
     """
     eps = Fraction(eps)
     if eps <= 0:
@@ -390,7 +349,7 @@ def select_best_triple(tables: WalkTables):
     letting a longer walk trade structure away for no weight gain. Returns
     (s, t, L, ratio) or None when every value is zero.
     """
-    plan, values = tables._plan, tables._values
+    plan, values = tables.plan, tables.values
     offset, cell_len = plan.offset, plan.cell_len
     # value / L > best_value / best_length, compared as ints; the first cell
     # (in (s, t, L) order) reaching the maximum keeps it
@@ -412,45 +371,40 @@ def reconstruct(tables: WalkTables, s: int, t: int, length: int) -> tuple[Walk, 
     the multiset weight equals the cell value; shared sub-cells are expanded
     once.
     """
-    root = (s, t, length)
-    if tables.entry(*root) is None:
-        raise ValueError(f"cell {root} is not realizable")
-    done: dict[tuple[int, int, int], tuple[Walk, Counter]] = {}
-    stack: list[tuple[tuple[int, int, int], bool]] = [(root, False)]
+    root = tables.entries.get((s, t), {}).get(length)
+    if root is None:
+        raise ValueError(f"cell {(s, t, length)} is not realizable")
+    plan, picks, dist, anchored = tables.plan, tables.picks, tables.dist, tables.anchored
+    offset, cell_s, cell_t = plan.offset, plan.cell_s, plan.cell_t
+    done: dict[int, tuple[Walk, Counter]] = {}
+    stack: list[tuple[int, bool]] = [(root, False)]
     while stack:
-        key, expanded = stack.pop()
-        if key in done:
+        c, expanded = stack.pop()
+        if c in done:
             continue
-        ks, kt, kl = key
-        entry = tables.entry(ks, kt, kl)
-        if entry is None:
-            raise ValueError(f"cell {key} is not realizable")
-        if entry.back is None:
-            if ks == kt:
-                walk = Walk((ks,), ())
+        cs, ct, j = cell_s[c], cell_t[c], picks[c]
+        if j < 0:
+            if cs == ct:
+                walk = Walk((cs,), ())
                 mset = Counter()
             else:
-                walk = tables.dist.path(ks, kt)
-                mset = Counter(tables.anchored[(ks, kt)])
-            if walk.weight * tables.dist.scale != kl:
-                raise AssertionError(f"base walk weight {walk.weight} != level {kl}/{tables.dist.scale}")
-            done[key] = (walk, mset)
+                walk = dist.path(cs, ct)
+                mset = Counter(anchored[(cs, ct)])
+            if walk.weight * dist.scale != plan.cell_len[c]:
+                raise AssertionError(f"base walk weight {walk.weight} != level {plan.cell_len[c]}/{dist.scale}")
+            done[c] = (walk, mset)
             continue
-        via, l_left, collected = entry.back
-        left = (ks, via, l_left)
-        right = (via, kt, kl - l_left)
+        left, right = plan.join_left[j] - offset, plan.join_right[j] - offset
         if not expanded:
-            stack.append((key, True))
-            stack.append((right, False))
-            stack.append((left, False))
+            stack += ((c, True), (right, False), (left, False))
             continue
         lw, lm = done[left]
         rw, rm = done[right]
         # a fresh sum, so updating it leaves the shared sub-results alone
         mset = lm + rm
-        if collected:
-            mset.update(tables.anchored[(ks, kt)])
-        done[key] = (concat(lw, rw), mset)
+        if plan.join_bonus[j]:
+            mset.update(anchored[(cs, ct)])
+        done[c] = (concat(lw, rw), mset)
     return done[root]
 
 
@@ -490,17 +444,17 @@ class _Tail:
     hanging weight leaves v0 exactly when a departed pool edge hangs there;
     the other pairs keep the reference round's `anchored` sets. A broken
     cell stays broken for the pass. Valid for the same g, oracle and eps
-    and a pool within the last.
+    and a pool within the last. The reference round's `tables` answer the
+    walks: their picks are rewritten for the cells found intact.
     """
 
-    def __init__(self, g: WeightedGraph, dist: DistanceOracle, eps: Fraction, tables: WalkTables):
-        self.g, self.dist, self.eps, self.pool = g, dist, eps, tables.pool
-        self.plan, self.values = plan, values = tables._plan, tables._values
-        self.anchored = tables.anchored
+    def __init__(self, g: WeightedGraph, eps: Fraction, tables: WalkTables):
+        plan, values = tables.plan, tables.values
+        self.g, self.dist, self.eps, self.pool = g, tables.dist, eps, tables.pool
+        self.tables, self.plan, self.values, self.picks = tables, plan, values, tables.picks
         self.cands = [c for c in plan.by_pair if values[plan.offset + c] == plan.cell_len[c]]
         self.cursor = 0  # cands before it are broken
         self.broken = bytearray(len(values))  # by value index
-        self.picks = tables._picks  # rewritten for the cells found intact
 
     def best(self, pool: frozenset) -> int | None:
         """The cell the value pass would select for `pool`, or None when no
@@ -597,11 +551,11 @@ def prune_round(
     eps = Fraction(eps)
     tail = state.tail
     if tail and tail.g is g and tail.dist is dist and tail.eps == eps and pool <= tail.pool:
-        plan = _walk_plan(dist, eps, cell_cap)
+        plan, tables = tail.plan, tail.tables
+        _check_cap(plan.max_level, cell_cap)
         cell = tail.best(pool)
         if cell is None:
             return False
-        tables = WalkTables(dist, pool, tail.anchored, plan, tail.values, tail.picks)
         s, t, length, beta = plan.cell_s[cell], plan.cell_t[cell], plan.cell_len[cell], Fraction(1)
     else:
         tables = fill_tables(g, pool, dist, eps, cell_cap)
@@ -611,7 +565,7 @@ def prune_round(
         s, t, length, beta = best
         if beta < 1:
             return False
-        state.tail = _Tail(g, dist, eps, tables) if beta == 1 else None
+        state.tail = _Tail(g, eps, tables) if beta == 1 else None
     walk, mset = reconstruct(tables, s, t, length)
     support = frozenset(mset)
     state.added |= walk.edge_keys()
@@ -739,8 +693,6 @@ class ScalingLog:
     scaled: bool
     iterations: list[IterationLog]
     inner_stretch: Fraction | None = None
-    contracted_vertices: int | None = None
-    small_edge_count: int | None = None
 
 
 def contract_and_round(g: WeightedGraph, eps) -> tuple[WeightedGraph, dict[EdgeKey, EdgeKey]]:
@@ -816,12 +768,5 @@ def prune_with_scaling(
     inner, logs, _ = iterate_prune(contracted, eps, cell_cap=cell_cap)
     inner_stretch = stretch(contracted, inner)
     keep = {back[k] for k in inner.edge_keys}
-    small = {k for k, w in weights.items() if w * n <= w_max}
-    keep |= small
-    return g.subgraph(keep), ScalingLog(
-        scaled=True,
-        iterations=logs,
-        inner_stretch=inner_stretch,
-        contracted_vertices=contracted.n,
-        small_edge_count=len(small),
-    )
+    keep |= {k for k, w in weights.items() if w * n <= w_max}
+    return g.subgraph(keep), ScalingLog(scaled=True, iterations=logs, inner_stretch=inner_stretch)

@@ -4,16 +4,17 @@ Everything here enumerates: simple paths for distances, edge subsets for
 spanning structures and optimum spanners. Nothing imports algorithmic code
 from the package beyond the graph container itself, except the definitional
 references in the middle (walks built from vertex lists, hanging witnesses
-on a walk, edge normalization), which read the package's distance oracle,
-and the `previous_*` reference copies at the end, which keep replaced table,
-round-loop and exact-check code for differential tests and use the
-package's small helpers.
+on a walk, edge normalization, floor_pow2), which read the package's
+distance oracle, and the `previous_*` reference copies at the end, which
+keep replaced table, round-loop and exact-check code for differential tests
+and use the package's small helpers.
 """
 from __future__ import annotations
 
 import random
 import warnings
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -21,20 +22,29 @@ from itertools import combinations
 from types import SimpleNamespace
 from typing import Sequence
 
-from spannerlab.graphs import INF, DistanceOracle, EdgeKey, Walk, WeightedGraph, apsp, edge_key, is_connected, stretch
+from spannerlab.graphs import (
+    INF,
+    DistanceOracle,
+    EdgeKey,
+    Walk,
+    WeightedGraph,
+    apsp,
+    concat,
+    edge_key,
+    is_connected,
+    stretch,
+)
 from spannerlab.greedy import greedy_spanner
 from spannerlab.oracle import OracleCapError, OracleResult
 from spannerlab.prune import (
     DEFAULT_CELL_CAP,
     CellCapError,
-    DpEntry,
     IterationLog,
     PruneState,
     RoundLog,
     _require_positive,
     hanging_kappa,
     log_star_ceil,
-    reconstruct,
 )
 
 
@@ -209,7 +219,7 @@ def brute_endpoint_hanging_sets(g: WeightedGraph, pool, eps):
     return out
 
 
-def brute_walk_tables(g: WeightedGraph, pool, dist, eps, floor_pow2, anchored_weight):
+def brute_walk_tables(g: WeightedGraph, pool, dist, eps, anchored_weight):
     """Reference for the length-table recurrence, enumerated directly:
     a cell (s, t, L) is realizable iff L equals the pair distance or some via
     vertex z and split 0 < L' < L have both halves realizable; its value is
@@ -295,9 +305,10 @@ def seeded_grid(k: int, seed: int) -> WeightedGraph:
 
 # --- definitional references ------------------------------------------------
 #
-# Walks from vertex lists, hanging witnesses searched along a whole walk, and
-# edge normalization: straight from their definitions, in Fractions. The
-# package needs none of them; tests check its results against them.
+# Walks from vertex lists, hanging witnesses searched along a whole walk,
+# edge normalization and floor_pow2: straight from their definitions, in
+# Fractions. The package needs none of them; tests check its results against
+# them.
 
 
 def walk_from_vertices(g: WeightedGraph, vertices: Sequence[int]) -> Walk:
@@ -369,6 +380,13 @@ def is_hanging(dist: DistanceOracle, edge, walk: Walk, kappa, eps) -> HangingWit
     return None
 
 
+def floor_pow2(x: int) -> int:
+    """Largest power of two not exceeding x (x must be a positive integer)."""
+    if not isinstance(x, int) or isinstance(x, bool) or x < 1:
+        raise ValueError(f"floor_pow2 needs a positive integer, got {x!r}")
+    return 1 << (x.bit_length() - 1)
+
+
 def normalize_edges(g: WeightedGraph) -> WeightedGraph:
     """Drop every edge that is strictly heavier than the distance it spans.
 
@@ -383,11 +401,13 @@ def normalize_edges(g: WeightedGraph) -> WeightedGraph:
 # --- the pruning table code that the plan and value pass replaced ------------
 #
 # Verbatim copies (renamed with a `previous_` prefix) of endpoint_hanging_sets,
-# WalkTables, fill_tables and select_best_triple as they were before the
-# pruning tables were split into a pool-independent plan and a per-round value
-# pass. The differential tests require the new code to produce the same cells,
-# backpointers, best triples and round logs. The integer-weight precondition
-# below is a copy too, since the package's pruning now takes rational weights.
+# WalkTables, fill_tables, select_best_triple and reconstruct as they were
+# before the pruning tables were split into a pool-independent plan and a
+# per-round value pass, with the DpEntry cells they stored. The differential
+# tests require the new code to produce the same cells, backpointers, best
+# triples, walks and round logs; `table_cells` reads the package's tables
+# as such cells. The integer-weight precondition below is a copy too, since
+# the package's pruning now takes rational weights.
 
 
 def _require_positive_integers(g: WeightedGraph) -> None:
@@ -436,6 +456,37 @@ def previous_endpoint_hanging_sets(
             fs = frozenset(members)
             out[(s, t)] = fs
             out[(t, s)] = fs
+    return out
+
+
+@dataclass(frozen=True)
+class DpEntry:
+    """One realizable (source, target, length) cell.
+
+    `back` is None for a base cell (the walk is the canonical shortest path)
+    and (via, left_length, collected_anchor) for a cell built by joining two
+    sub-cells at `via`; `collected_anchor` records whether the endpoint
+    hanging set of the pair was added on top of the two sub-values.
+    """
+
+    value: int
+    back: tuple[int, int, bool] | None
+
+
+def table_cells(tables) -> dict[tuple[int, int, int], DpEntry]:
+    """Every cell of the package's walk tables, the diagonal included, in
+    (s, t, L) order: {(s, t, L): DpEntry}, built from the plan's numbered
+    cells and the round's values and picks."""
+    plan, values, picks = tables.plan, tables.values, tables.picks
+    out = {}
+    for (s, t), cells in sorted(plan.cells_of.items()):
+        for length, c in cells.items():
+            j = picks[c]
+            back = None
+            if j >= 0:
+                left = plan.join_left[j] - plan.offset
+                back = (plan.cell_t[left], plan.cell_len[left], plan.join_bonus[j] != 0)
+            out[(s, t, length)] = DpEntry(values[plan.offset + c], back)
     return out
 
 
@@ -628,13 +679,63 @@ def previous_select_best_triple(tables: PreviousWalkTables):
     return s, t, length, ratio
 
 
+def previous_reconstruct(tables: PreviousWalkTables, s: int, t: int, length: int) -> tuple[Walk, Counter]:
+    """Extract the walk and hanging multiset (edge key -> multiplicity) of a
+    realizable cell.
+
+    The walk weighs exactly `length` in units of 1/scale of the oracle, and
+    the multiset weight equals the cell value; shared sub-cells are expanded
+    once.
+    """
+    root = (s, t, length)
+    if tables.entry(*root) is None:
+        raise ValueError(f"cell {root} is not realizable")
+    done: dict[tuple[int, int, int], tuple[Walk, Counter]] = {}
+    stack: list[tuple[tuple[int, int, int], bool]] = [(root, False)]
+    while stack:
+        key, expanded = stack.pop()
+        if key in done:
+            continue
+        ks, kt, kl = key
+        entry = tables.entry(ks, kt, kl)
+        if entry is None:
+            raise ValueError(f"cell {key} is not realizable")
+        if entry.back is None:
+            if ks == kt:
+                walk = Walk((ks,), ())
+                mset = Counter()
+            else:
+                walk = tables.dist.path(ks, kt)
+                mset = Counter(tables.anchored[(ks, kt)])
+            if walk.weight * tables.dist.scale != kl:
+                raise AssertionError(f"base walk weight {walk.weight} != level {kl}/{tables.dist.scale}")
+            done[key] = (walk, mset)
+            continue
+        via, l_left, collected = entry.back
+        left = (ks, via, l_left)
+        right = (via, kt, kl - l_left)
+        if not expanded:
+            stack.append((key, True))
+            stack.append((right, False))
+            stack.append((left, False))
+            continue
+        lw, lm = done[left]
+        rw, rm = done[right]
+        # a fresh sum, so updating it leaves the shared sub-results alone
+        mset = lm + rm
+        if collected:
+            mset.update(tables.anchored[(ks, kt)])
+        done[key] = (concat(lw, rw), mset)
+    return done[root]
+
+
 # --- the pruning round loop before the ratio-1 tail ---------------------------
 #
 # Copies (renamed with a `previous_` prefix) of prune_round, prune and
 # iterate_prune as they were when every round ran a full value pass, verbatim
-# except that they call previous_fill_tables and previous_select_best_triple
-# above, so no part of the reference runs the package's tables. Those need
-# integer weights: run the copies on the scaled graph. `reconstruct` and the
+# except that they call previous_fill_tables, previous_select_best_triple and
+# previous_reconstruct above, so no part of the reference runs the package's
+# tables. Those need integer weights: run the copies on the scaled graph. The
 # log types are the package's, which that change left as they were. The
 # differential tests require equal round logs, edge sets and iteration logs.
 
@@ -664,7 +765,7 @@ def previous_prune_round(
     s, t, length, beta = best
     if beta < 1:
         return False
-    walk, mset = reconstruct(tables, s, t, length)
+    walk, mset = previous_reconstruct(tables, s, t, length)
     support = frozenset(mset)
     state.added |= walk.edge_keys()
     state.removed |= support

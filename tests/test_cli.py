@@ -151,6 +151,17 @@ def test_verify_ok_and_fail(tmp_path, ladder_file):
     assert main(["verify", str(ladder_file), str(stars), "--eps", "1/4"]) == EXIT_VERIFY
 
 
+def test_negative_verify_eps_is_a_parameter_error(ladder_file, capsys):
+    args = ["verify", str(ladder_file), str(ladder_file)]
+    assert main([*args, "--eps=-1/2"]) == EXIT_PARAM
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "parameter error: verify needs --eps >= 0, got -1/2\n"
+    # eps = 0 stays valid: a graph checked against itself has stretch exactly 1
+    assert main([*args, "--eps", "0"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["stretch"] == "1/1"
+
+
 def test_parameter_errors(tmp_path, ladder_file):
     assert main(["run", "prune", str(ladder_file)]) == EXIT_PARAM  # missing eps
     assert main(["gen", "ladder", "--n", "3", "--eps", "0", "--out", str(tmp_path / "x")]) == EXIT_PARAM

@@ -14,7 +14,6 @@ from spannerlab.graphs import (
     concat,
     dijkstra,
     edge_key,
-    floor_pow2,
     format_graph,
     is_connected,
     parse_graph,
@@ -27,6 +26,7 @@ from bruteforce import (
     brute_all_distances,
     brute_shortest,
     brute_stretch_over_pairs,
+    floor_pow2,
     normalize_edges,
     previous_stretch,
     walk_from_vertices,

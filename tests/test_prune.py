@@ -46,10 +46,12 @@ from bruteforce import (
     previous_iterate_prune,
     previous_prune,
     previous_prune_round,
+    previous_reconstruct,
     previous_select_best_triple,
     previous_walk_plan,
     random_connected_graph,
     seeded_grid,
+    table_cells,
     walk_from_vertices,
 )
 
@@ -79,6 +81,11 @@ def rung(n, i):
 def hanging_weight(g, tables, pair):
     """The endpoint hanging weight of `pair`, summed from `tables.anchored`."""
     return sum(g.int_weights[k] for k in tables.anchored[pair])
+
+
+def levels(tables, s, t):
+    """The lengths of the cells of (s, t), ascending."""
+    return [length for a, b, length in table_cells(tables) if (a, b) == (s, t)]
 
 
 def ladder_tables(n, with_center_rung):
@@ -204,7 +211,7 @@ class TestFillTables:
         n = 4
         g, dist, tables = ladder_tables(n, with_center_rung=False)
         u0, v0 = ladder_u(0), ladder_v(n, 0)
-        entry = tables.entry(u0, v0, 8)
+        entry = table_cells(tables).get((u0, v0, 8))
         assert entry is not None and entry.back is None
         assert entry.value == 32  # four rungs of scaled weight 8 each
         assert entry.value >= hanging_weight(g, tables, (u0, v0))
@@ -212,15 +219,15 @@ class TestFillTables:
     def test_single_edge_graph_has_only_base(self):
         g = WeightedGraph(2, ((0, 1, F(3)),))
         tables = fill_tables(g, g.edge_keys, apsp(g), EPS)
-        assert tables.levels(0, 1) == [3]
-        assert tables.levels(1, 0) == [3]
+        assert levels(tables, 0, 1) == [3]
+        assert levels(tables, 1, 0) == [3]
 
     def test_values_dominate_anchored_weight_at_base_length(self):
         n = 4
         g, dist, tables = ladder_tables(n, with_center_rung=True)
         seen = 0
-        for s, t, length, entry in tables.iter_entries():
-            if length == int(dist.dist(s, t)):
+        for (s, t, length), entry in table_cells(tables).items():
+            if s != t and length == int(dist.dist(s, t)):
                 assert entry.value >= hanging_weight(g, tables, (s, t))
                 seen += 1
         assert seen > 50
@@ -241,7 +248,7 @@ class TestFillTables:
     def test_accepts_rational_weights(self):
         # lengths and log weights are ints in units of 1/scale
         g = WeightedGraph(2, ((0, 1, F(1, 2)),))
-        assert fill_tables(g, g.edge_keys, apsp(g), EPS).levels(0, 1) == [1]
+        assert levels(fill_tables(g, g.edge_keys, apsp(g), EPS), 0, 1) == [1]
         h, state = prune(g, g, EPS)
         assert h == g and [(r.length, r.walk_weight, r.multiset_weight) for r in state.rounds] == [(1, 1, 1)]
         # the spanner drops the only half-integer edge, so its own scale is 1,
@@ -255,7 +262,6 @@ class TestFillTables:
         import random
 
         from bruteforce import brute_walk_tables
-        from spannerlab.graphs import floor_pow2
 
         rng = random.Random(99)
         compared = 0
@@ -266,8 +272,8 @@ class TestFillTables:
             dist = apsp(g)
             tables = fill_tables(g, frozenset(pool), dist, eps)
             anchored_weight = {pair: hanging_weight(g, tables, pair) for pair in tables.anchored}
-            ref = brute_walk_tables(g, pool, dist, eps, floor_pow2, anchored_weight)
-            mine = {(s, t, L): e.value for s, t, L, e in tables.iter_entries()}
+            ref = brute_walk_tables(g, pool, dist, eps, anchored_weight)
+            mine = {(s, t, L): e.value for (s, t, L), e in table_cells(tables).items() if s != t}
             assert mine == ref
             compared += len(ref)
         assert compared > 300
@@ -277,12 +283,12 @@ class TestFillTables:
         with pytest.raises(CellCapError):
             fill_tables(g, g.edge_keys, apsp(g), EPS)
         tables = fill_tables(g, g.edge_keys, apsp(g), EPS, cell_cap=4_000_000)
-        assert tables.entry(0, 1, 3_000_000) is not None
+        assert (0, 1, 3_000_000) in table_cells(tables)
 
     def test_cell_cap_applies_to_a_cached_plan(self):
         g = WeightedGraph(2, ((0, 1, F(300)),))
         dist = apsp(g)
-        assert fill_tables(g, g.edge_keys, dist, EPS, cell_cap=376).levels(0, 1) == [300]
+        assert levels(fill_tables(g, g.edge_keys, dist, EPS, cell_cap=376), 0, 1) == [300]
         with pytest.raises(CellCapError):
             fill_tables(g, g.edge_keys, dist, EPS, cell_cap=375)
 
@@ -290,23 +296,30 @@ class TestFillTables:
         # 1.25 * 10**12 lengths lie in range; a scan over them would not end
         g = WeightedGraph(2, ((0, 1, F(10**12)),))
         tables = fill_tables(g, g.edge_keys, apsp(g), EPS, cell_cap=10**13)
-        assert tables.levels(0, 1) == [10**12]
+        assert levels(tables, 0, 1) == [10**12]
         assert tables.max_level == 10**12 * 5 // 4
 
 
-def all_cells(tables):
-    """Every cell of a table, the diagonal included: {(s, t, L): DpEntry}."""
-    return {(*pair, length): tables.entry(*pair, length) for pair, cells in tables.entries.items() for length in cells}
-
-
 def assert_same_tables(new, old):
-    assert all_cells(new) == all_cells(old)
-    assert list(new.iter_entries()) == list(old.iter_entries())
-    assert all(new.levels(s, t) == old.levels(s, t) for s, t in old.entries)
-    assert (new.bounds, new.max_level) == (old.bounds, old.max_level)
+    """The package's tables against the previous ones: the same cells, in the
+    same (s, t, L) order, and for every cell the same walk and multiset."""
+    cells = table_cells(new)
+    assert cells == {(*pair, length): old.entry(*pair, length) for pair, c in old.entries.items() for length in c}
+    assert [(s, t, L, e) for (s, t, L), e in cells.items() if s != t] == list(old.iter_entries())
+    lengths = {}
+    for s, t, length in cells:
+        lengths.setdefault((s, t), []).append(length)
+    assert lengths == {pair: old.levels(*pair) for pair in old.entries}
+    assert (new.plan.bounds, new.max_level) == (old.bounds, old.max_level)
     assert new.anchored == old.anchored
     assert {pair: hanging_weight(old.graph, new, pair) for pair in new.anchored} == old.anchored_weight
     assert select_best_triple(new) == previous_select_best_triple(old)
+    # the previous tables may run on a scaled copy: steps compare in units of 1/scale
+    for s, t, length in cells:
+        walk, mset = reconstruct(new, s, t, length)
+        old_walk, old_mset = previous_reconstruct(old, s, t, length)
+        assert walk.vertices == old_walk.vertices and mset == old_mset
+        assert [w * new.dist.scale for w in walk.step_weights] == [w * old.dist.scale for w in old_walk.step_weights]
 
 
 def catalogue_instance(name):
@@ -400,7 +413,7 @@ class TestAgainstPreviousTables:
             previous = previous_fill_tables(scaled, pool, dist, eps)
             assert_same_tables(reused, previous)
             assert_same_tables(fill_tables(g, pool, rational_dist, eps), previous)
-            assert all_cells(fill_tables(scaled, pool, DistanceOracle(scaled), eps)) == all_cells(reused)
+            assert table_cells(fill_tables(scaled, pool, DistanceOracle(scaled), eps)) == table_cells(reused)
             exchanged = prune_round(scaled, h, state, eps, dist=dist)
             assert prune_round(g, h_rational, rational_state, eps, dist=rational_dist) == exchanged
             assert (rational_state.added, rational_state.removed) == (state.added, state.removed)
@@ -592,9 +605,9 @@ class TestRatioOneTail:
                 assert marked <= now
                 for x in range(offset, len(tail.values)):
                     if probe.broken[x]:
-                        assert full._values[x] < tail.values[x] and x not in intact
+                        assert full.values[x] < tail.values[x] and x not in intact
                     else:
-                        assert full._values[x] == tail.values[x] and full._picks[x - offset] == probe.picks[x - offset]
+                        assert full.values[x] == tail.values[x] and full.picks[x - offset] == probe.picks[x - offset]
                 marked = now
             if not exchanged:
                 break
@@ -674,7 +687,7 @@ class TestReconstruct:
         g, dist, tables = ladder_tables(n, with_center_rung=True)
         # (u1, u2, 2) joins two spoke cells through the star center
         u1, u2 = ladder_u(1), ladder_u(2)
-        entry = tables.entry(u1, u2, 2)
+        entry = table_cells(tables).get((u1, u2, 2))
         assert entry is not None and entry.back is not None
         walk, mset = reconstruct(tables, u1, u2, 2)
         assert walk.vertices == (u1, ladder_u(0), u2)
@@ -692,7 +705,9 @@ class TestReconstruct:
         g, dist, tables = ladder_tables(n, with_center_rung=True)
         kappa = hanging_kappa(EPS)
         checked = 0
-        for s, t, length, entry in tables.iter_entries():
+        for (s, t, length), entry in table_cells(tables).items():
+            if s == t:
+                continue
             walk, mset = reconstruct(tables, s, t, length)
             assert walk.first == s and walk.last == t
             assert walk.weight == length
