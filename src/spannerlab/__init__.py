@@ -14,7 +14,6 @@ from .graphs import (
     format_graph,
     parse_graph,
     read_graph,
-    scale_to_integers,
     stretch,
     write_graph,
 )

@@ -165,6 +165,8 @@ def _run_algorithm(algorithm: str, g: WeightedGraph, args) -> tuple[WeightedGrap
     if args.eps is None:
         raise ParameterError(f"{algorithm} needs --eps")
     eps = _frac(args.eps)
+    if eps <= 0:
+        raise ParameterError(f"{algorithm} needs --eps > 0, got {args.eps}")
     if any(w == 0 for _, _, w in g.edges):
         raise ParameterError("pruning algorithms need strictly positive weights")
     extra["scale"] = _frac_str(g.scale)

@@ -1,4 +1,4 @@
-"""Exact-arithmetic weighted graphs, shortest paths, walks, and edge-list I/O.
+"""Exact-arithmetic weighted graphs, shortest paths, and edge-list I/O.
 
 Weights enter and leave as `fractions.Fraction` (file I/O and the public
 API); nothing rounds through floats. Inside, each graph is scaled once: its
@@ -154,42 +154,6 @@ def is_connected(g: WeightedGraph) -> bool:
     return components(g.n, g.weights)[1] <= 1
 
 
-@dataclass(frozen=True)
-class Walk:
-    """A walk (repeats allowed) with per-step weights from its host graph."""
-
-    vertices: tuple[int, ...]
-    step_weights: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if not self.vertices:
-            raise ValueError("walk needs at least one vertex")
-        if len(self.step_weights) != len(self.vertices) - 1:
-            raise ValueError("step weight count must be len(vertices) - 1")
-
-    @property
-    def weight(self) -> Fraction:
-        return sum(self.step_weights, Fraction(0))
-
-    @property
-    def first(self) -> int:
-        return self.vertices[0]
-
-    @property
-    def last(self) -> int:
-        return self.vertices[-1]
-
-    def edge_keys(self) -> frozenset[EdgeKey]:
-        return frozenset(edge_key(a, b) for a, b in zip(self.vertices, self.vertices[1:]))
-
-
-def concat(a: Walk, b: Walk) -> Walk:
-    """Join two walks sharing an endpoint; weight is additive."""
-    if a.last != b.first:
-        raise ValueError(f"cannot concatenate: {a.last} != {b.first}")
-    return Walk(a.vertices + b.vertices[1:], a.step_weights + b.step_weights)
-
-
 def dijkstra(
     adj, source: int, targets: Iterable[int] | None = None, limit: int | None = None
 ) -> dict[int, int]:
@@ -226,7 +190,8 @@ def dijkstra(
 class DistanceOracle:
     """All-pairs exact shortest-path distances with canonical paths.
 
-    Distances are stored as ints in units of 1/scale of the graph. The
+    Distances are stored as ints in units of 1/scale of the graph; they are
+    sums of the graph's `int_weights`, which the oracle shares. The
     canonical path between two vertices is the lexicographically smallest
     vertex sequence among all minimum-weight paths; it is materialised lazily
     (one next-hop column per target) and requires strictly positive weights,
@@ -240,7 +205,7 @@ class DistanceOracle:
     def __init__(self, g: WeightedGraph):
         self.n = g.n
         self.scale = g.scale
-        self._weights = g.weights
+        self.int_weights = g.int_weights
         self._adj = g.int_adjacency()
         self._dist = []
         for s in range(g.n):
@@ -281,7 +246,8 @@ class DistanceOracle:
         self._next_hop[t] = col
         return col
 
-    def path(self, s: int, t: int) -> Walk:
+    def path(self, s: int, t: int) -> tuple[int, ...]:
+        """The canonical shortest s-t path as its vertex sequence, s first."""
         if not self.all_positive:
             raise ValueError("canonical paths require strictly positive weights")
         if self._dist[s][t] is INF:
@@ -290,8 +256,7 @@ class DistanceOracle:
         verts = [s]
         while verts[-1] != t:
             verts.append(col[verts[-1]])
-        # every step follows an edge of the graph, so no check is needed
-        return Walk(tuple(verts), tuple(self._weights[edge_key(a, b)] for a, b in zip(verts, verts[1:])))
+        return tuple(verts)
 
 
 def apsp(g: WeightedGraph) -> DistanceOracle:

@@ -26,11 +26,9 @@ from .graphs import (
     INF,
     DistanceOracle,
     EdgeKey,
-    Walk,
     WeightedGraph,
     _find,
     apsp,
-    concat,
     edge_key,
     is_connected,
     stretch,
@@ -128,6 +126,14 @@ _NOT_POSITIVE = "pruning requires strictly positive weights"
 def _require_positive(g: WeightedGraph) -> None:
     if 0 in g.int_weights.values():
         raise ValueError(_NOT_POSITIVE)
+
+
+def _positive_eps(eps) -> Fraction:
+    """eps as a Fraction; ValueError unless it is positive."""
+    eps = Fraction(eps)
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    return eps
 
 
 def _check_cap(max_level: int, cap: int) -> None:
@@ -331,9 +337,7 @@ def fill_tables(
     each round only re-evaluates the plan, in ascending length order, for
     the pool's hanging weights.
     """
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    eps = _positive_eps(eps)
     plan = _walk_plan(dist, eps, cell_cap)
     anchored = endpoint_hanging_sets(g, pool, dist, eps)
     weight = g.int_weights.__getitem__
@@ -363,49 +367,38 @@ def select_best_triple(tables: WalkTables):
     return plan.cell_s[best], plan.cell_t[best], best_length, Fraction(best_value, best_length)
 
 
-def reconstruct(tables: WalkTables, s: int, t: int, length: int) -> tuple[Walk, Counter]:
-    """Extract the walk and hanging multiset (edge key -> multiplicity) of a
-    realizable cell.
-
-    The walk weighs exactly `length` in units of 1/scale of the oracle, and
-    the multiset weight equals the cell value; shared sub-cells are expanded
-    once.
+def reconstruct(tables: WalkTables, s: int, t: int, length: int) -> tuple[tuple[int, ...], Counter]:
+    """The walk (vertex sequence) and hanging multiset (edge key ->
+    multiplicity) of a realizable cell, in one in-order pass over its picks:
+    a join adds the pair's endpoint hanging set when it collects it, then
+    its left and right halves; a base cell appends its canonical path and
+    adds its endpoint hanging set. A sub-cell met twice is expanded twice,
+    once per place on the walk. The walk weighs exactly `length` in units of
+    1/scale of the oracle; the multiset weight is the cell value.
     """
     root = tables.entries.get((s, t), {}).get(length)
     if root is None:
         raise ValueError(f"cell {(s, t, length)} is not realizable")
     plan, picks, dist, anchored = tables.plan, tables.picks, tables.dist, tables.anchored
     offset, cell_s, cell_t = plan.offset, plan.cell_s, plan.cell_t
-    done: dict[int, tuple[Walk, Counter]] = {}
-    stack: list[tuple[int, bool]] = [(root, False)]
+    walk, mset = [s], Counter()
+    # a diagonal cell is the walk at s alone; no join reaches one, so every
+    # other leaf is a base cell with s != t
+    stack = [root] if s != t else []
     while stack:
-        c, expanded = stack.pop()
-        if c in done:
-            continue
+        c = stack.pop()
         cs, ct, j = cell_s[c], cell_t[c], picks[c]
-        if j < 0:
-            if cs == ct:
-                walk = Walk((cs,), ())
-                mset = Counter()
-            else:
-                walk = dist.path(cs, ct)
-                mset = Counter(anchored[(cs, ct)])
-            if walk.weight * dist.scale != plan.cell_len[c]:
-                raise AssertionError(f"base walk weight {walk.weight} != level {plan.cell_len[c]}/{dist.scale}")
-            done[c] = (walk, mset)
-            continue
-        left, right = plan.join_left[j] - offset, plan.join_right[j] - offset
-        if not expanded:
-            stack += ((c, True), (right, False), (left, False))
-            continue
-        lw, lm = done[left]
-        rw, rm = done[right]
-        # a fresh sum, so updating it leaves the shared sub-results alone
-        mset = lm + rm
-        if plan.join_bonus[j]:
+        if j >= 0:
+            if plan.join_bonus[j]:
+                mset.update(anchored[(cs, ct)])
+            stack += (plan.join_right[j] - offset, plan.join_left[j] - offset)
+        else:
+            walk += dist.path(cs, ct)[1:]
             mset.update(anchored[(cs, ct)])
-        done[c] = (concat(lw, rw), mset)
-    return done[root]
+    weight = dist.int_weights
+    if sum(weight[edge_key(a, b)] for a, b in zip(walk, walk[1:])) != length:
+        raise AssertionError(f"walk of cell {(s, t, length)} does not weigh {length}")
+    return tuple(walk), mset
 
 
 @dataclass(frozen=True)
@@ -568,7 +561,7 @@ def prune_round(
         state.tail = _Tail(g, eps, tables) if beta == 1 else None
     walk, mset = reconstruct(tables, s, t, length)
     support = frozenset(mset)
-    state.added |= walk.edge_keys()
+    state.added.update(map(edge_key, walk, walk[1:]))
     state.removed |= support
     weight = g.int_weights.__getitem__
     state.rounds.append(
@@ -592,11 +585,11 @@ def prune(
     """One full pruning pass over spanner h of g.
 
     Rounds repeat until no exchange with ratio >= 1 exists; the result is
-    added | (h - removed), a subgraph of g. Requires g connected with
-    positive rational weights; h must be a subgraph of g. The round logs
+    added | (h - removed), a subgraph of g. Requires eps > 0 and g connected
+    with positive rational weights; h must be a subgraph of g. The round logs
     give lengths and weights as ints in units of 1/g.scale.
     """
-    eps = Fraction(eps)
+    eps = _positive_eps(eps)
     _require_positive(g)
     if not is_connected(g):
         raise ValueError("prune requires a connected graph")
@@ -660,11 +653,11 @@ def iterate_prune(
     and run pruning passes until a pass changes nothing, capped at
     log*(1/eps) + 2 passes.
 
-    g may carry any positive rational weights. Returns the final spanner (a
-    subgraph of g), a weight/stretch log (entry 0 describes the starting
-    spanner; weights in units of 1/g.scale), and the per-pass states.
+    Requires eps > 0 and positive rational weights. Returns the final
+    spanner (a subgraph of g), a weight/stretch log (entry 0 describes the
+    starting spanner; weights in units of 1/g.scale), and the per-pass states.
     """
-    eps = Fraction(eps)
+    eps = _positive_eps(eps)
     _require_positive(g)
     if not is_connected(g):
         raise ValueError("iterate_prune requires a connected graph")
@@ -705,7 +698,7 @@ def contract_and_round(g: WeightedGraph, eps) -> tuple[WeightedGraph, dict[EdgeK
     rounded weight, ties by original weight then key). Contracted vertices
     are numbered in the order of their union-find roots.
     """
-    eps = Fraction(eps)
+    eps = _positive_eps(eps)
     _require_positive(g)
     n = g.n
     weights = g.int_weights
@@ -751,9 +744,7 @@ def prune_with_scaling(
     expanded and unioned with every original edge of weight at most W/n.
     W and the weights are g's ints in units of 1/g.scale.
     """
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    eps = _positive_eps(eps)
     _require_positive(g)
     if not is_connected(g):
         raise ValueError("prune_with_scaling requires a connected graph")

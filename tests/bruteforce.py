@@ -3,11 +3,11 @@
 Everything here enumerates: simple paths for distances, edge subsets for
 spanning structures and optimum spanners. Nothing imports algorithmic code
 from the package beyond the graph container itself, except the definitional
-references in the middle (walks built from vertex lists, hanging witnesses
-on a walk, edge normalization, floor_pow2), which read the package's
-distance oracle, and the `previous_*` reference copies at the end, which
-keep replaced table, round-loop and exact-check code for differential tests
-and use the package's small helpers.
+references in the middle (walks with step weights built from vertex lists,
+hanging witnesses on a walk, edge normalization, floor_pow2), which read the
+package's distance oracle, and the `previous_*` reference copies at the end,
+which keep replaced table, round-loop and exact-check code for differential
+tests and use the package's small helpers.
 """
 from __future__ import annotations
 
@@ -26,10 +26,8 @@ from spannerlab.graphs import (
     INF,
     DistanceOracle,
     EdgeKey,
-    Walk,
     WeightedGraph,
     apsp,
-    concat,
     edge_key,
     is_connected,
     stretch,
@@ -305,10 +303,47 @@ def seeded_grid(k: int, seed: int) -> WeightedGraph:
 
 # --- definitional references ------------------------------------------------
 #
-# Walks from vertex lists, hanging witnesses searched along a whole walk,
-# edge normalization and floor_pow2: straight from their definitions, in
-# Fractions. The package needs none of them; tests check its results against
+# Walks with Fraction step weights, walks from vertex lists, hanging
+# witnesses searched along a whole walk, edge normalization and floor_pow2:
+# straight from their definitions, in Fractions. The package needs none of
+# them (its walks are vertex sequences); tests check its results against
 # them.
+
+
+@dataclass(frozen=True)
+class Walk:
+    """A walk (repeats allowed) with per-step weights from its host graph."""
+
+    vertices: tuple[int, ...]
+    step_weights: tuple[Fraction, ...]
+
+    def __post_init__(self):
+        if not self.vertices:
+            raise ValueError("walk needs at least one vertex")
+        if len(self.step_weights) != len(self.vertices) - 1:
+            raise ValueError("step weight count must be len(vertices) - 1")
+
+    @property
+    def weight(self) -> Fraction:
+        return sum(self.step_weights, Fraction(0))
+
+    @property
+    def first(self) -> int:
+        return self.vertices[0]
+
+    @property
+    def last(self) -> int:
+        return self.vertices[-1]
+
+    def edge_keys(self) -> frozenset[EdgeKey]:
+        return frozenset(edge_key(a, b) for a, b in zip(self.vertices, self.vertices[1:]))
+
+
+def concat(a: Walk, b: Walk) -> Walk:
+    """Join two walks sharing an endpoint; weight is additive."""
+    if a.last != b.first:
+        raise ValueError(f"cannot concatenate: {a.last} != {b.first}")
+    return Walk(a.vertices + b.vertices[1:], a.step_weights + b.step_weights)
 
 
 def walk_from_vertices(g: WeightedGraph, vertices: Sequence[int]) -> Walk:
@@ -320,6 +355,11 @@ def walk_from_vertices(g: WeightedGraph, vertices: Sequence[int]) -> Walk:
             raise ValueError(f"({a},{b}) is not an edge of the host graph")
         steps.append(weight_of(g, a, b))
     return Walk(verts, tuple(steps))
+
+
+def int_walk_weight(g: WeightedGraph, vertices: Sequence[int]) -> int:
+    """Weight of the walk through `vertices` in units of 1/g.scale."""
+    return sum(g.int_weights[edge_key(a, b)] for a, b in zip(vertices, vertices[1:]))
 
 
 def prefix_weights(walk: Walk) -> list[Fraction]:
@@ -403,7 +443,9 @@ def normalize_edges(g: WeightedGraph) -> WeightedGraph:
 # Verbatim copies (renamed with a `previous_` prefix) of endpoint_hanging_sets,
 # WalkTables, fill_tables, select_best_triple and reconstruct as they were
 # before the pruning tables were split into a pool-independent plan and a
-# per-round value pass, with the DpEntry cells they stored. The differential
+# per-round value pass, with the DpEntry cells they stored; the one change is
+# that previous_reconstruct builds each base walk from the oracle's vertex
+# path, now that the package's paths carry no step weights. The differential
 # tests require the new code to produce the same cells, backpointers, best
 # triples, walks and round logs; `table_cells` reads the package's tables
 # as such cells. The integer-weight precondition below is a copy too, since
@@ -705,7 +747,7 @@ def previous_reconstruct(tables: PreviousWalkTables, s: int, t: int, length: int
                 walk = Walk((ks,), ())
                 mset = Counter()
             else:
-                walk = tables.dist.path(ks, kt)
+                walk = walk_from_vertices(tables.graph, tables.dist.path(ks, kt))
                 mset = Counter(tables.anchored[(ks, kt)])
             if walk.weight * tables.dist.scale != kl:
                 raise AssertionError(f"base walk weight {walk.weight} != level {kl}/{tables.dist.scale}")

@@ -33,7 +33,7 @@ from spannerlab.prune import (
     reconstruct,
 )
 
-from bruteforce import is_hanging, random_connected_graph, table_cells
+from bruteforce import int_walk_weight, is_hanging, random_connected_graph, table_cells, walk_from_vertices
 
 
 def _report(capsys, criterion: int, started: float, budget_s: float, detail: str):
@@ -133,7 +133,7 @@ def test_criterion_4_table_consistency(capsys):
                 if s == t:
                     continue
                 walk, mset = reconstruct(tables, s, t, length)
-                assert walk.weight == length
+                assert int_walk_weight(g, walk) == length
                 assert sum(c * g.weights[k] for k, c in mset.items()) == entry.value
                 # the endpoint-set lower bound is well-posed exactly at the
                 # base length, where the base candidate realises it; at other
@@ -142,7 +142,7 @@ def test_criterion_4_table_consistency(capsys):
                     assert entry.value >= sum(g.int_weights[k] for k in tables.anchored[(s, t)])
                 for key in sorted(mset):
                     edge = (key[0], key[1], g.weights[key])
-                    assert is_hanging(dist, edge, walk, kappa, eps) is not None
+                    assert is_hanging(dist, edge, walk_from_vertices(g, walk), kappa, eps) is not None
                 checked += 1
         assert checked >= 1000
     except BaseException:

@@ -193,10 +193,14 @@ def test_malformed_formula_exits_3(tmp_path, capsys, text):
 
 
 @pytest.mark.parametrize("eps", ["0", "-1/2"])
-def test_run_scaled_nonpositive_eps_exits_3(tmp_path, ladder_file, capsys, eps):
-    code = main(["run", "scaled", str(ladder_file), f"--eps={eps}", "--out", str(tmp_path / "o")])
-    assert code == EXIT_PARAM
-    assert capsys.readouterr().err == "error: eps must be positive\n"
+@pytest.mark.parametrize("algorithm", ["prune", "iterate", "scaled"])
+@pytest.mark.parametrize("initial", [False, True])
+def test_run_scaled_nonpositive_eps_exits_3(tmp_path, ladder_file, capsys, eps, algorithm, initial):
+    args = ["run", algorithm, str(ladder_file), f"--eps={eps}", "--out", str(tmp_path / "o")]
+    if initial:
+        args += ["--initial", str(ladder_file)]
+    assert main(args) == EXIT_PARAM
+    assert capsys.readouterr().err == f"parameter error: {algorithm} needs --eps > 0, got {eps}\n"
 
 
 @pytest.mark.parametrize("algorithm", ["prune", "iterate", "scaled"])

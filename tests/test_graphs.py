@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 import spannerlab.graphs as graphs_module
 from spannerlab.graphs import (
     INF,
-    Walk,
     WeightedGraph,
     apsp,
-    concat,
     dijkstra,
     edge_key,
     format_graph,
@@ -23,9 +21,11 @@ from spannerlab.graphs import (
 from spannerlab.instances import gen_ladder, ladder_u, ladder_v
 
 from bruteforce import (
+    Walk,
     brute_all_distances,
     brute_shortest,
     brute_stretch_over_pairs,
+    concat,
     floor_pow2,
     normalize_edges,
     previous_stretch,
@@ -112,14 +112,14 @@ class TestApsp:
                 d, verts = brute_shortest(g, s, t)
                 if d is INF:
                     continue
-                walk = oracle.path(s, t)
-                assert walk.weight == d
-                assert walk.vertices == verts
+                path = oracle.path(s, t)
+                assert walk_from_vertices(g, path).weight == d
+                assert path == verts
 
     def test_lex_tie_break(self):
         # two equal-weight routes 0-1-3 and 0-2-3; lex picks the one through 1
         g = WeightedGraph(4, ((0, 1, F(1)), (1, 3, F(1)), (0, 2, F(1)), (2, 3, F(1))))
-        assert apsp(g).path(0, 3).vertices == (0, 1, 3)
+        assert apsp(g).path(0, 3) == (0, 1, 3)
 
 
 class TestDijkstra:

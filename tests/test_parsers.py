@@ -9,7 +9,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spannerlab.cli import EXIT_CAP, EXIT_OK, EXIT_PARAM, EXIT_VERIFY, main
@@ -166,6 +166,7 @@ def manifest_files(tmp_path_factory):
 
 @settings(max_examples=80, deadline=None)
 @given(text=manifest_texts())
+@example(text="{ladder} iterate eps=0 initial={ladder}\n")
 def test_bench_maps_any_manifest_to_an_exit_code(manifest_files, text):
     tmp, paths = manifest_files
     manifest = tmp / "manifest.txt"

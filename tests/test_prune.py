@@ -40,6 +40,7 @@ from hypothesis import strategies as st
 
 from bruteforce import (
     brute_endpoint_hanging_sets,
+    int_walk_weight,
     is_hanging,
     previous_fill_tables,
     previous_hanging_pairs,
@@ -150,7 +151,7 @@ class TestEndpointHangingSets:
         kappa = hanging_kappa(EPS)
         for s in range(g.n):
             for t in range(s + 1, g.n):
-                walk = dist.path(s, t)
+                walk = walk_from_vertices(g, dist.path(s, t))
                 for key in sorted(tables.pool):
                     witness = is_hanging(dist, (*key, g.weights[key]), walk, kappa, EPS)
                     at_endpoints = witness is not None and (witness.i, witness.j) == (
@@ -314,12 +315,13 @@ def assert_same_tables(new, old):
     assert new.anchored == old.anchored
     assert {pair: hanging_weight(old.graph, new, pair) for pair in new.anchored} == old.anchored_weight
     assert select_best_triple(new) == previous_select_best_triple(old)
-    # the previous tables may run on a scaled copy: steps compare in units of 1/scale
+    # the previous tables run on a scaled copy, whose weights are the new
+    # graph's int weights, so lengths and walk weights compare in those units
     for s, t, length in cells:
         walk, mset = reconstruct(new, s, t, length)
         old_walk, old_mset = previous_reconstruct(old, s, t, length)
-        assert walk.vertices == old_walk.vertices and mset == old_mset
-        assert [w * new.dist.scale for w in walk.step_weights] == [w * old.dist.scale for w in old_walk.step_weights]
+        assert walk == old_walk.vertices and mset == old_mset
+        assert int_walk_weight(old.graph, walk) == length
 
 
 def catalogue_instance(name):
@@ -679,7 +681,7 @@ class TestReconstruct:
         g, dist, tables = ladder_tables(n, with_center_rung=False)
         u0, v0 = ladder_u(0), ladder_v(n, 0)
         walk, mset = reconstruct(tables, u0, v0, 8)
-        assert walk.vertices == (u0, v0)
+        assert walk == (u0, v0)
         assert mset == Counter({rung(n, i): 1 for i in range(1, n + 1)})
 
     def test_split_cell_concatenates(self):
@@ -690,9 +692,35 @@ class TestReconstruct:
         entry = table_cells(tables).get((u1, u2, 2))
         assert entry is not None and entry.back is not None
         walk, mset = reconstruct(tables, u1, u2, 2)
-        assert walk.vertices == (u1, ladder_u(0), u2)
-        assert walk.weight == 2
+        assert walk == (u1, ladder_u(0), u2)
+        assert int_walk_weight(g, walk) == 2
         assert multiset_weight(g, mset) == entry.value
+
+    def test_repeated_sub_cells_are_expanded_at_each_place(self):
+        # a sub-cell reached twice in a cell's pick tree stands at two places
+        # on its walk and counts twice in its multiset
+        g, scaled, eps, init = catalogue_instance("multiladder")
+        pool = frozenset(init)
+        tables = fill_tables(g, pool, apsp(g), eps)
+        old = previous_fill_tables(scaled, pool, apsp(scaled), eps)
+        cells = table_cells(tables)
+        repeating = []
+        for (s, t, length), entry in cells.items():
+            seen, stack = Counter(), [(s, t, length)]
+            while stack:
+                cell = stack.pop()
+                seen[cell] += 1
+                back = cells[cell].back
+                if back is not None:
+                    via, l_left, _ = back
+                    stack += ((cell[0], via, l_left), (via, cell[1], cell[2] - l_left))
+            if max(seen.values()) > 1:
+                repeating.append((s, t, length))
+        assert len(repeating) > 300
+        for s, t, length in repeating:
+            walk, mset = reconstruct(tables, s, t, length)
+            old_walk, old_mset = previous_reconstruct(old, s, t, length)
+            assert walk == old_walk.vertices and mset == old_mset
 
     def test_rejects_unrealizable(self):
         n = 3
@@ -709,11 +737,11 @@ class TestReconstruct:
             if s == t:
                 continue
             walk, mset = reconstruct(tables, s, t, length)
-            assert walk.first == s and walk.last == t
-            assert walk.weight == length
+            assert walk[0] == s and walk[-1] == t
+            assert int_walk_weight(g, walk) == length
             assert multiset_weight(g, mset) == entry.value
             for key in sorted(mset):
-                assert is_hanging(dist, (*key, g.weights[key]), walk, kappa, EPS)
+                assert is_hanging(dist, (*key, g.weights[key]), walk_from_vertices(g, walk), kappa, EPS)
             checked += 1
         assert checked > 100
 
@@ -922,3 +950,21 @@ class TestPruneWithScaling:
         assert (contracted.n, contracted.m, back) == (1, 0, {})
         h, log = prune_with_scaling(g, EPS)
         assert h == g and not log.scaled
+
+
+@pytest.mark.parametrize("eps", [F(0), F(-1, 2)])
+def test_every_entry_rejects_nonpositive_eps(eps):
+    # each entry checks eps first: neither greedy's stretch target 1 + eps
+    # nor log*(1/eps) is reached
+    g, _ = scaled_ladder(2)
+    entries = [
+        lambda: prune(g, g, eps),
+        lambda: iterate_prune(g, eps),
+        lambda: iterate_prune(g, eps, initial_spanner=g),
+        lambda: prune_with_scaling(g, eps),
+        lambda: contract_and_round(g, eps),
+        lambda: fill_tables(g, g.edge_keys, apsp(g), eps),
+    ]
+    for entry in entries:
+        with pytest.raises(ValueError, match="^eps must be positive$"):
+            entry()
