@@ -155,7 +155,11 @@ def is_connected(g: WeightedGraph) -> bool:
 
 
 def dijkstra(
-    adj, source: int, targets: Iterable[int] | None = None, limit: int | None = None
+    adj,
+    source: int,
+    targets: Iterable[int] | None = None,
+    limit: int | None = None,
+    rest: list | None = None,
 ) -> dict[int, int]:
     """Exact shortest distances from `source` over int adjacency lists.
 
@@ -165,6 +169,17 @@ def dijkstra(
     never settles a vertex farther than `limit`, so
     ``t in dijkstra(adj, s, targets, limit)`` holds for a target t exactly
     when dist(s, t) <= limit.
+
+    With a `limit`, the optional row `rest` prunes toward one target t: it
+    must hold t's distances in a graph whose edges include those of `adj`
+    at the same weights, so rest[x] <= w + rest[y] for every edge (x, y, w)
+    of `adj` and rest[t] == 0. A vertex x is then reached only when its
+    distance plus rest[x] is within `limit`. Settled distances stay exact,
+    ``t in dijkstra(adj, s, {t}, limit, rest)`` still holds exactly when
+    dist(s, t) <= limit, and a search that does not settle t has settled
+    s and exactly the vertices x with dist(s, x) + rest[x] <= limit. Without
+    `rest` a relaxation pays one extra test when a limit is given and none
+    otherwise.
     """
     dist = {source: 0}
     done: dict[int, int] = {}
@@ -181,7 +196,7 @@ def dijkstra(
                 break
         for v, w in adj[u]:
             nd = d + w
-            if (limit is None or nd <= limit) and (v not in dist or nd < dist[v]):
+            if (limit is None or (nd if rest is None else nd + rest[v]) <= limit) and (v not in dist or nd < dist[v]):
                 dist[v] = nd
                 heappush(heap, (nd, v))
     return done

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import INF, EdgeKey, WeightedGraph, _find, apsp, components, dijkstra, edge_key, is_connected, stretch
+from .graphs import INF, DistanceOracle, EdgeKey, WeightedGraph, _find, apsp, components, dijkstra, edge_key, is_connected, stretch
 from .hardness import SatInstance
 
 DEFAULT_MAX_EDGES = 24
@@ -48,56 +48,104 @@ def _path(adj, done: dict[int, int], v: int) -> tuple[EdgeKey, ...]:
     return tuple(path)
 
 
-def _within(adj, keys, witness, k: EdgeKey, limit: int) -> bool:
-    """Is dist(u, v) <= limit for the g-edge k = (u, v) over the edge set
-    `keys`, with adjacency `adj`? `witness` maps g-edges to a path within
-    their limit found earlier: when all its edges are in `keys` the answer
-    is yes without a search, and a search that answers yes stores its path."""
-    path = witness.get(k)
-    if path is not None and keys.issuperset(path):
-        return True
-    u, v = k
-    done = dijkstra(adj, u, {v}, limit)
-    if v not in done:
-        return False
-    witness[k] = _path(adj, done, v)
-    return True
+class _Checks:
+    """The threshold checks of one `exact_opt_spanner` call on g.
 
+    `available` holds the g-edges not excluded so far and `adj` is always
+    their adjacency; the excluded edges form the stack `excluded`, edited
+    by `exclude` and `restore`. A check asks whether dist(u, v) <= limit
+    for a g-edge k = (u, v) over the available edges, with `limit` its
+    entry in `thresholds`. Two memos, one entry per g-edge, answer most
+    checks without a search:
 
-def _feasible(adj, keys, thresholds, witness) -> bool:
-    """Does the edge set `keys`, with adjacency `adj`, keep every g-edge
-    within its threshold?"""
-    for k, limit in thresholds.items():
-        if k not in keys and not _within(adj, keys, witness, k, limit):
+    - `witness[k]` is a u-v path within the limit from the last search
+      that found one. While all its edges are available the answer is yes.
+    - `cert[k]` is the certificate of the last search for k that failed:
+      the edges then excluded that leave its settled ball within the limit,
+      (a, b) with a settled and dist(u, a) + w(a, b) + dist_g(b, v) <= limit
+      or the same from b. While none of them is available the answer is
+      no: on any u-v path within the limit, the first edge that was
+      excluded at that search leaves the ball that way.
+
+    A search prunes toward v with the g-distance row of v (`rows`), a lower
+    bound on the distance to v over any subset of g's edges.
+    """
+
+    __slots__ = ("weights", "adj", "neighbours", "available", "excluded", "thresholds", "rows", "witness", "cert")
+
+    def __init__(self, g: WeightedGraph, thresholds: dict[EdgeKey, int], rows: DistanceOracle):
+        self.weights = g.int_weights
+        self.adj = g.int_adjacency()
+        self.neighbours: list[list[int]] = [[] for _ in range(g.n)]
+        for u, v in self.weights:
+            self.neighbours[u].append(v)
+            self.neighbours[v].append(u)
+        self.available = set(self.weights)
+        self.excluded: list[EdgeKey] = []
+        self.thresholds = thresholds
+        self.rows = rows
+        self.witness: dict[EdgeKey, tuple[EdgeKey, ...]] = {}
+        self.cert: dict[EdgeKey, list[EdgeKey]] = {}
+
+    def exclude(self, k: EdgeKey) -> None:
+        u, v = k
+        w = self.weights[k]
+        self.available.discard(k)
+        self.excluded.append(k)
+        self.adj[u].remove((v, w))
+        self.adj[v].remove((u, w))
+
+    def restore(self) -> None:
+        """Make the edge excluded last available again."""
+        k = self.excluded.pop()
+        u, v = k
+        w = self.weights[k]
+        self.available.add(k)
+        self.adj[u].append((v, w))
+        self.adj[v].append((u, w))
+
+    def within(self, k: EdgeKey) -> bool:
+        """Is the g-edge k within its threshold over the available edges?"""
+        path = self.witness.get(k)
+        if path is not None and self.available.issuperset(path):
+            return True
+        cert = self.cert.get(k)
+        if cert is not None and self.available.isdisjoint(cert):
             return False
-    return True
-
-
-def _local_ok(neighbours, adj, keys, thresholds, witness, around: EdgeKey) -> bool:
-    """Cheap necessary check after dropping `around` from the edge set `keys`
-    (adjacency `adj`): every g-edge touching one of its endpoints (g's
-    neighbour lists are `neighbours`) must still be within threshold. The
-    dropped edge touches both endpoints and is checked once, first."""
-    if not _within(adj, keys, witness, around, thresholds[around]):
+        u, v = k
+        limit = self.thresholds[k]
+        rest = self.rows.row(v)
+        done = dijkstra(self.adj, u, {v}, limit, rest)
+        if v in done:
+            self.witness[k] = _path(self.adj, done, v)
+            return True
+        weights = self.weights
+        self.cert[k] = [
+            (a, b)
+            for a, b in self.excluded
+            if (a in done and done[a] + weights[a, b] + rest[b] <= limit)
+            or (b in done and done[b] + weights[a, b] + rest[a] <= limit)
+        ]
         return False
-    for x in around:
-        for y in neighbours[x]:
-            k = edge_key(x, y)
-            if k != around and k not in keys and not _within(adj, keys, witness, k, thresholds[k]):
-                return False
-    return True
 
+    def feasible(self) -> bool:
+        """Do the available edges keep every g-edge within its threshold?"""
+        available = self.available
+        return all(k in available or self.within(k) for k in self.thresholds)
 
-def _drop(adj, k: EdgeKey, w: int) -> None:
-    u, v = k
-    adj[u].remove((v, w))
-    adj[v].remove((u, w))
-
-
-def _restore(adj, k: EdgeKey, w: int) -> None:
-    u, v = k
-    adj[u].append((v, w))
-    adj[v].append((u, w))
+    def local_ok(self, around: EdgeKey) -> bool:
+        """Cheap necessary check after excluding `around`: every g-edge
+        touching one of its endpoints must still be within threshold. The
+        excluded edge touches both endpoints and is checked once, first."""
+        if not self.within(around):
+            return False
+        available = self.available
+        for x in around:
+            for y in self.neighbours[x]:
+                k = edge_key(x, y)
+                if k != around and k not in available and not self.within(k):
+                    return False
+        return True
 
 
 def _completion_bound(label: list[int], comps: int, chosen, free_rest) -> int | None:
@@ -137,11 +185,16 @@ def exact_opt_spanner(g: WeightedGraph, eps, max_edges: int = DEFAULT_MAX_EDGES)
     threshold (1+eps)*d exactly when d' <= (p+q)*d // q. One adjacency of
     the edges still available is built once and edited in place as edges
     are excluded and restored, and the zero-weight and forced edges are
-    contracted into components once for the completion bound. Each
-    threshold check that passes keeps the path it found as a witness; a
-    later check of the same g-edge whose witness is still wholly available
-    answers yes without a search, so Dijkstra runs mostly for checks that
-    fail. eps must be >= 0 (ValueError otherwise).
+    contracted into components once for the completion bound. A threshold
+    check dist(u, v) <= limit runs a Dijkstra pruned toward v by g's
+    distance row of v, a lower bound on every distance to v over fewer
+    edges. A check that passes keeps its path as a witness, and a later
+    check of the same g-edge answers yes while that path is wholly
+    available. A check that fails keeps a certificate, the then excluded
+    edges that leave its settled ball within the limit, and a later check
+    answers no while all of them are still excluded. Neither memo changes
+    an answer, so Dijkstra runs only for checks neither settles. eps must
+    be >= 0 (ValueError otherwise).
     """
     eps = Fraction(eps)
     if eps < 0:
@@ -162,24 +215,14 @@ def exact_opt_spanner(g: WeightedGraph, eps, max_edges: int = DEFAULT_MAX_EDGES)
 
     nodes = 0
     all_keys = frozenset(weights)
-    adj = g.int_adjacency()
-    neighbours: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in weights:
-        neighbours[u].append(v)
-        neighbours[v].append(u)
-    # the edges not excluded so far; `adj` is always their adjacency
-    available = set(all_keys)
-    # g-edge -> a path within its threshold, reused while all its edges are available
-    witness: dict[EdgeKey, tuple[EdgeKey, ...]] = {}
+    checks = _Checks(g, thresholds, oracle)
     forced = set()
     for k in candidates:
         nodes += 1
-        available.discard(k)
-        _drop(adj, k, weights[k])
-        if not _within(adj, available, witness, k, thresholds[k]):
+        checks.exclude(k)
+        if not checks.within(k):
             forced.add(k)
-        _restore(adj, k, weights[k])
-        available.add(k)
+        checks.restore()
     free = sorted((k for k in candidates if k not in forced), key=lambda k: (-weights[k], k))
     free_weights = [weights[k] for k in free]
     label, comps = components(g.n, zeros | forced)
@@ -201,21 +244,19 @@ def exact_opt_spanner(g: WeightedGraph, eps, max_edges: int = DEFAULT_MAX_EDGES)
             return
         if idx == len(free):
             # each free edge is now chosen or excluded: available == base | chosen
-            if _feasible(adj, available, thresholds, witness):
+            if checks.feasible():
                 total = base_weight + chosen_weight
-                cand = tuple(sorted(available))
+                cand = tuple(sorted(checks.available))
                 if total < best_weight or (total == best_weight and cand < best_edges):
                     best_weight = total
                     best_edges = cand
             return
         k, w = free[idx], free_weights[idx]
         # exclusion first so light incumbents appear early
-        available.discard(k)
-        _drop(adj, k, w)
-        if _local_ok(neighbours, adj, available, thresholds, witness, k):
+        checks.exclude(k)
+        if checks.local_ok(k):
             search(idx + 1, chosen, chosen_weight)
-        _restore(adj, k, w)
-        available.add(k)
+        checks.restore()
         chosen.add(k)
         search(idx + 1, chosen, chosen_weight + w)
         chosen.discard(k)

@@ -151,6 +151,33 @@ class TestDijkstra:
                         assert (t in got) == (t in exact and (lim is None or exact[t] <= lim))
                     assert all(exact[v] == d for v, d in got.items())
 
+    @settings(max_examples=60, deadline=None)
+    @given(small_graphs(max_n=6, positive=False), st.randoms(use_true_random=False))
+    def test_rest_row_prunes_toward_the_target(self, g, rng):
+        # rest is g's distance row of the target t; over every subgraph of g
+        # (every one up to 5 edges, else 32 drawn) it bounds the distance to
+        # t from below. Zero-weight edges and disconnected pairs included.
+        keys = sorted(g.edge_keys)
+        if len(keys) <= 5:
+            subsets = [[k for i, k in enumerate(keys) if mask >> i & 1] for mask in range(1 << len(keys))]
+        else:
+            subsets = [[k for k in keys if rng.random() < 0.6] for _ in range(32)]
+        rows = apsp(g)
+        for sub in subsets:
+            adj = g.int_adjacency(sub)
+            for s in range(g.n):
+                exact = dijkstra(adj, s)
+                for t in range(g.n):
+                    rest = rows.row(t)
+                    d = exact.get(t)
+                    for limit in {0, rng.randint(0, 30), d or 0, max((d or 0) - 1, 0)}:
+                        got = dijkstra(adj, s, {t}, limit, rest)
+                        assert (t in got) == (d is not None and d <= limit)
+                        assert all(exact[x] == dx for x, dx in got.items())
+                        if t not in got:
+                            # a search that misses t settles s and the whole pruned ball
+                            assert got.keys() == {s} | {x for x, dx in exact.items() if dx + rest[x] <= limit}
+
     def test_int_weights_use_the_lcm_scale(self):
         g = WeightedGraph(3, ((0, 1, F(3, 2)), (1, 2, F(5, 6)), (0, 2, F(0))))
         assert g.scale == 6

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spannerlab.oracle as oracle_module
-from spannerlab.graphs import WeightedGraph, dijkstra, edge_key
+from spannerlab.graphs import WeightedGraph, apsp, dijkstra, edge_key
 from spannerlab.hardness import ABOVE, BELOW, Clause, SatInstance, reduce_sat
 from spannerlab.instances import gen_ladder, ladder_u, ladder_v
 from spannerlab.oracle import (
@@ -157,51 +157,81 @@ def _zero_weighted(rng, g, zero_prob):
     return WeightedGraph(g.n, tuple((u, v, w) for (u, v), w in sorted(weights.items())))
 
 
-def _check_witness_answers(mp, g) -> list[bool]:
-    """Wrap the oracle's `_within` on g so that every answer is checked
-    against a fresh search over an adjacency rebuilt from the same edge set,
-    and every witness it keeps is a u-v path over that edge set within the
-    limit. Returns the answers, appended as they are given."""
-    real = oracle_module._within
+def _check_witness_answers(mp, g) -> list[tuple[bool, bool]]:
+    """Wrap the oracle's threshold check on g so that every answer, those
+    given from a witness or a certificate included, is checked against a
+    fresh full search over an adjacency rebuilt from the same edge set,
+    every witness it keeps is a u-v path over that edge set within the
+    limit, and every certificate it keeps is the set its definition gives.
+    Returns (answer, searched) pairs in the order given, where `searched`
+    tells whether the check ran a search of its own."""
+    real = oracle_module._Checks.within
+    real_search = oracle_module.dijkstra
     answers = []
+    searches = [0]
 
-    def checked(adj, keys, witness, k, limit):
-        got = real(adj, keys, witness, k, limit)
+    def counting(*args):
+        searches[0] += 1
+        return real_search(*args)
+
+    def checked(self, k):
+        before = searches[0]
+        got = real(self, k)
+        keys = self.available
         fresh = g.int_adjacency(keys)
-        assert [sorted(row) for row in adj] == [sorted(row) for row in fresh]
+        assert [sorted(row) for row in self.adj] == [sorted(row) for row in fresh]
+        assert keys == g.edge_keys - set(self.excluded)
         u, v = k
+        limit = self.thresholds[k]
         assert got == (v in dijkstra(fresh, u, {v}, limit))
         if got:
             # the witness runs from v back to u
             x, total = v, 0
-            for e in witness[k]:
+            for e in self.witness[k]:
                 assert e in keys and x in e
                 x = e[0] if x == e[1] else e[1]
                 total += g.int_weights[e]
             assert x == u and total <= limit
-        answers.append(got)
+        searched = searches[0] > before
+        if searched and not got:
+            # the certificate is every excluded edge that leaves the ball of
+            # u within the limit, from either endpoint, by its definition
+            dist_u = dijkstra(fresh, u)
+            to_v = apsp(g).row(v)
+            expect = {
+                (a, b)
+                for a, b in self.excluded
+                if any(x in dist_u and dist_u[x] + g.int_weights[a, b] + to_v[y] <= limit for x, y in ((a, b), (b, a)))
+            }
+            assert len(self.cert[k]) == len(expect) and set(self.cert[k]) == expect
+        answers.append((got, searched))
         return got
 
-    mp.setattr(oracle_module, "_within", checked)
+    mp.setattr(oracle_module, "dijkstra", counting)
+    mp.setattr(oracle_module._Checks, "within", checked)
     return answers
 
 
 class TestWitnessPaths:
-    """Threshold checks answered from stored witness paths give the same
-    booleans as a fresh search, and every stored witness is a real path."""
+    """Threshold checks answered from stored witness paths or failure
+    certificates give the same booleans as a fresh search, and every stored
+    witness is a real path."""
 
     def test_sat_threshold_graphs(self):
         eps = F(1, 10)
+        seen = set()
         for inst in _hardness_catalogue():
             g = reduce_sat(inst, eps).graph
             with pytest.MonkeyPatch.context() as mp:
                 answers = _check_witness_answers(mp, g)
                 exact_opt_spanner(g, eps, max_edges=64)
-            assert True in answers and False in answers
+            assert {got for got, _ in answers} == {True, False}
+            seen.update(answers)
+        # searches that pass and fail, witness yeses and certificate noes
+        assert seen == {(True, True), (False, True), (True, False), (False, False)}
 
-    @settings(max_examples=40, deadline=None)
-    @given(st.randoms(use_true_random=False), st.booleans(), st.sampled_from([0, 0.2, 0.5]))
-    def test_drawn_graphs_with_zero_weight_cycles(self, rng, integer, zero_prob):
+    @staticmethod
+    def _check_drawn(rng, integer, zero_prob):
         g = random_connected_graph(rng, max_n=7, max_extra=6, max_w=6, integer=integer)
         g = _zero_weighted(rng, g, zero_prob)
         for eps in (F(0), F(1, 10), F(1, 3), F(1)):
@@ -210,16 +240,30 @@ class TestWitnessPaths:
                 res = exact_opt_spanner(g, eps)
             assert res == previous_exact_opt_spanner(g, eps)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.randoms(use_true_random=False), st.booleans(), st.sampled_from([0, 0.2, 0.5]))
+    def test_drawn_graphs_with_zero_weight_cycles(self, rng, integer, zero_prob):
+        self._check_drawn(rng, integer, zero_prob)
+
+    def test_seeded_graphs_with_zero_weight_cycles(self):
+        # the same checks on a fixed draw, so that every run covers
+        # certificate edges that leave the ball only from their larger end
+        rng = random.Random(12)
+        for i in range(30):
+            self._check_drawn(rng, i % 2 == 0, (0, 0.2, 0.5)[i % 3])
+
     def test_dijkstra_calls_on_the_sat_catalogue(self, monkeypatch):
         # Searching afresh for every check, and checking the dropped edge
         # from both of its endpoints, took 16,751 calls here, 13,768 of them
-        # answering yes. Witnesses leave mostly the checks that fail.
+        # answering yes. Witnesses left 3,346 calls, 2,983 of them failing,
+        # which settled 74,940 vertices. Certificates answer most repeat
+        # failures, and searches pruned toward the target settle few vertices.
         real = oracle_module.dijkstra
         calls = []
 
-        def counting(adj, source, targets=None, limit=None):
-            done = real(adj, source, targets, limit)
-            calls.append(all(t in done for t in targets))
+        def counting(adj, source, targets=None, limit=None, rest=None):
+            done = real(adj, source, targets, limit, rest)
+            calls.append((all(t in done for t in targets), len(done)))
             return done
 
         monkeypatch.setattr(oracle_module, "dijkstra", counting)
@@ -229,7 +273,8 @@ class TestWitnessPaths:
             for inst in _hardness_catalogue()
         )
         assert nodes == 14_793
-        assert (len(calls), sum(calls)) == (3_346, 363)
+        assert (len(calls), sum(found for found, _ in calls)) == (730, 363)
+        assert sum(settled for _, settled in calls) == 5_945
 
 
 class TestSatBruteForce:

@@ -722,6 +722,28 @@ class TestReconstruct:
             old_walk, old_mset = previous_reconstruct(old, s, t, length)
             assert walk == old_walk.vertices and mset == old_mset
 
+    def test_joins_that_collect_a_nonempty_hanging_set(self):
+        # every picked join of the catalogue instances that collects its
+        # pair's endpoint hanging set collects an empty one; on this planar
+        # grid, pooled from its greedy spanner, two collect a nonempty one
+        g = seeded_grid(4, 2)
+        pool = frozenset(greedy_spanner(g, 1 + EPS).edge_keys)
+        tables = fill_tables(g, pool, apsp(g), EPS)
+        old = previous_fill_tables(g, pool, apsp(g), EPS)
+        plan, picks, anchored = tables.plan, tables.picks, tables.anchored
+        collecting = [
+            (s, t, length)
+            for (s, t), cells in sorted(plan.cells_of.items())
+            for length, c in cells.items()
+            if picks[c] >= 0 and plan.join_bonus[picks[c]] and anchored[(s, t)]
+        ]
+        assert collecting == [(4, 9, 5), (9, 4, 5)]
+        for s, t, length in collecting:
+            walk, mset = reconstruct(tables, s, t, length)
+            old_walk, old_mset = previous_reconstruct(old, s, t, length)
+            assert walk == old_walk.vertices and mset == old_mset
+            assert anchored[(s, t)] <= mset.keys()
+
     def test_rejects_unrealizable(self):
         n = 3
         g, dist, tables = ladder_tables(n, with_center_rung=True)
