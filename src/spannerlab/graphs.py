@@ -211,8 +211,9 @@ class DistanceOracle:
     vertex sequence among all minimum-weight paths; it is materialised lazily
     (one next-hop column per target) and requires strictly positive weights,
     which `all_positive` records.
-    `memo` holds tables other modules derive from these distances (pruning
-    keeps its walk plans there); they live as long as the oracle. The oracle
+    `memo` holds tables other modules derive from these distances: pruning
+    keeps one walk plan per eps there, which holds all its per-eps state;
+    they live as long as the oracle. The oracle
     keeps no reference to g, so g can hold its own oracle (see `apsp`)
     without a reference cycle that only the cyclic collector would free.
     """

@@ -148,10 +148,13 @@ class _Checks:
         return True
 
 
-def _completion_bound(label: list[int], comps: int, chosen, free_rest) -> int | None:
-    """Cheapest extra weight from `free_rest` that connects the `comps` base
-    components (vertex x lies in component label[x]) once the edges `chosen`
-    are added; None when even all of them cannot connect."""
+def _completion_bound(label: list[int], comps: int, chosen, free, idx: int) -> int | None:
+    """Cheapest extra weight from the undecided edges free[idx:], (weight,
+    edge) pairs heaviest first, that connects the `comps` base components
+    (vertex x lies in component label[x]) once the edges `chosen` are added;
+    None when even all of them cannot connect. It is a minimum spanning
+    forest's weight, so reading them backwards, by ascending weight, gives
+    it whatever the order of equal weights."""
     parent = list(range(comps))
     for u, v in chosen:
         ru, rv = _find(parent, label[u]), _find(parent, label[v])
@@ -161,7 +164,8 @@ def _completion_bound(label: list[int], comps: int, chosen, free_rest) -> int | 
     if comps == 1:
         return 0
     extra = 0
-    for w, (u, v) in free_rest:
+    for i in range(len(free) - 1, idx - 1, -1):
+        w, (u, v) = free[i]
         ru, rv = _find(parent, label[u]), _find(parent, label[v])
         if ru != rv:
             parent[ru] = rv
@@ -223,23 +227,18 @@ def exact_opt_spanner(g: WeightedGraph, eps, max_edges: int = DEFAULT_MAX_EDGES)
         if not checks.within(k):
             forced.add(k)
         checks.restore()
-    free = sorted((k for k in candidates if k not in forced), key=lambda k: (-weights[k], k))
-    free_weights = [weights[k] for k in free]
+    free = sorted(((weights[k], k) for k in candidates if k not in forced), key=lambda e: (-e[0], e[1]))
     label, comps = components(g.n, zeros | forced)
     base_weight = sum(weights[k] for k in forced)
 
     # full edge set is always feasible, giving the starting incumbent
-    best_weight = sum(free_weights, base_weight)
+    best_weight = sum((w for w, _ in free), base_weight)
     best_edges = tuple(sorted(all_keys))
-
-    suffix: list[list[tuple[int, EdgeKey]]] = [[] for _ in range(len(free) + 1)]
-    for i in range(len(free) - 1, -1, -1):
-        suffix[i] = sorted(suffix[i + 1] + [(free_weights[i], free[i])])
 
     def search(idx: int, chosen: set[EdgeKey], chosen_weight: int):
         nonlocal nodes, best_weight, best_edges
         nodes += 1
-        bound = _completion_bound(label, comps, chosen, suffix[idx])
+        bound = _completion_bound(label, comps, chosen, free, idx)
         if bound is None or base_weight + chosen_weight + bound > best_weight:
             return
         if idx == len(free):
@@ -251,7 +250,7 @@ def exact_opt_spanner(g: WeightedGraph, eps, max_edges: int = DEFAULT_MAX_EDGES)
                     best_weight = total
                     best_edges = cand
             return
-        k, w = free[idx], free_weights[idx]
+        w, k = free[idx]
         # exclusion first so light incumbents appear early
         checks.exclude(k)
         if checks.local_ok(k):

@@ -8,8 +8,9 @@ weight). The best walk-to-multiset weight ratio is realised via a table
 of numbered (source, target, length) cells, each with the join it picked;
 the walk is added, and the hanging edges are dropped. Which cells exist and
 how they join depends only on the distances and eps, so that plan is built
-once per graph and eps; each round only recomputes the values. Passes are
-repeated a number of times governed by the iterated logarithm of 1/eps.
+once per distance oracle and eps; each round only recomputes the values.
+Passes are repeated a number of times governed by the iterated logarithm of
+1/eps.
 Weights may be any positive rationals: lengths, distances and the weights in
 the logs are the graph's ints, in units of 1/scale (see `graphs`).
 """
@@ -48,32 +49,29 @@ def hanging_kappa(eps: Fraction) -> Fraction:
 
 
 def endpoint_hanging_sets(
-    g: WeightedGraph, pool: frozenset[EdgeKey], dist: DistanceOracle, eps
+    pool: frozenset[EdgeKey], dist: DistanceOracle, eps
 ) -> dict[tuple[int, int], frozenset[EdgeKey]]:
     """For every ordered pair (s, t), the pool edges hanging at exactly the
     endpoints of the canonical shortest s-t path.
 
     An edge (a, b) of weight w qualifies when dist(s, t) >= kappa * w and the
     better orientation satisfies dist(a, s) + dist(s, t) + dist(t, b)
-    <= (1 + eps) * w. The result is symmetric in (s, t). `dist` must be the
-    oracle of g: the pairs at which an edge hangs do not depend on the pool,
-    so they are found once per edge and kept on the oracle per eps.
+    <= (1 + eps) * w. The result is symmetric in (s, t). `dist` is the
+    oracle of the graph, whose int weights it carries: the pairs at which an
+    edge hangs do not depend on the pool, so they are found once per edge
+    and kept on the plan of (dist, eps). No join of the plan is built here.
     """
     eps = Fraction(eps)
-    memo = dist.memo.get(("hanging", eps))
-    if memo is None:
-        pairs = [(s, t) for s in range(g.n) for t in range(s + 1, g.n) if dist.row(s)[t] is not INF]
-        none_hang = dict.fromkeys((pair for s, t in pairs for pair in ((s, t), (t, s))), frozenset())
-        memo = dist.memo[("hanging", eps)] = (pairs, none_hang, {})
-    pairs, none_hang, hangs_at = memo
+    plan = _plan(dist, eps)
+    hangs_at = plan.hangs_at
     members: dict[tuple[int, int], list[EdgeKey]] = {}
     for k in pool:
         at = hangs_at.get(k)
         if at is None:
-            at = hangs_at[k] = _hanging_pairs(k, g.int_weights[k], pairs, dist, eps)
+            at = hangs_at[k] = _hanging_pairs(k, dist.int_weights[k], plan.pairs, dist, eps)
         for pair in at:
             members.setdefault(pair, []).append(k)
-    out = none_hang.copy()
+    out = plan.none_hang.copy()
     for (s, t), keys in members.items():
         out[(s, t)] = out[(t, s)] = frozenset(keys)
     return out
@@ -102,24 +100,6 @@ def _hanging_pairs(edge: EdgeKey, w: int, pairs, dist: DistanceOracle, eps: Frac
     return tuple(out)
 
 
-def _length_bounds(dist: DistanceOracle, eps: Fraction) -> tuple[dict[tuple[int, int], int], int]:
-    """floor((1+eps) * dist(s, t)) for every connected pair s != t, and the largest of them."""
-    p, q = eps.numerator, eps.denominator
-    n = dist.n
-    bounds: dict[tuple[int, int], int] = {}
-    max_level = 0
-    for s in range(n):
-        row = dist.row(s)
-        for t in range(s + 1, n):
-            d = row[t]
-            if d is INF:
-                continue
-            b = (p + q) * d // q
-            bounds[(s, t)] = bounds[(t, s)] = b
-            max_level = max(max_level, b)
-    return bounds, max_level
-
-
 _NOT_POSITIVE = "pruning requires strictly positive weights"
 
 
@@ -136,42 +116,52 @@ def _positive_eps(eps) -> Fraction:
     return eps
 
 
-def _check_cap(max_level: int, cap: int) -> None:
-    if max_level + 1 > cap:
-        raise CellCapError(
-            f"length range {max_level + 1} exceeds the per-pair cell cap {cap}; "
-            "pass cell_cap (--cell-cap) to override"
-        )
-
-
 class _WalkPlan:
-    """The pool-independent half of the walk tables of one (distances, eps).
-
-    Which cells are realizable, and through which joins, depends only on
-    the distances and eps, so the plan is built once and re-evaluated for
-    every pool. Cells are numbered in the order they are finalised: the
-    empty walk at each vertex first, then by ascending length and pair.
-    A round's values live in one list: index 0 holds 0, index 1 + i the
-    endpoint hanging weight of `pairs[i]` (in both orders; the pair (s, t)
-    has key s*n + t, and `slot[key]` is its 1 + i), and index `offset + c`
-    the value of cell c. Join j of a cell adds the values at `join_left[j]`
-    and `join_right[j]` (its two halves) and at `join_bonus[j]` (the cell's
-    pair when the join collects its endpoint hanging set, else 0); each
-    cell's joins are sorted by (via, left length). A new cell is joined
-    with each partner pair's finalised cells in ascending length, up to the
-    first whose sum passes the bound.
+    """All that pruning derives from one (oracle, eps); the oracle keeps it
+    (see `_plan`). `pairs` lists the connected pairs s < t, ascending;
+    `bound[s][t]` is floor((1+eps) * dist(s, t)), -1 when t == s or t is
+    unreachable, and `max_level` the largest. `hangs_at` maps each edge met
+    so far to the pairs at which it hangs, and `none_hang` every ordered
+    pair to the empty set. Which cells are realizable, and through which
+    joins, depends only on the distances and eps, so `join` builds them
+    once (`cells_of` is None until then) and every pool re-evaluates them.
+    Cells are numbered in the order they are finalised: the empty walk at
+    each vertex first, then by ascending length and pair. A round's values
+    live in one list: index 0 holds 0, index 1 + i the endpoint hanging
+    weight of `pairs[i]` (in both orders; the pair (s, t) has key s*n + t,
+    and `slot[key]` is its 1 + i), and index `offset + c` the value of cell
+    c. Join j of a cell adds the values at `join_left[j]` and `join_right[j]`
+    (its two halves) and at `join_bonus[j]` (the cell's pair when the join
+    collects its endpoint hanging set, else 0); each cell's joins are sorted
+    by (via, left length). A new cell is joined with each partner pair's
+    finalised cells in ascending length, up to the first whose sum passes
+    the bound.
     """
 
-    def __init__(self, dist: DistanceOracle, bounds: dict[tuple[int, int], int], max_level: int):
-        n = dist.n
-        rows = [dist.row(s) for s in range(n)]
-        self.bounds = bounds
-        self.max_level = max_level
-        self.pairs = sorted(pair for pair in bounds if pair[0] < pair[1])
+    def __init__(self, dist: DistanceOracle, eps: Fraction):
+        self.n = n = dist.n
+        p, q = eps.numerator, eps.denominator
+        self.pairs = pairs = []
+        self.bound = bound = [[-1] * n for _ in range(n)]
+        for s in range(n):
+            row = dist.row(s)
+            for t in range(s + 1, n):
+                if row[t] is not INF:
+                    pairs.append((s, t))
+                    bound[s][t] = bound[t][s] = (p + q) * row[t] // q
+        self.max_level = max(0, max(map(max, bound), default=0))
         self.slot = slot = [0] * (n * n)  # key -> index of the pair's hanging weight
-        for i, (s, t) in enumerate(self.pairs, 1):
+        for i, (s, t) in enumerate(pairs, 1):
             slot[s * n + t] = slot[t * n + s] = i
-        self.offset = offset = 1 + len(self.pairs)
+        self.offset = 1 + len(pairs)
+        self.none_hang = dict.fromkeys((pair for s, t in pairs for pair in ((s, t), (t, s))), frozenset())
+        self.hangs_at: dict[EdgeKey, tuple] = {}
+        self.cells_of = None
+
+    def join(self, dist: DistanceOracle) -> None:
+        """Number the realizable cells and build their joins; weights must be positive."""
+        n, slot, offset, bound = self.n, self.slot, self.offset, self.bound
+        rows = [dist.row(s) for s in range(n)]
         # pair -> {length: cell}, lengths ascending
         self.cells_of = cells_of = {(s, s): {0: s} for s in range(n)}
         self.cell_s = cell_s = list(range(n))
@@ -184,11 +174,9 @@ class _WalkPlan:
         at = [None] * (n * n)  # key -> the pair's dict in cells_of, the diagonal's set now
         at[:: n + 1] = cells_of.values()
 
-        bound = [[-1] * n for _ in range(n)]  # bound[s][t]; -1 when t == s or t is unreachable
         base_at: dict[int, list[int]] = {}
-        for (s, t), b in bounds.items():
-            bound[s][t] = b
-            base_at.setdefault(rows[s][t], []).append(s * n + t)
+        for s, t in self.pairs:
+            base_at.setdefault(rows[s][t], []).extend((s * n + t, t * n + s))
         # only occupied levels are visited: base lengths, plus each length a
         # join first reaches. A pending join is packed as via << 32 | left
         # cell (a plan of 2**32 cells would not fit in memory), so sorting
@@ -282,18 +270,28 @@ class _WalkPlan:
         return values, picks
 
 
-def _walk_plan(dist: DistanceOracle, eps: Fraction, cap: int) -> _WalkPlan:
-    """The plan of (dist, eps), built on first use and kept on the oracle;
-    the weights are checked positive and the cap is checked before any plan
-    is built."""
+def _plan(dist: DistanceOracle, eps: Fraction) -> _WalkPlan:
+    """The plan of (dist, eps), made on first use and kept on the oracle."""
     plan = dist.memo.get(("walk-plan", eps))
     if plan is None:
-        if not dist.all_positive:
-            raise ValueError(_NOT_POSITIVE)
-        bounds, max_level = _length_bounds(dist, eps)
-        _check_cap(max_level, cap)
-        plan = dist.memo[("walk-plan", eps)] = _WalkPlan(dist, bounds, max_level)
-    _check_cap(plan.max_level, cap)
+        plan = dist.memo[("walk-plan", eps)] = _WalkPlan(dist, eps)
+    return plan
+
+
+def _joined_plan(dist: DistanceOracle, eps: Fraction, cap: int) -> _WalkPlan:
+    """The plan of (dist, eps) with its joins, built on first use. Every use
+    checks that the weights are positive and that the length range fits the
+    per-pair cell cap, so no join is built unless both hold."""
+    if not dist.all_positive:
+        raise ValueError(_NOT_POSITIVE)
+    plan = _plan(dist, eps)
+    if plan.max_level + 1 > cap:
+        raise CellCapError(
+            f"length range {plan.max_level + 1} exceeds the per-pair cell cap {cap}; "
+            "pass cell_cap (--cell-cap) to override"
+        )
+    if plan.cells_of is None:
+        plan.join(dist)
     return plan
 
 
@@ -317,7 +315,6 @@ class WalkTables:
 
 
 def fill_tables(
-    g: WeightedGraph,
     pool: frozenset[EdgeKey],
     dist: DistanceOracle,
     eps,
@@ -325,22 +322,23 @@ def fill_tables(
 ) -> WalkTables:
     """Fill the (source, target, length) tables for one pruning round.
 
-    Lengths, distances and values are ints in units of 1/g.scale, so g may
-    carry any positive rational weights; a zero weight raises ValueError
-    when the plan is built. Base cells sit at L = dist(s, t) with value
-    equal to the weight of the endpoint hanging set. A cell (s, t, L) is
-    realizable through a join when some via vertex z and split 0 < L' < L
-    have both sub-cells realizable; its value maximises left + right, plus
-    the endpoint hanging weight of (s, t) whenever max(L', L - L') is below
-    the largest power of two not above L. Which cells exist and how they
-    join is planned once per (dist, eps), where `dist` is the oracle of g;
-    each round only re-evaluates the plan, in ascending length order, for
-    the pool's hanging weights.
+    `dist` is the oracle of the graph, and the tables read its int weights
+    only. Lengths, distances and values are ints in units of 1/scale, so the
+    graph may carry any positive rational weights; a zero weight raises
+    ValueError before any join is built. Base cells sit at L = dist(s, t)
+    with value equal to the weight of the endpoint hanging set. A cell
+    (s, t, L) is realizable through a join when some via vertex z and split
+    0 < L' < L have both sub-cells realizable; its value maximises
+    left + right, plus the endpoint hanging weight of (s, t) whenever
+    max(L', L - L') is below the largest power of two not above L. Which
+    cells exist and how they join is planned once per (dist, eps); each
+    round only re-evaluates the plan, in ascending length order, for the
+    pool's hanging weights.
     """
     eps = _positive_eps(eps)
-    plan = _walk_plan(dist, eps, cell_cap)
-    anchored = endpoint_hanging_sets(g, pool, dist, eps)
-    weight = g.int_weights.__getitem__
+    plan = _joined_plan(dist, eps, cell_cap)
+    anchored = endpoint_hanging_sets(pool, dist, eps)
+    weight = dist.int_weights.__getitem__
     values, picks = plan.evaluate([sum(map(weight, anchored[pair])) for pair in plan.pairs])
     return WalkTables(dist, pool, anchored, plan, values, picks)
 
@@ -436,15 +434,16 @@ class _Tail:
     first such is the value pass's pick. Weights are positive, so a pair's
     hanging weight leaves v0 exactly when a departed pool edge hangs there;
     the other pairs keep the reference round's `anchored` sets. A broken
-    cell stays broken for the pass. Valid for the same g, oracle and eps
-    and a pool within the last. The reference round's `tables` answer the
-    walks: their picks are rewritten for the cells found intact.
+    cell stays broken for the pass. Valid for the same plan, which is one
+    per (oracle, eps), and a pool within the last. The reference round's
+    `tables` answer the walks: their picks are rewritten for the cells found
+    intact.
     """
 
-    def __init__(self, g: WeightedGraph, eps: Fraction, tables: WalkTables):
+    def __init__(self, tables: WalkTables):
         plan, values = tables.plan, tables.values
-        self.g, self.dist, self.eps, self.pool = g, tables.dist, eps, tables.pool
-        self.tables, self.plan, self.values, self.picks = tables, plan, values, tables.picks
+        self.tables, self.plan, self.pool = tables, plan, tables.pool
+        self.values, self.picks = values, tables.picks
         self.cands = [c for c in plan.by_pair if values[plan.offset + c] == plan.cell_len[c]]
         self.cursor = 0  # cands before it are broken
         self.broken = bytearray(len(values))  # by value index
@@ -452,8 +451,8 @@ class _Tail:
     def best(self, pool: frozenset) -> int | None:
         """The cell the value pass would select for `pool`, or None when no
         cell keeps ratio 1."""
-        broken, slot, n = self.broken, self.plan.slot, self.dist.n
-        hangs_at = self.dist.memo[("hanging", self.eps)][2]  # filled by the reference round
+        broken, slot, n = self.broken, self.plan.slot, self.plan.n
+        hangs_at = self.plan.hangs_at  # filled by the reference round
         for k in self.pool - pool:
             for s, t in hangs_at[k]:
                 broken[slot[s * n + t]] = 1
@@ -541,24 +540,23 @@ def prune_round(
         return False
     if dist is None:
         dist = apsp(g)
-    eps = Fraction(eps)
+    eps = _positive_eps(eps)
     tail = state.tail
-    if tail and tail.g is g and tail.dist is dist and tail.eps == eps and pool <= tail.pool:
-        plan, tables = tail.plan, tail.tables
-        _check_cap(plan.max_level, cell_cap)
+    if tail and tail.plan is _plan(dist, eps) and pool <= tail.pool:
+        plan, tables = _joined_plan(dist, eps, cell_cap), tail.tables
         cell = tail.best(pool)
         if cell is None:
             return False
         s, t, length, beta = plan.cell_s[cell], plan.cell_t[cell], plan.cell_len[cell], Fraction(1)
     else:
-        tables = fill_tables(g, pool, dist, eps, cell_cap)
+        tables = fill_tables(pool, dist, eps, cell_cap)
         best = select_best_triple(tables)
         if best is None:
             return False
         s, t, length, beta = best
         if beta < 1:
             return False
-        state.tail = _Tail(g, eps, tables) if beta == 1 else None
+        state.tail = _Tail(tables) if beta == 1 else None
     walk, mset = reconstruct(tables, s, t, length)
     support = frozenset(mset)
     state.added.update(map(edge_key, walk, walk[1:]))
@@ -757,7 +755,7 @@ def prune_with_scaling(
 
     contracted, back = contract_and_round(g, eps)
     inner, logs, _ = iterate_prune(contracted, eps, cell_cap=cell_cap)
-    inner_stretch = stretch(contracted, inner)
+    # the last log entry is the stretch of the spanner iterate_prune returns
     keep = {back[k] for k in inner.edge_keys}
     keep |= {k for k, w in weights.items() if w * n <= w_max}
-    return g.subgraph(keep), ScalingLog(scaled=True, iterations=logs, inner_stretch=inner_stretch)
+    return g.subgraph(keep), ScalingLog(scaled=True, iterations=logs, inner_stretch=logs[-1].stretch)

@@ -905,8 +905,28 @@ def previous_iterate_prune(
 # --- the plan builder before per-partner length lists ------------------------
 #
 # A verbatim copy of `_WalkPlan.__init__` as it was when every finalised cell
-# scanned every finalised cell it could extend, with `self` a namespace. The
-# differential test requires every field of the package's plan to equal it.
+# scanned every finalised cell it could extend, with `self` a namespace, and
+# of `_length_bounds`, which computed its bounds before the plan derived them
+# itself. The differential test requires every field of the package's plan,
+# its bound rows read as a dict, to equal them.
+
+
+def previous_length_bounds(dist: DistanceOracle, eps: Fraction) -> tuple[dict[tuple[int, int], int], int]:
+    """floor((1+eps) * dist(s, t)) for every connected pair s != t, and the largest of them."""
+    p, q = eps.numerator, eps.denominator
+    n = dist.n
+    bounds: dict[tuple[int, int], int] = {}
+    max_level = 0
+    for s in range(n):
+        row = dist.row(s)
+        for t in range(s + 1, n):
+            d = row[t]
+            if d is INF:
+                continue
+            b = (p + q) * d // q
+            bounds[(s, t)] = bounds[(t, s)] = b
+            max_level = max(max_level, b)
+    return bounds, max_level
 
 
 def previous_walk_plan(dist: DistanceOracle, bounds: dict[tuple[int, int], int], max_level: int):

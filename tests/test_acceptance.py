@@ -127,7 +127,7 @@ def test_criterion_4_table_consistency(capsys):
         checked = 0
         for g, pool, eps in instances:
             dist = apsp(g)
-            tables = fill_tables(g, frozenset(pool), dist, eps)
+            tables = fill_tables(frozenset(pool), dist, eps)
             kappa = hanging_kappa(eps)
             for (s, t, length), entry in table_cells(tables).items():
                 if s == t:

@@ -45,6 +45,7 @@ from bruteforce import (
     previous_fill_tables,
     previous_hanging_pairs,
     previous_iterate_prune,
+    previous_length_bounds,
     previous_prune,
     previous_prune_round,
     previous_reconstruct,
@@ -95,7 +96,7 @@ def ladder_tables(n, with_center_rung):
     if not with_center_rung:
         pool.discard(rung(n, 0))
     dist = apsp(g)
-    return g, dist, fill_tables(g, frozenset(pool), dist, EPS)
+    return g, dist, fill_tables(frozenset(pool), dist, EPS)
 
 
 class TestIsHanging:
@@ -177,14 +178,24 @@ class TestEndpointHangingSets:
         pool = frozenset(k for k in sorted(g.edge_keys) if rng.random() < 0.7)
         for eps in (F(1, 64), F(1, 10), F(1, 4), F(1)):
             for subpool in (pool, frozenset(k for k in sorted(pool) if rng.random() < 0.5)):
-                got = endpoint_hanging_sets(g, subpool, apsp(g), eps)
+                got = endpoint_hanging_sets(subpool, apsp(g), eps)
                 assert got == brute_endpoint_hanging_sets(g, subpool, eps)
 
     def test_empty_pool_gives_empty_sets(self):
         g, _ = scaled_ladder(3)
         dist = apsp(g)
-        sets = endpoint_hanging_sets(g, frozenset(), dist, EPS)
+        sets = endpoint_hanging_sets(frozenset(), dist, EPS)
         assert all(not v for v in sets.values())
+
+    def test_builds_no_joins_and_rejects_nothing_new(self):
+        # the hanging pairs live on the plan, whose joins only the tables
+        # build; a zero weight, which the tables reject, is no error here
+        g = WeightedGraph(3, ((0, 1, F(1)), (1, 2, F(0)), (0, 2, F(2))))
+        for graph in (g, scaled_ladder(3)[0]):
+            dist = apsp(graph)
+            endpoint_hanging_sets(graph.edge_keys, dist, EPS)
+            [plan] = dist.memo.values()
+            assert plan.cells_of is None and plan.hangs_at.keys() == graph.edge_keys
 
     def test_no_diagonal_entries(self):
         g, dist, tables = ladder_tables(3, with_center_rung=True)
@@ -199,12 +210,13 @@ class TestEndpointHangingSets:
         else:
             _, g, eps, _ = catalogue_instance(name)
         dist = apsp(g)
-        endpoint_hanging_sets(g, g.edge_keys, dist, eps)
-        pairs, _, hangs_at = dist.memo[("hanging", eps)]
+        endpoint_hanging_sets(g.edge_keys, dist, eps)
+        plan = prune_module._plan(dist, eps)
+        hangs_at = plan.hangs_at
         assert hangs_at.keys() == g.edge_keys
         assert any(hangs_at.values())
         for k, at in hangs_at.items():
-            assert at == previous_hanging_pairs(k, g.int_weights[k], pairs, dist, eps)
+            assert at == previous_hanging_pairs(k, g.int_weights[k], plan.pairs, dist, eps)
 
 
 class TestFillTables:
@@ -219,7 +231,7 @@ class TestFillTables:
 
     def test_single_edge_graph_has_only_base(self):
         g = WeightedGraph(2, ((0, 1, F(3)),))
-        tables = fill_tables(g, g.edge_keys, apsp(g), EPS)
+        tables = fill_tables(g.edge_keys, apsp(g), EPS)
         assert levels(tables, 0, 1) == [3]
         assert levels(tables, 1, 0) == [3]
 
@@ -236,7 +248,7 @@ class TestFillTables:
     def test_every_entry_rejects_a_zero_weight(self):
         g = WeightedGraph(3, ((0, 1, F(1)), (1, 2, F(0))))
         entries = (
-            lambda: fill_tables(g, g.edge_keys, apsp(g), EPS),
+            lambda: fill_tables(g.edge_keys, apsp(g), EPS),
             lambda: prune(g, g, EPS),
             lambda: iterate_prune(g, EPS),
             lambda: prune_with_scaling(g, EPS),
@@ -249,7 +261,7 @@ class TestFillTables:
     def test_accepts_rational_weights(self):
         # lengths and log weights are ints in units of 1/scale
         g = WeightedGraph(2, ((0, 1, F(1, 2)),))
-        assert levels(fill_tables(g, g.edge_keys, apsp(g), EPS), 0, 1) == [1]
+        assert levels(fill_tables(g.edge_keys, apsp(g), EPS), 0, 1) == [1]
         h, state = prune(g, g, EPS)
         assert h == g and [(r.length, r.walk_weight, r.multiset_weight) for r in state.rounds] == [(1, 1, 1)]
         # the spanner drops the only half-integer edge, so its own scale is 1,
@@ -271,7 +283,7 @@ class TestFillTables:
             eps = rng.choice([F(1, 4), F(1, 10), F(1, 64), F(1, 2), F(1)])
             pool = greedy_spanner(g, 1 + eps).edge_keys
             dist = apsp(g)
-            tables = fill_tables(g, frozenset(pool), dist, eps)
+            tables = fill_tables(frozenset(pool), dist, eps)
             anchored_weight = {pair: hanging_weight(g, tables, pair) for pair in tables.anchored}
             ref = brute_walk_tables(g, pool, dist, eps, anchored_weight)
             mine = {(s, t, L): e.value for (s, t, L), e in table_cells(tables).items() if s != t}
@@ -282,21 +294,29 @@ class TestFillTables:
     def test_cell_cap_guard(self):
         g = WeightedGraph(2, ((0, 1, F(3_000_000)),))
         with pytest.raises(CellCapError):
-            fill_tables(g, g.edge_keys, apsp(g), EPS)
-        tables = fill_tables(g, g.edge_keys, apsp(g), EPS, cell_cap=4_000_000)
+            fill_tables(g.edge_keys, apsp(g), EPS)
+        tables = fill_tables(g.edge_keys, apsp(g), EPS, cell_cap=4_000_000)
         assert (0, 1, 3_000_000) in table_cells(tables)
+
+    def test_cell_cap_error_on_a_fresh_plan_builds_no_joins(self):
+        g = WeightedGraph(2, ((0, 1, F(3_000_000)),))
+        dist = apsp(g)
+        with pytest.raises(CellCapError):
+            fill_tables(g.edge_keys, dist, EPS)
+        [plan] = dist.memo.values()
+        assert plan.cells_of is None and not plan.hangs_at
 
     def test_cell_cap_applies_to_a_cached_plan(self):
         g = WeightedGraph(2, ((0, 1, F(300)),))
         dist = apsp(g)
-        assert levels(fill_tables(g, g.edge_keys, dist, EPS, cell_cap=376), 0, 1) == [300]
+        assert levels(fill_tables(g.edge_keys, dist, EPS, cell_cap=376), 0, 1) == [300]
         with pytest.raises(CellCapError):
-            fill_tables(g, g.edge_keys, dist, EPS, cell_cap=375)
+            fill_tables(g.edge_keys, dist, EPS, cell_cap=375)
 
     def test_only_occupied_levels_are_visited(self):
         # 1.25 * 10**12 lengths lie in range; a scan over them would not end
         g = WeightedGraph(2, ((0, 1, F(10**12)),))
-        tables = fill_tables(g, g.edge_keys, apsp(g), EPS, cell_cap=10**13)
+        tables = fill_tables(g.edge_keys, apsp(g), EPS, cell_cap=10**13)
         assert levels(tables, 0, 1) == [10**12]
         assert tables.max_level == 10**12 * 5 // 4
 
@@ -311,7 +331,7 @@ def assert_same_tables(new, old):
     for s, t, length in cells:
         lengths.setdefault((s, t), []).append(length)
     assert lengths == {pair: old.levels(*pair) for pair in old.entries}
-    assert (new.plan.bounds, new.max_level) == (old.bounds, old.max_level)
+    assert (plan_bounds(new.plan), new.max_level) == (old.bounds, old.max_level)
     assert new.anchored == old.anchored
     assert {pair: hanging_weight(old.graph, new, pair) for pair in new.anchored} == old.anchored_weight
     assert select_best_triple(new) == previous_select_best_triple(old)
@@ -340,19 +360,25 @@ def catalogue_instance(name):
 
 PLAN_FIELDS = (
     "pairs", "offset", "cell_s", "cell_t", "cell_len", "base",
-    "join_start", "join_left", "join_right", "join_bonus", "by_pair", "bounds", "max_level",
+    "join_start", "join_left", "join_right", "join_bonus", "by_pair", "max_level",
 )
+
+
+def plan_bounds(plan):
+    """The plan's `bound` rows as a dict over the connected pairs s != t."""
+    return {(s, t): b for s, row in enumerate(plan.bound) for t, b in enumerate(row) if b >= 0}
 
 
 def assert_same_plan(g, eps):
     """The plan of (apsp(g), eps) against the previous builder, field by
     field; `cells_of` in insertion order, lengths included. Returns the join count."""
     dist = apsp(g)
-    bounds, max_level = prune_module._length_bounds(dist, eps)
-    new = prune_module._WalkPlan(dist, bounds, max_level)
+    bounds, max_level = previous_length_bounds(dist, eps)
+    new = prune_module._joined_plan(dist, eps, max_level + 1)
     old = previous_walk_plan(dist, bounds, max_level)
     for name in PLAN_FIELDS:
         assert getattr(new, name) == getattr(old, name), name
+    assert plan_bounds(new) == old.bounds
     assert [(p, list(c.items())) for p, c in new.cells_of.items()] == [
         (p, list(c.items())) for p, c in old.cells_of.items()
     ]
@@ -398,7 +424,7 @@ class TestAgainstPreviousTables:
         pool = frozenset(k for k in sorted(g.edge_keys) if rng.random() < 0.7)
         dist, scaled_dist = apsp(g), apsp(scaled)
         for eps in (F(1, 64), F(1, 10), F(1, 4), F(1, 2), F(1)):  # one oracle, one plan per eps
-            assert_same_tables(fill_tables(g, pool, dist, eps), previous_fill_tables(scaled, pool, scaled_dist, eps))
+            assert_same_tables(fill_tables(pool, dist, eps), previous_fill_tables(scaled, pool, scaled_dist, eps))
 
     @pytest.mark.parametrize("name", ["ladder", "multiladder", "greedyhard"])
     def test_reused_plan_matches_fresh_and_previous_every_round(self, name):
@@ -411,11 +437,11 @@ class TestAgainstPreviousTables:
         rounds = 0
         while True:
             pool = frozenset(h.edge_keys - state.added - state.removed)
-            reused = fill_tables(scaled, pool, dist, eps)
+            reused = fill_tables(pool, dist, eps)
             previous = previous_fill_tables(scaled, pool, dist, eps)
             assert_same_tables(reused, previous)
-            assert_same_tables(fill_tables(g, pool, rational_dist, eps), previous)
-            assert table_cells(fill_tables(scaled, pool, DistanceOracle(scaled), eps)) == table_cells(reused)
+            assert_same_tables(fill_tables(pool, rational_dist, eps), previous)
+            assert table_cells(fill_tables(pool, DistanceOracle(scaled), eps)) == table_cells(reused)
             exchanged = prune_round(scaled, h, state, eps, dist=dist)
             assert prune_round(g, h_rational, rational_state, eps, dist=rational_dist) == exchanged
             assert (rational_state.added, rational_state.removed) == (state.added, state.removed)
@@ -596,7 +622,7 @@ class TestRatioOneTail:
                 marked = set()
             elif tail is not None and tail.pool == pool:  # the tail answered
                 tail_rounds += 1
-                full = fill_tables(scaled, pool, dist, eps)
+                full = fill_tables(pool, dist, eps)
                 probe = copy.copy(tail)
                 probe.broken, probe.picks = bytearray(tail.broken), array("q", tail.picks)
                 intact, offset = set(), tail.plan.offset
@@ -630,13 +656,48 @@ class TestRatioOneTail:
             exchanged = prune_round(scaled, h, state, eps, dist=dist)
             if tail is not None and state.tail is tail and tail.pool == pool:
                 tail_rounds += 1
-                anchored = endpoint_hanging_sets(scaled, pool, dist, eps)
+                anchored = endpoint_hanging_sets(pool, dist, eps)
                 hanging = [sum(scaled.int_weights[k] for k in anchored[pair]) for pair in tail.plan.pairs]
                 changed = {i for i, w in enumerate(hanging, 1) if w != tail.values[i]}
                 assert {i for i in range(1, tail.plan.offset) if tail.broken[i]} == changed
             if not exchanged:
                 break
         assert tail_rounds > 3
+
+    @pytest.mark.parametrize("name", ["ladder", "multiladder", "greedyhard"])
+    def test_a_tail_from_another_eps_falls_back_to_a_value_pass(self, name, monkeypatch):
+        # the tail is keyed on the plan, one per (oracle, eps): a round at
+        # another eps runs a value pass even though the pool shrank
+        _, scaled, eps, init = catalogue_instance(name)
+        h = scaled.subgraph(init) if init else greedy_spanner(scaled, 1 + eps)
+        dist = apsp(scaled)
+        state, old_state = PruneState(), PruneState()
+        while state.tail is None:  # up to the first ratio-1 round
+            assert lockstep(scaled, h, eps, dist, state, old_state)
+        evaluate, calls = prune_module._WalkPlan.evaluate, []
+
+        def counted(plan, hanging):
+            calls.append(1)
+            return evaluate(plan, hanging)
+
+        monkeypatch.setattr(prune_module._WalkPlan, "evaluate", counted)
+        other = eps / 2
+        lockstep(scaled, h, other, dist, state, old_state)
+        assert calls == [1]
+        while lockstep(scaled, h, other, dist, state, old_state):
+            pass
+        assert set(dist.memo) == {("walk-plan", eps), ("walk-plan", other)}
+
+    def test_a_tail_round_checks_the_cell_cap(self):
+        # the tail reuses a cached plan, so it too checks the cap
+        _, scaled, eps, init = catalogue_instance("ladder")
+        h, dist, state = scaled.subgraph(init), apsp(scaled), PruneState()
+        while state.tail is None:  # up to the first ratio-1 round
+            assert prune_round(scaled, h, state, eps, dist=dist)
+        tail, cap = state.tail, state.tail.plan.max_level + 1
+        with pytest.raises(CellCapError):
+            prune_round(scaled, h, state, eps, dist=dist, cell_cap=cap - 1)
+        assert prune_round(scaled, h, state, eps, dist=dist, cell_cap=cap) and state.tail is tail
 
     def test_hanging_sets_are_built_only_for_value_passes(self, monkeypatch):
         g, scaled, eps, init = catalogue_instance("multiladder")
@@ -665,12 +726,12 @@ class TestSelectBestTriple:
 
     def test_empty_pool_returns_none(self):
         g, _ = scaled_ladder(2)
-        tables = fill_tables(g, frozenset(), apsp(g), EPS)
+        tables = fill_tables(frozenset(), apsp(g), EPS)
         assert select_best_triple(tables) is None
 
     def test_single_edge_self_hang_has_ratio_one(self):
         g = WeightedGraph(2, ((0, 1, F(3)),))
-        tables = fill_tables(g, g.edge_keys, apsp(g), EPS)
+        tables = fill_tables(g.edge_keys, apsp(g), EPS)
         s, t, length, beta = select_best_triple(tables)
         assert beta == 1 and (s, t, length) == (0, 1, 3)
 
@@ -701,7 +762,7 @@ class TestReconstruct:
         # on its walk and counts twice in its multiset
         g, scaled, eps, init = catalogue_instance("multiladder")
         pool = frozenset(init)
-        tables = fill_tables(g, pool, apsp(g), eps)
+        tables = fill_tables(pool, apsp(g), eps)
         old = previous_fill_tables(scaled, pool, apsp(scaled), eps)
         cells = table_cells(tables)
         repeating = []
@@ -728,7 +789,7 @@ class TestReconstruct:
         # grid, pooled from its greedy spanner, two collect a nonempty one
         g = seeded_grid(4, 2)
         pool = frozenset(greedy_spanner(g, 1 + EPS).edge_keys)
-        tables = fill_tables(g, pool, apsp(g), EPS)
+        tables = fill_tables(pool, apsp(g), EPS)
         old = previous_fill_tables(g, pool, apsp(g), EPS)
         plan, picks, anchored = tables.plan, tables.picks, tables.anchored
         collecting = [
@@ -901,6 +962,11 @@ class TestIteratePrune:
         hg = greedy_spanner(gs, 1 + x * eps)
         assert hg.total_weight > n * scale
 
+    def test_one_memo_entry_per_eps(self):
+        g, _, eps, init = catalogue_instance("multiladder")
+        iterate_prune(g, eps, initial_spanner=g.subgraph(init))
+        assert list(apsp(g).memo) == [("walk-plan", eps)]
+
     def test_pass_cap(self):
         assert log_star_ceil(F(4)) == 2
         assert log_star_ceil(F(100)) == 4
@@ -985,7 +1051,7 @@ def test_every_entry_rejects_nonpositive_eps(eps):
         lambda: iterate_prune(g, eps, initial_spanner=g),
         lambda: prune_with_scaling(g, eps),
         lambda: contract_and_round(g, eps),
-        lambda: fill_tables(g, g.edge_keys, apsp(g), eps),
+        lambda: fill_tables(g.edge_keys, apsp(g), eps),
     ]
     for entry in entries:
         with pytest.raises(ValueError, match="^eps must be positive$"):
