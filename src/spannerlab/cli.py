@@ -167,7 +167,7 @@ def _run_algorithm(algorithm: str, g: WeightedGraph, args) -> tuple[WeightedGrap
     eps = _frac(args.eps)
     if eps <= 0:
         raise ParameterError(f"{algorithm} needs --eps > 0, got {args.eps}")
-    if any(w == 0 for _, _, w in g.edges):
+    if 0 in g.int_weights.values():
         raise ParameterError("pruning algorithms need strictly positive weights")
     extra["scale"] = _frac_str(g.scale)
     if algorithm == "prune":

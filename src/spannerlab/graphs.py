@@ -1,11 +1,13 @@
 """Exact-arithmetic weighted graphs, shortest paths, and edge-list I/O.
 
 Weights enter and leave as `fractions.Fraction` (file I/O and the public
-API); nothing rounds through floats. Inside, each graph is scaled once: its
-`scale` is the LCM of the weight denominators, and `int_weights` holds every
-weight times `scale` as a Python int. Shortest paths, greedy scans, oracle
-searches and pruning tables all run on these ints, so each stretch test is
-an integer comparison. Distances of disconnected pairs use the ``INF``
+API); nothing rounds through floats. Parsing builds one `Fraction` per
+distinct weight text, not one per edge. Inside, each graph is scaled once:
+its `scale` is the LCM of the weight denominators, and `int_weights` holds
+every weight times `scale` as a Python int. Every per-edge test (signs,
+positivity, totals, subgraph checks) and the shortest paths, greedy scans,
+oracle searches and pruning tables all run on these ints, so each stretch
+test is an integer comparison. Distances of disconnected pairs use the ``INF``
 sentinel; it compares above every int, so a sum containing it fails every
 bound check.
 """
@@ -64,7 +66,7 @@ class WeightedGraph:
                 raise ValueError(f"duplicate edge {key}")
             if not isinstance(w, Fraction):
                 w = _as_fraction(w)
-            if w < 0:
+            if w.numerator < 0:  # a Fraction's denominator is positive
                 raise ValueError(f"negative weight on edge {key}")
             seen[key] = w
         norm = tuple((u, v, seen[(u, v)]) for u, v in sorted(seen))
@@ -114,7 +116,8 @@ class WeightedGraph:
 
     @property
     def total_weight(self) -> Fraction:
-        return sum((w for _, _, w in self.edges), Fraction(0))
+        """Sum of the edge weights, as one Fraction built from the int sum."""
+        return Fraction(sum(self.int_weights.values()), self.scale)
 
     def subgraph(self, keys: Iterable[EdgeKey]) -> "WeightedGraph":
         """Same vertex set, edges restricted to `keys` (all must exist)."""
@@ -127,9 +130,14 @@ class WeightedGraph:
         return WeightedGraph(self.n, kept, self.declared_planar)
 
     def is_subgraph_of(self, g: "WeightedGraph") -> bool:
-        if self.n != g.n:
+        """Same vertex count, and every edge of self is a g-edge of the same
+        weight. Compared on ints: a weight whose reduced denominator does
+        not divide g.scale is no g-weight, so self.scale must divide it."""
+        if self.n != g.n or g.scale % self.scale:
             return False
-        return all(g.weights.get(k) == w for k, w in self.weights.items())
+        factor = g.scale // self.scale
+        weights = g.int_weights
+        return all(weights.get(k) == w * factor for k, w in self.int_weights.items())
 
 
 def _find(parent: list[int], x: int) -> int:
@@ -231,7 +239,7 @@ class DistanceOracle:
             self._dist.append(row)
         self._next_hop: dict[int, list] = {}
         self.memo: dict = {}
-        self.all_positive = all(w > 0 for _, _, w in g.edges)
+        self.all_positive = all(w > 0 for w in self.int_weights.values())
 
     def dist(self, u: int, v: int):
         """Exact distance as a Fraction, or the INF sentinel when disconnected."""
@@ -351,6 +359,11 @@ def format_graph(g: WeightedGraph) -> str:
 
 
 def parse_graph(text: str) -> WeightedGraph:
+    """The graph of an edge-list text; ValueError on any malformed line.
+
+    Weight tokens follow `Fraction`'s grammar (``3/2``, ``1.5``, ``1e2``).
+    Each distinct token is parsed once and its `Fraction` shared by every
+    edge that spells its weight the same way."""
     rows = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -359,21 +372,25 @@ def parse_graph(text: str) -> WeightedGraph:
     if not rows:
         raise ValueError("empty graph file")
     head = rows[0].split()
-    if len(head) != 3 or not head[2].startswith("planar:"):
+    if len(head) != 3 or head[2] not in ("planar:0", "planar:1"):
         raise ValueError(f"bad header {rows[0]!r}; expected 'n m planar:0|1'")
     n, m = int(head[0]), int(head[1])
     planar = head[2] == "planar:1"
     if len(rows) - 1 != m:
         raise ValueError(f"header promises {m} edges, file has {len(rows) - 1}")
     edges = []
+    parsed: dict[str, Fraction] = {}
     for line in rows[1:]:
         parts = line.split()
         if len(parts) != 3:
             raise ValueError(f"bad edge line {line!r}")
-        try:
-            w = Fraction(parts[2])
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in edge line {line!r}") from None
+        token = parts[2]
+        w = parsed.get(token)
+        if w is None:
+            try:
+                w = parsed[token] = Fraction(token)
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in edge line {line!r}") from None
         edges.append((int(parts[0]), int(parts[1]), w))
     return WeightedGraph(n, tuple(edges), planar)
 

@@ -22,7 +22,7 @@ def greedy_spanner(g: WeightedGraph, t) -> WeightedGraph:
         raise ValueError(f"stretch target must exceed 1, got {t}")
     if not is_connected(g):
         raise ValueError("greedy_spanner requires a connected graph")
-    if any(w <= 0 for _, _, w in g.edges):
+    if any(w <= 0 for w in g.int_weights.values()):
         raise ValueError("greedy_spanner requires strictly positive weights")
 
     order = sorted(g.int_weights.items(), key=lambda kw: (kw[1], kw[0]))

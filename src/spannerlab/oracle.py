@@ -189,7 +189,8 @@ def exact_opt_spanner(g: WeightedGraph, eps, max_edges: int = DEFAULT_MAX_EDGES)
     threshold (1+eps)*d exactly when d' <= (p+q)*d // q. One adjacency of
     the edges still available is built once and edited in place as edges
     are excluded and restored, and the zero-weight and forced edges are
-    contracted into components once for the completion bound. A threshold
+    contracted into components once for the completion bound; an exclusion
+    child takes its parent's bound rather than recomputing it. A threshold
     check dist(u, v) <= limit runs a Dijkstra pruned toward v by g's
     distance row of v, a lower bound on every distance to v over fewer
     edges. A check that passes keeps its path as a witness, and a later
@@ -235,10 +236,11 @@ def exact_opt_spanner(g: WeightedGraph, eps, max_edges: int = DEFAULT_MAX_EDGES)
     best_weight = sum((w for w, _ in free), base_weight)
     best_edges = tuple(sorted(all_keys))
 
-    def search(idx: int, chosen: set[EdgeKey], chosen_weight: int):
+    def search(idx: int, chosen: set[EdgeKey], chosen_weight: int, bound: int | None = None):
         nonlocal nodes, best_weight, best_edges
         nodes += 1
-        bound = _completion_bound(label, comps, chosen, free, idx)
+        if bound is None:
+            bound = _completion_bound(label, comps, chosen, free, idx)
         if bound is None or base_weight + chosen_weight + bound > best_weight:
             return
         if idx == len(free):
@@ -254,7 +256,10 @@ def exact_opt_spanner(g: WeightedGraph, eps, max_edges: int = DEFAULT_MAX_EDGES)
         # exclusion first so light incumbents appear early
         checks.exclude(k)
         if checks.local_ok(k):
-            search(idx + 1, chosen, chosen_weight)
+            # the child keeps `chosen` and loses free[idx], which the bound's
+            # pass reads last: its bound is this one unless the rest cannot
+            # connect, and then k's endpoints are apart and local_ok fails
+            search(idx + 1, chosen, chosen_weight, bound)
         checks.restore()
         chosen.add(k)
         search(idx + 1, chosen, chosen_weight + w)

@@ -690,11 +690,12 @@ def contract_and_round(g: WeightedGraph, eps) -> tuple[WeightedGraph, dict[EdgeK
     """Contract components spanned by edges lighter than eps*W/n^2 and round
     the surviving weights to floor(w * n^2 / (W * eps)).
 
-    Weights w and W are g's ints in units of 1/g.scale. Returns the
-    contracted graph and a map from its edge keys back to the original edge
-    chosen to represent each contracted pair (the one with the smallest
-    rounded weight, ties by original weight then key). Contracted vertices
-    are numbered in the order of their union-find roots.
+    Weights w and W are g's ints in units of 1/g.scale; with eps = p/q the
+    test and the rounding are on ints too. Returns the contracted graph and
+    a map from its edge keys back to the original edge chosen to represent
+    each contracted pair (the one with the smallest rounded weight, ties by
+    original weight then key). Contracted vertices are numbered in the
+    order of their union-find roots.
     """
     eps = _positive_eps(eps)
     _require_positive(g)
@@ -703,22 +704,22 @@ def contract_and_round(g: WeightedGraph, eps) -> tuple[WeightedGraph, dict[EdgeK
     if not weights:  # nothing to contract or round
         return WeightedGraph(n, (), g.declared_planar), {}
     w_max = max(weights.values())
-    threshold = eps * w_max / (n * n)
+    # w < eps*W/n^2 is w*num < den, and floor(w*n^2/(W*eps)) is w*num // den
+    num, den = eps.denominator * n * n, w_max * eps.numerator
     parent = list(range(n))
     for (u, v), w in weights.items():
-        if w < threshold:
+        if w * num < den:
             parent[_find(parent, u)] = _find(parent, v)
 
     roots = sorted({_find(parent, v) for v in range(n)})
     comp = {r: i for i, r in enumerate(roots)}
-    factor = Fraction(n * n) / (w_max * eps)
     best: dict[EdgeKey, tuple[int, int, EdgeKey]] = {}
     for (u, v), w in weights.items():
         cu, cv = comp[_find(parent, u)], comp[_find(parent, v)]
         if cu == cv:
             continue
         key = edge_key(cu, cv)
-        rounded = int(w * factor)
+        rounded = w * num // den
         cand = (rounded, w, (u, v))
         if key not in best or cand < best[key]:
             best[key] = cand
@@ -749,7 +750,7 @@ def prune_with_scaling(
     n = g.n
     weights = g.int_weights
     w_max = max(weights.values(), default=0)
-    if w_max < Fraction(n * n) / eps:
+    if w_max * eps.numerator < n * n * eps.denominator:
         h, logs, _ = iterate_prune(g, eps, cell_cap=cell_cap)
         return h, ScalingLog(scaled=False, iterations=logs)
 

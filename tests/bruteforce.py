@@ -6,8 +6,8 @@ from the package beyond the graph container itself, except the definitional
 references in the middle (walks with step weights built from vertex lists,
 hanging witnesses on a walk, edge normalization, floor_pow2), which read the
 package's distance oracle, and the `previous_*` reference copies at the end,
-which keep replaced table, round-loop and exact-check code for differential
-tests and use the package's small helpers.
+which keep replaced table, round-loop, exact-check and graph-boundary code
+for differential tests and use the package's small helpers.
 """
 from __future__ import annotations
 
@@ -27,6 +27,7 @@ from spannerlab.graphs import (
     DistanceOracle,
     EdgeKey,
     WeightedGraph,
+    _find,
     apsp,
     edge_key,
     is_connected,
@@ -40,6 +41,7 @@ from spannerlab.prune import (
     IterationLog,
     PruneState,
     RoundLog,
+    _positive_eps,
     _require_positive,
     hanging_kappa,
     log_star_ceil,
@@ -1242,3 +1244,100 @@ def previous_hanging_pairs(edge: EdgeKey, w: int, pairs, dist: DistanceOracle, e
         if dist_s[a] + d + dist_t[b] <= budget or dist_s[b] + d + dist_t[a] <= budget:
             out.append((s, t))
     return tuple(out)
+
+
+# --- the graph boundary before it worked on ints -----------------------------
+#
+# Verbatim copies (renamed with a `previous_` prefix) of the edge-list parser,
+# `WeightedGraph.is_subgraph_of`, `WeightedGraph.total_weight`,
+# `DistanceOracle.all_positive` and `prune.contract_and_round` as they were
+# when each worked one Fraction per edge. The parser still accepts any
+# `planar:` suffix (only `planar:1` meant planar), so differential tests feed
+# it `planar:0|1` headers only.
+
+
+def previous_parse_graph(text: str) -> WeightedGraph:
+    rows = []
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            rows.append(line)
+    if not rows:
+        raise ValueError("empty graph file")
+    head = rows[0].split()
+    if len(head) != 3 or not head[2].startswith("planar:"):
+        raise ValueError(f"bad header {rows[0]!r}; expected 'n m planar:0|1'")
+    n, m = int(head[0]), int(head[1])
+    planar = head[2] == "planar:1"
+    if len(rows) - 1 != m:
+        raise ValueError(f"header promises {m} edges, file has {len(rows) - 1}")
+    edges = []
+    for line in rows[1:]:
+        parts = line.split()
+        if len(parts) != 3:
+            raise ValueError(f"bad edge line {line!r}")
+        try:
+            w = Fraction(parts[2])
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in edge line {line!r}") from None
+        edges.append((int(parts[0]), int(parts[1]), w))
+    return WeightedGraph(n, tuple(edges), planar)
+
+
+def previous_is_subgraph_of(h: WeightedGraph, g: WeightedGraph) -> bool:
+    if h.n != g.n:
+        return False
+    return all(g.weights.get(k) == w for k, w in h.weights.items())
+
+
+def previous_total_weight(g: WeightedGraph) -> Fraction:
+    return sum((w for _, _, w in g.edges), Fraction(0))
+
+
+def previous_all_positive(g: WeightedGraph) -> bool:
+    return all(w > 0 for _, _, w in g.edges)
+
+
+def previous_contract_and_round(g: WeightedGraph, eps) -> tuple[WeightedGraph, dict[EdgeKey, EdgeKey]]:
+    """Contract components spanned by edges lighter than eps*W/n^2 and round
+    the surviving weights to floor(w * n^2 / (W * eps)).
+
+    Weights w and W are g's ints in units of 1/g.scale. Returns the
+    contracted graph and a map from its edge keys back to the original edge
+    chosen to represent each contracted pair (the one with the smallest
+    rounded weight, ties by original weight then key). Contracted vertices
+    are numbered in the order of their union-find roots.
+    """
+    eps = _positive_eps(eps)
+    _require_positive(g)
+    n = g.n
+    weights = g.int_weights
+    if not weights:  # nothing to contract or round
+        return WeightedGraph(n, (), g.declared_planar), {}
+    w_max = max(weights.values())
+    threshold = eps * w_max / (n * n)
+    parent = list(range(n))
+    for (u, v), w in weights.items():
+        if w < threshold:
+            parent[_find(parent, u)] = _find(parent, v)
+
+    roots = sorted({_find(parent, v) for v in range(n)})
+    comp = {r: i for i, r in enumerate(roots)}
+    factor = Fraction(n * n) / (w_max * eps)
+    best: dict[EdgeKey, tuple[int, int, EdgeKey]] = {}
+    for (u, v), w in weights.items():
+        cu, cv = comp[_find(parent, u)], comp[_find(parent, v)]
+        if cu == cv:
+            continue
+        key = edge_key(cu, cv)
+        rounded = int(w * factor)
+        cand = (rounded, w, (u, v))
+        if key not in best or cand < best[key]:
+            best[key] = cand
+    contracted = WeightedGraph(
+        len(roots),
+        tuple((k[0], k[1], Fraction(v[0])) for k, v in best.items()),
+        g.declared_planar,
+    )
+    back = {k: v[2] for k, v in best.items()}
+    return contracted, back

@@ -28,7 +28,10 @@ from bruteforce import (
     concat,
     floor_pow2,
     normalize_edges,
+    previous_all_positive,
+    previous_is_subgraph_of,
     previous_stretch,
+    previous_total_weight,
     walk_from_vertices,
 )
 
@@ -76,6 +79,64 @@ class TestWeightedGraph:
         assert h.edge_keys == {(0, 1)} and h.n == 3
         with pytest.raises(ValueError):
             g.subgraph([(0, 2)])
+
+
+@st.composite
+def subgraph_pairs(draw):
+    """(h, g): h takes some of g's edges at g's weight or at another one,
+    and sometimes a vertex count of its own."""
+    g = draw(small_graphs(positive=False))
+    weight = st.builds(F, st.integers(0, 12), st.integers(1, 6))
+    edges = []
+    for u, v, w in g.edges:
+        pick = draw(st.sampled_from(["drop", "keep", "keep", "other"]))
+        if pick != "drop":
+            edges.append((u, v, w if pick == "keep" else draw(weight)))
+    other_n = draw(st.integers(0, 7)) == 0
+    return WeightedGraph(g.n + other_n, tuple(edges)), g
+
+
+# (h, g) pairs where comparing ints needs care: h.scale does not divide
+# g.scale (1/3 against 1/4, and 1/2 against a zero weight, where g.scale //
+# h.scale is 0), equal values at different scales, an edgeless h, another n
+BOUNDARY_PAIRS = [
+    (WeightedGraph(3, ((0, 1, F(1, 3)),)), WeightedGraph(3, ((0, 1, F(1, 4)), (1, 2, F(1)))), False),
+    (WeightedGraph(2, ((0, 1, F(1, 2)),)), WeightedGraph(2, ((0, 1, F(0)),)), False),
+    (WeightedGraph(3, ((0, 1, F(1, 3)),)), WeightedGraph(3, ((0, 1, F(2, 6)), (1, 2, F(1, 6)))), True),
+    (WeightedGraph(3, ((0, 1, F(1, 3)),)), WeightedGraph(3, ((0, 1, F(1, 3)), (1, 2, F(1, 2)))), True),
+    (WeightedGraph(3), WeightedGraph(3, ((0, 1, F(1, 3)), (1, 2, F(1, 6)))), True),
+    (WeightedGraph(3), WeightedGraph(3), True),
+    (WeightedGraph(2, ((0, 1, F(1)),)), WeightedGraph(3, ((0, 1, F(1)),)), False),
+]
+
+
+class TestIntBoundary:
+    """The per-edge checks on ints agree with the Fraction comparisons they
+    replaced."""
+
+    @pytest.mark.parametrize("h, g, expected", BOUNDARY_PAIRS)
+    def test_is_subgraph_of_boundary_cases(self, h, g, expected):
+        assert h.is_subgraph_of(g) == previous_is_subgraph_of(h, g) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(subgraph_pairs())
+    def test_is_subgraph_of_matches_fraction_comparison(self, pair):
+        h, g = pair
+        assert h.is_subgraph_of(g) == previous_is_subgraph_of(h, g)
+        assert g.is_subgraph_of(h) == previous_is_subgraph_of(g, h)
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_graphs(positive=False))
+    def test_total_weight_and_all_positive_match_fractions(self, g):
+        assert g.total_weight == previous_total_weight(g)
+        assert type(g.total_weight) is F
+        assert apsp(g).all_positive == previous_all_positive(g)
+
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_edgeless_total_weight(self, n):
+        g = WeightedGraph(n)
+        assert g.total_weight == previous_total_weight(g) == 0
+        assert apsp(g).all_positive == previous_all_positive(g)
 
 
 class TestApsp:

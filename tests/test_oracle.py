@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spannerlab.oracle as oracle_module
-from spannerlab.graphs import WeightedGraph, apsp, dijkstra, edge_key
+from spannerlab.graphs import WeightedGraph, apsp, components, dijkstra, edge_key
 from spannerlab.hardness import ABOVE, BELOW, Clause, SatInstance, reduce_sat
 from spannerlab.instances import gen_ladder, ladder_u, ladder_v
 from spannerlab.oracle import (
@@ -144,6 +144,43 @@ class TestAgainstPreviousOracle:
             # one for the distance oracle, one for the search
             assert len(calls) == 2
         assert max(explored) > 10 * min(explored)
+
+
+@st.composite
+def completion_bound_inputs(draw):
+    """Arguments of `_completion_bound`: base components of a few vertices,
+    chosen edges, and undecided (weight, edge) pairs heaviest first."""
+    n = draw(st.integers(2, 7))
+    comps = draw(st.integers(1, n))
+    label = [x % comps for x in range(n)]
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True))
+    chosen = {k for k in edges if draw(st.integers(0, 3)) == 0}
+    free = sorted(((draw(st.integers(1, 5)), k) for k in edges if k not in chosen), key=lambda e: (-e[0], e[1]))
+    idx = draw(st.integers(0, max(len(free) - 1, 0)))
+    return label, comps, chosen, free, idx
+
+
+class TestCompletionBound:
+    @settings(max_examples=200, deadline=None)
+    @given(completion_bound_inputs())
+    def test_exclusion_children_inherit_the_bound(self, args):
+        # the search hands an exclusion child (idx + 1, same chosen) its
+        # parent's bound; that is the child's own bound unless the child's
+        # edges cannot connect, and then free[idx]'s endpoints are apart
+        # without it, so the child is never searched
+        label, comps, chosen, free, idx = args
+        if idx == len(free):
+            return
+        bound = oracle_module._completion_bound(label, comps, chosen, free, idx)
+        child = oracle_module._completion_bound(label, comps, chosen, free, idx + 1)
+        if child is None and bound is not None:
+            rest = [*chosen, *(k for _, k in free[idx + 1:])]
+            part, _ = components(comps, [(label[u], label[v]) for u, v in rest])
+            u, v = free[idx][1]
+            assert part[label[u]] != part[label[v]]
+        else:
+            assert child == bound
 
 
 def _zero_weighted(rng, g, zero_prob):

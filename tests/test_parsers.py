@@ -17,6 +17,8 @@ from spannerlab.graphs import WeightedGraph, format_graph, parse_graph, write_gr
 from spannerlab.hardness import ABOVE, BELOW, Clause, SatInstance, format_sat, parse_sat
 from spannerlab.instances import gen_ladder
 
+from bruteforce import previous_parse_graph
+
 ENDPOINTS = ["0", "1", "2", "3", "-1", "x"]
 WEIGHTS = ["0", "1", "3/2", "-1", "1/0", "-0/0", "1/-2", "0.5", "1e2", "nan", "x"]
 GRAPH_TOKENS = ENDPOINTS + WEIGHTS + ["planar:0", "planar:1", "planar:", "#"]
@@ -43,6 +45,26 @@ def graph_texts(draw):
     n = draw(st.integers(min_value=-1, max_value=4))
     planar = draw(st.sampled_from("01"))
     return "\n".join([f"{n} {len(lines)} planar:{planar}"] + lines) + "\n"
+
+
+# spellings of a few values: equal values written differently, and decimals
+# that differ exactly but round to the same float
+RESPELT_WEIGHTS = [
+    "3/2", "6/4", "1.5", "15e-1",
+    "1/3", "2/6",
+    "0.1", "1/10", "0.10000000000000001",
+    "1e2", "100", "100/1",
+    "0", "0/5", "1/0",
+]
+
+
+@st.composite
+def respelt_graph_texts(draw):
+    """Edge-list texts over four vertices whose weights respell a few values."""
+    pairs = draw(st.lists(st.sampled_from([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]), unique=True))
+    lines = [f"{u} {v} {draw(st.sampled_from(RESPELT_WEIGHTS))}" for u, v in pairs]
+    planar = draw(st.sampled_from("01"))
+    return "\n".join([f"4 {len(lines)} planar:{planar}"] + lines) + "\n"
 
 
 def parses_or_value_error(parse, text):
@@ -91,6 +113,27 @@ class TestParseGraph:
         assert parse_graph(text) == g
         assert format_graph(parse_graph(text)) == text
 
+    @settings(max_examples=200, deadline=None)
+    @given(graph_texts() | respelt_graph_texts())
+    @example(text="4 3 planar:0\n0 1 3/2\n1 2 6/4\n2 3 1.5\n")
+    @example(text="4 3 planar:1\n0 1 0.1\n1 2 0.10000000000000001\n2 3 1/10\n")
+    def test_matches_previous_parser(self, text):
+        try:
+            expected = previous_parse_graph(text)
+        except Exception as exc:
+            with pytest.raises(type(exc)) as raised:
+                parse_graph(text)
+            assert str(raised.value) == str(exc)
+            return
+        g = parse_graph(text)
+        assert g == expected
+        assert all(type(w) is F for _, _, w in g.edges)
+
+    @pytest.mark.parametrize("flag", ["planar:", "planar:2", "planar:yes"])
+    def test_malformed_planar_flag_is_a_bad_header(self, flag):
+        with pytest.raises(ValueError, match=f"^bad header '3 1 {flag}'; expected 'n m planar:0\\|1'$"):
+            parse_graph(f"3 1 {flag}\n0 1 1\n")
+
 
 class TestParseSat:
     @settings(max_examples=200, deadline=None)
@@ -115,6 +158,16 @@ def test_verify_maps_any_graph_file_to_an_exit_code(text):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main(["verify", str(path), str(path), "--eps", "1/4"])
     assert code in (EXIT_OK, EXIT_PARAM)
+
+
+@pytest.mark.parametrize("flag", ["planar:", "planar:2", "planar:yes"])
+def test_verify_refuses_a_malformed_planar_flag(tmp_path, capsys, flag):
+    path = tmp_path / "g.txt"
+    path.write_text(f"3 1 {flag}\n0 1 1\n")
+    assert main(["verify", str(path), str(path), "--eps", "1/4"]) == EXIT_PARAM
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: bad header '3 1 {flag}'; expected 'n m planar:0|1'\n"
 
 
 # small values only: a large eps or cell cap would make a pruning table huge

@@ -35,13 +35,14 @@ from spannerlab.prune import (
     select_best_triple,
 )
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bruteforce import (
     brute_endpoint_hanging_sets,
     int_walk_weight,
     is_hanging,
+    previous_contract_and_round,
     previous_fill_tables,
     previous_hanging_pairs,
     previous_iterate_prune,
@@ -974,6 +975,17 @@ class TestIteratePrune:
         assert log_star_ceil(F(65536)) == 4
 
 
+@st.composite
+def wide_weight_graphs(draw):
+    """Positive rationals from 1/5 to 10^6 on a few vertices, so that some
+    edges fall below eps*W/n^2 and get contracted."""
+    n = draw(st.integers(2, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=1))
+    weight = st.builds(F, st.integers(1, 10) | st.integers(1, 10**6), st.integers(1, 5))
+    return WeightedGraph(n, tuple((u, v, draw(weight)) for u, v in chosen))
+
+
 class TestPruneWithScaling:
     def test_small_weights_delegate(self):
         g, _ = scaled_ladder(4)
@@ -1031,6 +1043,20 @@ class TestPruneWithScaling:
             assert w.denominator == 1 and w >= 1
             orig = g.weights[back[(u, v)]]
             assert w == int(orig * n * n / (w_max * EPS))
+
+    @settings(max_examples=150, deadline=None)
+    @given(wide_weight_graphs(), st.builds(F, st.integers(1, 12), st.integers(1, 12)))
+    @example(WeightedGraph(4, ((0, 1, F(32)), (1, 2, F(2)), (2, 3, F(5)))), F(1))
+    def test_contract_and_round_matches_fraction_formulas(self, g, eps):
+        # the example puts an edge exactly on the threshold eps*W/n^2
+        assert contract_and_round(g, eps) == previous_contract_and_round(g, eps)
+
+    @pytest.mark.parametrize("w, scaled", [(F(15), False), (F(16), True), (F(15, 2), False), (F(16, 3), True)])
+    def test_scaling_starts_at_n_squared_over_eps(self, w, scaled):
+        # W is the int weight in units of 1/g.scale: 15, 16, 15 and 16
+        g = WeightedGraph(2, ((0, 1, w),))
+        _, log = prune_with_scaling(g, F(1, 4))
+        assert log.scaled == scaled
 
     def test_edgeless_graph_has_nothing_to_contract(self):
         g = WeightedGraph(1, ())
