@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import warnings
 from array import array
+from bisect import insort
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -68,7 +69,7 @@ def endpoint_hanging_sets(
     for k in pool:
         at = hangs_at.get(k)
         if at is None:
-            at = hangs_at[k] = _hanging_pairs(k, dist.int_weights[k], plan.pairs, dist, eps)
+            at = hangs_at[k] = _hanging_pairs(k, dist.int_weights[k], dist, eps)
         for pair in at:
             members.setdefault(pair, []).append(k)
     out = plan.none_hang.copy()
@@ -77,8 +78,9 @@ def endpoint_hanging_sets(
     return out
 
 
-def _hanging_pairs(edge: EdgeKey, w: int, pairs, dist: DistanceOracle, eps: Fraction) -> tuple:
-    """The pairs (s, t) of `pairs` at whose endpoints `edge`, of int weight w, hangs."""
+def _hanging_pairs(edge: EdgeKey, w: int, dist: DistanceOracle, eps: Fraction) -> tuple:
+    """The pairs (s, t), s < t, at whose endpoints `edge`, of int weight w,
+    hangs; ascending."""
     a, b = edge
     kappa = hanging_kappa(eps)
     stretch_bound = 1 + eps
@@ -86,17 +88,21 @@ def _hanging_pairs(edge: EdgeKey, w: int, pairs, dist: DistanceOracle, eps: Frac
     # when d >= ceil(kappa*w) and lhs <= (1+eps)*w when lhs <= floor((1+eps)*w)
     need = -(-kappa.numerator * w // kappa.denominator)
     budget = stretch_bound.numerator * w // stretch_bound.denominator
-    rows = [dist.row(x) for x in range(dist.n)]
+    # a pair with d >= need and a detour within budget has both endpoints
+    # within budget - need of a or of b, so in one component with the edge
+    reach = budget - need
+    row_a, row_b = dist.row(a), dist.row(b)
+    near = [v for v in range(dist.n) if row_a[v] <= reach or row_b[v] <= reach]
     out = []
-    for s, t in pairs:
-        dist_s = rows[s]
-        d = dist_s[t]
-        if d < need:
-            continue
-        dist_t = rows[t]
-        # an INF term makes the sum INF, which fails the budget
-        if dist_s[a] + d + dist_t[b] <= budget or dist_s[b] + d + dist_t[a] <= budget:
-            out.append((s, t))
+    for i, s in enumerate(near):
+        dist_s = dist.row(s)
+        for t in near[i + 1 :]:
+            d = dist_s[t]
+            if d < need:
+                continue
+            dist_t = dist.row(t)
+            if dist_s[a] + d + dist_t[b] <= budget or dist_s[b] + d + dist_t[a] <= budget:
+                out.append((s, t))
     return tuple(out)
 
 
@@ -114,6 +120,9 @@ def _positive_eps(eps) -> Fraction:
     if eps <= 0:
         raise ValueError("eps must be positive")
     return eps
+
+
+_UNPICKED = -2  # a reversed cell's pick, until it is requested
 
 
 class _WalkPlan:
@@ -136,6 +145,11 @@ class _WalkPlan:
     by (via, left length). A new cell is joined with each partner pair's
     finalised cells in ascending length, up to the first whose sum passes
     the bound.
+
+    Only canonical cells (s < t) store joins. `mirror[c]` is the twin
+    (t, s, L) of cell c (a diagonal cell is its own); a reversed cell's
+    join range is empty, and its joins are its twin's read backwards (see
+    `joins` and `halves`), so it has its twin's value under every pool.
     """
 
     def __init__(self, dist: DistanceOracle, eps: Fraction):
@@ -159,7 +173,8 @@ class _WalkPlan:
         self.cells_of = None
 
     def join(self, dist: DistanceOracle) -> None:
-        """Number the realizable cells and build their joins; weights must be positive."""
+        """Number the realizable cells and build the joins of the canonical
+        ones; weights must be positive."""
         n, slot, offset, bound = self.n, self.slot, self.offset, self.bound
         rows = [dist.row(s) for s in range(n)]
         # pair -> {length: cell}, lengths ascending
@@ -168,53 +183,66 @@ class _WalkPlan:
         self.cell_t = cell_t = list(range(n))
         self.cell_len = cell_len = [0] * n
         self.base = base = [0] * n  # value index of a base cell's value, -1 for a join-only cell
+        self.mirror = mirror = list(range(n))
         self.join_start = join_start = array("i", [0] * (n + 1))  # cell c: joins join_start[c]:join_start[c+1]
         self.join_left, self.join_right, self.join_bonus = array("i"), array("i"), array("i")
         add_left, add_right, add_bonus = self.join_left.append, self.join_right.append, self.join_bonus.append
         at = [None] * (n * n)  # key -> the pair's dict in cells_of, the diagonal's set now
         at[:: n + 1] = cells_of.values()
 
-        base_at: dict[int, list[int]] = {}
+        base_at: dict[int, list[int]] = {}  # length -> canonical keys
         for s, t in self.pairs:
-            base_at.setdefault(rows[s][t], []).extend((s * n + t, t * n + s))
+            base_at.setdefault(rows[s][t], []).append(s * n + t)
         # only occupied levels are visited: base lengths, plus each length a
         # join first reaches. A pending join is packed as via << 32 | left
         # cell (a plan of 2**32 cells would not fit in memory), so sorting
         # the codes sorts the joins by (via, left length).
         levels = list(base_at)
         heapify(levels)
-        pending: dict[int, dict[int, list[int]]] = {}  # length -> key -> codes
-        # partners of finalised cells: ends[t] holds each s with a cell from s
-        # to t, starts[s] each such t; the first cell of a pair is its base
+        pending: dict[int, dict[int, list[int]]] = {}  # length -> canonical key -> codes
+        # partners of finalised cells, ascending: ends[t] holds each s with a
+        # cell from s to t, starts[s] each such t; a pair's first cell is its base
         ends: list[list[int]] = [[] for _ in range(n)]
         starts: list[list[int]] = [[] for _ in range(n)]
         while levels:
             level = heappop(levels)
             joins_at = pending.pop(level, {})
             top = 1 << (level.bit_length() - 1)
-            for key in sorted(joins_at.keys() | base_at.get(level, ())):
+            canonical = joins_at.keys() | base_at.get(level, ())
+            # a cell's twin is realizable at the same length, and numbered
+            # after it: its key t*n + s is the larger
+            for key in sorted([*canonical, *[k % n * n + k // n for k in canonical]]):
                 s, t = pair = divmod(key, n)
                 c = len(cell_len)
                 if at[key] is None:
                     at[key] = cells_of[pair] = {}
-                    starts[s].append(t)
-                    ends[t].append(s)
+                    insort(starts[s], t)
+                    insort(ends[t], s)
                 at[key][level] = c
                 cell_s.append(s)
                 cell_t.append(t)
                 cell_len.append(level)
                 base.append(slot[key] if rows[s][t] == level else -1)
-                for code in sorted(joins_at.get(key, ())):
-                    left = code & 0xFFFFFFFF
-                    l_left = cell_len[left]
-                    add_left(offset + left)
-                    add_right(offset + at[(code >> 32) * n + t][level - l_left])
-                    add_bonus(slot[key] if level - top < l_left < top else 0)
+                if s < t:
+                    mirror.append(c)  # until its twin is numbered
+                    for code in sorted(joins_at.get(key, ())):
+                        left = code & 0xFFFFFFFF
+                        l_left = cell_len[left]
+                        add_left(offset + left)
+                        add_right(offset + at[(code >> 32) * n + t][level - l_left])
+                        add_bonus(slot[key] if level - top < l_left < top else 0)
+                else:
+                    twin = at[t * n + s][level]
+                    mirror.append(twin)
+                    mirror[twin] = c
                 join_start.append(len(self.join_left))
-                # pair the new cell with every finalised cell it extends, up
-                # to the bound; a partner's lengths ascend from its distance.
-                # Each pair of cells is joined once, by the later of the two
+                # pair the new cell with every finalised cell it extends into
+                # a canonical cell, up to the bound; a partner's lengths
+                # ascend from its distance. Each pair of cells is joined
+                # once, by the later of the two
                 for x in ends[s]:
+                    if x >= t:
+                        break
                     lim = bound[t][x] - level
                     if rows[s][x] > lim:
                         continue
@@ -228,7 +256,9 @@ class _WalkPlan:
                             if l + level not in base_at:
                                 heappush(levels, l + level)
                         slots.setdefault(out, []).append(s << 32 | left)
-                for y in starts[t]:
+                for y in reversed(starts[t]):
+                    if y <= s:
+                        break
                     lim = bound[s][y] - level
                     if rows[t][y] > lim:
                         continue
@@ -243,22 +273,50 @@ class _WalkPlan:
                                 heappush(levels, level + l)
                         slots.setdefault(out, []).append(t << 32 | c)
 
-        # off-diagonal cells in (s, t, L) order
-        self.by_pair = [c for pair in sorted(cells_of) if pair[0] != pair[1] for c in cells_of[pair].values()]
+        # canonical cells in (s, t, L) order; a reversed cell ties its twin
+        # and comes after it, so no selection picks it
+        self.by_pair = [c for pair in sorted(cells_of) if pair[0] < pair[1] for c in cells_of[pair].values()]
+
+    def joins(self, c: int):
+        """The joins of cell c in its order: its own, or for a reversed cell
+        its twin's with via ascending and, within each via, from last to
+        first (its own left length ascending). Read them through `halves`."""
+        start, twin = self.join_start, self.mirror[c]
+        if twin >= c:
+            return range(start[c], start[c + 1])
+        jl, cell_t, offset = self.join_left, self.cell_t, self.offset
+        return sorted(range(start[twin], start[twin + 1]), key=lambda j: (cell_t[jl[j] - offset], -j))
+
+    def halves(self, c: int, j: int) -> tuple[int, int]:
+        """The value indices of the left and right halves of join j of cell
+        c; a reversed cell swaps its twin's halves and mirrors them."""
+        left, right = self.join_left[j], self.join_right[j]
+        if self.mirror[c] >= c:
+            return left, right
+        offset, mirror = self.offset, self.mirror
+        return offset + mirror[right - offset], offset + mirror[left - offset]
 
     def evaluate(self, hanging: list[int]) -> tuple[list[int], array]:
         """The round's value list (see the class docstring) for the endpoint
-        hanging weights of `pairs`, and each cell's chosen join (-1: base).
+        hanging weights of `pairs`, and each canonical cell's chosen join
+        (-1: base; a reversed cell's is left to `WalkTables.pick`).
 
-        A cell starts from its base value and takes each join whose sum is
-        strictly larger, so ties go to the base cell, then to the smallest
-        (via, left length)."""
-        offset, base, start = self.offset, self.base, self.join_start
+        A canonical cell starts from its base value and takes each join
+        whose sum is strictly larger, so ties go to the base cell, then to
+        the smallest (via, left length). A reversed cell copies its twin's
+        value: the same base slot, mirrored halves, and a bonus test
+        symmetric in the split."""
+        offset, base, start, mirror = self.offset, self.base, self.join_start, self.mirror
         jl, jr, jb = self.join_left, self.join_right, self.join_bonus
         n_cells = len(base)
         values = [0, *hanging, *[0] * n_cells]
         picks = array("q", [-1]) * n_cells
         for c in range(n_cells):
+            twin = mirror[c]
+            if twin < c:
+                values[offset + c] = values[offset + twin]
+                picks[c] = _UNPICKED
+                continue
             b = base[c]
             best = values[b] if b >= 0 else -1
             for j in range(start[c], start[c + 1]):
@@ -297,8 +355,8 @@ def _joined_plan(dist: DistanceOracle, eps: Fraction, cap: int) -> _WalkPlan:
 
 class WalkTables:
     """The walk tables of one round: the plan's numbered cells, the round's
-    `values` (indexed as in `_WalkPlan`) and each cell's picked join in
-    `picks` (-1: the base cell, whose walk is the canonical shortest path).
+    `values` (indexed as in `_WalkPlan`) and each cell's picked join, read
+    through `pick`.
 
     For a pair (s, t), cells exist for integer lengths L up to
     (1+eps) * dist(s, t); a cell is realizable when a walk of weight exactly
@@ -312,6 +370,24 @@ class WalkTables:
         self.dist, self.pool, self.anchored = dist, pool, anchored
         self.plan, self.values, self.picks = plan, values, picks
         self.entries, self.max_level = plan.cells_of, plan.max_level
+
+    def pick(self, c: int) -> int:
+        """The join cell c picked (-1: the base cell, whose walk is the
+        canonical shortest path); read its halves with `plan.halves`. A
+        reversed cell's pick is found on first request: the first of its
+        contributors, the base and then `plan.joins(c)`, that reaches its
+        value, as a value pass over its own joins would pick."""
+        j = self.picks[c]
+        if j == _UNPICKED:
+            plan, values = self.plan, self.values
+            jl, jr, jb = plan.join_left, plan.join_right, plan.join_bonus
+            target, b = values[plan.offset + c], plan.base[c]
+            if b >= 0 and values[b] == target:
+                j = -1
+            else:
+                j = next(j for j in plan.joins(c) if values[jl[j]] + values[jr[j]] + values[jb[j]] == target)
+            self.picks[c] = j
+        return j
 
 
 def fill_tables(
@@ -333,7 +409,9 @@ def fill_tables(
     max(L', L - L') is below the largest power of two not above L. Which
     cells exist and how they join is planned once per (dist, eps); each
     round only re-evaluates the plan, in ascending length order, for the
-    pool's hanging weights.
+    pool's hanging weights. Only the canonical cells (s < t) are evaluated:
+    (t, s, L) joins the mirrored halves of (s, t, L) under the same bonus
+    test, so it takes its twin's value, and its pick is found on request.
     """
     eps = _positive_eps(eps)
     plan = _joined_plan(dist, eps, cell_cap)
@@ -348,8 +426,10 @@ def select_best_triple(tables: WalkTables):
 
     Ties take the lexicographically smallest (s, t, L); at ratio exactly 1
     this drains the pool through the cheapest self-exchanges first instead of
-    letting a longer walk trade structure away for no weight gain. Returns
-    (s, t, L, ratio) or None when every value is zero.
+    letting a longer walk trade structure away for no weight gain. Only the
+    canonical cells are scanned: (t, s, L) has the value of (s, t, L) and
+    comes after it, so it never wins. Returns (s, t, L, ratio) with s < t,
+    or None when every value is zero.
     """
     plan, values = tables.plan, tables.values
     offset, cell_len = plan.offset, plan.cell_len
@@ -367,9 +447,10 @@ def select_best_triple(tables: WalkTables):
 
 def reconstruct(tables: WalkTables, s: int, t: int, length: int) -> tuple[tuple[int, ...], Counter]:
     """The walk (vertex sequence) and hanging multiset (edge key ->
-    multiplicity) of a realizable cell, in one in-order pass over its picks:
-    a join adds the pair's endpoint hanging set when it collects it, then
-    its left and right halves; a base cell appends its canonical path and
+    multiplicity) of a realizable cell, in one in-order pass over its picks
+    (`tables.pick`, which finds a reversed cell's on first request): a join
+    adds the pair's endpoint hanging set when it collects it, then its left
+    and right halves (`plan.halves`); a base cell appends its canonical path and
     adds its endpoint hanging set. A sub-cell met twice is expanded twice,
     once per place on the walk. The walk weighs exactly `length` in units of
     1/scale of the oracle; the multiset weight is the cell value.
@@ -377,7 +458,7 @@ def reconstruct(tables: WalkTables, s: int, t: int, length: int) -> tuple[tuple[
     root = tables.entries.get((s, t), {}).get(length)
     if root is None:
         raise ValueError(f"cell {(s, t, length)} is not realizable")
-    plan, picks, dist, anchored = tables.plan, tables.picks, tables.dist, tables.anchored
+    plan, dist, anchored = tables.plan, tables.dist, tables.anchored
     offset, cell_s, cell_t = plan.offset, plan.cell_s, plan.cell_t
     walk, mset = [s], Counter()
     # a diagonal cell is the walk at s alone; no join reaches one, so every
@@ -385,11 +466,12 @@ def reconstruct(tables: WalkTables, s: int, t: int, length: int) -> tuple[tuple[
     stack = [root] if s != t else []
     while stack:
         c = stack.pop()
-        cs, ct, j = cell_s[c], cell_t[c], picks[c]
+        cs, ct, j = cell_s[c], cell_t[c], tables.pick(c)
         if j >= 0:
             if plan.join_bonus[j]:
                 mset.update(anchored[(cs, ct)])
-            stack += (plan.join_right[j] - offset, plan.join_left[j] - offset)
+            left, right = plan.halves(c, j)
+            stack += (right - offset, left - offset)
         else:
             walk += dist.path(cs, ct)[1:]
             mset.update(anchored[(cs, ct)])
@@ -428,10 +510,11 @@ class RoundLog:
 class _Tail:
     """The rounds of a pass after one of best ratio exactly 1, answered from
     that round's values v0. The pool only shrinks, so values only fall: the
-    best cell is the first, in (s, t, L) order, with v0 = L whose value is
-    still v0 (intact). That holds when some contributor tight in v0 (the
-    base, then the joins in stored order) has all terms intact, and the
-    first such is the value pass's pick. Weights are positive, so a pair's
+    best cell is the first canonical cell, in (s, t, L) order, with v0 = L
+    whose value is still v0 (intact). That holds when some contributor tight
+    in v0 (the base, then `plan.joins(c)`) has all terms intact, and the
+    first such is the value pass's pick; a reversed cell met on the way is
+    decided over its own contributors. Weights are positive, so a pair's
     hanging weight leaves v0 exactly when a departed pool edge hangs there;
     the other pairs keep the reference round's `anchored` sets. A broken
     cell stays broken for the pass. Valid for the same plan, which is one
@@ -470,32 +553,37 @@ class _Tail:
         """Whether the cell at value index `root` is intact; every cell
         decided on the way joins `intact` (with its pick) or `broken`."""
         plan, v0, broken, picks = self.plan, self.values, self.broken, self.picks
-        offset, base, start = plan.offset, plan.base, plan.join_start
+        offset, base, mirror = plan.offset, plan.base, plan.mirror
         jl, jr, jb = plan.join_left, plan.join_right, plan.join_bonus
-        stack = [[root, -1]]  # value index, contributor to resume at (-1: the base)
+        stack = [[root, None, 0]]  # value index, its joins once the base failed, position to resume at
         while stack:
             frame = stack[-1]
-            x, j = frame
+            x, joins, i = frame
             c, target = x - offset, v0[x]
-            if j < 0:
+            if joins is None:
                 b = base[c]
                 if b >= 0 and v0[b] == target and not broken[b]:
                     picks[c] = -1
                     intact.add(x)
                     stack.pop()
                     continue
-                j = start[c]
-            for j in range(j, start[c + 1]):
+                joins = frame[1] = plan.joins(c)
+            for i in range(i, len(joins)):
+                j = joins[i]
                 left, right, bonus = jl[j], jr[j], jb[j]
-                if v0[left] + v0[right] + v0[bonus] != target or broken[left] or broken[right] or broken[bonus]:
+                if v0[left] + v0[right] + v0[bonus] != target:
+                    continue
+                if mirror[c] < c:
+                    left, right = plan.halves(c, j)
+                if broken[left] or broken[right] or broken[bonus]:
                     continue
                 if left in intact and right in intact:
                     picks[c] = j
                     intact.add(x)
                     stack.pop()
                 else:  # decide the undecided half first, then resume at this join
-                    frame[1] = j
-                    stack.append([right if left in intact else left, -1])
+                    frame[2] = i
+                    stack.append([right if left in intact else left, None, 0])
                 break
             else:
                 broken[x] = 1

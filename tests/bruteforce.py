@@ -22,6 +22,8 @@ from itertools import combinations
 from types import SimpleNamespace
 from typing import Sequence
 
+from hypothesis import strategies as st
+
 from spannerlab.graphs import (
     INF,
     DistanceOracle,
@@ -286,6 +288,23 @@ def random_connected_graph(
     return WeightedGraph(n, tuple((u, v, weight()) for u, v in sorted(keys)))
 
 
+@st.composite
+def small_graphs(draw, max_n=6, positive=True):
+    """A hypothesis strategy: a graph on 1..max_n vertices, not always
+    connected, with weights p/q for p up to 12 (0 allowed unless
+    `positive`) and q up to 5."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) if pairs else []
+    lo = 1 if positive else 0
+    edges = []
+    for u, v in chosen:
+        num = draw(st.integers(min_value=lo, max_value=12))
+        den = draw(st.integers(min_value=1, max_value=5))
+        edges.append((u, v, Fraction(num, den)))
+    return WeightedGraph(n, tuple(edges))
+
+
 def seeded_grid(k: int, seed: int) -> WeightedGraph:
     """A planar k x k grid: each unit square gets its down-right diagonal
     with probability 1/2, every edge an integer weight uniform in 1..4."""
@@ -520,15 +539,15 @@ class DpEntry:
 def table_cells(tables) -> dict[tuple[int, int, int], DpEntry]:
     """Every cell of the package's walk tables, the diagonal included, in
     (s, t, L) order: {(s, t, L): DpEntry}, built from the plan's numbered
-    cells and the round's values and picks."""
-    plan, values, picks = tables.plan, tables.values, tables.picks
+    cells and the round's values and picks (read through `tables.pick`)."""
+    plan, values = tables.plan, tables.values
     out = {}
     for (s, t), cells in sorted(plan.cells_of.items()):
         for length, c in cells.items():
-            j = picks[c]
+            j = tables.pick(c)
             back = None
             if j >= 0:
-                left = plan.join_left[j] - plan.offset
+                left = plan.halves(c, j)[0] - plan.offset
                 back = (plan.cell_t[left], plan.cell_len[left], plan.join_bonus[j] != 0)
             out[(s, t, length)] = DpEntry(values[plan.offset + c], back)
     return out

@@ -32,22 +32,9 @@ from bruteforce import (
     previous_is_subgraph_of,
     previous_stretch,
     previous_total_weight,
+    small_graphs,
     walk_from_vertices,
 )
-
-
-@st.composite
-def small_graphs(draw, max_n=6, positive=True):
-    n = draw(st.integers(min_value=1, max_value=max_n))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) if pairs else []
-    lo = 1 if positive else 0
-    edges = []
-    for u, v in chosen:
-        num = draw(st.integers(min_value=lo, max_value=12))
-        den = draw(st.integers(min_value=1, max_value=5))
-        edges.append((u, v, F(num, den)))
-    return WeightedGraph(n, tuple(edges))
 
 
 class TestWeightedGraph:

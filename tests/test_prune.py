@@ -5,6 +5,8 @@ import sys
 from array import array
 from collections import Counter
 from fractions import Fraction as F
+from itertools import groupby
+from types import SimpleNamespace
 
 import pytest
 
@@ -54,6 +56,7 @@ from bruteforce import (
     previous_walk_plan,
     random_connected_graph,
     seeded_grid,
+    small_graphs,
     table_cells,
     walk_from_vertices,
 )
@@ -361,7 +364,7 @@ def catalogue_instance(name):
 
 PLAN_FIELDS = (
     "pairs", "offset", "cell_s", "cell_t", "cell_len", "base",
-    "join_start", "join_left", "join_right", "join_bonus", "by_pair", "max_level",
+    "join_start", "join_left", "join_right", "join_bonus", "max_level",
 )
 
 
@@ -370,15 +373,61 @@ def plan_bounds(plan):
     return {(s, t): b for s, row in enumerate(plan.bound) for t, b in enumerate(row) if b >= 0}
 
 
+def expanded_plan(plan):
+    """The plan with every cell's joins written out, as the builder stored
+    them while reversed cells (s > t) kept their own: a reversed cell gets
+    its twin's joins, per via from last to first, with the halves swapped
+    and mirrored. The other fields are the plan's."""
+    n, offset, mirror, cell_t = plan.n, plan.offset, plan.mirror, plan.cell_t
+    start, jl, jr, jb = plan.join_start, plan.join_left, plan.join_right, plan.join_bonus
+    out = SimpleNamespace(**{name: getattr(plan, name) for name in PLAN_FIELDS})
+    out.join_start = array("i", start[: n + 1])
+    out.join_left, out.join_right, out.join_bonus = array("i"), array("i"), array("i")
+    for c in range(n, len(plan.cell_len)):
+        twin = mirror[c]
+        source = min(c, twin)
+        joins = range(start[source], start[source + 1])
+        if twin < c:
+            by_via = groupby(joins, key=lambda j: cell_t[jl[j] - offset])
+            joins = [j for _, group in by_via for j in reversed(list(group))]
+        for j in joins:
+            left, right = jl[j], jr[j]
+            if twin < c:
+                left, right = offset + mirror[right - offset], offset + mirror[left - offset]
+            out.join_left.append(left)
+            out.join_right.append(right)
+            out.join_bonus.append(jb[j])
+        out.join_start.append(len(out.join_left))
+    return out
+
+
+def assert_mirror_invariants(plan):
+    """`mirror` is an involution onto the cell (t, s, L) of each cell
+    (s, t, L), fixing the diagonal, and only canonical cells store joins."""
+    mirror, cell_s, cell_t, cell_len = plan.mirror, plan.cell_s, plan.cell_t, plan.cell_len
+    assert len(mirror) == len(cell_len)
+    for c, twin in enumerate(mirror):
+        assert mirror[twin] == c and cell_len[twin] == cell_len[c]
+        assert (cell_s[twin], cell_t[twin]) == (cell_t[c], cell_s[c])
+        assert (twin == c) == (cell_s[c] == cell_t[c])
+        if cell_s[c] > cell_t[c]:
+            assert plan.join_start[c] == plan.join_start[c + 1]
+
+
 def assert_same_plan(g, eps):
-    """The plan of (apsp(g), eps) against the previous builder, field by
-    field; `cells_of` in insertion order, lengths included. Returns the join count."""
+    """The plan of (apsp(g), eps), expanded, against the previous builder,
+    field by field; `cells_of` in insertion order, lengths included, and
+    `by_pair` the previous one's canonical cells. Returns the join count of
+    the expanded plan."""
     dist = apsp(g)
     bounds, max_level = previous_length_bounds(dist, eps)
     new = prune_module._joined_plan(dist, eps, max_level + 1)
     old = previous_walk_plan(dist, bounds, max_level)
+    assert_mirror_invariants(new)
+    expanded = expanded_plan(new)
     for name in PLAN_FIELDS:
-        assert getattr(new, name) == getattr(old, name), name
+        assert getattr(expanded, name) == getattr(old, name), name
+    assert new.by_pair == [c for c in old.by_pair if old.cell_s[c] < old.cell_t[c]]
     assert plan_bounds(new) == old.bounds
     assert [(p, list(c.items())) for p, c in new.cells_of.items()] == [
         (p, list(c.items())) for p, c in old.cells_of.items()
@@ -387,18 +436,28 @@ def assert_same_plan(g, eps):
     for i, (s, t) in enumerate(new.pairs, 1):
         assert new.slot[s * n + t] == new.slot[t * n + s] == i
     assert sum(map(bool, new.slot)) == 2 * len(new.pairs)
-    return len(new.join_left)
+    return len(expanded.join_left)
+
+
+def wide_ladder():
+    """The 4-ladder at eps 1/4 with its scaled weights times 10**4."""
+    scaled, _ = scale_to_integers(gen_ladder(4, EPS))
+    return WeightedGraph(scaled.n, tuple((u, v, w * 10**4) for u, v, w in scaled.edges), scaled.declared_planar)
 
 
 class TestPlanAgainstPreviousBuilder:
     """The plan builder, which joins each new cell only with partner cells
-    whose lengths fit the bound, against a verbatim copy of the builder that
-    scanned every finalised cell."""
+    whose lengths fit the bound and stores the joins of canonical cells
+    only, against a verbatim copy of the builder that scanned every
+    finalised cell and stored every cell's joins."""
 
     @pytest.mark.parametrize("name", ["ladder", "multiladder", "greedyhard"])
     def test_catalogue(self, name):
         g, scaled, eps, _ = catalogue_instance(name)
         assert assert_same_plan(scaled, eps) == assert_same_plan(g, eps) > 1000
+
+    def test_wide_ladder(self):
+        assert assert_same_plan(wide_ladder(), EPS) > 10
 
     @pytest.mark.parametrize("k", [4, 5, 6])
     def test_seeded_grids(self, k):
@@ -426,6 +485,22 @@ class TestAgainstPreviousTables:
         dist, scaled_dist = apsp(g), apsp(scaled)
         for eps in (F(1, 64), F(1, 10), F(1, 4), F(1, 2), F(1)):  # one oracle, one plan per eps
             assert_same_tables(fill_tables(pool, dist, eps), previous_fill_tables(scaled, pool, scaled_dist, eps))
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_graphs(), st.randoms(use_true_random=False))
+    def test_previous_tables_are_symmetric(self, g, rng):
+        # what lets a reversed cell take its twin's value: in the previous
+        # tables, which fill every cell from its own joins, (t, s, L) has the
+        # value of (s, t, L), and the best triple never has s > t
+        scaled, _ = scale_to_integers(g)
+        dist = apsp(scaled)
+        pool = frozenset(k for k in sorted(g.edge_keys) if rng.random() < 0.7)
+        for eps in (F(1, 64), F(1, 10), F(1, 4), F(1)):
+            old = previous_fill_tables(scaled, pool, dist, eps)
+            for s, t, length, entry in old.iter_entries():
+                assert old.entry(t, s, length).value == entry.value
+            best = previous_select_best_triple(old)
+            assert best is None or best[0] < best[1]
 
     @pytest.mark.parametrize("name", ["ladder", "multiladder", "greedyhard"])
     def test_reused_plan_matches_fresh_and_previous_every_round(self, name):
@@ -624,8 +699,9 @@ class TestRatioOneTail:
             elif tail is not None and tail.pool == pool:  # the tail answered
                 tail_rounds += 1
                 full = fill_tables(pool, dist, eps)
-                probe = copy.copy(tail)
+                probe, probe_tables = copy.copy(tail), copy.copy(tail.tables)
                 probe.broken, probe.picks = bytearray(tail.broken), array("q", tail.picks)
+                probe_tables.picks = probe.picks
                 intact, offset = set(), tail.plan.offset
                 for x in range(offset, len(tail.values)):
                     if not probe.broken[x]:
@@ -636,11 +712,45 @@ class TestRatioOneTail:
                     if probe.broken[x]:
                         assert full.values[x] < tail.values[x] and x not in intact
                     else:
-                        assert full.values[x] == tail.values[x] and full.picks[x - offset] == probe.picks[x - offset]
+                        assert full.values[x] == tail.values[x] and x in intact
+                        assert full.pick(x - offset) == probe_tables.pick(x - offset)
                 marked = now
             if not exchanged:
                 break
         assert tail_rounds > 3 and marked
+
+    @pytest.mark.parametrize("name", TAIL_INSTANCES)
+    def test_a_tail_round_follows_only_the_picks_it_wrote(self, name):
+        # white box, every round the tail answers: a copy of the tail whose
+        # picks all point past the last join selects the same cell, and its
+        # walk and multiset equal a full value pass's, so every pick on the
+        # walk, reversed cells' included, was written by this round
+        scaled, h, eps = tail_instance(name)
+        dist = apsp(scaled)
+        state = PruneState()
+        tail_rounds = 0
+        while True:
+            tail = state.tail
+            pool = frozenset(h.edge_keys - state.added - state.removed)
+            if tail is not None and pool <= tail.pool:
+                probe, probe_tables = copy.copy(tail), copy.copy(tail.tables)
+                probe.broken = bytearray(tail.broken)
+                probe.picks = probe_tables.picks = array("q", [len(tail.plan.join_left)]) * len(tail.picks)
+                cell = probe.best(pool)
+            exchanged = prune_round(scaled, h, state, eps, dist=dist)
+            if tail is not None and state.tail is tail and tail.pool == pool:
+                tail_rounds += 1
+                plan, last = tail.plan, state.rounds[-1] if exchanged else None
+                if cell is None:
+                    assert not exchanged
+                else:
+                    s, t, length = plan.cell_s[cell], plan.cell_t[cell], plan.cell_len[cell]
+                    assert (last.source, last.target, last.length) == (s, t, length)
+                    full = fill_tables(pool, dist, eps)
+                    assert reconstruct(probe_tables, s, t, length) == reconstruct(full, s, t, length)
+            if not exchanged:
+                break
+        assert tail_rounds > 3
 
     @pytest.mark.parametrize("name", TAIL_INSTANCES)
     def test_marks_from_departed_edges_equal_the_changed_hanging_weights(self, name):
@@ -792,12 +902,12 @@ class TestReconstruct:
         pool = frozenset(greedy_spanner(g, 1 + EPS).edge_keys)
         tables = fill_tables(pool, apsp(g), EPS)
         old = previous_fill_tables(g, pool, apsp(g), EPS)
-        plan, picks, anchored = tables.plan, tables.picks, tables.anchored
+        plan, anchored = tables.plan, tables.anchored
         collecting = [
             (s, t, length)
             for (s, t), cells in sorted(plan.cells_of.items())
             for length, c in cells.items()
-            if picks[c] >= 0 and plan.join_bonus[picks[c]] and anchored[(s, t)]
+            if tables.pick(c) >= 0 and plan.join_bonus[tables.pick(c)] and anchored[(s, t)]
         ]
         assert collecting == [(4, 9, 5), (9, 4, 5)]
         for s, t, length in collecting:
@@ -805,6 +915,23 @@ class TestReconstruct:
             old_walk, old_mset = previous_reconstruct(old, s, t, length)
             assert walk == old_walk.vertices and mset == old_mset
             assert anchored[(s, t)] <= mset.keys()
+
+    def test_a_tie_that_splits_the_twins(self):
+        # (6, 14, 9) and (14, 6, 9) both pick via 9 with left length 4, so
+        # the reversed cell takes its twin's join of left length 5, read
+        # backwards: its walk is not the twin's walk reversed
+        g = seeded_grid(4, 6)
+        pool = frozenset(g.edge_keys)
+        tables = fill_tables(pool, apsp(g), EPS)
+        old = previous_fill_tables(g, pool, apsp(g), EPS)
+        cells, plan = table_cells(tables), tables.plan
+        assert cells[(6, 14, 9)].back[:2] == cells[(14, 6, 9)].back[:2] == (9, 4)
+        j = tables.pick(plan.cells_of[(14, 6)][9])
+        assert plan.cell_len[plan.join_left[j] - plan.offset] == 5
+        for (s, t), pinned in {(6, 14): (6, 5, 9, 8, 13, 14), (14, 6): (14, 13, 9, 4, 5, 6)}.items():
+            walk, mset = reconstruct(tables, s, t, 9)
+            old_walk, old_mset = previous_reconstruct(old, s, t, 9)
+            assert walk == pinned == old_walk.vertices and mset == old_mset
 
     def test_rejects_unrealizable(self):
         n = 3
