@@ -214,11 +214,17 @@ class DistanceOracle:
     """All-pairs exact shortest-path distances with canonical paths.
 
     Distances are stored as ints in units of 1/scale of the graph; they are
-    sums of the graph's `int_weights`, which the oracle shares. The
-    canonical path between two vertices is the lexicographically smallest
-    vertex sequence among all minimum-weight paths; it is materialised lazily
-    (one next-hop column per target) and requires strictly positive weights,
-    which `all_positive` records.
+    sums of the graph's `int_weights`, which the oracle shares. They are
+    computed over the zero-weight quotient: the vertices of one component
+    of g's zero-weight edges lie at mutual distance 0, so each component
+    is one node, two components are joined by the lightest positive edge
+    between them, one Dijkstra runs per component, and every vertex of a
+    component shares that component's row. A graph with no zero-weight
+    edge is its own quotient. The canonical path between two vertices is
+    the lexicographically smallest vertex sequence among all minimum-weight
+    paths; it is materialised lazily (one next-hop column per target) over
+    g's own adjacency and requires strictly positive weights, which
+    `all_positive` records.
     `memo` holds tables other modules derive from these distances: pruning
     keeps one walk plan per eps there, which holds all its per-eps state;
     they live as long as the oracle. The oracle
@@ -231,12 +237,26 @@ class DistanceOracle:
         self.scale = g.scale
         self.int_weights = g.int_weights
         self._adj = g.int_adjacency()
-        self._dist = []
-        for s in range(g.n):
-            row = [INF] * g.n
-            for v, d in dijkstra(self._adj, s).items():
+        label, c = components(g.n, [k for k, w in self.int_weights.items() if w == 0])
+        quotient = self._adj
+        if c < g.n:
+            light: dict[EdgeKey, int] = {}
+            for (u, v), w in self.int_weights.items():
+                k = edge_key(label[u], label[v])
+                if k[0] != k[1] and w < light.get(k, INF):
+                    light[k] = w
+            quotient = [[] for _ in range(c)]
+            for (a, b), w in light.items():
+                quotient[a].append((b, w))
+                quotient[b].append((a, w))
+        rows = []
+        for s in range(c):
+            row = [INF] * c
+            for v, d in dijkstra(quotient, s).items():
                 row[v] = d
-            self._dist.append(row)
+            # with no zero-weight edge, label is the identity
+            rows.append(row if c == g.n else [row[a] for a in label])
+        self._dist = [rows[a] for a in label]
         self._next_hop: dict[int, list] = {}
         self.memo: dict = {}
         self.all_positive = all(w > 0 for w in self.int_weights.values())
@@ -248,7 +268,8 @@ class DistanceOracle:
 
     def row(self, u: int):
         """The distance row of u as ints in units of 1/scale, INF where
-        disconnected (read-only by convention)."""
+        disconnected. Read-only: the vertices of a zero-weight component
+        share one row."""
         return self._dist[u]
 
     def _column(self, t: int) -> list:
@@ -286,9 +307,10 @@ class DistanceOracle:
 def apsp(g: WeightedGraph) -> DistanceOracle:
     """Exact all-pairs shortest paths with deterministic tie-breaking.
 
-    Computed once per graph object: later calls return the same oracle, so
-    every pruning pass over g shares its distances and what is memoised on
-    them.
+    Computed once per graph object, with one Dijkstra per component of g's
+    zero-weight edges (one per vertex when there is none): later calls
+    return the same oracle, so every pruning pass over g shares its
+    distances and what is memoised on them.
     """
     return g._oracle
 

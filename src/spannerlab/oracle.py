@@ -68,18 +68,19 @@ class _Checks:
       excluded at that search leaves the ball that way.
 
     A search prunes toward v with the g-distance row of v (`rows`), a lower
-    bound on the distance to v over any subset of g's edges.
+    bound on the distance to v over any subset of g's edges. `incident[x]`
+    lists the keys of the g-edges at x, in the order of g's adjacency.
     """
 
-    __slots__ = ("weights", "adj", "neighbours", "available", "excluded", "thresholds", "rows", "witness", "cert")
+    __slots__ = ("weights", "adj", "incident", "available", "excluded", "thresholds", "rows", "witness", "cert")
 
     def __init__(self, g: WeightedGraph, thresholds: dict[EdgeKey, int], rows: DistanceOracle):
         self.weights = g.int_weights
         self.adj = g.int_adjacency()
-        self.neighbours: list[list[int]] = [[] for _ in range(g.n)]
-        for u, v in self.weights:
-            self.neighbours[u].append(v)
-            self.neighbours[v].append(u)
+        self.incident: list[list[EdgeKey]] = [[] for _ in range(g.n)]
+        for k in self.weights:
+            self.incident[k[0]].append(k)
+            self.incident[k[1]].append(k)
         self.available = set(self.weights)
         self.excluded: list[EdgeKey] = []
         self.thresholds = thresholds
@@ -141,28 +142,24 @@ class _Checks:
             return False
         available = self.available
         for x in around:
-            for y in self.neighbours[x]:
-                k = edge_key(x, y)
+            for k in self.incident[x]:
                 if k != around and k not in available and not self.within(k):
                     return False
         return True
 
 
-def _completion_bound(label: list[int], comps: int, chosen, free, idx: int) -> int | None:
+def _completion_bound(parent: list[int], comps: int, label: list[int], free, idx: int) -> int | None:
     """Cheapest extra weight from the undecided edges free[idx:], (weight,
-    edge) pairs heaviest first, that connects the `comps` base components
-    (vertex x lies in component label[x]) once the edges `chosen` are added;
-    None when even all of them cannot connect. It is a minimum spanning
-    forest's weight, so reading them backwards, by ascending weight, gives
-    it whatever the order of equal weights."""
-    parent = list(range(comps))
-    for u, v in chosen:
-        ru, rv = _find(parent, label[u]), _find(parent, label[v])
-        if ru != rv:
-            parent[ru] = rv
-            comps -= 1
+    edge) pairs heaviest first, that connects the base components (vertex x
+    lies in component label[x]) once the chosen edges are added; None when
+    even all of them cannot connect. `parent` is the union-find of the
+    chosen edges over the base components, with `comps` classes left; it
+    is copied, not changed. The bound is a minimum spanning forest's
+    weight, so reading the edges backwards, by ascending weight, gives it
+    whatever the order of equal weights."""
     if comps == 1:
         return 0
+    parent = parent.copy()
     extra = 0
     for i in range(len(free) - 1, idx - 1, -1):
         w, (u, v) = free[i]
@@ -189,8 +186,10 @@ def exact_opt_spanner(g: WeightedGraph, eps, max_edges: int = DEFAULT_MAX_EDGES)
     threshold (1+eps)*d exactly when d' <= (p+q)*d // q. One adjacency of
     the edges still available is built once and edited in place as edges
     are excluded and restored, and the zero-weight and forced edges are
-    contracted into components once for the completion bound; an exclusion
-    child takes its parent's bound rather than recomputing it. A threshold
+    contracted into components once for the completion bound. The chosen
+    edges' union-find over them is carried down the search: an exclusion
+    child shares its parent's union-find and bound, and an inclusion child
+    copies the union-find only when its edge joins two classes. A threshold
     check dist(u, v) <= limit runs a Dijkstra pruned toward v by g's
     distance row of v, a lower bound on every distance to v over fewer
     edges. A check that passes keeps its path as a witness, and a later
@@ -236,11 +235,11 @@ def exact_opt_spanner(g: WeightedGraph, eps, max_edges: int = DEFAULT_MAX_EDGES)
     best_weight = sum((w for w, _ in free), base_weight)
     best_edges = tuple(sorted(all_keys))
 
-    def search(idx: int, chosen: set[EdgeKey], chosen_weight: int, bound: int | None = None):
+    def search(idx: int, parent: list[int], comps: int, chosen_weight: int, bound: int | None = None):
         nonlocal nodes, best_weight, best_edges
         nodes += 1
         if bound is None:
-            bound = _completion_bound(label, comps, chosen, free, idx)
+            bound = _completion_bound(parent, comps, label, free, idx)
         if bound is None or base_weight + chosen_weight + bound > best_weight:
             return
         if idx == len(free):
@@ -256,16 +255,19 @@ def exact_opt_spanner(g: WeightedGraph, eps, max_edges: int = DEFAULT_MAX_EDGES)
         # exclusion first so light incumbents appear early
         checks.exclude(k)
         if checks.local_ok(k):
-            # the child keeps `chosen` and loses free[idx], which the bound's
-            # pass reads last: its bound is this one unless the rest cannot
-            # connect, and then k's endpoints are apart and local_ok fails
-            search(idx + 1, chosen, chosen_weight, bound)
+            # the child keeps the chosen edges and loses free[idx], which the
+            # bound's pass reads last: its bound is this one unless the rest
+            # cannot connect, and then k's endpoints are apart and local_ok fails
+            search(idx + 1, parent, comps, chosen_weight, bound)
         checks.restore()
-        chosen.add(k)
-        search(idx + 1, chosen, chosen_weight + w)
-        chosen.discard(k)
+        ru, rv = _find(parent, label[k[0]]), _find(parent, label[k[1]])
+        if ru != rv:
+            parent = parent.copy()
+            parent[ru] = rv
+            comps -= 1
+        search(idx + 1, parent, comps, chosen_weight + w)
 
-    search(0, set(), 0)
+    search(0, list(range(comps)), comps, 0)
     return OracleResult(Fraction(best_weight, g.scale), frozenset(best_edges), nodes)
 
 

@@ -288,6 +288,17 @@ def random_connected_graph(
     return WeightedGraph(n, tuple((u, v, weight()) for u, v in sorted(keys)))
 
 
+def zero_weighted(rng: random.Random, g: WeightedGraph, zero_prob: float) -> WeightedGraph:
+    """g with each weight zeroed at probability zero_prob and, on three or
+    more vertices, a cycle of zero-weight edges added or zeroed."""
+    weights = {k: Fraction(0) if rng.random() < zero_prob else w for k, w in g.weights.items()}
+    if g.n >= 3:
+        cycle = rng.sample(range(g.n), rng.randint(3, min(g.n, 5)))
+        for x, y in zip(cycle, cycle[1:] + cycle[:1]):
+            weights[edge_key(x, y)] = Fraction(0)
+    return WeightedGraph(g.n, tuple((u, v, w) for (u, v), w in sorted(weights.items())))
+
+
 @st.composite
 def small_graphs(draw, max_n=6, positive=True):
     """A hypothesis strategy: a graph on 1..max_n vertices, not always

@@ -18,6 +18,7 @@ from spannerlab.graphs import (
     scale_to_integers,
     stretch,
 )
+from spannerlab.hardness import reduce_sat
 from spannerlab.instances import gen_ladder, ladder_u, ladder_v
 
 from bruteforce import (
@@ -32,9 +33,12 @@ from bruteforce import (
     previous_is_subgraph_of,
     previous_stretch,
     previous_total_weight,
+    random_connected_graph,
     small_graphs,
     walk_from_vertices,
+    zero_weighted,
 )
+from test_acceptance import _hardness_catalogue
 
 
 class TestWeightedGraph:
@@ -168,6 +172,73 @@ class TestApsp:
         # two equal-weight routes 0-1-3 and 0-2-3; lex picks the one through 1
         g = WeightedGraph(4, ((0, 1, F(1)), (1, 3, F(1)), (0, 2, F(1)), (2, 3, F(1))))
         assert apsp(g).path(0, 3) == (0, 1, 3)
+
+
+def _per_source_rows(g):
+    """g's distance rows from one plain Dijkstra per vertex over its own
+    adjacency, the APSP that the zero-weight quotient replaces."""
+    adj = g.int_adjacency()
+    rows = []
+    for s in range(g.n):
+        done = dijkstra(adj, s)
+        rows.append([done.get(v, INF) for v in range(g.n)])
+    return rows
+
+
+class TestQuotientApsp:
+    """APSP over the zero-weight quotient gives every row a plain
+    per-source Dijkstra gives, one search per zero-weight component."""
+
+    @staticmethod
+    def _check(g):
+        oracle = apsp(g)
+        assert [oracle.row(s) for s in range(g.n)] == _per_source_rows(g)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_graphs(max_n=8, positive=False))
+    def test_drawn_graphs(self, g):
+        self._check(g)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.randoms(use_true_random=False), st.booleans(), st.sampled_from([0, 0.2, 0.5]))
+    def test_graphs_with_zero_weight_cycles(self, rng, integer, zero_prob):
+        self._check(zero_weighted(rng, random_connected_graph(rng, max_n=9, max_extra=6, integer=integer), zero_prob))
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_tiny_edgeless_graphs(self, n):
+        g = WeightedGraph(n)
+        self._check(g)
+        assert [apsp(g).row(s) for s in range(n)] == [[0 if s == t else INF for t in range(n)] for s in range(n)]
+
+    def test_all_zero_triangle_shares_one_row(self, monkeypatch):
+        g = WeightedGraph(3, ((0, 1, F(0)), (1, 2, F(0)), (0, 2, F(0))))
+        calls = []
+        real = graphs_module.dijkstra
+        monkeypatch.setattr(graphs_module, "dijkstra", lambda *a: calls.append(a) or real(*a))
+        oracle = apsp(g)
+        assert len(calls) == 1
+        assert oracle.row(0) is oracle.row(1) is oracle.row(2)
+        assert oracle.row(0) == [0, 0, 0]
+
+    def test_lighter_parallel_quotient_edge_gives_the_distance(self):
+        # components {0, 1} and {2, 3} are joined by 0-2 (weight 5) and
+        # 1-3 (weight 2); every cross distance is 2
+        g = WeightedGraph(4, ((0, 1, F(0)), (2, 3, F(0)), (0, 2, F(5)), (1, 3, F(2))))
+        self._check(g)
+        assert apsp(g).dist(0, 2) == apsp(g).dist(1, 2) == 2
+
+    def test_dijkstra_runs_on_the_sat_catalogue(self, monkeypatch):
+        # one Dijkstra per vertex ran 428 of them; the SAT graphs' zero-weight
+        # components leave 222
+        calls = []
+        real = graphs_module.dijkstra
+        monkeypatch.setattr(graphs_module, "dijkstra", lambda *a: calls.append(a) or real(*a))
+        eps = F(1, 10)
+        graphs = [reduce_sat(inst, eps).graph for inst in _hardness_catalogue()]
+        for g in graphs:
+            self._check(g)
+        assert sum(g.n for g in graphs) == 428
+        assert len(calls) == 222
 
 
 class TestDijkstra:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spannerlab.oracle as oracle_module
-from spannerlab.graphs import WeightedGraph, apsp, components, dijkstra, edge_key
+from spannerlab.graphs import WeightedGraph, _find, apsp, components, dijkstra, edge_key
 from spannerlab.hardness import ABOVE, BELOW, Clause, SatInstance, reduce_sat
 from spannerlab.instances import gen_ladder, ladder_u, ladder_v
 from spannerlab.oracle import (
@@ -17,7 +17,13 @@ from spannerlab.oracle import (
     sat_brute_force,
 )
 
-from bruteforce import brute_opt_spanner, previous_exact_opt_spanner, random_connected_graph
+from bruteforce import (
+    _previous_completion_bound,
+    brute_opt_spanner,
+    previous_exact_opt_spanner,
+    random_connected_graph,
+    zero_weighted,
+)
 from test_acceptance import _hardness_catalogue
 
 
@@ -161,6 +167,20 @@ def completion_bound_inputs(draw):
     return label, comps, chosen, free, idx
 
 
+def _carried(label, comps, chosen):
+    """The union-find over the base components that the search carries to
+    a node whose chosen edges are `chosen`, and its class count: each
+    inclusion copies it only when its edge joins two classes."""
+    parent = list(range(comps))
+    for u, v in chosen:
+        ru, rv = _find(parent, label[u]), _find(parent, label[v])
+        if ru != rv:
+            parent = parent.copy()
+            parent[ru] = rv
+            comps -= 1
+    return parent, comps
+
+
 class TestCompletionBound:
     @settings(max_examples=200, deadline=None)
     @given(completion_bound_inputs())
@@ -172,8 +192,12 @@ class TestCompletionBound:
         label, comps, chosen, free, idx = args
         if idx == len(free):
             return
-        bound = oracle_module._completion_bound(label, comps, chosen, free, idx)
-        child = oracle_module._completion_bound(label, comps, chosen, free, idx + 1)
+        parent, left = _carried(label, comps, chosen)
+        before = parent.copy()
+        bound = oracle_module._completion_bound(parent, left, label, free, idx)
+        child = oracle_module._completion_bound(parent, left, label, free, idx + 1)
+        # the child shares the union-find, so the bound must not change it
+        assert parent == before
         if child is None and bound is not None:
             rest = [*chosen, *(k for _, k in free[idx + 1:])]
             part, _ = components(comps, [(label[u], label[v]) for u, v in rest])
@@ -182,16 +206,17 @@ class TestCompletionBound:
         else:
             assert child == bound
 
-
-def _zero_weighted(rng, g, zero_prob):
-    """g with each weight zeroed at probability zero_prob and, on three or
-    more vertices, a cycle of zero-weight edges added or zeroed."""
-    weights = {k: F(0) if rng.random() < zero_prob else w for k, w in g.weights.items()}
-    if g.n >= 3:
-        cycle = rng.sample(range(g.n), rng.randint(3, min(g.n, 5)))
-        for x, y in zip(cycle, cycle[1:] + cycle[:1]):
-            weights[edge_key(x, y)] = F(0)
-    return WeightedGraph(g.n, tuple((u, v, w) for (u, v), w in sorted(weights.items())))
+    @settings(max_examples=200, deadline=None)
+    @given(completion_bound_inputs())
+    def test_carried_union_find_matches_previous_bound(self, args):
+        # the previous bound re-unions the base and chosen edges over the
+        # vertices and reads the undecided ones by ascending weight
+        label, comps, chosen, free, idx = args
+        n = len(label)
+        base = {(label.index(label[x]), x) for x in range(n) if label.index(label[x]) != x}
+        parent, left = _carried(label, comps, chosen)
+        expect = _previous_completion_bound(WeightedGraph(n), base | chosen, sorted(free[idx:]))
+        assert oracle_module._completion_bound(parent, left, label, free, idx) == expect
 
 
 def _check_witness_answers(mp, g) -> list[tuple[bool, bool]]:
@@ -270,7 +295,7 @@ class TestWitnessPaths:
     @staticmethod
     def _check_drawn(rng, integer, zero_prob):
         g = random_connected_graph(rng, max_n=7, max_extra=6, max_w=6, integer=integer)
-        g = _zero_weighted(rng, g, zero_prob)
+        g = zero_weighted(rng, g, zero_prob)
         for eps in (F(0), F(1, 10), F(1, 3), F(1)):
             with pytest.MonkeyPatch.context() as mp:
                 _check_witness_answers(mp, g)
