@@ -29,6 +29,7 @@ EXIT_VERIFY = 2
 EXIT_PARAM = 3
 EXIT_CAP = 4
 
+ALGORITHMS = ("greedy", "prune", "iterate", "scaled", "oracle")
 MANIFEST_KEYS = ("eps", "t", "initial", "max_edges", "cell_cap")
 
 
@@ -56,7 +57,18 @@ def _frac_str(x) -> str:
 
 
 def _dec_str(x) -> str:
-    return "inf" if x is INF else f"{float(x):.6g}"
+    """x in the `.6g` shape: through float wherever a normal float holds x,
+    else rounded exactly from the Fraction (``1e+400``, ``1e-400``)."""
+    if x is INF:
+        return "inf"
+    x = Fraction(x)
+    if not x or sys.float_info.min <= abs(x) <= sys.float_info.max:
+        return f"{float(x):.6g}"
+    import decimal  # only beyond float range, so importing the CLI stays cheap
+
+    ctx = decimal.Context(prec=6, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+    exact = ctx.divide(decimal.Decimal(x.numerator), decimal.Decimal(x.denominator))
+    return f"{ctx.normalize(exact):.6g}"
 
 
 def _spanner_fields(g: WeightedGraph, h: WeightedGraph) -> dict:
@@ -101,7 +113,7 @@ def build_parser() -> _Parser:
     sat.add_argument("--zero-eta", default=None)
 
     r = sub.add_parser("run", help="run an algorithm on a graph file")
-    r.add_argument("algorithm", choices=["greedy", "prune", "iterate", "scaled", "oracle"])
+    r.add_argument("algorithm", choices=ALGORITHMS)
     r.add_argument("graph")
     r.add_argument("--eps", default=None)
     r.add_argument("--t", default=None, help="stretch target for greedy (default 1+eps)")
@@ -186,14 +198,13 @@ def _run_algorithm(algorithm: str, g: WeightedGraph, args) -> tuple[WeightedGrap
         extra["iterations"] = [entry.as_dict() for entry in logs]
         extra["rounds"] = [r.as_dict() for st in states for r in st.rounds]
         return h, extra
-    if algorithm == "scaled":
-        h, log = prune_with_scaling(g, eps, cell_cap=args.cell_cap)
-        extra["iterations"] = [entry.as_dict() for entry in log.iterations]
-        extra["contracted"] = log.scaled
-        if log.inner_stretch is not None:
-            extra["inner_stretch"] = _frac_str(log.inner_stretch)
-        return h, extra
-    raise ParameterError(f"unknown algorithm {algorithm}")
+    # "scaled": both callers admit only the names in ALGORITHMS
+    h, log = prune_with_scaling(g, eps, cell_cap=args.cell_cap)
+    extra["iterations"] = [entry.as_dict() for entry in log.iterations]
+    extra["contracted"] = log.scaled
+    if log.inner_stretch is not None:
+        extra["inner_stretch"] = _frac_str(log.inner_stretch)
+    return h, extra
 
 
 def _cmd_run(args) -> int:
@@ -253,6 +264,9 @@ def _parse_manifest(text: str):
         parts = line.split()
         if len(parts) < 2:
             raise ParameterError(f"manifest line needs 'graph algorithm [k=v ...]': {line!r}")
+        if parts[1] not in ALGORITHMS:
+            known = ", ".join(ALGORITHMS)
+            raise ParameterError(f"unknown algorithm {parts[1]!r}; expected one of {known}")
         params = {}
         for kv in parts[2:]:
             if "=" not in kv:

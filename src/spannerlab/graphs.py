@@ -14,7 +14,6 @@ bound check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from heapq import heappop, heappush
@@ -38,27 +37,61 @@ def _as_fraction(w) -> Fraction:
     return Fraction(w)
 
 
-@dataclass(frozen=True)
-class WeightedGraph:
+class Frozen:
+    """Base of the immutable validated values. A subclass names its fields
+    in `_fields` and its `__init__` validates them and stores them with
+    `_set`. Instances compare equal only to instances of the same class
+    with equal fields, hash as the field tuple, print as
+    ``Name(field=value, ...)`` and raise AttributeError on assignment or
+    deletion. A `cached_property` still caches: it writes the instance
+    dict directly."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, **fields) -> None:
+        self.__dict__.update(fields)
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        shown = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class WeightedGraph(Frozen):
     """Immutable undirected graph with exact nonnegative rational weights.
 
     Vertices are ``0..n-1``. Edges are stored canonically (``u < v``, sorted),
     so two graphs built from permuted edge lists compare equal. Setting
     ``declared_planar`` asserts the caller knows the graph is planar; only the
     edge-count sanity bound m <= 3n - 6 is checked, never planarity itself.
+    Weights may be given as Fraction, int or 'p/q' text, never float.
     """
 
-    n: int
-    edges: tuple[Edge, ...] = ()
-    declared_planar: bool = False
+    _fields = ("n", "edges", "declared_planar")
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __init__(self, n: int, edges: Iterable[Edge] = (), declared_planar: bool = False):
+        if n < 0:
             raise ValueError("vertex count must be nonnegative")
         seen: dict[EdgeKey, Fraction] = {}
-        for u, v, w in self.edges:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={self.n}")
+        for u, v, w in edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             key = edge_key(u, v)
@@ -70,11 +103,11 @@ class WeightedGraph:
                 raise ValueError(f"negative weight on edge {key}")
             seen[key] = w
         norm = tuple((u, v, seen[(u, v)]) for u, v in sorted(seen))
-        object.__setattr__(self, "edges", norm)
-        if self.declared_planar and self.n >= 3 and len(norm) > 3 * self.n - 6:
+        if declared_planar and n >= 3 and len(norm) > 3 * n - 6:
             raise ValueError(
-                f"declared planar but m={len(norm)} exceeds 3n-6={3 * self.n - 6}"
+                f"declared planar but m={len(norm)} exceeds 3n-6={3 * n - 6}"
             )
+        self._set(n=n, edges=norm, declared_planar=declared_planar)
 
     @property
     def m(self) -> int:
@@ -159,7 +192,9 @@ def components(n: int, keys) -> tuple[list[int], int]:
 
 
 def is_connected(g: WeightedGraph) -> bool:
-    return components(g.n, g.weights)[1] <= 1
+    # fewer than n - 1 edges cannot connect n vertices; answering first
+    # keeps a huge declared vertex count from allocating per vertex
+    return g.m >= g.n - 1 and components(g.n, g.weights)[1] <= 1
 
 
 def dijkstra(

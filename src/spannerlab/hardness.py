@@ -10,70 +10,70 @@ turn assignments into spanners of weight exactly W and back.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
-from .graphs import EdgeKey, WeightedGraph, edge_key, stretch
+from .graphs import EdgeKey, Frozen, WeightedGraph, edge_key, stretch
 
 ABOVE = "above"
 BELOW = "below"
 
 
-@dataclass(frozen=True)
-class Clause:
+class Clause(Frozen):
+    """One monotone clause: an immutable value of its side and literals."""
+
+    _fields = ("side", "literals")
     side: str  # ABOVE clauses hold positive literals, BELOW negative ones
     literals: tuple[int, ...]  # variable indices in left-to-right drawing order
 
-    def __post_init__(self):
-        if self.side not in (ABOVE, BELOW):
-            raise ValueError(f"clause side must be above/below, got {self.side!r}")
-        if not 1 <= len(self.literals) <= 3:
+    def __init__(self, side: str, literals: tuple[int, ...]):
+        if side not in (ABOVE, BELOW):
+            raise ValueError(f"clause side must be above/below, got {side!r}")
+        if not 1 <= len(literals) <= 3:
             raise ValueError("clauses carry 1 to 3 literals")
-        if len(set(self.literals)) != len(self.literals):
+        if len(set(literals)) != len(literals):
             raise ValueError("repeated variable inside a clause")
+        self._set(side=side, literals=literals)
 
 
-@dataclass(frozen=True)
-class SatInstance:
-    """Monotone formula plus the layout orders the gadgets follow.
+class SatInstance(Frozen):
+    """Monotone formula plus the layout orders the gadgets follow: an
+    immutable value, validated on construction.
 
     `pos_order[i]` / `neg_order[i]` list the indices of the above/below
     clauses touching variable i in left-to-right order; they default to
     clause order and must be permutations of the actual incidences.
     """
 
-    num_vars: int
-    clauses: tuple[Clause, ...]
-    pos_order: tuple[tuple[int, ...], ...] = ()
-    neg_order: tuple[tuple[int, ...], ...] = ()
+    _fields = ("num_vars", "clauses", "pos_order", "neg_order")
 
-    def __post_init__(self):
-        for c in self.clauses:
+    def __init__(self, num_vars: int, clauses: tuple[Clause, ...],
+                 pos_order: tuple[tuple[int, ...], ...] = (), neg_order: tuple[tuple[int, ...], ...] = ()):
+        for c in clauses:
             for v in c.literals:
-                if not 0 <= v < self.num_vars:
+                if not 0 <= v < num_vars:
                     raise ValueError(f"variable {v} out of range")
-        pos = [[] for _ in range(self.num_vars)]
-        neg = [[] for _ in range(self.num_vars)]
-        for j, c in enumerate(self.clauses):
+        pos = [[] for _ in range(num_vars)]
+        neg = [[] for _ in range(num_vars)]
+        for j, c in enumerate(clauses):
             target = pos if c.side == ABOVE else neg
             for v in c.literals:
                 target[v].append(j)
-        if not self.pos_order:
-            object.__setattr__(self, "pos_order", tuple(tuple(p) for p in pos))
-        if not self.neg_order:
-            object.__setattr__(self, "neg_order", tuple(tuple(p) for p in neg))
+        pos_order = pos_order or tuple(tuple(p) for p in pos)
+        neg_order = neg_order or tuple(tuple(p) for p in neg)
         for name, declared, actual in (
-            ("order+", self.pos_order, pos),
-            ("order-", self.neg_order, neg),
+            ("order+", pos_order, pos),
+            ("order-", neg_order, neg),
         ):
-            if len(declared) != self.num_vars:
+            if len(declared) != num_vars:
                 raise ValueError(f"{name} must cover every variable")
             for i, order in enumerate(declared):
                 if sorted(order) != sorted(actual[i]):
                     raise ValueError(
                         f"{name} for variable {i} is not a permutation of its clauses"
                     )
+        self._set(num_vars=num_vars, clauses=clauses, pos_order=pos_order, neg_order=neg_order)
 
     def positive_clauses(self, i: int) -> tuple[int, ...]:
         return self.pos_order[i]
@@ -100,8 +100,7 @@ class SatInstance:
         return True
 
 
-@dataclass(frozen=True)
-class PreprocessResult:
+class PreprocessResult(NamedTuple):
     instance: SatInstance
     forced: dict[int, bool]  # original variable index -> forced value
     kept_vars: tuple[int, ...]  # original index of each surviving variable
@@ -164,8 +163,7 @@ def preprocess(inst: SatInstance) -> PreprocessResult:
     return PreprocessResult(reduced, forced, tuple(used))
 
 
-@dataclass(frozen=True)
-class VariableGadget:
+class VariableGadget(NamedTuple):
     chord: EdgeKey
     true_edges: tuple[EdgeKey, ...]  # upper-path crossing edges, left to right
     false_edges: tuple[EdgeKey, ...]  # lower-path crossing edges
@@ -173,15 +171,13 @@ class VariableGadget:
     terminal_edges: tuple[EdgeKey, ...]
 
 
-@dataclass(frozen=True)
-class ClauseGadget:
+class ClauseGadget(NamedTuple):
     spine: EdgeKey  # the (e_j, f_j) edge
     segment_edges: tuple[EdgeKey, ...]  # the (l, r) edges, one per literal
     connector_edges: tuple[EdgeKey, ...]
 
 
-@dataclass(frozen=True)
-class ReductionOutput:
+class ReductionOutput(NamedTuple):
     graph: WeightedGraph
     W: Fraction
     labels: dict[str, int]

@@ -2,8 +2,8 @@
 spanner predicate, and a tiny brute-force SAT solver for reduction checks."""
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .graphs import INF, DistanceOracle, EdgeKey, WeightedGraph, _find, apsp, components, dijkstra, edge_key, is_connected, stretch
 from .hardness import SatInstance
@@ -21,8 +21,7 @@ def is_spanner(g: WeightedGraph, h: WeightedGraph, eps) -> bool:
     return s is not INF and s <= 1 + Fraction(eps)
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     opt_weight: Fraction
     opt_edges: frozenset[EdgeKey]
     nodes_explored: int

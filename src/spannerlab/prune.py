@@ -20,9 +20,9 @@ import warnings
 from array import array
 from bisect import insort
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from typing import NamedTuple
 
 from .graphs import (
     INF,
@@ -481,8 +481,7 @@ def reconstruct(tables: WalkTables, s: int, t: int, length: int) -> tuple[tuple[
     return tuple(walk), mset
 
 
-@dataclass(frozen=True)
-class RoundLog:
+class RoundLog(NamedTuple):
     """One exchange; its length and weights are ints in units of 1/g.scale."""
 
     source: int
@@ -591,7 +590,6 @@ class _Tail:
         return root in intact
 
 
-@dataclass
 class PruneState:
     """Edge bookkeeping across the rounds of one pruning pass.
 
@@ -600,12 +598,25 @@ class PruneState:
     added | (spanner - removed). `removed` grows strictly every round,
     which bounds the number of rounds by the spanner size. `tail` carries
     the values of the pass's last ratio-1 round that needed a value pass.
+    A mutable value: two states are equal when their `added`, `removed`
+    and `rounds` are; `tail` is set by the rounds only, and is left out of
+    equality and the repr.
     """
 
-    added: set[EdgeKey] = field(default_factory=set)
-    removed: set[EdgeKey] = field(default_factory=set)
-    rounds: list[RoundLog] = field(default_factory=list)
-    tail: _Tail | None = field(default=None, init=False, repr=False, compare=False)
+    def __init__(self, added: set[EdgeKey] | None = None, removed: set[EdgeKey] | None = None,
+                 rounds: list[RoundLog] | None = None):
+        self.added = set() if added is None else added
+        self.removed = set() if removed is None else removed
+        self.rounds = [] if rounds is None else rounds
+        self.tail: _Tail | None = None
+
+    def __eq__(self, other):  # defining it leaves the state unhashable, as it is mutable
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.added, self.removed, self.rounds) == (other.added, other.removed, other.rounds)
+
+    def __repr__(self):
+        return f"PruneState(added={self.added!r}, removed={self.removed!r}, rounds={self.rounds!r})"
 
 
 def prune_round(
@@ -714,8 +725,7 @@ def log_star_ceil(x) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class IterationLog:
+class IterationLog(NamedTuple):
     """Stretch and total weight of one spanner, the weight in units of 1/g.scale."""
 
     stretch: Fraction
@@ -767,8 +777,7 @@ def iterate_prune(
     return h, logs, states
 
 
-@dataclass(frozen=True)
-class ScalingLog:
+class ScalingLog(NamedTuple):
     scaled: bool
     iterations: list[IterationLog]
     inner_stretch: Fraction | None = None

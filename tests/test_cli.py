@@ -387,3 +387,51 @@ def test_deterministic_across_processes(tmp_path, ladder_file):
         assert proc.returncode == 0, proc.stderr
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("weight, decimal", [("1e400", "1e+400"), ("1e-400", "2e-400")])
+def test_weights_beyond_float_range_print_exactly(tmp_path, capsys, weight, decimal):
+    g = tmp_path / "g.g"
+    g.write_text(f"3 2 planar:0\n0 1 {weight}\n1 2 {weight if weight == '1e-400' else 1}\n")
+    assert main(["run", "greedy", str(g), "--t", "2", "--out", str(tmp_path / "o")]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert (report["weight_decimal"], report["stretch_decimal"]) == (decimal, "1")
+    manifest = tmp_path / "m.txt"
+    manifest.write_text(f"{g} greedy t=2\n{g} oracle eps=1\n")
+    assert main(["bench", str(manifest)]) == EXIT_OK
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    assert [row.split(",")[4] for row in rows] == [decimal, decimal]
+    assert rows[0].split(",")[8] == "1"  # the greedy weight over the oracle's
+
+
+def test_float_range_values_keep_float_formatting():
+    from spannerlab.cli import _dec_str
+
+    for x in (F(0), F(1, 3), F(10**300), F(1, 10**300), F(123456789, 1000)):
+        assert _dec_str(x) == f"{float(x):.6g}"
+    assert _dec_str(F(1234565) * 10**400) == "1.23456e+406"  # half to even
+    assert _dec_str(-F(2, 3) / 10**400) == "-6.66667e-401"
+
+
+def test_huge_declared_vertex_count_exits_3_without_per_vertex_memory(tmp_path, capsys):
+    import tracemalloc
+
+    g = tmp_path / "wide.g"
+    g.write_text("1000000 0 planar:0\n")
+    tracemalloc.start()
+    try:
+        code = main(["run", "greedy", str(g), "--t", "2", "--out", str(tmp_path / "o")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_PARAM
+    assert "connected" in capsys.readouterr().err
+    assert peak < 2**20  # one list of n ints alone would take 8 MB
+
+
+def test_bench_unknown_algorithm_is_named(tmp_path, ladder_file, capsys):
+    manifest = tmp_path / "m.txt"
+    manifest.write_text(f"{ladder_file} nosuchalg\n")
+    assert main(["bench", str(manifest)]) == EXIT_PARAM
+    err = capsys.readouterr().err
+    assert "unknown algorithm 'nosuchalg'" in err and "--eps" not in err

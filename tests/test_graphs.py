@@ -505,3 +505,11 @@ class TestGraphIO:
         assert is_connected(WeightedGraph(1))
         assert not is_connected(WeightedGraph(2))
         assert is_connected(WeightedGraph(2, ((0, 1, F(1)),)))
+
+    def test_too_few_edges_answer_before_any_per_vertex_work(self, monkeypatch):
+        def fail(n, keys):
+            raise AssertionError("components called")
+
+        monkeypatch.setattr(graphs_module, "components", fail)
+        assert not is_connected(WeightedGraph(10**9))
+        assert not is_connected(WeightedGraph(4, ((0, 1, F(1)), (1, 2, F(1)))))
