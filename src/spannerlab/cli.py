@@ -17,7 +17,7 @@ import warnings
 from fractions import Fraction
 from pathlib import Path
 
-from .graphs import INF, WeightedGraph, read_graph, stretch, write_graph
+from .graphs import INF, WeightedGraph, content_lines, format_rational, read_graph, stretch, write_graph
 from .greedy import greedy_spanner
 from .hardness import read_sat, reduce_sat, write_sidecar
 from .instances import gen_greedy_hard, gen_ladder, gen_multiladder
@@ -49,13 +49,6 @@ def _frac(text: str) -> Fraction:
         raise ParameterError(f"bad rational {text!r}: {exc}") from exc
 
 
-def _frac_str(x) -> str:
-    if x is INF:
-        return "inf"
-    x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}"
-
-
 def _dec_str(x) -> str:
     """x in the `.6g` shape: through float wherever a normal float holds x,
     else rounded exactly from the Fraction (``1e+400``, ``1e-400``)."""
@@ -75,9 +68,9 @@ def _spanner_fields(g: WeightedGraph, h: WeightedGraph) -> dict:
     """The weight and stretch fields of a report row for spanner h of g."""
     s = stretch(g, h)
     return {
-        "weight": _frac_str(h.total_weight),
+        "weight": format_rational(h.total_weight),
         "weight_decimal": _dec_str(h.total_weight),
-        "stretch": _frac_str(s),
+        "stretch": format_rational(s),
         "stretch_decimal": _dec_str(s),
     }
 
@@ -147,7 +140,7 @@ def _cmd_gen(args) -> int:
         out = reduce_sat(inst, _frac(args.eps), zero_eta=eta)
         write_graph(out.graph, args.out)
         write_sidecar(out, args.sidecar or args.out + ".json")
-        print(f"wrote {args.out} ({out.graph.n} vertices, {out.graph.m} edges), W={_frac_str(out.W)}")
+        print(f"wrote {args.out} ({out.graph.n} vertices, {out.graph.m} edges), W={format_rational(out.W)}")
         return EXIT_OK
     write_graph(g, args.out)
     print(f"wrote {args.out} ({g.n} vertices, {g.m} edges)")
@@ -165,7 +158,7 @@ def _run_algorithm(algorithm: str, g: WeightedGraph, args) -> tuple[WeightedGrap
         t = _frac(args.t) if args.t else 1 + _frac(args.eps or "0")
         if t <= 1:
             raise ParameterError("greedy needs --t > 1 or --eps > 0")
-        return greedy_spanner(g, t), {"t": _frac_str(t)}
+        return greedy_spanner(g, t), {"t": format_rational(t)}
     if algorithm == "oracle":
         if args.eps is None:
             raise ParameterError("oracle needs --eps")
@@ -181,7 +174,7 @@ def _run_algorithm(algorithm: str, g: WeightedGraph, args) -> tuple[WeightedGrap
         raise ParameterError(f"{algorithm} needs --eps > 0, got {args.eps}")
     if 0 in g.int_weights.values():
         raise ParameterError("pruning algorithms need strictly positive weights")
-    extra["scale"] = _frac_str(g.scale)
+    extra["scale"] = format_rational(g.scale)
     if algorithm == "prune":
         if args.initial:
             h0 = g.subgraph(read_graph(args.initial).edge_keys)
@@ -203,7 +196,7 @@ def _run_algorithm(algorithm: str, g: WeightedGraph, args) -> tuple[WeightedGrap
     extra["iterations"] = [entry.as_dict() for entry in log.iterations]
     extra["contracted"] = log.scaled
     if log.inner_stretch is not None:
-        extra["inner_stretch"] = _frac_str(log.inner_stretch)
+        extra["inner_stretch"] = format_rational(log.inner_stretch)
     return h, extra
 
 
@@ -247,8 +240,8 @@ def _cmd_verify(args) -> int:
         json.dumps(
             {
                 "ok": ok,
-                "stretch": _frac_str(s),
-                "weight": _frac_str(h.total_weight),
+                "stretch": format_rational(s),
+                "weight": format_rational(h.total_weight),
             }
         )
     )
@@ -256,11 +249,12 @@ def _cmd_verify(args) -> int:
 
 
 def _parse_manifest(text: str):
+    """Each row as its params (key -> value) and its arguments as `run`
+    parses them: the row `graph algorithm max_edges=5 ...` is parsed as
+    `run --max-edges=5 ... -- algorithm graph`, so it gets `run`'s defaults
+    and checks, and a graph path may start with `-`."""
     rows = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line in content_lines(text):
         parts = line.split()
         if len(parts) < 2:
             raise ParameterError(f"manifest line needs 'graph algorithm [k=v ...]': {line!r}")
@@ -276,29 +270,23 @@ def _parse_manifest(text: str):
                 known = ", ".join(MANIFEST_KEYS)
                 raise ParameterError(f"unknown manifest parameter {k!r}; expected one of {known}")
             params[k] = v
-        rows.append((parts[0], parts[1], params))
+        flags = [f"--{k.replace('_', '-')}={v}" for k, v in params.items()]
+        rows.append((params, build_parser().parse_args(["run", *flags, "--", parts[1], parts[0]])))
     return rows
 
 
 def _cmd_bench(args) -> int:
     rows = _parse_manifest(Path(args.manifest).read_text())
     results = []
-    for graph_file, algorithm, params in rows:
-        g = read_graph(graph_file)
-        ns = argparse.Namespace(
-            eps=params.get("eps"),
-            t=params.get("t"),
-            initial=params.get("initial"),
-            max_edges=int(params.get("max_edges", DEFAULT_MAX_EDGES)),
-            cell_cap=int(params.get("cell_cap", DEFAULT_CELL_CAP)),
-        )
+    for params, run in rows:
+        g = read_graph(run.graph)
         started = time.perf_counter()
-        h, _ = _run_algorithm(algorithm, g, ns)
+        h, _ = _run_algorithm(run.algorithm, g, run)
         elapsed = time.perf_counter() - started
         results.append(
             {
-                "instance": graph_file,
-                "algorithm": algorithm,
+                "instance": run.graph,
+                "algorithm": run.algorithm,
                 "params": " ".join(f"{k}={v}" for k, v in sorted(params.items())),
                 **_spanner_fields(g, h),
                 "wall_time_s": f"{elapsed:.6f}",
@@ -311,7 +299,7 @@ def _cmd_bench(args) -> int:
         base = oracle_weight.get(r["instance"])
         if base is not None and base != 0:
             ratio = Fraction(r["weight"]) / base
-            r["oracle_ratio"] = _frac_str(ratio)
+            r["oracle_ratio"] = format_rational(ratio)
             r["oracle_ratio_decimal"] = _dec_str(ratio)
         else:
             r["oracle_ratio"] = ""

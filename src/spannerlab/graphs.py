@@ -173,6 +173,14 @@ class WeightedGraph(Frozen):
         return all(weights.get(k) == w * factor for k, w in self.int_weights.items())
 
 
+def _positive_eps(eps) -> Fraction:
+    """eps as a Fraction; ValueError unless it is positive."""
+    eps = Fraction(eps)
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    return eps
+
+
 def _find(parent: list[int], x: int) -> int:
     """Root of x in the union-find forest `parent`, halving the path."""
     while parent[x] != x:
@@ -182,13 +190,14 @@ def _find(parent: list[int], x: int) -> int:
 
 
 def components(n: int, keys) -> tuple[list[int], int]:
-    """Component labels 0..c-1 of the vertices under the edge set `keys`, and c."""
+    """Component labels 0..c-1 of the vertices under the edge set `keys`,
+    numbered in ascending order of their union-find roots, and c."""
     parent = list(range(n))
     for u, v in keys:
         parent[_find(parent, u)] = _find(parent, v)
-    roots: dict[int, int] = {}
-    label = [roots.setdefault(_find(parent, x), len(roots)) for x in range(n)]
-    return label, len(roots)
+    roots = [x for x in range(n) if _find(parent, x) == x]
+    index = dict(zip(roots, range(len(roots))))
+    return [index[_find(parent, x)] for x in range(n)], len(roots)
 
 
 def is_connected(g: WeightedGraph) -> bool:
@@ -361,8 +370,8 @@ def stretch(g: WeightedGraph, h: WeightedGraph):
     1 for h = g. An edge that h keeps has ratio at most 1, so only the edges
     h drops are checked: one Dijkstra in h per smaller endpoint of a dropped
     edge, stopping once that vertex's dropped neighbours are settled. h = g
-    runs none, and each distance map is dropped once used, so memory stays
-    linear.
+    runs none and builds no adjacency, so it allocates nothing per vertex;
+    each distance map is dropped once used, so memory stays linear.
     """
     if not h.is_subgraph_of(g):
         raise ValueError("h is not a subgraph of g")
@@ -370,12 +379,14 @@ def stretch(g: WeightedGraph, h: WeightedGraph):
     for (u, v), w in g.int_weights.items():
         if (u, v) not in h.weights:
             dropped_from.setdefault(u, {})[v] = w
+    if not dropped_from:  # before the adjacency, which is per vertex
+        return Fraction(1)
     adj = h.int_adjacency()
     # h's weights are a subset of g's, so h.scale divides g.scale and
     # d * factor is dist_h in units of 1/g.scale
     factor = g.scale // h.scale
     # the worst ratio so far is num / den; it starts at 1, the ratio of
-    # every edge h keeps (h = g has no other)
+    # every edge h keeps
     num = den = 1
     for u, dropped in dropped_from.items():
         dist_u = dijkstra(adj, u, dropped.keys())
@@ -409,6 +420,19 @@ def scale_to_integers(g: WeightedGraph) -> tuple[WeightedGraph, Fraction]:
 # then m lines:  u v w     (w an exact rational like 5 or 3/2)
 # '#' starts a comment; blank lines are ignored.
 
+def content_lines(text: str) -> list[str]:
+    """The stripped non-blank lines of `text`, where '#' starts a comment."""
+    return [line for raw in text.splitlines() if (line := raw.split("#", 1)[0].strip())]
+
+
+def format_rational(x) -> str:
+    """Report text of a rational: ``p/q`` in lowest terms, or ``inf`` for INF."""
+    if x is INF:
+        return "inf"
+    x = Fraction(x)
+    return f"{x.numerator}/{x.denominator}"
+
+
 def format_graph(g: WeightedGraph) -> str:
     lines = [f"{g.n} {g.m} planar:{1 if g.declared_planar else 0}"]
     lines.extend(f"{u} {v} {w}" for u, v, w in g.edges)
@@ -421,11 +445,7 @@ def parse_graph(text: str) -> WeightedGraph:
     Weight tokens follow `Fraction`'s grammar (``3/2``, ``1.5``, ``1e2``).
     Each distinct token is parsed once and its `Fraction` shared by every
     edge that spells its weight the same way."""
-    rows = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            rows.append(line)
+    rows = content_lines(text)
     if not rows:
         raise ValueError("empty graph file")
     head = rows[0].split()

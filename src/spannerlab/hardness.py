@@ -14,7 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
-from .graphs import EdgeKey, Frozen, WeightedGraph, edge_key, stretch
+from .graphs import EdgeKey, Frozen, WeightedGraph, _positive_eps, content_lines, edge_key, format_rational, stretch
 
 ABOVE = "above"
 BELOW = "below"
@@ -190,8 +190,8 @@ class ReductionOutput(NamedTuple):
 
     def sidecar(self) -> dict:
         return {
-            "W": f"{self.W.numerator}/{self.W.denominator}",
-            "eps": f"{self.eps.numerator}/{self.eps.denominator}",
+            "W": format_rational(self.W),
+            "eps": format_rational(self.eps),
             "labels": dict(sorted(self.labels.items())),
             "h": list(self.h),
         }
@@ -212,9 +212,7 @@ def reduce_sat(inst: SatInstance, eps, zero_eta=None) -> ReductionOutput:
     for experiments that cannot tolerate zeros (the exact-threshold
     converters then no longer apply).
     """
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    eps = _positive_eps(eps)
     if not inst.is_preprocessed():
         raise ValueError(
             "instance not preprocessed: every variable must occur in at least "
@@ -411,10 +409,7 @@ def parse_sat(text: str) -> SatInstance:
     clauses: list[Clause] = []
     pos_over: dict[int, tuple[int, ...]] = {}
     neg_over: dict[int, tuple[int, ...]] = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line in content_lines(text):
         parts = line.split()
         if len(parts) < 2 and parts[0] in ("vars", "clause", "order+", "order-"):
             raise ValueError(f"bad {parts[0]} line {line!r}: missing fields")
@@ -429,6 +424,11 @@ def parse_sat(text: str) -> SatInstance:
             raise ValueError(f"unrecognised line {line!r}")
     if num_vars is None:
         raise ValueError("missing 'vars' line")
+    # a formula mentions each variable it declares, in a clause or an order
+    # line; checked by count before anything is allocated per variable
+    mentions = sum(len(c.literals) for c in clauses) + len(pos_over) + len(neg_over)
+    if num_vars > mentions:
+        raise ValueError(f"vars {num_vars} exceeds the {mentions} literal occurrences and order lines")
     base = SatInstance(num_vars, tuple(clauses))
     if not pos_over and not neg_over:
         return base

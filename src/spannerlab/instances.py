@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .graphs import WeightedGraph
+from .graphs import WeightedGraph, _positive_eps
 
 
 def ladder_u(i: int) -> int:
@@ -44,9 +44,7 @@ def gen_ladder(n: int, eps, perturb: bool = False) -> WeightedGraph:
     the star centers; a weight-ordered greedy scan can be driven into keeping
     every rung, which `perturb=True` forces deterministically.
     """
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    eps = _positive_eps(eps)
     if n < 1:
         raise ValueError("n must be at least 1")
     rungs = _rung_weights(n, eps, perturb)
@@ -65,9 +63,7 @@ def gen_multiladder(k: int, n: int, eps, perturb: bool = False) -> WeightedGraph
     right star center; block internals match `gen_ladder`. Vertex count is
     k * (2n + 2) + 2.
     """
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    eps = _positive_eps(eps)
     if k < 1 or n < 1:
         raise ValueError("k and n must be at least 1")
     spoke = eps / 2

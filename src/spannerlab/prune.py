@@ -29,9 +29,11 @@ from .graphs import (
     DistanceOracle,
     EdgeKey,
     WeightedGraph,
-    _find,
+    _positive_eps,
     apsp,
+    components,
     edge_key,
+    format_rational,
     is_connected,
     stretch,
 )
@@ -114,15 +116,7 @@ def _require_positive(g: WeightedGraph) -> None:
         raise ValueError(_NOT_POSITIVE)
 
 
-def _positive_eps(eps) -> Fraction:
-    """eps as a Fraction; ValueError unless it is positive."""
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    return eps
-
-
-_UNPICKED = -2  # a reversed cell's pick, until it is requested
+_UNPICKED = -2  # a cell's pick, until it is requested
 
 
 class _WalkPlan:
@@ -144,7 +138,7 @@ class _WalkPlan:
     collects its endpoint hanging set, else 0); each cell's joins are sorted
     by (via, left length). A new cell is joined with each partner pair's
     finalised cells in ascending length, up to the first whose sum passes
-    the bound.
+    the bound. It picks no join: `WalkTables.pick` finds each on request.
 
     Only canonical cells (s < t) store joins. `mirror[c]` is the twin
     (t, s, L) of cell c (a diagonal cell is its own); a reversed cell's
@@ -296,26 +290,22 @@ class _WalkPlan:
         offset, mirror = self.offset, self.mirror
         return offset + mirror[right - offset], offset + mirror[left - offset]
 
-    def evaluate(self, hanging: list[int]) -> tuple[list[int], array]:
+    def evaluate(self, hanging: list[int]) -> list[int]:
         """The round's value list (see the class docstring) for the endpoint
-        hanging weights of `pairs`, and each canonical cell's chosen join
-        (-1: base; a reversed cell's is left to `WalkTables.pick`).
+        hanging weights of `pairs`. It picks no join: `WalkTables.pick`
+        finds a cell's pick from these values when a walk needs it.
 
-        A canonical cell starts from its base value and takes each join
-        whose sum is strictly larger, so ties go to the base cell, then to
-        the smallest (via, left length). A reversed cell copies its twin's
-        value: the same base slot, mirrored halves, and a bonus test
-        symmetric in the split."""
+        A canonical cell's value is the largest of its base value and its
+        join sums. A reversed cell copies its twin's value: the same base
+        slot, mirrored halves, and a bonus test symmetric in the split."""
         offset, base, start, mirror = self.offset, self.base, self.join_start, self.mirror
         jl, jr, jb = self.join_left, self.join_right, self.join_bonus
         n_cells = len(base)
         values = [0, *hanging, *[0] * n_cells]
-        picks = array("q", [-1]) * n_cells
         for c in range(n_cells):
             twin = mirror[c]
             if twin < c:
                 values[offset + c] = values[offset + twin]
-                picks[c] = _UNPICKED
                 continue
             b = base[c]
             best = values[b] if b >= 0 else -1
@@ -323,9 +313,8 @@ class _WalkPlan:
                 v = values[jl[j]] + values[jr[j]] + values[jb[j]]
                 if v > best:
                     best = v
-                    picks[c] = j
             values[offset + c] = best
-        return values, picks
+        return values
 
 
 def _plan(dist: DistanceOracle, eps: Fraction) -> _WalkPlan:
@@ -356,7 +345,8 @@ def _joined_plan(dist: DistanceOracle, eps: Fraction, cap: int) -> _WalkPlan:
 class WalkTables:
     """The walk tables of one round: the plan's numbered cells, the round's
     `values` (indexed as in `_WalkPlan`) and each cell's picked join, read
-    through `pick`.
+    through `pick`, which caches them in `picks` (`_UNPICKED` until found;
+    a ratio-1 `_Tail` writes the picks of the cells it finds intact there).
 
     For a pair (s, t), cells exist for integer lengths L up to
     (1+eps) * dist(s, t); a cell is realizable when a walk of weight exactly
@@ -366,17 +356,19 @@ class WalkTables:
     pair to its cells (length -> cell number).
     """
 
-    def __init__(self, dist, pool, anchored, plan: _WalkPlan, values, picks):
+    def __init__(self, dist, pool, anchored, plan: _WalkPlan, values):
         self.dist, self.pool, self.anchored = dist, pool, anchored
-        self.plan, self.values, self.picks = plan, values, picks
+        self.plan, self.values = plan, values
+        self.picks = array("q", [_UNPICKED]) * len(plan.base)
         self.entries, self.max_level = plan.cells_of, plan.max_level
 
     def pick(self, c: int) -> int:
         """The join cell c picked (-1: the base cell, whose walk is the
-        canonical shortest path); read its halves with `plan.halves`. A
-        reversed cell's pick is found on first request: the first of its
-        contributors, the base and then `plan.joins(c)`, that reaches its
-        value, as a value pass over its own joins would pick."""
+        canonical shortest path); read its halves with `plan.halves`. It is
+        found on first request, for canonical and reversed cells alike: the
+        first of the cell's contributors, the base and then `plan.joins(c)`,
+        that reaches its value. So ties go to the base cell, then to the
+        smallest (via, left length) of the cell's own joins."""
         j = self.picks[c]
         if j == _UNPICKED:
             plan, values = self.plan, self.values
@@ -411,14 +403,14 @@ def fill_tables(
     round only re-evaluates the plan, in ascending length order, for the
     pool's hanging weights. Only the canonical cells (s < t) are evaluated:
     (t, s, L) joins the mirrored halves of (s, t, L) under the same bonus
-    test, so it takes its twin's value, and its pick is found on request.
+    test, so it takes its twin's value. Every pick is found on request.
     """
     eps = _positive_eps(eps)
     plan = _joined_plan(dist, eps, cell_cap)
     anchored = endpoint_hanging_sets(pool, dist, eps)
     weight = dist.int_weights.__getitem__
-    values, picks = plan.evaluate([sum(map(weight, anchored[pair])) for pair in plan.pairs])
-    return WalkTables(dist, pool, anchored, plan, values, picks)
+    values = plan.evaluate([sum(map(weight, anchored[pair])) for pair in plan.pairs])
+    return WalkTables(dist, pool, anchored, plan, values)
 
 
 def select_best_triple(tables: WalkTables):
@@ -448,7 +440,7 @@ def select_best_triple(tables: WalkTables):
 def reconstruct(tables: WalkTables, s: int, t: int, length: int) -> tuple[tuple[int, ...], Counter]:
     """The walk (vertex sequence) and hanging multiset (edge key ->
     multiplicity) of a realizable cell, in one in-order pass over its picks
-    (`tables.pick`, which finds a reversed cell's on first request): a join
+    (`tables.pick`, which finds each on first request): a join
     adds the pair's endpoint hanging set when it collects it, then its left
     and right halves (`plan.halves`); a base cell appends its canonical path and
     adds its endpoint hanging set. A sub-cell met twice is expanded twice,
@@ -498,7 +490,7 @@ class RoundLog(NamedTuple):
             "s": self.source,
             "t": self.target,
             "L": self.length,
-            "beta": f"{self.beta.numerator}/{self.beta.denominator}",
+            "beta": format_rational(self.beta),
             "rho_weight": self.walk_weight,
             "multiset_weight": self.multiset_weight,
             "pruned_weight": self.pruned_weight,
@@ -518,8 +510,8 @@ class _Tail:
     the other pairs keep the reference round's `anchored` sets. A broken
     cell stays broken for the pass. Valid for the same plan, which is one
     per (oracle, eps), and a pool within the last. The reference round's
-    `tables` answer the walks: their picks are rewritten for the cells found
-    intact.
+    `tables` answer the walks: the tail writes the pick of each cell it
+    finds intact into their pick cache, over any pick found before.
     """
 
     def __init__(self, tables: WalkTables):
@@ -732,11 +724,7 @@ class IterationLog(NamedTuple):
     total_weight: int
 
     def as_dict(self) -> dict:
-        if self.stretch is INF:
-            s = "inf"
-        else:
-            s = f"{self.stretch.numerator}/{self.stretch.denominator}"
-        return {"stretch": s, "total_weight": str(self.total_weight)}
+        return {"stretch": format_rational(self.stretch), "total_weight": str(self.total_weight)}
 
 
 def iterate_prune(
@@ -791,8 +779,8 @@ def contract_and_round(g: WeightedGraph, eps) -> tuple[WeightedGraph, dict[EdgeK
     test and the rounding are on ints too. Returns the contracted graph and
     a map from its edge keys back to the original edge chosen to represent
     each contracted pair (the one with the smallest rounded weight, ties by
-    original weight then key). Contracted vertices are numbered in the
-    order of their union-find roots.
+    original weight then key). Contracted vertices are numbered by
+    `components`, in the order of their union-find roots.
     """
     eps = _positive_eps(eps)
     _require_positive(g)
@@ -803,25 +791,18 @@ def contract_and_round(g: WeightedGraph, eps) -> tuple[WeightedGraph, dict[EdgeK
     w_max = max(weights.values())
     # w < eps*W/n^2 is w*num < den, and floor(w*n^2/(W*eps)) is w*num // den
     num, den = eps.denominator * n * n, w_max * eps.numerator
-    parent = list(range(n))
-    for (u, v), w in weights.items():
-        if w * num < den:
-            parent[_find(parent, u)] = _find(parent, v)
-
-    roots = sorted({_find(parent, v) for v in range(n)})
-    comp = {r: i for i, r in enumerate(roots)}
+    label, count = components(n, [k for k, w in weights.items() if w * num < den])
     best: dict[EdgeKey, tuple[int, int, EdgeKey]] = {}
     for (u, v), w in weights.items():
-        cu, cv = comp[_find(parent, u)], comp[_find(parent, v)]
-        if cu == cv:
+        key = edge_key(label[u], label[v])
+        if key[0] == key[1]:
             continue
-        key = edge_key(cu, cv)
         rounded = w * num // den
         cand = (rounded, w, (u, v))
         if key not in best or cand < best[key]:
             best[key] = cand
     contracted = WeightedGraph(
-        len(roots),
+        count,
         tuple((k[0], k[1], Fraction(v[0])) for k, v in best.items()),
         g.declared_planar,
     )

@@ -43,6 +43,7 @@ from spannerlab.prune import (
     IterationLog,
     PruneState,
     RoundLog,
+    _UNPICKED,
     _positive_eps,
     _require_positive,
     hanging_kappa,
@@ -1371,3 +1372,38 @@ def previous_contract_and_round(g: WeightedGraph, eps) -> tuple[WeightedGraph, d
     )
     back = {k: v[2] for k, v in best.items()}
     return contracted, back
+
+
+def previous_evaluate(self, hanging: list[int]) -> tuple[list[int], array]:
+    """`_WalkPlan.evaluate` as it was when it also chose each canonical
+    cell's join eagerly; call it with the plan as `self`.
+
+    The round's value list (see the class docstring) for the endpoint
+    hanging weights of `pairs`, and each canonical cell's chosen join
+    (-1: base; a reversed cell's is left to `WalkTables.pick`).
+
+    A canonical cell starts from its base value and takes each join
+    whose sum is strictly larger, so ties go to the base cell, then to
+    the smallest (via, left length). A reversed cell copies its twin's
+    value: the same base slot, mirrored halves, and a bonus test
+    symmetric in the split."""
+    offset, base, start, mirror = self.offset, self.base, self.join_start, self.mirror
+    jl, jr, jb = self.join_left, self.join_right, self.join_bonus
+    n_cells = len(base)
+    values = [0, *hanging, *[0] * n_cells]
+    picks = array("q", [-1]) * n_cells
+    for c in range(n_cells):
+        twin = mirror[c]
+        if twin < c:
+            values[offset + c] = values[offset + twin]
+            picks[c] = _UNPICKED
+            continue
+        b = base[c]
+        best = values[b] if b >= 0 else -1
+        for j in range(start[c], start[c + 1]):
+            v = values[jl[j]] + values[jr[j]] + values[jb[j]]
+            if v > best:
+                best = v
+                picks[c] = j
+        values[offset + c] = best
+    return values, picks

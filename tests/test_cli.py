@@ -435,3 +435,45 @@ def test_bench_unknown_algorithm_is_named(tmp_path, ladder_file, capsys):
     assert main(["bench", str(manifest)]) == EXIT_PARAM
     err = capsys.readouterr().err
     assert "unknown algorithm 'nosuchalg'" in err and "--eps" not in err
+
+
+def test_verify_of_a_huge_edgeless_graph_allocates_nothing_per_vertex(tmp_path, capsys):
+    import tracemalloc
+
+    g = tmp_path / "wide.g"
+    g.write_text("1000000 0 planar:0\n")
+    tracemalloc.start()
+    try:
+        code = main(["verify", str(g), str(g), "--eps", "1/4"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == {"ok": True, "stretch": "1/1", "weight": "0/1"}
+    assert peak < 2**20  # one adjacency list per vertex alone would take tens of MB
+
+
+def test_gen_sat_refuses_more_variables_than_mentions_without_per_variable_memory(tmp_path, capsys):
+    import tracemalloc
+
+    formula = tmp_path / "f.txt"
+    formula.write_text("vars 99999999999\nclause above 0\nclause below 0\n")
+    tracemalloc.start()
+    try:
+        code = main(["gen", "sat", "--in", str(formula), "--eps", "1/10", "--out", str(tmp_path / "s.g")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_PARAM
+    assert "vars 99999999999" in capsys.readouterr().err
+    assert peak < 2**20
+    assert not (tmp_path / "s.g").exists()
+
+
+def test_bench_rows_get_the_run_parsers_validation(tmp_path, ladder_file, capsys):
+    # a row is parsed as the flags of `run`, so a bad value names its flag
+    manifest = tmp_path / "m.txt"
+    manifest.write_text(f"{ladder_file} oracle eps=1/4 max_edges=x\n")
+    assert main(["bench", str(manifest)]) == EXIT_PARAM
+    err = capsys.readouterr().err
+    assert err.startswith("parameter error: ") and "--max-edges" in err and err.count("\n") == 1

@@ -10,6 +10,7 @@ from spannerlab.graphs import (
     INF,
     WeightedGraph,
     apsp,
+    components,
     dijkstra,
     edge_key,
     format_graph,
@@ -380,6 +381,15 @@ class TestStretch:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+
+class TestComponents:
+    def test_labels_follow_the_order_of_the_roots(self):
+        # (0, 2) links 0 under 2, so the roots are 1 and 2; numbering by
+        # first vertex instead would label {0, 2} first
+        assert components(3, [(0, 2)]) == ([1, 0, 1], 2)
+        assert components(4, [(2, 1), (3, 0)]) == ([0, 1, 1, 0], 2)
+        assert components(3, []) == ([0, 1, 2], 3)
 
 
 class TestNormalize:

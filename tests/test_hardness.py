@@ -253,6 +253,16 @@ class TestSatFormat:
         assert inst.positive_clauses(0) == (1, 0)
         assert inst.negative_clauses(0) == (2,)
 
+    def test_a_variable_mentioned_nowhere_is_refused(self):
+        # checked by count before anything is allocated per variable
+        with pytest.raises(ValueError, match="^vars 3 exceeds the 2 literal occurrences and order lines$"):
+            parse_sat("vars 3\nclause above 0\nclause below 0\n")
+        with pytest.raises(ValueError, match="vars 99999999999 exceeds"):
+            parse_sat("vars 99999999999\nclause above 0\n")
+        # a variable in no clause is still valid, and its order lines name it
+        inst = SatInstance(25, ())
+        assert parse_sat(format_sat(inst)) == inst
+
     def test_errors(self):
         with pytest.raises(ValueError):
             parse_sat("clause above 0\n")

@@ -45,6 +45,7 @@ from bruteforce import (
     int_walk_weight,
     is_hanging,
     previous_contract_and_round,
+    previous_evaluate,
     previous_fill_tables,
     previous_hanging_pairs,
     previous_iterate_prune,
@@ -825,6 +826,54 @@ class TestRatioOneTail:
         _, _, states = iterate_prune(scaled, eps, initial_spanner=scaled.subgraph(init))
         assert sum(len(st.rounds) for st in states) > 20
         assert counts["hanging"] == counts["evaluate"] > 0
+
+
+def checked_iterate_prune(g, eps, initial=None) -> int:
+    """`iterate_prune` with every value pass checked against the previous
+    evaluate, which chose each canonical cell's join eagerly: the value
+    lists are equal, and `WalkTables.pick` finds the eager pick of every
+    canonical cell. Returns the number of value passes."""
+    fill, passes = prune_module.fill_tables, []
+
+    def checked(pool, dist, eps, cell_cap=prune_module.DEFAULT_CELL_CAP):
+        tables = fill(pool, dist, eps, cell_cap)
+        plan = tables.plan
+        values, picks = previous_evaluate(plan, tables.values[1 : plan.offset])
+        assert tables.values == values
+        # a copy, so the picks found here stay out of the round's own cache
+        probe = copy.copy(tables)
+        probe.picks = array("q", tables.picks)
+        canonical = [c for c in range(len(plan.base)) if plan.mirror[c] >= c]
+        assert [probe.pick(c) for c in canonical] == [picks[c] for c in canonical]
+        passes.append(1)
+        return tables
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(prune_module, "fill_tables", checked)
+        iterate_prune(g, eps, initial_spanner=initial)
+    return len(passes)
+
+
+class TestLazyPicks:
+    """Picks found on request equal the picks the value pass used to store."""
+
+    @pytest.mark.parametrize("name", ["ladder", "multiladder", "greedyhard"])
+    def test_catalogue_value_passes(self, name):
+        g, _, eps, init = catalogue_instance(name)
+        assert checked_iterate_prune(g, eps, None if init is None else g.subgraph(init)) > 0
+
+    def test_a_planar_grid(self):
+        assert checked_iterate_prune(seeded_grid(4, 2), F(1, 4)) > 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.randoms(use_true_random=False),
+        st.booleans(),
+        st.sampled_from([F(1, 64), F(1, 10), F(1, 4), F(1)]),
+    )
+    def test_random_graphs(self, rng, integer, eps):
+        g = random_connected_graph(rng, max_n=8, max_extra=6, integer=integer)
+        assert checked_iterate_prune(g, eps) > 0
 
 
 class TestSelectBestTriple:
