@@ -419,11 +419,17 @@ def parse_sat(text: str) -> SatInstance:
             clauses.append(Clause(parts[1], tuple(int(p) for p in parts[2:])))
         elif parts[0] in ("order+", "order-"):
             store = pos_over if parts[0] == "order+" else neg_over
-            store[int(parts[1])] = tuple(int(p) for p in parts[2:])
+            var = int(parts[1])
+            if var in store:
+                raise ValueError(f"second {parts[0]} line for variable {var}")
+            store[var] = tuple(int(p) for p in parts[2:])
         else:
             raise ValueError(f"unrecognised line {line!r}")
     if num_vars is None:
         raise ValueError("missing 'vars' line")
+    for var in (*pos_over, *neg_over):
+        if not 0 <= var < num_vars:
+            raise ValueError(f"order line: variable {var} out of range")
     # a formula mentions each variable it declares, in a clause or an order
     # line; checked by count before anything is allocated per variable
     mentions = sum(len(c.literals) for c in clauses) + len(pos_over) + len(neg_over)

@@ -54,97 +54,103 @@ class _Checks:
     their adjacency; the excluded edges form the stack `excluded`, edited
     by `exclude` and `restore`. A check asks whether dist(u, v) <= limit
     for a g-edge k = (u, v) over the available edges, with `limit` its
-    entry in `thresholds`. Two memos, one entry per g-edge, answer most
-    checks without a search:
+    entry in `thresholds`. Two memos, each holding per g-edge everything
+    its searches found, answer most checks without a search:
 
-    - `witness[k]` is a u-v path within the limit from the last search
-      that found one. While all its edges are available the answer is yes.
-    - `cert[k]` is the certificate of the last search for k that failed:
-      the edges then excluded that leave its settled ball within the limit,
+    - `witness[k]` holds the u-v paths within the limit that searches
+      found. While one of them is wholly available the answer is yes.
+    - `cert[k]` holds the certificates of the searches for k that failed:
+      the edges then excluded that leave the settled ball within the limit,
       (a, b) with a settled and dist(u, a) + w(a, b) + dist_g(b, v) <= limit
-      or the same from b. While none of them is available the answer is
-      no: on any u-v path within the limit, the first edge that was
-      excluded at that search leaves the ball that way.
+      or the same from b. While none of a certificate's edges is available
+      the answer is no: on any u-v path within the limit, the first edge
+      that was excluded at that search leaves the ball that way.
+
+    Both stay valid for any later available set. Each excluded edge j
+    holds a witness `held[j]` that lies wholly in the available edges, and
+    `users[e]` is the set of excluded edges whose held path uses the g-edge
+    e, so only they need a new path when e is excluded.
 
     A search prunes toward v with the g-distance row of v (`rows`), a lower
-    bound on the distance to v over any subset of g's edges. `incident[x]`
-    lists the keys of the g-edges at x, in the order of g's adjacency.
+    bound on the distance to v over any subset of g's edges.
     """
 
-    __slots__ = ("weights", "adj", "incident", "available", "excluded", "thresholds", "rows", "witness", "cert")
+    __slots__ = ("weights", "adj", "available", "excluded", "thresholds", "rows", "witness", "cert", "held", "users")
 
     def __init__(self, g: WeightedGraph, thresholds: dict[EdgeKey, int], rows: DistanceOracle):
         self.weights = g.int_weights
         self.adj = g.int_adjacency()
-        self.incident: list[list[EdgeKey]] = [[] for _ in range(g.n)]
-        for k in self.weights:
-            self.incident[k[0]].append(k)
-            self.incident[k[1]].append(k)
         self.available = set(self.weights)
         self.excluded: list[EdgeKey] = []
         self.thresholds = thresholds
         self.rows = rows
-        self.witness: dict[EdgeKey, tuple[EdgeKey, ...]] = {}
-        self.cert: dict[EdgeKey, list[EdgeKey]] = {}
+        self.witness: dict[EdgeKey, list[tuple[EdgeKey, ...]]] = {k: [] for k in self.weights}
+        self.cert: dict[EdgeKey, list[list[EdgeKey]]] = {k: [] for k in self.weights}
+        self.held: dict[EdgeKey, tuple[EdgeKey, ...]] = {}
+        self.users: dict[EdgeKey, set[EdgeKey]] = {k: set() for k in self.weights}
 
-    def exclude(self, k: EdgeKey) -> None:
+    def exclude(self, k: EdgeKey) -> bool:
+        """Exclude the g-edge k, and tell whether every excluded edge is
+        still within its threshold: k is checked, then only the excluded
+        edges whose held path used k, and each holds the path it got.
+        The caller calls `restore` either way."""
         u, v = k
         w = self.weights[k]
         self.available.discard(k)
         self.excluded.append(k)
         self.adj[u].remove((v, w))
         self.adj[v].remove((u, w))
+        users, held = self.users, self.held
+        for j in (k, *users[k]):
+            path = self.within(j)
+            if path is None:
+                return False
+            for e in held.get(j, ()):
+                users[e].discard(j)
+            held[j] = path
+            for e in path:
+                users[e].add(j)
+        return True
 
     def restore(self) -> None:
-        """Make the edge excluded last available again."""
+        """Make the edge excluded last available again, dropping its hold.
+        The paths that others took while it was excluded avoid it."""
         k = self.excluded.pop()
+        users = self.users
+        for e in self.held.pop(k, ()):
+            users[e].discard(k)
         u, v = k
         w = self.weights[k]
         self.available.add(k)
         self.adj[u].append((v, w))
         self.adj[v].append((u, w))
 
-    def within(self, k: EdgeKey) -> bool:
-        """Is the g-edge k within its threshold over the available edges?"""
-        path = self.witness.get(k)
-        if path is not None and self.available.issuperset(path):
-            return True
-        cert = self.cert.get(k)
-        if cert is not None and self.available.isdisjoint(cert):
-            return False
+    def within(self, k: EdgeKey) -> tuple[EdgeKey, ...] | None:
+        """A path within the g-edge k's threshold over the available edges,
+        listed from v back to u; None when there is none."""
+        available = self.available
+        for path in self.witness[k]:
+            if available.issuperset(path):
+                return path
+        for cert in self.cert[k]:
+            if available.isdisjoint(cert):
+                return None
         u, v = k
         limit = self.thresholds[k]
         rest = self.rows.row(v)
         done = dijkstra(self.adj, u, {v}, limit, rest)
         if v in done:
-            self.witness[k] = _path(self.adj, done, v)
-            return True
+            path = _path(self.adj, done, v)
+            self.witness[k].append(path)
+            return path
         weights = self.weights
-        self.cert[k] = [
+        self.cert[k].append([
             (a, b)
             for a, b in self.excluded
             if (a in done and done[a] + weights[a, b] + rest[b] <= limit)
             or (b in done and done[b] + weights[a, b] + rest[a] <= limit)
-        ]
-        return False
-
-    def feasible(self) -> bool:
-        """Do the available edges keep every g-edge within its threshold?"""
-        available = self.available
-        return all(k in available or self.within(k) for k in self.thresholds)
-
-    def local_ok(self, around: EdgeKey) -> bool:
-        """Cheap necessary check after excluding `around`: every g-edge
-        touching one of its endpoints must still be within threshold. The
-        excluded edge touches both endpoints and is checked once, first."""
-        if not self.within(around):
-            return False
-        available = self.available
-        for x in around:
-            for k in self.incident[x]:
-                if k != around and k not in available and not self.within(k):
-                    return False
-        return True
+        ])
+        return None
 
 
 def _completion_bound(parent: list[int], comps: int, label: list[int], free, idx: int) -> int | None:
@@ -182,22 +188,18 @@ def exact_opt_spanner(g: WeightedGraph, eps, max_edges: int = DEFAULT_MAX_EDGES)
     lower bound against the incumbent. Among equal-weight optima the
     lexicographically smallest edge set is returned. The search runs on the
     int weights of `g`; with eps = p/q an integer distance d' meets the
-    threshold (1+eps)*d exactly when d' <= (p+q)*d // q. One adjacency of
-    the edges still available is built once and edited in place as edges
-    are excluded and restored, and the zero-weight and forced edges are
-    contracted into components once for the completion bound. The chosen
-    edges' union-find over them is carried down the search: an exclusion
-    child shares its parent's union-find and bound, and an inclusion child
-    copies the union-find only when its edge joins two classes. A threshold
-    check dist(u, v) <= limit runs a Dijkstra pruned toward v by g's
-    distance row of v, a lower bound on every distance to v over fewer
-    edges. A check that passes keeps its path as a witness, and a later
-    check of the same g-edge answers yes while that path is wholly
-    available. A check that fails keeps a certificate, the then excluded
-    edges that leave its settled ball within the limit, and a later check
-    answers no while all of them are still excluded. Neither memo changes
-    an answer, so Dijkstra runs only for checks neither settles. eps must
-    be >= 0 (ValueError otherwise).
+    threshold (1+eps)*d exactly when d' <= (p+q)*d // q. The zero-weight and
+    forced edges are contracted into components once for the completion
+    bound, and the chosen edges' union-find over them is carried down the
+    search: an exclusion child shares its parent's union-find and bound, and
+    an inclusion child copies the union-find only when its edge joins two
+    classes. An exclusion child is searched only when every excluded edge is
+    still within its threshold. `_Checks.exclude` decides that by checking
+    the new edge and re-checking only the excluded edges whose held path
+    uses it, so every leaf reached is feasible. A check answers from the
+    edge's stored witness paths and failure certificates where it can, and
+    otherwise runs a Dijkstra pruned toward v by g's distance row of v.
+    eps must be >= 0 (ValueError otherwise).
     """
     eps = Fraction(eps)
     if eps < 0:
@@ -222,8 +224,7 @@ def exact_opt_spanner(g: WeightedGraph, eps, max_edges: int = DEFAULT_MAX_EDGES)
     forced = set()
     for k in candidates:
         nodes += 1
-        checks.exclude(k)
-        if not checks.within(k):
+        if not checks.exclude(k):
             forced.add(k)
         checks.restore()
     free = sorted(((weights[k], k) for k in candidates if k not in forced), key=lambda e: (-e[0], e[1]))
@@ -242,21 +243,19 @@ def exact_opt_spanner(g: WeightedGraph, eps, max_edges: int = DEFAULT_MAX_EDGES)
         if bound is None or base_weight + chosen_weight + bound > best_weight:
             return
         if idx == len(free):
-            # each free edge is now chosen or excluded: available == base | chosen
-            if checks.feasible():
-                total = base_weight + chosen_weight
-                cand = tuple(sorted(checks.available))
-                if total < best_weight or (total == best_weight and cand < best_edges):
-                    best_weight = total
-                    best_edges = cand
+            # every excluded edge holds a path: available == base | chosen is feasible
+            total = base_weight + chosen_weight
+            cand = tuple(sorted(checks.available))
+            if total < best_weight or (total == best_weight and cand < best_edges):
+                best_weight = total
+                best_edges = cand
             return
         w, k = free[idx]
         # exclusion first so light incumbents appear early
-        checks.exclude(k)
-        if checks.local_ok(k):
+        if checks.exclude(k):
             # the child keeps the chosen edges and loses free[idx], which the
             # bound's pass reads last: its bound is this one unless the rest
-            # cannot connect, and then k's endpoints are apart and local_ok fails
+            # cannot connect, and then k's endpoints are apart and exclude fails
             search(idx + 1, parent, comps, chosen_weight, bound)
         checks.restore()
         ru, rv = _find(parent, label[k[0]]), _find(parent, label[k[1]])

@@ -1050,8 +1050,11 @@ def previous_walk_plan(dist: DistanceOracle, bounds: dict[tuple[int, int], int],
 # Verbatim copies (renamed with a `previous_` prefix) of dijkstra, stretch and
 # exact_opt_spanner with its three helpers, as they were before stretch
 # checked only the edges h drops and the branch and bound edited one
-# adjacency in place. The differential tests require equal results, down to
-# the oracle's node count. The graph's Fraction adjacency has since left the
+# adjacency in place. The oracle's exclusion check became a parameter,
+# `_previous_local_ok` by default, so that `feasible_exclusion_opt_spanner`
+# can search the same way with the whole feasibility check. The differential
+# tests require equal results, down to the node count of the oracle that
+# searches the same tree. The graph's Fraction adjacency has since left the
 # package, so neighbour lookups read `adjacency` above.
 
 
@@ -1175,7 +1178,7 @@ def _previous_completion_bound(g: WeightedGraph, fixed_keys, free_rest) -> int |
     return None
 
 
-def previous_exact_opt_spanner(g: WeightedGraph, eps, max_edges: int = 24) -> OracleResult:
+def previous_exact_opt_spanner(g: WeightedGraph, eps, max_edges: int = 24, local_ok=_previous_local_ok) -> OracleResult:
     """Exact minimum-weight (1+eps)-spanner by exhaustive branch and bound.
 
     Weight-zero edges can only help and are always included, so the cap
@@ -1240,7 +1243,7 @@ def previous_exact_opt_spanner(g: WeightedGraph, eps, max_edges: int = 24) -> Or
         k = free[idx]
         # exclusion first so light incumbents appear early
         available.discard(k)
-        if _previous_local_ok(g, available, thresholds, k):
+        if local_ok(g, available, thresholds, k):
             search(idx + 1, chosen, chosen_weight, available)
         available.add(k)
         chosen.add(k)
@@ -1249,6 +1252,17 @@ def previous_exact_opt_spanner(g: WeightedGraph, eps, max_edges: int = 24) -> Or
 
     search(0, set(), 0, set(all_keys))
     return OracleResult(Fraction(best_weight, g.scale), frozenset(best_edges), nodes)
+
+
+def feasible_exclusion_opt_spanner(g: WeightedGraph, eps, max_edges: int = 24) -> OracleResult:
+    """Slow reference for a search that cuts an exclusion as soon as it
+    leaves some g-edge beyond its threshold: `previous_exact_opt_spanner`
+    with the whole `_previous_feasible` check over the available edges at
+    each exclusion, in place of `_previous_local_ok`. It visits the same
+    tree, so its result, node count included, is the one to match."""
+    return previous_exact_opt_spanner(
+        g, eps, max_edges, lambda g, keys, thresholds, around: _previous_feasible(g, keys, thresholds)
+    )
 
 
 # --- the hanging-pair scan before it fetched the distance rows once ---------

@@ -183,7 +183,11 @@ def test_zero_denominator_weight_exits_3(tmp_path, capsys):
     assert _one_error_line(capsys)
 
 
-@pytest.mark.parametrize("text", ["vars\n", "vars 1\nclause\n", "vars 1\norder+\n"])
+@pytest.mark.parametrize(
+    "text",
+    ["vars\n", "vars 1\nclause\n", "vars 1\norder+\n", "vars 1\norder+ 5 0 1 2\n", "vars 1\norder+ -1 0\n",
+     "vars 1\nclause above 0\norder- 0\norder- 0\n"],
+)
 def test_malformed_formula_exits_3(tmp_path, capsys, text):
     formula = tmp_path / "f.txt"
     formula.write_text(text)

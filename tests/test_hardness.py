@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -262,6 +263,20 @@ class TestSatFormat:
         # a variable in no clause is still valid, and its order lines name it
         inst = SatInstance(25, ())
         assert parse_sat(format_sat(inst)) == inst
+
+    def test_unusable_order_lines_are_refused(self):
+        # checked before the order lines count as mentions of a variable, so
+        # the last text does not pass the count guard with its unusable line
+        bad = ("vars 1\norder+ 5 0 1 2\n", "vars 1\norder+ -1 0\n", "vars 2\nclause below 0 1\norder- 2\n",
+               "vars 2\nclause above 0\norder+ 5\n")
+        for text in bad:
+            with pytest.raises(ValueError, match="^order line: variable -?[0-9]+ out of range$"):
+                parse_sat(text)
+        for side in ("order+", "order-"):
+            with pytest.raises(ValueError, match=f"^second {re.escape(side)} line for variable 0$"):
+                parse_sat(f"vars 1\nclause above 0\n{side} 0 0\n{side} 0\n")
+        # one line per side is still fine
+        assert parse_sat("vars 1\norder+ 0\norder- 0\n") == SatInstance(1, ())
 
     def test_errors(self):
         with pytest.raises(ValueError):

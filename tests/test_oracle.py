@@ -20,8 +20,10 @@ from spannerlab.oracle import (
 from bruteforce import (
     _previous_completion_bound,
     brute_opt_spanner,
+    feasible_exclusion_opt_spanner,
     previous_exact_opt_spanner,
     random_connected_graph,
+    seeded_grid,
     zero_weighted,
 )
 from test_acceptance import _hardness_catalogue
@@ -117,6 +119,19 @@ class TestExactOptSpanner:
             assert weights == sorted(weights, reverse=True)
 
 
+def _check_against_references(res, g, eps, max_edges=24):
+    """`res`, the oracle's result on g, node count included, equals the
+    reference search that checks every g-edge at each exclusion. Against
+    the previous oracle, whose local check let infeasible subtrees run to
+    their leaves, the optimum is the same and no more nodes are explored.
+    Returns the previous oracle's node count."""
+    assert res == feasible_exclusion_opt_spanner(g, eps, max_edges)
+    prev = previous_exact_opt_spanner(g, eps, max_edges)
+    assert (res.opt_weight, res.opt_edges) == (prev.opt_weight, prev.opt_edges)
+    assert res.nodes_explored <= prev.nodes_explored
+    return prev.nodes_explored
+
+
 class TestAgainstPreviousOracle:
     @settings(max_examples=40, deadline=None)
     @given(st.randoms(use_true_random=False), st.booleans(), st.sampled_from([0, 0.2, 0.5]))
@@ -124,13 +139,23 @@ class TestAgainstPreviousOracle:
         g = random_connected_graph(rng, max_n=7, max_extra=6, max_w=6, integer=integer)
         g = WeightedGraph(g.n, tuple((u, v, F(0) if rng.random() < zero_prob else w) for u, v, w in g.edges))
         for eps in (F(0), F(1, 10), F(1, 3), F(1), F(3)):
-            assert exact_opt_spanner(g, eps) == previous_exact_opt_spanner(g, eps)
+            _check_against_references(exact_opt_spanner(g, eps), g, eps)
 
     def test_sat_threshold_graphs(self):
         eps = F(1, 10)
+        nodes = previous = 0
         for inst in _hardness_catalogue():
             g = reduce_sat(inst, eps).graph
-            assert exact_opt_spanner(g, eps, max_edges=64) == previous_exact_opt_spanner(g, eps, max_edges=64)
+            res = exact_opt_spanner(g, eps, max_edges=64)
+            previous += _check_against_references(res, g, eps, max_edges=64)
+            nodes += res.nodes_explored
+        # the previous oracle reached the leaves of dead subtrees here
+        assert (nodes, previous) == (3_927, 14_793)
+
+    @pytest.mark.parametrize("k", range(4, 9))
+    def test_seeded_grids(self, k):
+        g, eps = seeded_grid(k, k), F(1, 4)
+        _check_against_references(exact_opt_spanner(g, eps, max_edges=1000), g, eps, max_edges=1000)
 
     def test_adjacency_is_built_once_per_call(self, monkeypatch):
         calls = []
@@ -219,18 +244,33 @@ class TestCompletionBound:
         assert oracle_module._completion_bound(parent, left, label, free, idx) == expect
 
 
+def _check_path(g, k, limit, path):
+    """`path`, listed from v back to u, is a u-v path of g within `limit`."""
+    u, v = k
+    x, total = v, 0
+    for e in path:
+        assert x in e
+        x = e[0] if x == e[1] else e[1]
+        total += g.int_weights[e]
+    assert x == u and total <= limit
+
+
 def _check_witness_answers(mp, g) -> list[tuple[bool, bool]]:
     """Wrap the oracle's threshold check on g so that every answer, those
     given from a witness or a certificate included, is checked against a
-    fresh full search over an adjacency rebuilt from the same edge set,
-    every witness it keeps is a u-v path over that edge set within the
-    limit, and every certificate it keeps is the set its definition gives.
-    Returns (answer, searched) pairs in the order given, where `searched`
-    tells whether the check ran a search of its own."""
+    fresh full search over an adjacency rebuilt from the same edge set. A
+    path answered lies in that edge set. Every witness stored for the edge
+    is a u-v path of g within the limit, and every certificate stored is the
+    set its definition gave at the search that made it; the lists only grow,
+    by one entry per search. Returns (answer, searched) pairs in the order
+    given, where `searched` tells whether the check ran a search of its own."""
     real = oracle_module._Checks.within
     real_search = oracle_module.dijkstra
     answers = []
     searches = [0]
+    # per _Checks and g-edge: the witnesses and the certificates' edge sets
+    # that its searches produced, in order
+    made: dict = {}
 
     def counting(*args):
         searches[0] += 1
@@ -238,7 +278,8 @@ def _check_witness_answers(mp, g) -> list[tuple[bool, bool]]:
 
     def checked(self, k):
         before = searches[0]
-        got = real(self, k)
+        found = real(self, k)
+        got = found is not None
         keys = self.available
         fresh = g.int_adjacency(keys)
         assert [sorted(row) for row in self.adj] == [sorted(row) for row in fresh]
@@ -246,32 +287,71 @@ def _check_witness_answers(mp, g) -> list[tuple[bool, bool]]:
         u, v = k
         limit = self.thresholds[k]
         assert got == (v in dijkstra(fresh, u, {v}, limit))
-        if got:
-            # the witness runs from v back to u
-            x, total = v, 0
-            for e in self.witness[k]:
-                assert e in keys and x in e
-                x = e[0] if x == e[1] else e[1]
-                total += g.int_weights[e]
-            assert x == u and total <= limit
+        witnesses, certs = made.setdefault((self, k), ([], []))
         searched = searches[0] > before
-        if searched and not got:
+        if got:
+            assert keys.issuperset(found)
+            if searched:
+                witnesses.append(found)
+        elif searched:
             # the certificate is every excluded edge that leaves the ball of
             # u within the limit, from either endpoint, by its definition
             dist_u = dijkstra(fresh, u)
             to_v = apsp(g).row(v)
-            expect = {
+            certs.append({
                 (a, b)
                 for a, b in self.excluded
                 if any(x in dist_u and dist_u[x] + g.int_weights[a, b] + to_v[y] <= limit for x, y in ((a, b), (b, a)))
-            }
-            assert len(self.cert[k]) == len(expect) and set(self.cert[k]) == expect
+            })
+            assert len(self.cert[k][-1]) == len(certs[-1])
+        assert self.witness[k] == witnesses
+        for path in self.witness[k]:
+            _check_path(g, k, limit, path)
+        assert [set(c) for c in self.cert[k]] == certs
         answers.append((got, searched))
-        return got
+        return found
 
     mp.setattr(oracle_module, "dijkstra", counting)
     mp.setattr(oracle_module._Checks, "within", checked)
     return answers
+
+
+def _check_holds(mp, g) -> list[int]:
+    """Wrap the oracle's exclusion and restore on g so that after every
+    accepted exclusion, and after every restore, each excluded edge holds
+    a path that is wholly available and within its limit, no other edge
+    holds one, and `users` equals the index rebuilt from `held`. Returns
+    [accepted exclusions, paths that an accepted exclusion replaced]."""
+    real_exclude = oracle_module._Checks.exclude
+    real_restore = oracle_module._Checks.restore
+    counts = [0, 0]
+
+    def check(self):
+        assert set(self.held) == set(self.excluded)
+        rebuilt = {e: set() for e in g.int_weights}
+        for j, path in self.held.items():
+            assert self.available.issuperset(path)
+            _check_path(g, j, self.thresholds[j], path)
+            for e in path:
+                rebuilt[e].add(j)
+        assert self.users == rebuilt
+
+    def exclude(self, k):
+        before = dict(self.held)
+        ok = real_exclude(self, k)
+        if ok:
+            counts[0] += 1
+            counts[1] += sum(self.held[j] != path for j, path in before.items())
+            check(self)
+        return ok
+
+    def restore(self):
+        real_restore(self)
+        check(self)
+
+    mp.setattr(oracle_module._Checks, "exclude", exclude)
+    mp.setattr(oracle_module._Checks, "restore", restore)
+    return counts
 
 
 class TestWitnessPaths:
@@ -299,8 +379,9 @@ class TestWitnessPaths:
         for eps in (F(0), F(1, 10), F(1, 3), F(1)):
             with pytest.MonkeyPatch.context() as mp:
                 _check_witness_answers(mp, g)
+                _check_holds(mp, g)
                 res = exact_opt_spanner(g, eps)
-            assert res == previous_exact_opt_spanner(g, eps)
+            _check_against_references(res, g, eps)
 
     @settings(max_examples=40, deadline=None)
     @given(st.randoms(use_true_random=False), st.booleans(), st.sampled_from([0, 0.2, 0.5]))
@@ -319,7 +400,10 @@ class TestWitnessPaths:
         # from both of its endpoints, took 16,751 calls here, 13,768 of them
         # answering yes. Witnesses left 3,346 calls, 2,983 of them failing,
         # which settled 74,940 vertices. Certificates answer most repeat
-        # failures, and searches pruned toward the target settle few vertices.
+        # failures, and searches pruned toward the target settle few vertices:
+        # 730 calls, 363 passing, settled 5,945 vertices over 14,793 nodes.
+        # Cutting an exclusion once any excluded edge loses its path, and
+        # keeping every witness and certificate, leaves the counts below.
         real = oracle_module.dijkstra
         calls = []
 
@@ -334,9 +418,34 @@ class TestWitnessPaths:
             exact_opt_spanner(reduce_sat(inst, eps).graph, eps, max_edges=64).nodes_explored
             for inst in _hardness_catalogue()
         )
-        assert nodes == 14_793
-        assert (len(calls), sum(found for found, _ in calls)) == (730, 363)
-        assert sum(settled for _, settled in calls) == 5_945
+        assert nodes == 3_927
+        assert (len(calls), sum(found for found, _ in calls)) == (599, 290)
+        assert sum(settled for _, settled in calls) == 5_145
+
+
+class TestHeldPaths:
+    """Every excluded edge holds a path within its limit over the available
+    edges, and the reverse index of the held paths stays exact."""
+
+    def test_sat_threshold_graphs(self):
+        eps = F(1, 10)
+        totals = [0, 0]
+        for inst in _hardness_catalogue():
+            g = reduce_sat(inst, eps).graph
+            with pytest.MonkeyPatch.context() as mp:
+                counts = _check_holds(mp, g)
+                exact_opt_spanner(g, eps, max_edges=64)
+            totals = [a + b for a, b in zip(totals, counts)]
+        # exclusions that broke a held path elsewhere and found a new one
+        assert totals[0] > 0 and totals[1] > 0
+
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_seeded_grids(self, k):
+        g, eps = seeded_grid(k, k), F(1, 4)
+        with pytest.MonkeyPatch.context() as mp:
+            counts = _check_holds(mp, g)
+            exact_opt_spanner(g, eps, max_edges=1000)
+        assert counts[0] > 0
 
 
 class TestSatBruteForce:
