@@ -278,10 +278,11 @@ def _parse_manifest(text: str):
 def _cmd_bench(args) -> int:
     rows = _parse_manifest(Path(args.manifest).read_text())
     results = []
+    keys = []  # (instance, eps) of each row; a greedy row's eps is t - 1
     for params, run in rows:
         g = read_graph(run.graph)
         started = time.perf_counter()
-        h, _ = _run_algorithm(run.algorithm, g, run)
+        h, extra = _run_algorithm(run.algorithm, g, run)
         elapsed = time.perf_counter() - started
         results.append(
             {
@@ -292,11 +293,12 @@ def _cmd_bench(args) -> int:
                 "wall_time_s": f"{elapsed:.6f}",
             }
         )
+        keys.append((run.graph, Fraction(extra["t"]) - 1 if run.algorithm == "greedy" else _frac(run.eps)))
     oracle_weight = {
-        r["instance"]: Fraction(r["weight"]) for r in results if r["algorithm"] == "oracle"
+        key: Fraction(r["weight"]) for key, r in zip(keys, results) if r["algorithm"] == "oracle"
     }
-    for r in results:
-        base = oracle_weight.get(r["instance"])
+    for key, r in zip(keys, results):
+        base = oracle_weight.get(key)
         if base is not None and base != 0:
             ratio = Fraction(r["weight"]) / base
             r["oracle_ratio"] = format_rational(ratio)

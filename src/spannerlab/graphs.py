@@ -200,6 +200,28 @@ def components(n: int, keys) -> tuple[list[int], int]:
     return [index[_find(parent, x)] for x in range(n)], len(roots)
 
 
+def quotient(g: WeightedGraph, keys) -> tuple[WeightedGraph, list[int], dict[EdgeKey, EdgeKey]]:
+    """g with each component of the edge set `keys` contracted to one vertex.
+
+    Returns the quotient q, the label of every vertex of g (its component,
+    numbered as `components` numbers them, so q's vertex) and the back-map
+    from each edge of q to the g-edge it stands for: the lightest g-edge
+    between its two components, ties broken by the smaller key. q's weights
+    are that edge's `int_weights`, in units of 1/g.scale. q is never
+    declared planar: only m <= 3n - 6 is checked for a declared graph, and a
+    declared graph that is not planar can break that bound once contracted.
+    With `keys` empty, q is g's vertex set with g's int weights.
+    """
+    label, c = components(g.n, keys)
+    best: dict[EdgeKey, tuple[int, EdgeKey]] = {}
+    for k, w in g.int_weights.items():
+        qk = edge_key(label[k[0]], label[k[1]])
+        if qk[0] != qk[1] and (w, k) < best.get(qk, (INF,)):
+            best[qk] = (w, k)
+    q = WeightedGraph(c, tuple((a, b, w) for (a, b), (w, _) in best.items()))
+    return q, label, {qk: k for qk, (_, k) in best.items()}
+
+
 def is_connected(g: WeightedGraph) -> bool:
     # fewer than n - 1 edges cannot connect n vertices; answering first
     # keeps a huge declared vertex count from allocating per vertex
@@ -259,9 +281,9 @@ class DistanceOracle:
 
     Distances are stored as ints in units of 1/scale of the graph; they are
     sums of the graph's `int_weights`, which the oracle shares. They are
-    computed over the zero-weight quotient: the vertices of one component
-    of g's zero-weight edges lie at mutual distance 0, so each component
-    is one node, two components are joined by the lightest positive edge
+    computed over `quotient(g, zero-weight edges)`: the vertices of one
+    component of g's zero-weight edges lie at mutual distance 0, so each
+    component is one node, two components are joined by the lightest edge
     between them, one Dijkstra runs per component, and every vertex of a
     component shares that component's row. A graph with no zero-weight
     edge is its own quotient. The canonical path between two vertices is
@@ -281,29 +303,19 @@ class DistanceOracle:
         self.scale = g.scale
         self.int_weights = g.int_weights
         self._adj = g.int_adjacency()
-        label, c = components(g.n, [k for k, w in self.int_weights.items() if w == 0])
-        quotient = self._adj
-        if c < g.n:
-            light: dict[EdgeKey, int] = {}
-            for (u, v), w in self.int_weights.items():
-                k = edge_key(label[u], label[v])
-                if k[0] != k[1] and w < light.get(k, INF):
-                    light[k] = w
-            quotient = [[] for _ in range(c)]
-            for (a, b), w in light.items():
-                quotient[a].append((b, w))
-                quotient[b].append((a, w))
+        q, label, _ = quotient(g, [k for k, w in self.int_weights.items() if w == 0])
+        adj = q.int_adjacency()
         rows = []
-        for s in range(c):
-            row = [INF] * c
-            for v, d in dijkstra(quotient, s).items():
+        for s in range(q.n):
+            row = [INF] * q.n
+            for v, d in dijkstra(adj, s).items():
                 row[v] = d
-            # with no zero-weight edge, label is the identity
-            rows.append(row if c == g.n else [row[a] for a in label])
+            rows.append([row[a] for a in label])
         self._dist = [rows[a] for a in label]
         self._next_hop: dict[int, list] = {}
         self.memo: dict = {}
-        self.all_positive = all(w > 0 for w in self.int_weights.values())
+        # a zero-weight edge merges its endpoints
+        self.all_positive = q.n == g.n
 
     def dist(self, u: int, v: int):
         """Exact distance as a Fraction, or the INF sentinel when disconnected."""

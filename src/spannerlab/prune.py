@@ -31,10 +31,10 @@ from .graphs import (
     WeightedGraph,
     _positive_eps,
     apsp,
-    components,
     edge_key,
     format_rational,
     is_connected,
+    quotient,
     stretch,
 )
 from .greedy import greedy_spanner
@@ -776,38 +776,22 @@ def contract_and_round(g: WeightedGraph, eps) -> tuple[WeightedGraph, dict[EdgeK
     the surviving weights to floor(w * n^2 / (W * eps)).
 
     Weights w and W are g's ints in units of 1/g.scale; with eps = p/q the
-    test and the rounding are on ints too. Returns the contracted graph and
-    a map from its edge keys back to the original edge chosen to represent
-    each contracted pair (the one with the smallest rounded weight, ties by
-    original weight then key). Contracted vertices are numbered by
-    `components`, in the order of their union-find roots.
+    test and the rounding are on ints too. The contraction is
+    `graphs.quotient`: it numbers the contracted vertices, and its back-map,
+    returned with the rounded graph, names the lightest original edge (ties
+    by key) for each contracted pair. Rounding never decreases as w grows,
+    so that edge also has the smallest rounded weight.
     """
     eps = _positive_eps(eps)
     _require_positive(g)
     n = g.n
     weights = g.int_weights
-    if not weights:  # nothing to contract or round
-        return WeightedGraph(n, (), g.declared_planar), {}
-    w_max = max(weights.values())
+    w_max = max(weights.values(), default=0)
     # w < eps*W/n^2 is w*num < den, and floor(w*n^2/(W*eps)) is w*num // den
     num, den = eps.denominator * n * n, w_max * eps.numerator
-    label, count = components(n, [k for k, w in weights.items() if w * num < den])
-    best: dict[EdgeKey, tuple[int, int, EdgeKey]] = {}
-    for (u, v), w in weights.items():
-        key = edge_key(label[u], label[v])
-        if key[0] == key[1]:
-            continue
-        rounded = w * num // den
-        cand = (rounded, w, (u, v))
-        if key not in best or cand < best[key]:
-            best[key] = cand
-    contracted = WeightedGraph(
-        count,
-        tuple((k[0], k[1], Fraction(v[0])) for k, v in best.items()),
-        g.declared_planar,
-    )
-    back = {k: v[2] for k, v in best.items()}
-    return contracted, back
+    q, _, back = quotient(g, [k for k, w in weights.items() if w * num < den])
+    rounded = tuple((a, b, w * num // den) for (a, b), w in q.int_weights.items())
+    return WeightedGraph(q.n, rounded), back
 
 
 def prune_with_scaling(

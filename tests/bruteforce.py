@@ -317,6 +317,16 @@ def small_graphs(draw, max_n=6, positive=True):
     return WeightedGraph(n, tuple(edges))
 
 
+def k44_declared_planar(w04) -> WeightedGraph:
+    """K4,4 on {0..3} x {4..7} plus the edges (0, 1) and (2, 3): 18 = 3n - 6
+    edges on 8 vertices, declared planar though it is not. Every weight is
+    10^6 except w04 on (0, 4); contracting (0, 4) leaves 16 edges on 7
+    vertices, one more than 3n - 6."""
+    keys = [(a, b) for a in range(4) for b in range(4, 8)] + [(0, 1), (2, 3)]
+    edges = tuple((u, v, Fraction(w04 if (u, v) == (0, 4) else 10**6)) for u, v in keys)
+    return WeightedGraph(8, edges, declared_planar=True)
+
+
 def seeded_grid(k: int, seed: int) -> WeightedGraph:
     """A planar k x k grid: each unit square gets its down-right diagonal
     with probability 1/2, every edge an integer weight uniform in 1..4."""

@@ -354,12 +354,30 @@ def test_bench_rejects_unknown_manifest_keys(tmp_path, ladder_file, capsys):
     assert main(["bench", str(manifest)]) == EXIT_CAP
 
 
+def test_bench_pairs_each_row_with_the_oracle_row_at_its_eps(tmp_path):
+    lad = tmp_path / "l.g"
+    assert main(["gen", "ladder", "--n", "3", "--eps", "1/4", "--out", str(lad)]) == EXIT_OK
+    manifest = tmp_path / "m.txt"
+    manifest.write_text(
+        f"{lad} oracle eps=1/4\n{lad} iterate eps=1/4\n{lad} oracle eps=1/100\n"
+        f"{lad} greedy t=5/4\n{lad} greedy t=2\n"
+    )
+    out_csv = tmp_path / "bench.csv"
+    assert main(["bench", str(manifest), "--out", str(out_csv)]) == EXIT_OK
+    ratios = [line.split(",")[7:9] for line in out_csv.read_text().strip().splitlines()[1:]]
+    # the eps=1/100 optimum is heavier: a row paired with it would read 7/19;
+    # greedy at t=2 has no oracle row at eps=1
+    assert ratios == [["1/1", "1"], ["1/1", "1"], ["1/1", "1"], ["1/1", "1"], ["", ""]]
+
+
 def test_bench_greedy_gap_ratio(tmp_path):
     gh = tmp_path / "gh.g"
     main(["gen", "greedyhard", "--eps", "1/64", "--x", "2", "--out", str(gh)])
     manifest = tmp_path / "m.txt"
+    # the greedy row (t = 1 + 1/32) is compared with the optimum at eps = 1/32
     manifest.write_text(
         f"{gh} greedy t=33/32\n{gh} iterate eps=1/64\n{gh} oracle eps=1/64 max_edges=64\n"
+        f"{gh} oracle eps=1/32 max_edges=64\n"
     )
     out_csv = tmp_path / "bench.csv"
     assert main(["bench", str(manifest), "--out", str(out_csv)]) == EXIT_OK

@@ -16,6 +16,7 @@ from spannerlab.graphs import (
     format_graph,
     is_connected,
     parse_graph,
+    quotient,
     scale_to_integers,
     stretch,
 )
@@ -29,6 +30,7 @@ from bruteforce import (
     brute_stretch_over_pairs,
     concat,
     floor_pow2,
+    k44_declared_planar,
     normalize_edges,
     previous_all_positive,
     previous_is_subgraph_of,
@@ -240,6 +242,51 @@ class TestQuotientApsp:
             self._check(g)
         assert sum(g.n for g in graphs) == 428
         assert len(calls) == 222
+
+
+def test_apsp_on_a_declared_graph_whose_quotient_breaks_3n_minus_6():
+    # the zero-weight (0, 4) leaves 16 edges on 7 vertices: the quotient
+    # must not be declared planar
+    g = k44_declared_planar(0)
+    assert apsp(g).row(0)[4] == 0
+    assert [apsp(g).row(s) for s in range(g.n)] == _per_source_rows(g)
+
+
+class TestQuotient:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_labels_weights_and_lightest_edges(self, data):
+        # three weights, so that edges between two components often tie
+        n = data.draw(st.integers(1, 7))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        g = WeightedGraph(n, tuple((u, v, data.draw(st.sampled_from([F(0), F(1, 2), F(1)]))) for u, v in edges))
+        keys = data.draw(st.lists(st.sampled_from(edges), unique=True)) if edges else []
+        q, label, back = quotient(g, keys)
+        assert (label, q.n) == components(g.n, keys)
+        assert not q.declared_planar
+        lightest = {}
+        for (u, v), w in sorted(g.int_weights.items()):
+            qk = edge_key(label[u], label[v])
+            if qk[0] != qk[1] and w < lightest.get(qk, (INF,))[0]:
+                lightest[qk] = (w, (u, v))
+        assert back == {qk: k for qk, (_, k) in lightest.items()}
+        assert q.int_weights == {qk: g.int_weights[k] for qk, k in back.items()}
+
+    def test_equal_weights_go_to_the_smaller_key(self):
+        # components {0, 1} and {2, 3} are joined by 1-3, 0-3 and 1-2, all
+        # of weight 2 in units of 1/2; 0-3 is the smallest key
+        g = WeightedGraph(4, ((0, 1, F(0)), (2, 3, F(1, 2)), (1, 3, F(1)), (1, 2, F(1)), (0, 3, F(1))))
+        q, label, back = quotient(g, [(0, 1), (2, 3)])
+        assert (label, back) == ([0, 0, 1, 1], {(0, 1): (0, 3)})
+        assert q.edges == ((0, 1, F(2)),)
+
+    def test_no_keys_keeps_every_edge(self):
+        g = WeightedGraph(4, ((0, 1, F(1, 2)), (1, 2, F(3)), (0, 3, F(0))), declared_planar=True)
+        q, label, back = quotient(g, [])
+        assert label == [0, 1, 2, 3]
+        assert q == WeightedGraph(4, ((0, 1, F(1)), (1, 2, F(6)), (0, 3, F(0))))
+        assert back == {k: k for k in g.edge_keys}
 
 
 class TestDijkstra:

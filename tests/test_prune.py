@@ -44,6 +44,7 @@ from bruteforce import (
     brute_endpoint_hanging_sets,
     int_walk_weight,
     is_hanging,
+    k44_declared_planar,
     previous_contract_and_round,
     previous_evaluate,
     previous_fill_tables,
@@ -1233,6 +1234,14 @@ class TestPruneWithScaling:
         g = WeightedGraph(2, ((0, 1, w),))
         _, log = prune_with_scaling(g, F(1, 4))
         assert log.scaled == scaled
+
+    def test_declared_graph_whose_contraction_breaks_3n_minus_6(self):
+        # contracting (0, 4) leaves 16 edges on 7 vertices: the contracted
+        # graph must not be declared planar, and the spanner keeps g's flag
+        g = k44_declared_planar(1)
+        h, log = prune_with_scaling(g, EPS)
+        assert log.scaled and h.is_subgraph_of(g) and h.declared_planar
+        assert stretch(g, h) <= 1 + (log.inner_stretch - 1) + 2 * EPS
 
     def test_edgeless_graph_has_nothing_to_contract(self):
         g = WeightedGraph(1, ())
