@@ -288,9 +288,10 @@ class DistanceOracle:
     component shares that component's row. A graph with no zero-weight
     edge is its own quotient. The canonical path between two vertices is
     the lexicographically smallest vertex sequence among all minimum-weight
-    paths; it is materialised lazily (one next-hop column per target) over
-    g's own adjacency and requires strictly positive weights, which
-    `all_positive` records.
+    paths; it is materialised lazily (one next-hop column per target) and
+    requires strictly positive weights, which `all_positive` records. Then
+    nothing is contracted, so the quotient's adjacency, the one the oracle
+    keeps, is g's own.
     `memo` holds tables other modules derive from these distances: pruning
     keeps one walk plan per eps there, which holds all its per-eps state;
     they live as long as the oracle. The oracle
@@ -302,9 +303,8 @@ class DistanceOracle:
         self.n = g.n
         self.scale = g.scale
         self.int_weights = g.int_weights
-        self._adj = g.int_adjacency()
         q, label, _ = quotient(g, [k for k, w in self.int_weights.items() if w == 0])
-        adj = q.int_adjacency()
+        self._adj = adj = q.int_adjacency()
         rows = []
         for s in range(q.n):
             row = [INF] * q.n

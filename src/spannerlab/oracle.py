@@ -265,7 +265,12 @@ def exact_opt_spanner(g: WeightedGraph, eps, max_edges: int = DEFAULT_MAX_EDGES)
             comps -= 1
         search(idx + 1, parent, comps, chosen_weight + w)
 
-    search(0, list(range(comps)), comps, 0)
+    try:
+        search(0, list(range(comps)), comps, 0)
+    finally:
+        # search's closure holds search itself; unbinding it breaks that
+        # cycle, so reference counting frees the search state on return
+        del search
     return OracleResult(Fraction(best_weight, g.scale), frozenset(best_edges), nodes)
 
 

@@ -17,9 +17,8 @@ the logs are the graph's ints, in units of 1/scale (see `graphs`).
 from __future__ import annotations
 
 import warnings
-from array import array
 from bisect import insort
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from typing import NamedTuple
@@ -135,10 +134,12 @@ class _WalkPlan:
     and `slot[key]` is its 1 + i), and index `offset + c` the value of cell
     c. Join j of a cell adds the values at `join_left[j]` and `join_right[j]`
     (its two halves) and at `join_bonus[j]` (the cell's pair when the join
-    collects its endpoint hanging set, else 0); each cell's joins are sorted
-    by (via, left length). A new cell is joined with each partner pair's
-    finalised cells in ascending length, up to the first whose sum passes
-    the bound. It picks no join: `WalkTables.pick` finds each on request.
+    collects its endpoint hanging set, else 0); each cell's joins are in
+    (via, left length) order. The join fields and `join_start` are lists,
+    not `array`s: every value pass reads every join, and reading an array
+    entry builds a new int each time, where a list returns the one it
+    holds. All joins that use a cell share one int for its value index.
+    It picks no join: `WalkTables.pick` finds each on request.
 
     Only canonical cells (s < t) store joins. `mirror[c]` is the twin
     (t, s, L) of cell c (a diagonal cell is its own); a reversed cell's
@@ -168,7 +169,10 @@ class _WalkPlan:
 
     def join(self, dist: DistanceOracle) -> None:
         """Number the realizable cells and build the joins of the canonical
-        ones; weights must be positive."""
+        ones; weights must be positive. A canonical cell (s, t, L) writes
+        its joins as it is numbered, by via z and then length l of (s, z),
+        both ascending, wherever (z, t) has a cell of length L - l: both
+        halves are shorter, so already numbered, and need no sort."""
         n, slot, offset, bound = self.n, self.slot, self.offset, self.bound
         rows = [dist.row(s) for s in range(n)]
         # pair -> {length: cell}, lengths ascending
@@ -178,31 +182,28 @@ class _WalkPlan:
         self.cell_len = cell_len = [0] * n
         self.base = base = [0] * n  # value index of a base cell's value, -1 for a join-only cell
         self.mirror = mirror = list(range(n))
-        self.join_start = join_start = array("i", [0] * (n + 1))  # cell c: joins join_start[c]:join_start[c+1]
-        self.join_left, self.join_right, self.join_bonus = array("i"), array("i"), array("i")
-        add_left, add_right, add_bonus = self.join_left.append, self.join_right.append, self.join_bonus.append
+        self.join_start = join_start = [0] * (n + 1)  # cell c: joins join_start[c]:join_start[c+1]
+        self.join_left, self.join_right, self.join_bonus = join_left, join_right, join_bonus = [], [], []
+        add_left, add_right, add_bonus = join_left.append, join_right.append, join_bonus.append
+        index = [offset + c for c in range(n)]  # cell -> its value index, one int shared by its joins
         at = [None] * (n * n)  # key -> the pair's dict in cells_of, the diagonal's set now
         at[:: n + 1] = cells_of.values()
 
-        base_at: dict[int, list[int]] = {}  # length -> canonical keys
+        # only occupied levels are visited: base lengths, plus each length
+        # that some new cell reaches with a finalised one
+        reach: dict[int, set[int]] = defaultdict(set)  # length -> canonical keys with a cell there
         for s, t in self.pairs:
-            base_at.setdefault(rows[s][t], []).append(s * n + t)
-        # only occupied levels are visited: base lengths, plus each length a
-        # join first reaches. A pending join is packed as via << 32 | left
-        # cell (a plan of 2**32 cells would not fit in memory), so sorting
-        # the codes sorts the joins by (via, left length).
-        levels = list(base_at)
+            reach[rows[s][t]].add(s * n + t)
+        levels = list(reach)
         heapify(levels)
-        pending: dict[int, dict[int, list[int]]] = {}  # length -> canonical key -> codes
         # partners of finalised cells, ascending: ends[t] holds each s with a
         # cell from s to t, starts[s] each such t; a pair's first cell is its base
         ends: list[list[int]] = [[] for _ in range(n)]
         starts: list[list[int]] = [[] for _ in range(n)]
         while levels:
             level = heappop(levels)
-            joins_at = pending.pop(level, {})
             top = 1 << (level.bit_length() - 1)
-            canonical = joins_at.keys() | base_at.get(level, ())
+            canonical = reach.pop(level)
             # a cell's twin is realizable at the same length, and numbered
             # after it: its key t*n + s is the larger
             for key in sorted([*canonical, *[k % n * n + k // n for k in canonical]]):
@@ -216,56 +217,61 @@ class _WalkPlan:
                 cell_s.append(s)
                 cell_t.append(t)
                 cell_len.append(level)
-                base.append(slot[key] if rows[s][t] == level else -1)
+                row_s, row_t = rows[s], rows[t]
+                base.append(slot[key] if row_s[t] == level else -1)
+                index.append(offset + c)
                 if s < t:
                     mirror.append(c)  # until its twin is numbered
-                    for code in sorted(joins_at.get(key, ())):
-                        left = code & 0xFFFFFFFF
-                        l_left = cell_len[left]
-                        add_left(offset + left)
-                        add_right(offset + at[(code >> 32) * n + t][level - l_left])
-                        add_bonus(slot[key] if level - top < l_left < top else 0)
+                    bonus, low = slot[key], level - top
+                    for z in starts[s]:
+                        right_at = at[z * n + t]
+                        if right_at is None or z == t or row_s[z] + row_t[z] > level:
+                            continue
+                        lim = level - row_t[z]
+                        for l, left in at[key - t + z].items():
+                            if l > lim:
+                                break
+                            right = right_at.get(level - l)
+                            if right is not None:
+                                add_left(index[left])
+                                add_right(index[right])
+                                add_bonus(bonus if low < l < top else 0)
                 else:
                     twin = at[t * n + s][level]
                     mirror.append(twin)
                     mirror[twin] = c
-                join_start.append(len(self.join_left))
-                # pair the new cell with every finalised cell it extends into
-                # a canonical cell, up to the bound; a partner's lengths
-                # ascend from its distance. Each pair of cells is joined
-                # once, by the later of the two
+                join_start.append(len(join_left))
+                # record the canonical cells the new cell reaches with the
+                # finalised cells of each partner pair, up to the bound; a
+                # partner's lengths ascend from its distance
                 for x in ends[s]:
                     if x >= t:
                         break
                     lim = bound[t][x] - level
-                    if rows[s][x] > lim:
+                    if row_s[x] > lim:
                         continue
                     out = x * n + t
-                    for l, left in at[x * n + s].items():
+                    for l in at[x * n + s]:
                         if l > lim:
                             break
-                        slots = pending.get(l + level)
-                        if slots is None:
-                            slots = pending[l + level] = {}
-                            if l + level not in base_at:
-                                heappush(levels, l + level)
-                        slots.setdefault(out, []).append(s << 32 | left)
+                        keys = reach[l + level]
+                        if not keys:  # a length first reached
+                            heappush(levels, l + level)
+                        keys.add(out)
                 for y in reversed(starts[t]):
                     if y <= s:
                         break
                     lim = bound[s][y] - level
-                    if rows[t][y] > lim:
+                    if row_t[y] > lim:
                         continue
                     out = s * n + y
                     for l in at[t * n + y]:
                         if l > lim:
                             break
-                        slots = pending.get(level + l)
-                        if slots is None:
-                            slots = pending[level + l] = {}
-                            if level + l not in base_at:
-                                heappush(levels, level + l)
-                        slots.setdefault(out, []).append(t << 32 | c)
+                        keys = reach[l + level]
+                        if not keys:  # a length first reached
+                            heappush(levels, l + level)
+                        keys.add(out)
 
         # canonical cells in (s, t, L) order; a reversed cell ties its twin
         # and comes after it, so no selection picks it
@@ -345,8 +351,9 @@ def _joined_plan(dist: DistanceOracle, eps: Fraction, cap: int) -> _WalkPlan:
 class WalkTables:
     """The walk tables of one round: the plan's numbered cells, the round's
     `values` (indexed as in `_WalkPlan`) and each cell's picked join, read
-    through `pick`, which caches them in `picks` (`_UNPICKED` until found;
-    a ratio-1 `_Tail` writes the picks of the cells it finds intact there).
+    through `pick`, which caches them in the list `picks` (`_UNPICKED`
+    until found; a ratio-1 `_Tail` writes the picks of the cells it finds
+    intact there).
 
     For a pair (s, t), cells exist for integer lengths L up to
     (1+eps) * dist(s, t); a cell is realizable when a walk of weight exactly
@@ -359,7 +366,7 @@ class WalkTables:
     def __init__(self, dist, pool, anchored, plan: _WalkPlan, values):
         self.dist, self.pool, self.anchored = dist, pool, anchored
         self.plan, self.values = plan, values
-        self.picks = array("q", [_UNPICKED]) * len(plan.base)
+        self.picks = [_UNPICKED] * len(plan.base)
         self.entries, self.max_level = plan.cells_of, plan.max_level
 
     def pick(self, c: int) -> int:

@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction as F
 
@@ -172,10 +173,24 @@ class TestAgainstPreviousOracle:
             g = reduce_sat(inst, eps).graph
             calls.clear()
             explored.append(exact_opt_spanner(g, eps, max_edges=64).nodes_explored)
-            # one for the distance oracle, one for the search; the oracle's
-            # zero-weight quotient is a graph of its own
-            assert sum(h is g for h in calls) == 2
+            # one for the search on g, one for the distance oracle on its
+            # zero-weight quotient, a graph of its own
+            assert sum(h is g for h in calls) == 1 and len(calls) == 2
         assert max(explored) > 10 * min(explored)
+
+    def test_a_call_leaves_no_cyclic_garbage(self):
+        # the search state, its memos and the distance oracle are freed by
+        # reference counting when the call returns
+        eps = F(1, 10)
+        graphs = [reduce_sat(inst, eps).graph for inst in _hardness_catalogue()]
+        gc.collect()
+        gc.disable()
+        try:
+            for g in graphs:
+                exact_opt_spanner(g, eps, max_edges=64)
+                assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 @st.composite

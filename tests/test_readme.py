@@ -1,6 +1,8 @@
 """The README's examples run as written: the library example against the
 package root, and every command of the CLI block through `cli.main`."""
+import gc
 import re
+import types
 from pathlib import Path
 
 from spannerlab.cli import EXIT_OK, main
@@ -15,13 +17,15 @@ def test_library_example_runs():
     exec(compile(block.group(1), "README.md", "exec"), {})
 
 
-def test_cli_block_runs(tmp_path, monkeypatch):
+def run_cli_block(directory: Path, monkeypatch) -> None:
+    """Run every command of the README's CLI block in `directory`, with
+    `formula.txt` from the formula block and a two-row `manifest.txt`."""
     text = README.read_text()
     block = re.search(r"^## CLI\n.*?^```sh\n(.*?)^```", text, re.M | re.S)
     assert block is not None, "README has no '## CLI' sh block"
     formula = re.search(r"^SAT formula files look like:\n\n```\n(.*?)^```", text, re.M | re.S)
     assert formula is not None, "README has no formula block"
-    monkeypatch.chdir(tmp_path)
+    monkeypatch.chdir(directory)
     Path("formula.txt").write_text(formula.group(1))
     Path("manifest.txt").write_text(
         "ladder.g iterate eps=1/4 initial=ladder_adv.g cell_cap=1000\n"
@@ -33,3 +37,32 @@ def test_cli_block_runs(tmp_path, monkeypatch):
     for argv in commands:
         assert main(argv[1:]) == EXIT_OK, argv
     assert Path("results.csv").read_text().count("\n") == 3
+
+
+def test_cli_block_runs(tmp_path, monkeypatch):
+    run_cli_block(tmp_path, monkeypatch)
+
+
+def package_name(obj) -> str | None:
+    """The qualified name of obj's function, or of its class, when that is
+    defined in spannerlab; else None."""
+    named = obj if isinstance(obj, types.FunctionType) else type(obj)
+    module = named.__module__ or ""
+    return f"{module}.{named.__qualname__}" if module.partition(".")[0] == "spannerlab" else None
+
+
+def test_cli_block_leaves_no_package_object_to_the_cyclic_collector(tmp_path, monkeypatch):
+    # the commands cover gen of every family, run of every algorithm,
+    # verify and bench; under DEBUG_SAVEALL every object a collection finds
+    # unreachable, automatic or not, is kept in gc.garbage instead of freed
+    debug, first = gc.get_debug(), len(gc.garbage)
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        run_cli_block(tmp_path, monkeypatch)
+        gc.collect()
+        cyclic = {name for name in map(package_name, gc.garbage[first:]) if name}
+    finally:
+        gc.set_debug(debug)
+        del gc.garbage[first:]
+    assert not cyclic, sorted(cyclic)
