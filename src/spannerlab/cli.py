@@ -158,6 +158,7 @@ def _run_algorithm(algorithm: str, g: WeightedGraph, args) -> tuple[WeightedGrap
         t = _frac(args.t) if args.t else 1 + _frac(args.eps or "0")
         if t <= 1:
             raise ParameterError("greedy needs --t > 1 or --eps > 0")
+        _refuse_unread(algorithm, args)
         return greedy_spanner(g, t), {"t": format_rational(t)}
     if algorithm == "oracle":
         if args.eps is None:
@@ -165,6 +166,7 @@ def _run_algorithm(algorithm: str, g: WeightedGraph, args) -> tuple[WeightedGrap
         eps = _frac(args.eps)
         if eps < 0:
             raise ParameterError(f"oracle needs --eps >= 0, got {args.eps}")
+        _refuse_unread(algorithm, args)
         res = exact_opt_spanner(g, eps, max_edges=args.max_edges)
         return g.subgraph(res.opt_edges), {"nodes_explored": res.nodes_explored}
     if args.eps is None:
@@ -174,19 +176,15 @@ def _run_algorithm(algorithm: str, g: WeightedGraph, args) -> tuple[WeightedGrap
         raise ParameterError(f"{algorithm} needs --eps > 0, got {args.eps}")
     if 0 in g.int_weights.values():
         raise ParameterError("pruning algorithms need strictly positive weights")
+    _refuse_unread(algorithm, args)
+    initial = g.subgraph(read_graph(args.initial).edge_keys) if args.initial else None
     extra["scale"] = format_rational(g.scale)
     if algorithm == "prune":
-        if args.initial:
-            h0 = g.subgraph(read_graph(args.initial).edge_keys)
-        else:
-            h0 = greedy_spanner(g, 1 + eps)
+        h0 = greedy_spanner(g, 1 + eps) if initial is None else initial
         h1, state = prune(g, h0, eps, cell_cap=args.cell_cap)
         extra["rounds"] = [r.as_dict() for r in state.rounds]
         return h1, extra
     if algorithm == "iterate":
-        initial = None
-        if args.initial:
-            initial = g.subgraph(read_graph(args.initial).edge_keys)
         h, logs, states = iterate_prune(g, eps, initial_spanner=initial, cell_cap=args.cell_cap)
         extra["iterations"] = [entry.as_dict() for entry in logs]
         extra["rounds"] = [r.as_dict() for st in states for r in st.rounds]
@@ -194,10 +192,19 @@ def _run_algorithm(algorithm: str, g: WeightedGraph, args) -> tuple[WeightedGrap
     # "scaled": both callers admit only the names in ALGORITHMS
     h, log = prune_with_scaling(g, eps, cell_cap=args.cell_cap)
     extra["iterations"] = [entry.as_dict() for entry in log.iterations]
-    extra["contracted"] = log.scaled
+    extra["contracted"] = log.inner_stretch is not None
     if log.inner_stretch is not None:
         extra["inner_stretch"] = format_rational(log.inner_stretch)
     return h, extra
+
+
+def _refuse_unread(algorithm: str, args) -> None:
+    """A flag the algorithm would ignore is a parameter error; called after
+    the algorithm's own checks, so their messages come first."""
+    if args.initial is not None and algorithm not in ("prune", "iterate"):
+        raise ParameterError(f"{algorithm} takes no --initial; only prune and iterate start from one")
+    if args.t is not None and algorithm != "greedy":
+        raise ParameterError(f"{algorithm} takes no --t; only greedy does")
 
 
 def _cmd_run(args) -> int:
@@ -223,6 +230,9 @@ def _cmd_run(args) -> int:
     if args.report:
         Path(args.report).write_text(text + "\n")
     print(text)
+    if report["stretch"] == format_rational(INF):
+        print("verification failed: the spanner leaves some edge's endpoints disconnected (stretch inf)", file=sys.stderr)
+        return EXIT_VERIFY
     return EXIT_OK
 
 

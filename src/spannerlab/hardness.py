@@ -75,12 +75,6 @@ class SatInstance(Frozen):
                     )
         self._set(num_vars=num_vars, clauses=clauses, pos_order=pos_order, neg_order=neg_order)
 
-    def positive_clauses(self, i: int) -> tuple[int, ...]:
-        return self.pos_order[i]
-
-    def negative_clauses(self, i: int) -> tuple[int, ...]:
-        return self.neg_order[i]
-
     def h(self, i: int) -> int:
         return max(len(self.pos_order[i]), len(self.neg_order[i]))
 
@@ -173,7 +167,6 @@ class VariableGadget(NamedTuple):
 
 class ClauseGadget(NamedTuple):
     spine: EdgeKey  # the (e_j, f_j) edge
-    segment_edges: tuple[EdgeKey, ...]  # the (l, r) edges, one per literal
     connector_edges: tuple[EdgeKey, ...]
 
 
@@ -224,13 +217,10 @@ def reduce_sat(inst: SatInstance, eps, zero_eta=None) -> ReductionOutput:
             raise ValueError("zero_eta must be positive")
 
     labels: dict[str, int] = {}
-    counter = 0
 
-    def vertex(label: str) -> int:
-        nonlocal counter
-        labels[label] = counter
-        counter += 1
-        return counter - 1
+    def vertex(label: str) -> int:  # every label is new, so the count numbers it
+        labels[label] = len(labels)
+        return labels[label]
 
     edges: list[tuple[int, int, Fraction]] = []
     zero_keys: set[EdgeKey] = set()
@@ -255,8 +245,8 @@ def reduce_sat(inst: SatInstance, eps, zero_eta=None) -> ReductionOutput:
         s = vertex(f"s[{i}]")
         t = vertex(f"t[{i}]")
         sides = (
-            (inst.positive_clauses(i), "u", True),
-            (inst.negative_clauses(i), "v", False),
+            (inst.pos_order[i], "u", True),
+            (inst.neg_order[i], "v", False),
         )
         true_edges: tuple[EdgeKey, ...] = ()
         false_edges: tuple[EdgeKey, ...] = ()
@@ -302,24 +292,23 @@ def reduce_sat(inst: SatInstance, eps, zero_eta=None) -> ReductionOutput:
         e = vertex(f"e[{j}]")
         f = vertex(f"f[{j}]")
         prev = e
-        segments: list[EdgeKey] = []
         connectors: list[EdgeKey] = []
         for pos, i in enumerate(clause.literals, start=1):
             l = vertex(f"l[{j},{pos}]")
             r = vertex(f"r[{j},{pos}]")
             add(prev, l, zero)
-            segments.append(add(l, r, 2 + 2 * eps))
+            add(l, r, 2 + 2 * eps)
             a, b = crossing[(j, i)]
             connectors.append(add(l, a, eps))
             connectors.append(add(r, b, eps))
             prev = r
         add(prev, f, zero)
         spine = add(e, f, _spine_weight(k, eps))
-        clause_gadgets.append(ClauseGadget(spine, tuple(segments), tuple(connectors)))
+        clause_gadgets.append(ClauseGadget(spine, tuple(connectors)))
 
     total_literals = sum(len(c.literals) for c in inst.clauses)
     W = 2 * eps * total_literals + 2 * (5 + 2 * eps) * sum(h_values)
-    graph = WeightedGraph(counter, tuple(edges), declared_planar=True)
+    graph = WeightedGraph(len(labels), tuple(edges), declared_planar=True)
     return ReductionOutput(
         graph=graph,
         W=W,

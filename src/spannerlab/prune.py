@@ -487,7 +487,6 @@ class RoundLog(NamedTuple):
     target: int
     length: int
     beta: Fraction
-    walk_weight: int
     multiset_weight: int
     pruned_weight: int
     pool_weight_remaining: int
@@ -498,7 +497,7 @@ class RoundLog(NamedTuple):
             "t": self.target,
             "L": self.length,
             "beta": format_rational(self.beta),
-            "rho_weight": self.walk_weight,
+            "rho_weight": self.length,  # the walk weighs its cell's length
             "multiset_weight": self.multiset_weight,
             "pruned_weight": self.pruned_weight,
             "pool_weight_remaining": str(self.pool_weight_remaining),
@@ -602,11 +601,10 @@ class PruneState:
     equality and the repr.
     """
 
-    def __init__(self, added: set[EdgeKey] | None = None, removed: set[EdgeKey] | None = None,
-                 rounds: list[RoundLog] | None = None):
-        self.added = set() if added is None else added
-        self.removed = set() if removed is None else removed
-        self.rounds = [] if rounds is None else rounds
+    def __init__(self):
+        self.added: set[EdgeKey] = set()
+        self.removed: set[EdgeKey] = set()
+        self.rounds: list[RoundLog] = []
         self.tail: _Tail | None = None
 
     def __eq__(self, other):  # defining it leaves the state unhashable, as it is mutable
@@ -666,7 +664,6 @@ def prune_round(
             target=t,
             length=length,
             beta=beta,
-            walk_weight=length,
             multiset_weight=sum(c * weight(k) for k, c in mset.items()),
             pruned_weight=sum(map(weight, support)),
             pool_weight_remaining=sum(map(weight, pool - support)),
@@ -773,9 +770,8 @@ def iterate_prune(
 
 
 class ScalingLog(NamedTuple):
-    scaled: bool
     iterations: list[IterationLog]
-    inner_stretch: Fraction | None = None
+    inner_stretch: Fraction | None = None  # None: the weights needed no contraction
 
 
 def contract_and_round(g: WeightedGraph, eps) -> tuple[WeightedGraph, dict[EdgeKey, EdgeKey]]:
@@ -821,11 +817,11 @@ def prune_with_scaling(
     w_max = max(weights.values(), default=0)
     if w_max * eps.numerator < n * n * eps.denominator:
         h, logs, _ = iterate_prune(g, eps, cell_cap=cell_cap)
-        return h, ScalingLog(scaled=False, iterations=logs)
+        return h, ScalingLog(iterations=logs)
 
     contracted, back = contract_and_round(g, eps)
     inner, logs, _ = iterate_prune(contracted, eps, cell_cap=cell_cap)
     # the last log entry is the stretch of the spanner iterate_prune returns
     keep = {back[k] for k in inner.edge_keys}
     keep |= {k for k, w in weights.items() if w * n <= w_max}
-    return g.subgraph(keep), ScalingLog(scaled=True, iterations=logs, inner_stretch=logs[-1].stretch)
+    return g.subgraph(keep), ScalingLog(iterations=logs, inner_stretch=logs[-1].stretch)

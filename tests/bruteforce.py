@@ -861,7 +861,6 @@ def previous_prune_round(
             target=t,
             length=length,
             beta=beta,
-            walk_weight=length,
             multiset_weight=sum(c * weight(k) for k, c in mset.items()),
             pruned_weight=sum(map(weight, support)),
             pool_weight_remaining=sum(map(weight, pool - support)),

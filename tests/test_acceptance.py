@@ -240,7 +240,7 @@ def test_criterion_7_scaling_wrapper(capsys):
         w_max = max(w for *_, w in g.edges)
         assert w_max >= F(g.n * g.n) / eps  # the rescaling branch is exercised
         h, log = prune_with_scaling(g, eps)
-        assert log.scaled
+        assert log.inner_stretch is not None
         small = {edge_key(u, v) for u, v, w in g.edges if w * g.n <= w_max}
         assert tendrils <= small <= h.edge_keys
         eps0 = log.inner_stretch - 1

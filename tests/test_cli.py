@@ -207,6 +207,72 @@ def test_run_scaled_nonpositive_eps_exits_3(tmp_path, ladder_file, capsys, eps, 
     assert capsys.readouterr().err == f"parameter error: {algorithm} needs --eps > 0, got {eps}\n"
 
 
+@pytest.mark.parametrize("algorithm, flag", [
+    ("greedy", "--initial"), ("scaled", "--initial"), ("oracle", "--initial"),
+    ("prune", "--t"), ("iterate", "--t"), ("scaled", "--t"), ("oracle", "--t"),
+])
+def test_run_refuses_a_flag_its_algorithm_ignores(tmp_path, ladder_file, capsys, algorithm, flag):
+    value = str(ladder_file) if flag == "--initial" else "5/4"
+    out = tmp_path / "o"
+    assert main(["run", algorithm, str(ladder_file), "--eps", "1/4", flag, value, "--out", str(out)]) == EXIT_PARAM
+    assert capsys.readouterr().err.startswith(f"parameter error: {algorithm} takes no {flag}; ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["greedy", "--t", "1", "--initial", "{g}"], "greedy needs --t > 1 or --eps > 0"),
+    (["oracle", "--eps", "-1", "--t", "2"], "oracle needs --eps >= 0, got -1"),
+    (["scaled", "--t", "2"], "scaled needs --eps"),
+    (["prune", "--eps", "1/4", "--t", "2", "--cell-cap", "0"], "cell cap must be at least 1, got 0"),
+])
+def test_an_algorithms_own_checks_come_before_the_unread_flag(tmp_path, ladder_file, capsys, args, message):
+    args = [a.format(g=ladder_file) for a in args]
+    assert main(["run", args[0], str(ladder_file), *args[1:], "--out", str(tmp_path / "o")]) == EXIT_PARAM
+    assert capsys.readouterr().err == f"parameter error: {message}\n"
+
+
+@pytest.mark.parametrize("row", ["greedy t=5/4 initial={g}", "iterate eps=1/4 t=5/4", "oracle eps=1/4 initial={g}"])
+def test_bench_refuses_a_manifest_key_its_algorithm_ignores(tmp_path, ladder_file, capsys, row):
+    manifest = tmp_path / "m.txt"
+    manifest.write_text(f"{ladder_file} greedy eps=1/4\n{ladder_file} {row.format(g=ladder_file)}\n")
+    out = tmp_path / "bench.csv"
+    assert main(["bench", str(manifest), "--out", str(out)]) == EXIT_PARAM
+    assert "takes no --" in capsys.readouterr().err and not out.exists()
+
+
+# at eps 1/3 greedy drops (1, 2) for the path 1-3-2; pruning then counts
+# (2, 3) as hanging at (1, 3) through d(2, 1) = 15/7, which runs over the
+# dropped edge, and exchanges it away: vertex 2 loses its last spanner edge
+DISCONNECTED_AT_ONE_THIRD = """7 9 planar:0
+0 1 1
+0 4 4
+0 6 10
+1 2 15/7
+1 3 1/2
+1 4 17/7
+2 3 2
+4 5 6
+5 6 17/4
+"""
+
+
+@pytest.mark.parametrize("algorithm, eps, code, stretch", [
+    ("prune", "1/3", EXIT_VERIFY, "inf"),
+    ("iterate", "1/3", EXIT_VERIFY, "inf"),
+    ("scaled", "1/3", EXIT_OK, "383/280"),
+    ("iterate", "1/4", EXIT_OK, "383/280"),
+])
+def test_run_exits_2_when_its_spanner_disconnects_the_graph(tmp_path, capsys, algorithm, eps, code, stretch):
+    path, out, report = tmp_path / "g7.g", tmp_path / "g7.spanner", tmp_path / "r.json"
+    path.write_text(DISCONNECTED_AT_ONE_THIRD)
+    assert main(["run", algorithm, str(path), "--eps", eps, "--out", str(out), "--report", str(report)]) == code
+    # the spanner and the report are written either way
+    assert json.loads(report.read_text())["stretch"] == stretch
+    assert read_graph(out).is_subgraph_of(read_graph(path))
+    failed = "verification failed: the spanner leaves some edge's endpoints disconnected (stretch inf)\n"
+    assert capsys.readouterr().err == (failed if code == EXIT_VERIFY else "")
+
+
 @pytest.mark.parametrize("algorithm", ["prune", "iterate", "scaled"])
 def test_large_eps_warning_is_one_plain_line(tmp_path, ladder_file, capsys, algorithm):
     args = ["run", algorithm, str(ladder_file), "--eps", "1/4", "--out", str(tmp_path / "o")]

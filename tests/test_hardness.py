@@ -57,8 +57,8 @@ class TestSatInstance:
             2,
             (Clause(ABOVE, (0,)), Clause(ABOVE, (0, 1)), Clause(BELOW, (0, 1))),
         )
-        assert inst.positive_clauses(0) == (0, 1)
-        assert inst.negative_clauses(0) == (2,)
+        assert inst.pos_order[0] == (0, 1)
+        assert inst.neg_order[0] == (2,)
         assert inst.h(0) == 2 and inst.h(1) == 1
 
     def test_satisfied_by(self):
@@ -251,8 +251,8 @@ class TestSatFormat:
     def test_explicit_orders(self):
         text = "vars 2\nclause above 0\nclause above 0 1\nclause below 1 0\norder+ 0 1 0\n"
         inst = parse_sat(text)
-        assert inst.positive_clauses(0) == (1, 0)
-        assert inst.negative_clauses(0) == (2,)
+        assert inst.pos_order[0] == (1, 0)
+        assert inst.neg_order[0] == (2,)
 
     def test_a_variable_mentioned_nowhere_is_refused(self):
         # checked by count before anything is allocated per variable

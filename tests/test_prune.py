@@ -269,7 +269,7 @@ class TestFillTables:
         g = WeightedGraph(2, ((0, 1, F(1, 2)),))
         assert levels(fill_tables(g.edge_keys, apsp(g), EPS), 0, 1) == [1]
         h, state = prune(g, g, EPS)
-        assert h == g and [(r.length, r.walk_weight, r.multiset_weight) for r in state.rounds] == [(1, 1, 1)]
+        assert h == g and [(r.length, r.multiset_weight) for r in state.rounds] == [(1, 1)]
         # the spanner drops the only half-integer edge, so its own scale is 1,
         # but its logged weight stays in units of 1/g.scale
         g = WeightedGraph(3, ((0, 1, F(1)), (1, 2, F(1)), (0, 2, F(5, 2))))
@@ -1145,6 +1145,16 @@ class TestIteratePrune:
         iterate_prune(g, eps, initial_spanner=g.subgraph(init))
         assert list(apsp(g).memo) == [("walk-plan", eps)]
 
+    def test_stretch_safety_at_the_eps_values_the_cli_runs(self):
+        # the acceptance sweep runs one pass at eps 1/100 and 1/64 on integer
+        # weights; the README and the benchmark iterate at 1/4
+        rng = random.Random(20261019)
+        for i in range(150):
+            g = random_connected_graph(rng, max_n=10, integer=False)
+            eps = (F(1, 4), F(1, 10), F(1, 16))[i % 3]
+            h, _, _ = iterate_prune(g, eps)
+            assert stretch(g, h) <= 1 + 11 * eps, (g, eps)
+
     def test_pass_cap(self):
         assert log_star_ceil(F(4)) == 2
         assert log_star_ceil(F(100)) == 4
@@ -1168,7 +1178,7 @@ class TestPruneWithScaling:
         g, _ = scaled_ladder(4)
         h_direct, logs, _ = iterate_prune(g, EPS)
         h, log = prune_with_scaling(g, EPS)
-        assert not log.scaled
+        assert log.inner_stretch is None
         assert h == h_direct
 
     def _big_ladder_with_tendrils(self):
@@ -1186,7 +1196,7 @@ class TestPruneWithScaling:
     def test_large_weights_contract_round_and_keep_small_edges(self):
         g, tendrils = self._big_ladder_with_tendrils()
         h, log = prune_with_scaling(g, EPS)
-        assert log.scaled
+        assert log.inner_stretch is not None
         assert tendrils <= h.edge_keys  # the whole small-edge set survives
         assert log.inner_stretch == F(5, 4)
         bound = 1 + (log.inner_stretch - 1) + 2 * EPS
@@ -1204,7 +1214,7 @@ class TestPruneWithScaling:
             eps = F(1, 4)
             w_max = max(w for *_, w in g.edges)
             h, log = prune_with_scaling(g, eps)
-            assert log.scaled
+            assert log.inner_stretch is not None
             small = {edge_key(u, v) for u, v, w in g.edges if w * g.n <= w_max}
             assert small <= h.edge_keys
             assert stretch(g, h) <= 1 + (log.inner_stretch - 1) + 2 * eps
@@ -1233,14 +1243,14 @@ class TestPruneWithScaling:
         # W is the int weight in units of 1/g.scale: 15, 16, 15 and 16
         g = WeightedGraph(2, ((0, 1, w),))
         _, log = prune_with_scaling(g, F(1, 4))
-        assert log.scaled == scaled
+        assert (log.inner_stretch is not None) == scaled
 
     def test_declared_graph_whose_contraction_breaks_3n_minus_6(self):
         # contracting (0, 4) leaves 16 edges on 7 vertices: the contracted
         # graph must not be declared planar, and the spanner keeps g's flag
         g = k44_declared_planar(1)
         h, log = prune_with_scaling(g, EPS)
-        assert log.scaled and h.is_subgraph_of(g) and h.declared_planar
+        assert log.inner_stretch is not None and h.is_subgraph_of(g) and h.declared_planar
         assert stretch(g, h) <= 1 + (log.inner_stretch - 1) + 2 * EPS
 
     def test_edgeless_graph_has_nothing_to_contract(self):
@@ -1248,7 +1258,7 @@ class TestPruneWithScaling:
         contracted, back = contract_and_round(g, EPS)
         assert (contracted.n, contracted.m, back) == (1, 0, {})
         h, log = prune_with_scaling(g, EPS)
-        assert h == g and not log.scaled
+        assert h == g and log.inner_stretch is None
 
 
 @pytest.mark.parametrize("eps", [F(0), F(-1, 2)])
