@@ -103,7 +103,6 @@ def build_parser() -> _Parser:
     sat.add_argument("--eps", required=True)
     sat.add_argument("--out", required=True)
     sat.add_argument("--sidecar", default=None, help="defaults to OUT + '.json'")
-    sat.add_argument("--zero-eta", default=None)
 
     r = sub.add_parser("run", help="run an algorithm on a graph file")
     r.add_argument("algorithm", choices=ALGORITHMS)
@@ -136,8 +135,7 @@ def _cmd_gen(args) -> int:
         g = gen_greedy_hard(_frac(args.eps), _frac(args.x))
     else:
         inst = read_sat(args.formula)
-        eta = _frac(args.zero_eta) if args.zero_eta else None
-        out = reduce_sat(inst, _frac(args.eps), zero_eta=eta)
+        out = reduce_sat(inst, _frac(args.eps))
         write_graph(out.graph, args.out)
         write_sidecar(out, args.sidecar or args.out + ".json")
         print(f"wrote {args.out} ({out.graph.n} vertices, {out.graph.m} edges), W={format_rational(out.W)}")
@@ -174,8 +172,6 @@ def _run_algorithm(algorithm: str, g: WeightedGraph, args) -> tuple[WeightedGrap
     eps = _frac(args.eps)
     if eps <= 0:
         raise ParameterError(f"{algorithm} needs --eps > 0, got {args.eps}")
-    if 0 in g.int_weights.values():
-        raise ParameterError("pruning algorithms need strictly positive weights")
     _refuse_unread(algorithm, args)
     initial = g.subgraph(read_graph(args.initial).edge_keys) if args.initial else None
     extra["scale"] = format_rational(g.scale)
@@ -205,6 +201,8 @@ def _refuse_unread(algorithm: str, args) -> None:
         raise ParameterError(f"{algorithm} takes no --initial; only prune and iterate start from one")
     if args.t is not None and algorithm != "greedy":
         raise ParameterError(f"{algorithm} takes no --t; only greedy does")
+    if args.t is not None and args.eps is not None:
+        raise ParameterError("greedy takes no --eps with --t; it reads --eps only as t = 1 + eps")
 
 
 def _cmd_run(args) -> int:

@@ -15,15 +15,14 @@ def greedy_spanner(g: WeightedGraph, t) -> WeightedGraph:
     max endpoint), so the result is independent of input edge order. Each
     distance query runs a fresh bounded Dijkstra on the current spanner, in
     integer weights: an integer distance is at most t*w exactly when it is
-    at most floor(t*w).
+    at most floor(t*w). A zero-weight edge is kept exactly when the spanner
+    does not yet join its ends by zero-weight edges.
     """
     t = Fraction(t)
     if t <= 1:
         raise ValueError(f"stretch target must exceed 1, got {t}")
     if not is_connected(g):
         raise ValueError("greedy_spanner requires a connected graph")
-    if any(w <= 0 for w in g.int_weights.values()):
-        raise ValueError("greedy_spanner requires strictly positive weights")
 
     order = sorted(g.int_weights.items(), key=lambda kw: (kw[1], kw[0]))
     adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]

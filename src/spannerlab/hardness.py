@@ -177,7 +177,6 @@ class ReductionOutput(NamedTuple):
     h: tuple[int, ...]
     instance: SatInstance
     eps: Fraction
-    zero_edges: frozenset[EdgeKey]
     variables: tuple[VariableGadget, ...]
     clause_gadgets: tuple[ClauseGadget, ...]
 
@@ -196,14 +195,12 @@ def _spine_weight(k: int, eps: Fraction) -> Fraction:
     return (2 * k + (4 * k - 2) * eps) / (1 + eps)
 
 
-def reduce_sat(inst: SatInstance, eps, zero_eta=None) -> ReductionOutput:
+def reduce_sat(inst: SatInstance, eps) -> ReductionOutput:
     """Build the threshold graph of a preprocessed monotone instance.
 
     Thresholds: W = 2*eps*sum(|c_j|) + 2*(5+2*eps)*sum(h_i) where
     h_i = max(#positive, #negative clauses of variable i). Structural edges
-    carry weight zero by default; `zero_eta` substitutes a positive weight
-    for experiments that cannot tolerate zeros (the exact-threshold
-    converters then no longer apply).
+    carry weight zero.
     """
     eps = _positive_eps(eps)
     if not inst.is_preprocessed():
@@ -211,10 +208,6 @@ def reduce_sat(inst: SatInstance, eps, zero_eta=None) -> ReductionOutput:
             "instance not preprocessed: every variable must occur in at least "
             "one above clause and one below clause"
         )
-    if zero_eta is not None:
-        zero_eta = Fraction(zero_eta)
-        if zero_eta <= 0:
-            raise ValueError("zero_eta must be positive")
 
     labels: dict[str, int] = {}
 
@@ -223,12 +216,8 @@ def reduce_sat(inst: SatInstance, eps, zero_eta=None) -> ReductionOutput:
         return labels[label]
 
     edges: list[tuple[int, int, Fraction]] = []
-    zero_keys: set[EdgeKey] = set()
 
     def add(u: int, v: int, w: Fraction) -> EdgeKey:
-        if w == 0:
-            zero_keys.add(edge_key(u, v))
-            w = zero_eta if zero_eta is not None else Fraction(0)
         edges.append((u, v, w))
         return edge_key(u, v)
 
@@ -316,15 +305,9 @@ def reduce_sat(inst: SatInstance, eps, zero_eta=None) -> ReductionOutput:
         h=tuple(h_values),
         instance=inst,
         eps=eps,
-        zero_edges=frozenset(zero_keys),
         variables=tuple(variables),
         clause_gadgets=tuple(clause_gadgets),
     )
-
-
-def _exact_machinery_only(out: ReductionOutput) -> None:
-    if out.zero_edges and out.graph.weights[next(iter(out.zero_edges))] != 0:
-        raise ValueError("converters require the exact reduction (zero_eta=None)")
 
 
 def assignment_to_spanner(out: ReductionOutput, assignment) -> WeightedGraph:
@@ -337,12 +320,11 @@ def assignment_to_spanner(out: ReductionOutput, assignment) -> WeightedGraph:
     between adjacent variable gadgets through a clause cycle's zero-weight
     edges and land exactly on the stretch budget.)
     """
-    _exact_machinery_only(out)
     if len(assignment) != out.instance.num_vars:
         raise ValueError("assignment length mismatch")
     if not out.instance.satisfied_by(assignment):
         raise ValueError("assignment does not satisfy the instance")
-    keys: set[EdgeKey] = set(out.zero_edges)
+    keys = {k for k, w in out.graph.int_weights.items() if w == 0}
     for i, gadget in enumerate(out.variables):
         keys.update(gadget.apex_edges)
         keys.update(gadget.terminal_edges)
@@ -367,7 +349,6 @@ def spanner_to_assignment(out: ReductionOutput, h: WeightedGraph) -> tuple[bool,
     unsatisfied clause by tunnelling through a neighbouring clause cycle, in
     which case the side reading fails the formula and is rejected too.
     """
-    _exact_machinery_only(out)
     if not h.is_subgraph_of(out.graph):
         raise ValueError("h is not a subgraph of the reduction graph")
     if h.total_weight > out.W:

@@ -11,8 +11,9 @@ how they join depends only on the distances and eps, so that plan is built
 once per distance oracle and eps; each round only recomputes the values.
 Passes are repeated a number of times governed by the iterated logarithm of
 1/eps.
-Weights may be any positive rationals: lengths, distances and the weights in
-the logs are the graph's ints, in units of 1/scale (see `graphs`).
+Weights may be any nonnegative rationals: lengths, distances and the weights
+in the logs are the graph's ints, in units of 1/scale (see `graphs`). The
+public entries prune over the zero-weight quotient (see `_zero_quotient`).
 """
 from __future__ import annotations
 
@@ -107,12 +108,26 @@ def _hanging_pairs(edge: EdgeKey, w: int, dist: DistanceOracle, eps: Fraction) -
     return tuple(out)
 
 
-_NOT_POSITIVE = "pruning requires strictly positive weights"
+def _zero_quotient(g: WeightedGraph, h: WeightedGraph):
+    """None when g has no zero weight. Else the quotient q of g by its
+    zero-weight edges (`graphs.quotient`), the image of h in q (each h-edge
+    between two components becomes q's edge between them) and the lift of
+    a spanner of q to g: the g-edge each of its edges stands for, plus
+    every zero-weight edge. Zero edges weigh nothing and keep every
+    distance, so the lift has the spanner's weight and its stretch in q."""
+    zeros = [k for k, w in g.int_weights.items() if w == 0]
+    if not zeros:
+        return None
+    q, label, back = quotient(g, zeros)
+    image = q.subgraph({edge_key(label[u], label[v]) for u, v in h.edge_keys if label[u] != label[v]})
+    return q, image, lambda hq: g.subgraph({back[k] for k in hq.edge_keys}.union(zeros))
 
 
-def _require_positive(g: WeightedGraph) -> None:
-    if 0 in g.int_weights.values():
-        raise ValueError(_NOT_POSITIVE)
+def _warn_if_large(eps: Fraction, warned: bool) -> None:
+    """Unless `warned`, warn at the caller of the public entry calling this when eps > 1/100."""
+    if eps > Fraction(1, 100) and not warned:
+        msg = f"eps={eps} is above 1/100; the pruning guarantees are calibrated for smaller values"
+        warnings.warn(msg, stacklevel=3)
 
 
 _UNPICKED = -2  # a cell's pick, until it is requested
@@ -336,7 +351,7 @@ def _joined_plan(dist: DistanceOracle, eps: Fraction, cap: int) -> _WalkPlan:
     checks that the weights are positive and that the length range fits the
     per-pair cell cap, so no join is built unless both hold."""
     if not dist.all_positive:
-        raise ValueError(_NOT_POSITIVE)
+        raise ValueError("pruning requires strictly positive weights")
     plan = _plan(dist, eps)
     if plan.max_level + 1 > cap:
         raise CellCapError(
@@ -673,27 +688,25 @@ def prune_round(
 
 
 def prune(
-    g: WeightedGraph, h: WeightedGraph, eps, cell_cap: int = DEFAULT_CELL_CAP
+    g: WeightedGraph, h: WeightedGraph, eps, cell_cap: int = DEFAULT_CELL_CAP, *, _warned: bool = False
 ) -> tuple[WeightedGraph, PruneState]:
     """One full pruning pass over spanner h of g.
 
     Rounds repeat until no exchange with ratio >= 1 exists; the result is
     added | (h - removed), a subgraph of g. Requires eps > 0 and g connected
-    with positive rational weights; h must be a subgraph of g. The round logs
-    give lengths and weights as ints in units of 1/g.scale.
+    with nonnegative rational weights; h must be a subgraph of g. When g has
+    zero-weight edges, the pass runs on the image of h in g's zero-weight
+    quotient and returns its lift (see `_zero_quotient`): the state's edges
+    and the logs' vertices are the quotient's. The round logs give lengths
+    and weights as ints in units of 1/g.scale. `iterate_prune` passes `_warned`.
     """
     eps = _positive_eps(eps)
-    _require_positive(g)
     if not is_connected(g):
         raise ValueError("prune requires a connected graph")
     if not h.is_subgraph_of(g):
         raise ValueError("h must be a subgraph of g")
-    if eps > Fraction(1, 100):
-        warnings.warn(
-            f"eps={eps} is above 1/100; the pruning guarantees are calibrated "
-            "for smaller values",
-            stacklevel=2,
-        )
+    _warn_if_large(eps, _warned)
+    g, h, lift = _zero_quotient(g, h) or (g, h, None)
     dist = apsp(g)
     state = PruneState()
     max_rounds = h.m + 1
@@ -706,8 +719,8 @@ def prune(
     else:
         raise AssertionError("pruning failed to terminate within |E(h)| rounds")
     state.tail = None  # its values serve only this pass
-    keys = state.added | (h.edge_keys - state.removed)
-    return g.subgraph(keys), state
+    h1 = g.subgraph(state.added | (h.edge_keys - state.removed))
+    return (lift(h1) if lift else h1), state
 
 
 def log_star_ceil(x) -> int:
@@ -736,17 +749,20 @@ def iterate_prune(
     eps,
     initial_spanner: WeightedGraph | None = None,
     cell_cap: int = DEFAULT_CELL_CAP,
+    *,
+    _warned: bool = False,
 ) -> tuple[WeightedGraph, list[IterationLog], list[PruneState]]:
     """Driver: start from a greedy (1+eps)-spanner (or a caller-provided one)
     and run pruning passes until a pass changes nothing, capped at
     log*(1/eps) + 2 passes.
 
-    Requires eps > 0 and positive rational weights. Returns the final
-    spanner (a subgraph of g), a weight/stretch log (entry 0 describes the
-    starting spanner; weights in units of 1/g.scale), and the per-pass states.
+    Requires eps > 0 and nonnegative rational weights; with zero weights,
+    all passes run on one zero-weight quotient, as in `prune`. Returns the
+    final spanner (a subgraph of g), a weight/stretch log (entry 0 describes
+    the starting spanner, or its image in the quotient; weights in units of
+    1/g.scale), and the per-pass states. `prune_with_scaling` passes `_warned`.
     """
     eps = _positive_eps(eps)
-    _require_positive(g)
     if not is_connected(g):
         raise ValueError("iterate_prune requires a connected graph")
     if initial_spanner is None:
@@ -755,18 +771,20 @@ def iterate_prune(
         if not initial_spanner.is_subgraph_of(g):
             raise ValueError("initial spanner must be a subgraph of g")
         h = initial_spanner
+    _warn_if_large(eps, _warned)
+    g, h, lift = _zero_quotient(g, h) or (g, h, None)
     weight = g.int_weights.__getitem__
     logs = [IterationLog(stretch(g, h), sum(map(weight, h.edge_keys)))]
     states: list[PruneState] = []
     passes = log_star_ceil(1 / eps) + 2
     for _ in range(passes):
-        h1, state = prune(g, h, eps, cell_cap=cell_cap)
+        h1, state = prune(g, h, eps, cell_cap=cell_cap, _warned=True)
         states.append(state)
         logs.append(IterationLog(stretch(g, h1), sum(map(weight, h1.edge_keys))))
         if h1.edge_keys == h.edge_keys:
             break
         h = h1
-    return h, logs, states
+    return (lift(h) if lift else h), logs, states
 
 
 class ScalingLog(NamedTuple):
@@ -775,8 +793,9 @@ class ScalingLog(NamedTuple):
 
 
 def contract_and_round(g: WeightedGraph, eps) -> tuple[WeightedGraph, dict[EdgeKey, EdgeKey]]:
-    """Contract components spanned by edges lighter than eps*W/n^2 and round
-    the surviving weights to floor(w * n^2 / (W * eps)).
+    """Contract components spanned by edges lighter than eps*W/n^2 (and by
+    zero-weight ones, when W = 0) and round the surviving weights to
+    floor(w * n^2 / (W * eps)).
 
     Weights w and W are g's ints in units of 1/g.scale; with eps = p/q the
     test and the rounding are on ints too. The contraction is
@@ -786,13 +805,12 @@ def contract_and_round(g: WeightedGraph, eps) -> tuple[WeightedGraph, dict[EdgeK
     so that edge also has the smallest rounded weight.
     """
     eps = _positive_eps(eps)
-    _require_positive(g)
     n = g.n
     weights = g.int_weights
     w_max = max(weights.values(), default=0)
     # w < eps*W/n^2 is w*num < den, and floor(w*n^2/(W*eps)) is w*num // den
     num, den = eps.denominator * n * n, w_max * eps.numerator
-    q, _, back = quotient(g, [k for k, w in weights.items() if w * num < den])
+    q, _, back = quotient(g, [k for k, w in weights.items() if not w or w * num < den])
     rounded = tuple((a, b, w * num // den) for (a, b), w in q.int_weights.items())
     return WeightedGraph(q.n, rounded), back
 
@@ -803,24 +821,25 @@ def prune_with_scaling(
     """Weight-range-robust driver.
 
     With W < n^2/eps this is exactly `iterate_prune`. Otherwise components
-    spanned by tiny edges are contracted, weights are rounded down by
+    spanned by tiny or zero-weight edges are contracted
+    (`contract_and_round`), weights are rounded down by
     n^2/(W*eps), pruning runs on the contracted graph, and the result is
     expanded and unioned with every original edge of weight at most W/n.
     W and the weights are g's ints in units of 1/g.scale.
     """
     eps = _positive_eps(eps)
-    _require_positive(g)
     if not is_connected(g):
         raise ValueError("prune_with_scaling requires a connected graph")
+    _warn_if_large(eps, False)
     n = g.n
     weights = g.int_weights
     w_max = max(weights.values(), default=0)
     if w_max * eps.numerator < n * n * eps.denominator:
-        h, logs, _ = iterate_prune(g, eps, cell_cap=cell_cap)
+        h, logs, _ = iterate_prune(g, eps, cell_cap=cell_cap, _warned=True)
         return h, ScalingLog(iterations=logs)
 
     contracted, back = contract_and_round(g, eps)
-    inner, logs, _ = iterate_prune(contracted, eps, cell_cap=cell_cap)
+    inner, logs, _ = iterate_prune(contracted, eps, cell_cap=cell_cap, _warned=True)
     # the last log entry is the stretch of the spanner iterate_prune returns
     keep = {back[k] for k in inner.edge_keys}
     keep |= {k for k, w in weights.items() if w * n <= w_max}

@@ -45,10 +45,16 @@ from spannerlab.prune import (
     RoundLog,
     _UNPICKED,
     _positive_eps,
-    _require_positive,
     hanging_kappa,
     log_star_ceil,
 )
+
+
+def _require_positive(g: WeightedGraph) -> None:
+    """The positivity refusal of the pruning entries the `previous_*`
+    references reproduce."""
+    if 0 in g.int_weights.values():
+        raise ValueError("pruning requires strictly positive weights")
 
 
 def adjacency(g: WeightedGraph) -> list[list[tuple[int, Fraction]]]:

@@ -210,12 +210,15 @@ def test_run_scaled_nonpositive_eps_exits_3(tmp_path, ladder_file, capsys, eps, 
 @pytest.mark.parametrize("algorithm, flag", [
     ("greedy", "--initial"), ("scaled", "--initial"), ("oracle", "--initial"),
     ("prune", "--t"), ("iterate", "--t"), ("scaled", "--t"), ("oracle", "--t"),
+    ("greedy", "--t"),
 ])
 def test_run_refuses_a_flag_its_algorithm_ignores(tmp_path, ladder_file, capsys, algorithm, flag):
     value = str(ladder_file) if flag == "--initial" else "5/4"
+    # greedy reads --t, and then ignores the --eps every case passes
+    refused = "--eps with --t" if (algorithm, flag) == ("greedy", "--t") else flag
     out = tmp_path / "o"
     assert main(["run", algorithm, str(ladder_file), "--eps", "1/4", flag, value, "--out", str(out)]) == EXIT_PARAM
-    assert capsys.readouterr().err.startswith(f"parameter error: {algorithm} takes no {flag}; ")
+    assert capsys.readouterr().err.startswith(f"parameter error: {algorithm} takes no {refused}; ")
     assert not out.exists()
 
 
@@ -231,7 +234,9 @@ def test_an_algorithms_own_checks_come_before_the_unread_flag(tmp_path, ladder_f
     assert capsys.readouterr().err == f"parameter error: {message}\n"
 
 
-@pytest.mark.parametrize("row", ["greedy t=5/4 initial={g}", "iterate eps=1/4 t=5/4", "oracle eps=1/4 initial={g}"])
+@pytest.mark.parametrize("row", [
+    "greedy t=5/4 initial={g}", "iterate eps=1/4 t=5/4", "oracle eps=1/4 initial={g}", "greedy t=5/4 eps=1/4",
+])
 def test_bench_refuses_a_manifest_key_its_algorithm_ignores(tmp_path, ladder_file, capsys, row):
     manifest = tmp_path / "m.txt"
     manifest.write_text(f"{ladder_file} greedy eps=1/4\n{ladder_file} {row.format(g=ladder_file)}\n")
@@ -321,14 +326,15 @@ def test_pruning_an_edgeless_graph_gives_the_empty_spanner(tmp_path, algorithm):
     assert json.loads(report.read_text()).get("contracted", False) is False
 
 
-def test_gen_sat_zero_eta_flag(tmp_path):
-    formula = tmp_path / "f.txt"
+@pytest.mark.parametrize("algorithm", ["greedy", "prune", "iterate", "scaled"])
+def test_run_on_a_sat_threshold_graph_keeps_every_zero_edge(tmp_path, algorithm):
+    formula, graph, out = tmp_path / "f.txt", tmp_path / "sat.g", tmp_path / "sat.spanner"
     formula.write_text("vars 2\nclause above 0 1\nclause below 0 1\n")
-    out = tmp_path / "eta.g"
-    code = main(["gen", "sat", "--in", str(formula), "--eps", "1/10",
-                 "--zero-eta", "1/1000", "--out", str(out)])
-    assert code == EXIT_OK
-    assert all(w > 0 for *_, w in read_graph(out).edges)
+    assert main(["gen", "sat", "--in", str(formula), "--eps", "1/10", "--out", str(graph)]) == EXIT_OK
+    assert main(["run", algorithm, str(graph), "--eps", "1/10", "--out", str(out)]) == EXIT_OK
+    g, h = read_graph(graph), read_graph(out)
+    assert h.is_subgraph_of(g) and {k for k, w in g.weights.items() if w == 0} <= h.edge_keys
+    assert main(["verify", str(graph), str(out), "--eps", "11/10"]) == EXIT_OK
 
 
 def test_cap_exit_codes(tmp_path, ladder_file):

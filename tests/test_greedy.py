@@ -8,7 +8,7 @@ from spannerlab.graphs import WeightedGraph, edge_key, stretch
 from spannerlab.greedy import greedy_spanner
 from spannerlab.instances import gen_greedy_hard, gen_ladder, ladder_u, ladder_v
 
-from bruteforce import brute_greedy, brute_msf_weight, random_connected_graph
+from bruteforce import brute_greedy, brute_msf_weight, random_connected_graph, zero_weighted
 
 
 def test_rejects_bad_parameters():
@@ -77,6 +77,15 @@ class TestProperties:
         # floor in the search limit decides edges the exact stretch test keeps
         g = random_connected_graph(rng, max_n=8, integer=False)
         assert greedy_spanner(g, t).edge_keys == brute_greedy(g, t)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.randoms(use_true_random=False), st.sampled_from([F(21, 20), F(3, 2), F(3)]))
+    def test_matches_definitional_greedy_with_zero_weights(self, rng, t):
+        # a zero-weight edge is kept exactly when no zero-weight path joins its ends
+        g = zero_weighted(rng, random_connected_graph(rng, max_n=8, integer=False), 0.3)
+        h = greedy_spanner(g, t)
+        assert h.edge_keys == brute_greedy(g, t)
+        assert stretch(g, h) <= t
 
     @settings(max_examples=20, deadline=None)
     @given(st.randoms(use_true_random=False), st.sampled_from([F(11, 10), F(2)]))

@@ -151,12 +151,6 @@ class TestReduceSat:
             hsum = sum(out.h)
             assert out.W == 2 * eps * lits + 4 * (1 + eps) * hsum + 4 * hsum + 2 * hsum
 
-    def test_zero_eta_replaces_zeros(self):
-        out = reduce_sat(TWO_VAR, EPS, zero_eta=F(1, 1000))
-        assert all(w > 0 for *_, w in out.graph.edges)
-        with pytest.raises(ValueError):
-            assignment_to_spanner(out, (True, False))
-
 
 class TestConverters:
     def test_assignment_round_trip(self):

@@ -2,6 +2,7 @@ import copy
 import inspect
 import random
 import sys
+import warnings
 from array import array
 from collections import Counter
 from fractions import Fraction as F
@@ -16,14 +17,19 @@ from spannerlab.graphs import (
     WeightedGraph,
     apsp,
     edge_key,
+    quotient,
     scale_to_integers,
     stretch,
 )
 from spannerlab.greedy import greedy_spanner
+from spannerlab.hardness import reduce_sat
+from spannerlab.oracle import exact_opt_spanner
 from spannerlab.instances import gen_greedy_hard, gen_ladder, gen_multiladder, ladder_u, ladder_v
 from spannerlab.prune import (
     CellCapError,
+    IterationLog,
     PruneState,
+    ScalingLog,
     contract_and_round,
     endpoint_hanging_sets,
     fill_tables,
@@ -61,7 +67,9 @@ from bruteforce import (
     small_graphs,
     table_cells,
     walk_from_vertices,
+    zero_weighted,
 )
+from test_acceptance import _hardness_catalogue
 
 EPS = F(1, 4)
 
@@ -251,14 +259,13 @@ class TestFillTables:
                 seen += 1
         assert seen > 50
 
-    def test_every_entry_rejects_a_zero_weight(self):
+    def test_the_tables_reject_a_zero_weight(self):
+        # the public pruning entries contract zero weights first (see
+        # TestZeroWeights); the tables and a bare round refuse them
         g = WeightedGraph(3, ((0, 1, F(1)), (1, 2, F(0))))
         entries = (
             lambda: fill_tables(g.edge_keys, apsp(g), EPS),
-            lambda: prune(g, g, EPS),
-            lambda: iterate_prune(g, EPS),
-            lambda: prune_with_scaling(g, EPS),
-            lambda: contract_and_round(g, EPS),
+            lambda: prune_round(g, g, PruneState(), EPS),
         )
         for entry in entries:
             with pytest.raises(ValueError, match="pruning requires strictly positive weights"):
@@ -1160,6 +1167,128 @@ class TestIteratePrune:
         assert log_star_ceil(F(100)) == 4
         assert log_star_ceil(F(1)) == 0
         assert log_star_ceil(F(65536)) == 4
+
+
+def zero_keys(g):
+    """g's zero-weight edges in g's edge order, which fixes the quotient's
+    vertex numbering."""
+    return [k for k, w in g.int_weights.items() if w == 0]
+
+
+def image_in_quotient(g, h):
+    """g's zero-weight quotient and the image of h in it."""
+    q, label, _ = quotient(g, zero_keys(g))
+    return q, q.subgraph({edge_key(label[u], label[v]) for u, v in h.edge_keys if label[u] != label[v]})
+
+
+def check_zero_weight_result(g, h, eps, last=None):
+    """h is a subgraph of g holding every zero edge, its stretch is the
+    stretch of its image in the zero-weight quotient and within 1 + 11 eps,
+    and `last`, the final IterationLog, gives its stretch and weight."""
+    assert h.is_subgraph_of(g) and h.edge_keys.issuperset(zero_keys(g))
+    q, image = image_in_quotient(g, h)
+    s = stretch(g, h)
+    assert s == stretch(q, image) and s <= 1 + 11 * eps
+    assert image.total_weight == h.total_weight * g.scale  # q weighs in units of 1/g.scale
+    if last is not None:
+        assert (last.stretch, last.total_weight) == (s, h.total_weight * g.scale)
+    return s
+
+
+def graphs_with_zero_weights(seed, count):
+    rng = random.Random(seed)
+    for i in range(count):
+        g = random_connected_graph(rng, max_n=9, max_extra=6, integer=i % 2 == 0)
+        yield zero_weighted(rng, g, (0.2, 0.5)[i % 2])
+
+
+class TestZeroWeights:
+    """The public pruning entries prune a graph with zero-weight edges over
+    its quotient by them and lift the result: a subgraph of g with every
+    zero edge, of the quotient spanner's stretch and weight."""
+
+    def test_every_pruning_entry_accepts_a_zero_weight(self):
+        g = WeightedGraph(3, ((0, 1, F(1)), (1, 2, F(0))))
+        assert prune(g, g, EPS)[0] == g
+        assert iterate_prune(g, EPS)[0] == g
+        assert prune_with_scaling(g, EPS)[0] == g
+        # the zero edge is contracted: one edge between two vertices is left
+        contracted, back = contract_and_round(g, EPS)
+        assert (contracted.n, back) == (2, {(0, 1): (0, 1)})
+
+    def test_all_zero_weights(self):
+        g = WeightedGraph(3, ((0, 1, F(0)), (1, 2, F(0)), (0, 2, F(0))))
+        h, logs, states = iterate_prune(g, EPS)
+        assert h == g and logs == [IterationLog(F(1), 0)] * 2 and states[0].rounds == []
+        assert prune_with_scaling(g, EPS)[0] == g
+        contracted, back = contract_and_round(g, EPS)
+        assert (contracted.n, contracted.m, back) == (1, 0, {})
+
+    def test_sat_threshold_graphs(self):
+        eps = F(1, 10)
+        figures = []
+        for inst in _hardness_catalogue():
+            g = reduce_sat(inst, eps).graph
+            h, logs, states = iterate_prune(g, eps)
+            s = check_zero_weight_result(g, h, eps, logs[-1])
+            # the round logs name quotient vertices
+            q = image_in_quotient(g, h)[0]
+            assert all(max(r.source, r.target) < q.n < g.n for st in states for r in st.rounds)
+            one_pass, state = prune(g, greedy_spanner(g, 1 + eps), eps)
+            check_zero_weight_result(g, one_pass, eps)
+            assert state == states[0] and one_pass.total_weight * g.scale == logs[1].total_weight
+            assert prune_with_scaling(g, eps) == (h, ScalingLog(logs))
+            opt = exact_opt_spanner(g, eps, max_edges=64).opt_weight
+            figures.append(((s - 1) / eps, h.total_weight / opt))
+        # realised stretch 1 + 1.55 eps to 1 + 2 eps, weight 0.69 to 0.82 of OPT_eps
+        assert {x for x, _ in figures} == {F(31, 20), F(2)}
+        assert min(r for _, r in figures) == F(11, 16) and max(r for _, r in figures) == F(22, 27)
+
+    def test_passes_share_one_quotient_oracle_and_plan(self, monkeypatch):
+        made = []
+
+        def recorded(g, keys):
+            made.append(quotient(g, keys))
+            return made[-1]
+
+        monkeypatch.setattr(prune_module, "quotient", recorded)
+        g = reduce_sat(_hardness_catalogue()[4], F(1, 10)).graph
+        _, _, states = iterate_prune(g, F(1, 10))
+        assert len(states) == 3 and len(made) == 1
+        assert list(apsp(made[0][0]).memo) == [("walk-plan", F(1, 10))]
+
+    @pytest.mark.parametrize("eps", [F(1, 4), F(1, 10), F(1, 64)])
+    def test_random_graphs_with_zero_weights(self, eps):
+        for g in graphs_with_zero_weights(int(1 / eps), 40):
+            h, logs, _ = iterate_prune(g, eps)
+            check_zero_weight_result(g, h, eps, logs[-1])
+            h0 = greedy_spanner(g, 1 + eps)
+            check_zero_weight_result(g, prune(g, h0, eps)[0], eps)
+            scaled, log = prune_with_scaling(g, eps)
+            assert log.inner_stretch is None and scaled == h
+
+    def test_matches_pruning_the_quotient(self):
+        # the quotient is zero-free, so pruning it is the zero-free code path
+        for g in graphs_with_zero_weights(5, 30):
+            q, image = image_in_quotient(g, greedy_spanner(g, 1 + EPS))
+            h, logs, states = iterate_prune(g, EPS)
+            hq, q_logs, q_states = iterate_prune(q, EPS, initial_spanner=image)
+            assert (logs, states) == (q_logs, q_states)
+            assert image_in_quotient(g, h)[1] == hq
+
+    def test_one_warning_per_call_at_the_caller(self):
+        g = WeightedGraph(4, ((0, 1, F(1)), (1, 2, F(0)), (2, 3, F(2)), (0, 3, F(5, 2))))
+        for graph in (g, scaled_ladder(3)[0]):
+            for entry in (
+                lambda: prune(graph, graph, EPS),
+                lambda: iterate_prune(graph, EPS),
+                lambda: iterate_prune(graph, EPS, initial_spanner=graph),
+                lambda: prune_with_scaling(graph, EPS),
+            ):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    entry()
+                assert [(w.category, w.filename) for w in caught] == [(UserWarning, __file__)]
 
 
 @st.composite

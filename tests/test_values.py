@@ -43,7 +43,7 @@ CASES = [
     (ClauseGadget, dict(spine=(0, 1), connector_edges=()),
      dict(spine=(0, 2)), True),
     (ReductionOutput, dict(graph=WeightedGraph(2), W=F(1), labels={"a": 0}, h=(1,), instance=SAT,
-                           eps=F(1, 10), zero_edges=frozenset(), variables=(), clause_gadgets=()),
+                           eps=F(1, 10), variables=(), clause_gadgets=()),
      dict(eps=F(1, 5)), False),
 ]
 IDS = [case[0].__name__ for case in CASES]
