@@ -280,42 +280,34 @@ class DistanceOracle:
     """All-pairs exact shortest-path distances with canonical paths.
 
     Distances are stored as ints in units of 1/scale of the graph; they are
-    sums of the graph's `int_weights`, which the oracle shares. They are
-    computed over `quotient(g, zero-weight edges)`: the vertices of one
-    component of g's zero-weight edges lie at mutual distance 0, so each
-    component is one node, two components are joined by the lightest edge
-    between them, one Dijkstra runs per component, and every vertex of a
-    component shares that component's row. A graph with no zero-weight
-    edge is its own quotient. The canonical path between two vertices is
-    the lexicographically smallest vertex sequence among all minimum-weight
-    paths; it is materialised lazily (one next-hop column per target) and
-    requires strictly positive weights, which `all_positive` records. Then
-    nothing is contracted, so the quotient's adjacency, the one the oracle
-    keeps, is g's own.
+    sums of the graph's `int_weights`, which the oracle shares, and come
+    from one Dijkstra per vertex. Zero weights give exact distances too,
+    but the oracle and pruning contract them first (see `quotient`). The
+    canonical path between two vertices is the lexicographically smallest
+    vertex sequence among all minimum-weight paths; it is materialised
+    lazily (one next-hop column per target) and requires strictly positive
+    weights, which `all_positive` records.
     `memo` holds tables other modules derive from these distances: pruning
     keeps one walk plan per eps there, which holds all its per-eps state;
-    they live as long as the oracle. The oracle
-    keeps no reference to g, so g can hold its own oracle (see `apsp`)
-    without a reference cycle that only the cyclic collector would free.
+    they live as long as the oracle. The oracle keeps no reference to g, so
+    g can hold its own oracle (see `apsp`) without a reference cycle that
+    only the cyclic collector would free.
     """
 
     def __init__(self, g: WeightedGraph):
         self.n = g.n
         self.scale = g.scale
         self.int_weights = g.int_weights
-        q, label, _ = quotient(g, [k for k, w in self.int_weights.items() if w == 0])
-        self._adj = adj = q.int_adjacency()
-        rows = []
-        for s in range(q.n):
-            row = [INF] * q.n
+        self._adj = adj = g.int_adjacency()
+        self._dist = []
+        for s in range(g.n):
+            row = [INF] * g.n
             for v, d in dijkstra(adj, s).items():
                 row[v] = d
-            rows.append([row[a] for a in label])
-        self._dist = [rows[a] for a in label]
+            self._dist.append(row)
         self._next_hop: dict[int, list] = {}
         self.memo: dict = {}
-        # a zero-weight edge merges its endpoints
-        self.all_positive = q.n == g.n
+        self.all_positive = 0 not in self.int_weights.values()
 
     def dist(self, u: int, v: int):
         """Exact distance as a Fraction, or the INF sentinel when disconnected."""
@@ -324,8 +316,7 @@ class DistanceOracle:
 
     def row(self, u: int):
         """The distance row of u as ints in units of 1/scale, INF where
-        disconnected. Read-only: the vertices of a zero-weight component
-        share one row."""
+        disconnected. Read-only."""
         return self._dist[u]
 
     def _column(self, t: int) -> list:
@@ -363,9 +354,8 @@ class DistanceOracle:
 def apsp(g: WeightedGraph) -> DistanceOracle:
     """Exact all-pairs shortest paths with deterministic tie-breaking.
 
-    Computed once per graph object, with one Dijkstra per component of g's
-    zero-weight edges (one per vertex when there is none): later calls
-    return the same oracle, so every pruning pass over g shares its
+    Computed once per graph object, with one Dijkstra per vertex: later
+    calls return the same oracle, so every pruning pass over g shares its
     distances and what is memoised on them.
     """
     return g._oracle

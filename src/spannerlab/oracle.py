@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .graphs import INF, DistanceOracle, EdgeKey, WeightedGraph, _find, apsp, components, dijkstra, edge_key, is_connected, stretch
+from .graphs import INF, DistanceOracle, EdgeKey, WeightedGraph, _find, apsp, components, dijkstra, edge_key, is_connected, quotient, stretch
 from .hardness import SatInstance
 
 DEFAULT_MAX_EDGES = 24
@@ -29,18 +29,15 @@ class OracleResult(NamedTuple):
 
 def _path(adj, done: dict[int, int], v: int) -> tuple[EdgeKey, ...]:
     """The edges of a shortest path from the source of the search that
-    settled `done` (vertex -> distance, in settle order) to its vertex v,
-    over the adjacency `adj` it searched, listed from v back to the
-    source. Each step goes back to a neighbour settled earlier whose
-    distance plus the edge weight is the current one, so zero-weight ties
-    cannot loop."""
-    order = {x: i for i, x in enumerate(done)}
+    settled `done` (vertex -> distance) to its vertex v, over the positive
+    adjacency `adj` it searched, listed from v back to the source: each
+    step goes back to a settled neighbour whose distance plus the edge
+    weight is the current one, and only the source is at distance 0."""
     path = []
     x = v
-    while order[x]:
-        ix, dx = order[x], done[x]
+    while dx := done[x]:
         for y, w in adj[x]:
-            if order.get(y, ix) < ix and done[y] + w == dx:
+            if done.get(y, INF) + w == dx:
                 break
         path.append(edge_key(x, y))
         x = y
@@ -48,31 +45,32 @@ def _path(adj, done: dict[int, int], v: int) -> tuple[EdgeKey, ...]:
 
 
 class _Checks:
-    """The threshold checks of one `exact_opt_spanner` call on g.
+    """The threshold checks of one `exact_opt_spanner` search on a graph
+    with positive weights (the zero-weight quotient).
 
-    `available` holds the g-edges not excluded so far and `adj` is always
+    `available` holds the edges not excluded so far and `adj` is always
     their adjacency; the excluded edges form the stack `excluded`, edited
     by `exclude` and `restore`. A check asks whether dist(u, v) <= limit
-    for a g-edge k = (u, v) over the available edges, with `limit` its
-    entry in `thresholds`. Two memos, each holding per g-edge everything
+    for an edge k = (u, v) over the available edges, with `limit` its
+    entry in `thresholds`. Two memos, each holding per edge everything
     its searches found, answer most checks without a search:
 
     - `witness[k]` holds the u-v paths within the limit that searches
       found. While one of them is wholly available the answer is yes.
     - `cert[k]` holds the certificates of the searches for k that failed:
       the edges then excluded that leave the settled ball within the limit,
-      (a, b) with a settled and dist(u, a) + w(a, b) + dist_g(b, v) <= limit
+      (a, b) with a settled and dist(u, a) + w(a, b) + dist(b, v) <= limit
       or the same from b. While none of a certificate's edges is available
       the answer is no: on any u-v path within the limit, the first edge
       that was excluded at that search leaves the ball that way.
 
     Both stay valid for any later available set. Each excluded edge j
     holds a witness `held[j]` that lies wholly in the available edges, and
-    `users[e]` is the set of excluded edges whose held path uses the g-edge
+    `users[e]` is the set of excluded edges whose held path uses the edge
     e, so only they need a new path when e is excluded.
 
-    A search prunes toward v with the g-distance row of v (`rows`), a lower
-    bound on the distance to v over any subset of g's edges.
+    A search prunes toward v with the whole graph's distance row of v
+    (`rows`), a lower bound on the distance to v over any subset of edges.
     """
 
     __slots__ = ("weights", "adj", "available", "excluded", "thresholds", "rows", "witness", "cert", "held", "users")
@@ -90,7 +88,7 @@ class _Checks:
         self.users: dict[EdgeKey, set[EdgeKey]] = {k: set() for k in self.weights}
 
     def exclude(self, k: EdgeKey) -> bool:
-        """Exclude the g-edge k, and tell whether every excluded edge is
+        """Exclude the edge k, and tell whether every excluded edge is
         still within its threshold: k is checked, then only the excluded
         edges whose held path used k, and each holds the path it got.
         The caller calls `restore` either way."""
@@ -126,7 +124,7 @@ class _Checks:
         self.adj[v].append((u, w))
 
     def within(self, k: EdgeKey) -> tuple[EdgeKey, ...] | None:
-        """A path within the g-edge k's threshold over the available edges,
+        """A path within the edge k's threshold over the available edges,
         listed from v back to u; None when there is none."""
         available = self.available
         for path in self.witness[k]:
@@ -182,58 +180,61 @@ def exact_opt_spanner(g: WeightedGraph, eps, max_edges: int = DEFAULT_MAX_EDGES)
     """Exact minimum-weight (1+eps)-spanner by exhaustive branch and bound.
 
     Weight-zero edges can only help and are always included, so the cap
-    `max_edges` counts positive-weight edges only. Edges with no alternative
-    route within stretch are forced up front; the remaining edges are decided
-    heaviest-first, exclusion branch first, pruning on a spanning-completion
-    lower bound against the incumbent. Among equal-weight optima the
-    lexicographically smallest edge set is returned. The search runs on the
-    int weights of `g`; with eps = p/q an integer distance d' meets the
-    threshold (1+eps)*d exactly when d' <= (p+q)*d // q. The zero-weight and
-    forced edges are contracted into components once for the completion
-    bound, and the chosen edges' union-find over them is carried down the
-    search: an exclusion child shares its parent's union-find and bound, and
-    an inclusion child copies the union-find only when its edge joins two
-    classes. An exclusion child is searched only when every excluded edge is
-    still within its threshold. `_Checks.exclude` decides that by checking
-    the new edge and re-checking only the excluded edges whose held path
-    uses it, so every leaf reached is feasible. A check answers from the
-    edge's stored witness paths and failure certificates where it can, and
-    otherwise runs a Dijkstra pruned toward v by g's distance row of v.
-    eps must be >= 0 (ValueError otherwise).
+    `max_edges` counts positive-weight edges only. The search runs on the
+    quotient q of g by its zero-weight edges (`graphs.quotient`), whose
+    weights are positive, in units of 1/g.scale. A q-spanner lifts to a
+    g-spanner of the same weight: the g-edge each q-edge stands for, plus
+    every zero-weight edge. Edges with no alternative route within stretch
+    are forced up front; the remaining edges are decided heaviest-first,
+    exclusion branch first, pruning on a spanning-completion lower bound
+    against the incumbent. Among equal-weight optima the one whose lift is
+    the lexicographically smallest g-edge set is returned. With eps = p/q
+    an integer distance d' meets the threshold (1+eps)*d exactly when
+    d' <= (p+q)*d // q. The forced edges are contracted into components
+    once for the completion bound, and the chosen edges' union-find over
+    them is carried down the search: an exclusion child shares its parent's
+    union-find and bound, and an inclusion child copies the union-find only
+    when its edge joins two classes. An exclusion child is searched only
+    when every excluded edge is still within its threshold. `_Checks.exclude`
+    decides that by checking the new edge and re-checking only the excluded
+    edges whose held path uses it, so every leaf reached is feasible. A
+    check answers from the edge's stored witness paths and failure
+    certificates where it can, and otherwise runs a Dijkstra pruned toward
+    v by q's distance row of v. eps must be >= 0 (ValueError otherwise).
     """
     eps = Fraction(eps)
     if eps < 0:
         raise ValueError(f"exact_opt_spanner needs eps >= 0, got {eps}")
     if not is_connected(g):
         raise ValueError("exact_opt_spanner requires a connected graph")
-    weights = g.int_weights
-    zeros = frozenset(k for k, w in weights.items() if w == 0)
-    candidates = [k for k, w in weights.items() if w > 0]
-    if len(candidates) > max_edges:
-        raise OracleCapError(
-            f"{len(candidates)} positive-weight edges exceed the cap {max_edges}"
-        )
+    zeros = [k for k, w in g.int_weights.items() if w == 0]
+    if g.m - len(zeros) > max_edges:
+        raise OracleCapError(f"{g.m - len(zeros)} positive-weight edges exceed the cap {max_edges}")
+    q, _, back = quotient(g, zeros)
+    weights = q.int_weights
 
-    oracle = apsp(g)
-    p, q = eps.numerator, eps.denominator
-    thresholds = {(u, v): (p + q) * oracle.row(u)[v] // q for u, v in weights}
+    def lift(keys) -> tuple[EdgeKey, ...]:
+        return tuple(sorted([*map(back.__getitem__, keys), *zeros]))
+
+    oracle = apsp(q)
+    num, den = eps.numerator, eps.denominator
+    thresholds = {(u, v): (num + den) * oracle.row(u)[v] // den for u, v in weights}
 
     nodes = 0
-    all_keys = frozenset(weights)
-    checks = _Checks(g, thresholds, oracle)
+    checks = _Checks(q, thresholds, oracle)
     forced = set()
-    for k in candidates:
+    for k in weights:
         nodes += 1
         if not checks.exclude(k):
             forced.add(k)
         checks.restore()
-    free = sorted(((weights[k], k) for k in candidates if k not in forced), key=lambda e: (-e[0], e[1]))
-    label, comps = components(g.n, zeros | forced)
+    free = sorted(((w, k) for k, w in weights.items() if k not in forced), key=lambda e: (-e[0], e[1]))
+    label, comps = components(q.n, forced)
     base_weight = sum(weights[k] for k in forced)
 
     # full edge set is always feasible, giving the starting incumbent
     best_weight = sum((w for w, _ in free), base_weight)
-    best_edges = tuple(sorted(all_keys))
+    best_edges = lift(weights)
 
     def search(idx: int, parent: list[int], comps: int, chosen_weight: int, bound: int | None = None):
         nonlocal nodes, best_weight, best_edges
@@ -245,7 +246,7 @@ def exact_opt_spanner(g: WeightedGraph, eps, max_edges: int = DEFAULT_MAX_EDGES)
         if idx == len(free):
             # every excluded edge holds a path: available == base | chosen is feasible
             total = base_weight + chosen_weight
-            cand = tuple(sorted(checks.available))
+            cand = lift(checks.available)
             if total < best_weight or (total == best_weight and cand < best_edges):
                 best_weight = total
                 best_edges = cand

@@ -780,9 +780,10 @@ def iterate_prune(
     for _ in range(passes):
         h1, state = prune(g, h, eps, cell_cap=cell_cap, _warned=True)
         states.append(state)
-        logs.append(IterationLog(stretch(g, h1), sum(map(weight, h1.edge_keys))))
         if h1.edge_keys == h.edge_keys:
+            logs.append(logs[-1])  # the same spanner: no stretch to recompute
             break
+        logs.append(IterationLog(stretch(g, h1), sum(map(weight, h1.edge_keys))))
         h = h1
     return (lift(h) if lift else h), logs, states
 

@@ -342,6 +342,13 @@ def test_cap_exit_codes(tmp_path, ladder_file):
     write_graph(WeightedGraph(2, ((0, 1, F(3_000_000)),)), big)
     assert main(["run", "prune", str(big), "--eps", "1/4"]) == EXIT_CAP
     assert main(["run", "oracle", str(ladder_file), "--eps", "1/4", "--max-edges", "3"]) == EXIT_CAP
+    # the cap counts g's positive edges, 4 here, though the search runs on
+    # the zero-weight quotient, which has 1
+    zeros = tmp_path / "zeros.g"
+    write_graph(WeightedGraph(4, ((0, 1, 0), (1, 2, 0), (0, 2, 1), (0, 3, 1), (1, 3, 1), (2, 3, 2))), zeros)
+    assert main(["run", "oracle", str(zeros), "--eps", "1/2", "--max-edges", "1"]) == EXIT_CAP
+    out = tmp_path / "zeros.opt"
+    assert main(["run", "oracle", str(zeros), "--eps", "1/2", "--max-edges", "4", "--out", str(out)]) == EXIT_OK
 
 
 @pytest.mark.parametrize(

@@ -22,6 +22,7 @@ from spannerlab.graphs import (
 )
 from spannerlab.hardness import reduce_sat
 from spannerlab.instances import gen_ladder, ladder_u, ladder_v
+from spannerlab.oracle import exact_opt_spanner
 
 from bruteforce import (
     Walk,
@@ -177,25 +178,30 @@ class TestApsp:
         assert apsp(g).path(0, 3) == (0, 1, 3)
 
 
-def _per_source_rows(g):
-    """g's distance rows from one plain Dijkstra per vertex over its own
-    adjacency, the APSP that the zero-weight quotient replaces."""
-    adj = g.int_adjacency()
-    rows = []
-    for s in range(g.n):
-        done = dijkstra(adj, s)
-        rows.append([done.get(v, INF) for v in range(g.n)])
+def _reference_rows(g):
+    """g's distance rows in int units, by Floyd-Warshall."""
+    rows = [[0 if s == t else INF for t in range(g.n)] for s in range(g.n)]
+    for (u, v), w in g.int_weights.items():
+        rows[u][v] = rows[v][u] = w
+    for z in range(g.n):
+        for row in rows:
+            for t, via in enumerate(rows[z]):
+                if row[z] + via < row[t]:
+                    row[t] = row[z] + via
     return rows
 
 
 class TestQuotientApsp:
-    """APSP over the zero-weight quotient gives every row a plain
-    per-source Dijkstra gives, one search per zero-weight component."""
+    """APSP gives Floyd-Warshall's rows, zero weights included, and the
+    zero-weight quotient that the oracle and pruning search keeps every
+    distance: d_q(label[s], label[t]) = d_g(s, t)."""
 
     @staticmethod
     def _check(g):
-        oracle = apsp(g)
-        assert [oracle.row(s) for s in range(g.n)] == _per_source_rows(g)
+        rows = [apsp(g).row(s) for s in range(g.n)]
+        assert rows == _reference_rows(g)
+        q, label, _ = quotient(g, [k for k, w in g.int_weights.items() if w == 0])
+        assert [[apsp(q).row(a)[b] for b in label] for a in label] == rows
 
     @settings(max_examples=60, deadline=None)
     @given(small_graphs(max_n=8, positive=False))
@@ -213,15 +219,11 @@ class TestQuotientApsp:
         self._check(g)
         assert [apsp(g).row(s) for s in range(n)] == [[0 if s == t else INF for t in range(n)] for s in range(n)]
 
-    def test_all_zero_triangle_shares_one_row(self, monkeypatch):
+    def test_all_zero_triangle_rows_are_zero(self):
         g = WeightedGraph(3, ((0, 1, F(0)), (1, 2, F(0)), (0, 2, F(0))))
-        calls = []
-        real = graphs_module.dijkstra
-        monkeypatch.setattr(graphs_module, "dijkstra", lambda *a: calls.append(a) or real(*a))
-        oracle = apsp(g)
-        assert len(calls) == 1
-        assert oracle.row(0) is oracle.row(1) is oracle.row(2)
-        assert oracle.row(0) == [0, 0, 0]
+        self._check(g)
+        assert [apsp(g).row(s) for s in range(3)] == [[0, 0, 0]] * 3
+        assert not apsp(g).all_positive
 
     def test_lighter_parallel_quotient_edge_gives_the_distance(self):
         # components {0, 1} and {2, 3} are joined by 0-2 (weight 5) and
@@ -231,17 +233,22 @@ class TestQuotientApsp:
         assert apsp(g).dist(0, 2) == apsp(g).dist(1, 2) == 2
 
     def test_dijkstra_runs_on_the_sat_catalogue(self, monkeypatch):
-        # one Dijkstra per vertex ran 428 of them; the SAT graphs' zero-weight
-        # components leave 222
+        # APSP runs one Dijkstra per vertex, 428 on the SAT graphs; the
+        # oracle runs it on their zero-weight quotients, which leave 222
         calls = []
         real = graphs_module.dijkstra
         monkeypatch.setattr(graphs_module, "dijkstra", lambda *a: calls.append(a) or real(*a))
         eps = F(1, 10)
         graphs = [reduce_sat(inst, eps).graph for inst in _hardness_catalogue()]
         for g in graphs:
-            self._check(g)
-        assert sum(g.n for g in graphs) == 428
+            apsp(g)
+        assert len(calls) == 428
+        calls.clear()
+        for g in graphs:
+            exact_opt_spanner(g, eps, max_edges=64)
         assert len(calls) == 222
+        for g in graphs:
+            self._check(g)
 
 
 def test_apsp_on_a_declared_graph_whose_quotient_breaks_3n_minus_6():
@@ -249,7 +256,7 @@ def test_apsp_on_a_declared_graph_whose_quotient_breaks_3n_minus_6():
     # must not be declared planar
     g = k44_declared_planar(0)
     assert apsp(g).row(0)[4] == 0
-    assert [apsp(g).row(s) for s in range(g.n)] == _per_source_rows(g)
+    TestQuotientApsp._check(g)
 
 
 class TestQuotient:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spannerlab.oracle as oracle_module
-from spannerlab.graphs import WeightedGraph, _find, apsp, components, dijkstra, edge_key
+from spannerlab.graphs import WeightedGraph, _find, apsp, components, dijkstra, edge_key, quotient
 from spannerlab.hardness import ABOVE, BELOW, Clause, SatInstance, reduce_sat
 from spannerlab.instances import gen_ladder, ladder_u, ladder_v
 from spannerlab.oracle import (
@@ -49,6 +49,18 @@ class TestIsSpanner:
         assert is_spanner(g, h, F(0))  # detour exactly matches the edge
 
 
+def _searched(g):
+    """The graph the oracle searches, g's zero-weight quotient, and its back-map."""
+    q, _, back = quotient(g, [k for k, w in g.int_weights.items() if w == 0])
+    return q, back
+
+
+def _quotient_under_the_cap():
+    """A zero-weight path 0-1-2 with a positive chord (0, 2), and vertex 3
+    joined to all three: 4 positive edges, 1 in the zero-weight quotient."""
+    return WeightedGraph(4, ((0, 1, F(0)), (1, 2, F(0)), (0, 2, F(1)), (0, 3, F(1)), (1, 3, F(1)), (2, 3, F(2))))
+
+
 class TestExactOptSpanner:
     def test_ladder_optimum(self):
         n = 3
@@ -76,6 +88,13 @@ class TestExactOptSpanner:
         g = WeightedGraph(8, edges)
         with pytest.raises(OracleCapError):
             exact_opt_spanner(g, F(1, 2), max_edges=10)
+
+    def test_cap_counts_the_positive_edges_of_g(self):
+        g = _quotient_under_the_cap()
+        assert _searched(g)[0].m == 1
+        with pytest.raises(OracleCapError, match="4 positive-weight edges exceed the cap 1"):
+            exact_opt_spanner(g, F(1, 2), max_edges=1)
+        assert exact_opt_spanner(g, F(1, 2), max_edges=4).opt_weight == 1
 
     def test_rejects_negative_eps(self):
         with pytest.raises(ValueError, match="eps >= 0"):
@@ -121,15 +140,22 @@ class TestExactOptSpanner:
 
 
 def _check_against_references(res, g, eps, max_edges=24):
-    """`res`, the oracle's result on g, node count included, equals the
-    reference search that checks every g-edge at each exclusion. Against
-    the previous oracle, whose local check let infeasible subtrees run to
-    their leaves, the optimum is the same and no more nodes are explored.
-    Returns the previous oracle's node count."""
-    assert res == feasible_exclusion_opt_spanner(g, eps, max_edges)
+    """`res`, the oracle's result on g, has the weight and edges of the
+    previous oracle on g, which searched g itself and whose local check let
+    infeasible subtrees run to their leaves; no more nodes are explored.
+    The reference search that checks every edge at each exclusion, run on
+    the same zero-weight quotient, explores exactly as many nodes and finds
+    the same weight; lifted to g, its edges are no smaller than `res`'s,
+    which break ties on g's keys. Returns the previous oracle's node count."""
     prev = previous_exact_opt_spanner(g, eps, max_edges)
     assert (res.opt_weight, res.opt_edges) == (prev.opt_weight, prev.opt_edges)
     assert res.nodes_explored <= prev.nodes_explored
+    q, back = _searched(g)
+    ref = feasible_exclusion_opt_spanner(q, eps, max_edges)
+    assert (ref.opt_weight, ref.nodes_explored) == (res.opt_weight * g.scale, res.nodes_explored)
+    lifted = {back[k] for k in ref.opt_edges} | {k for k, w in g.int_weights.items() if w == 0}
+    assert sorted(lifted) >= sorted(res.opt_edges)
+    assert sum(g.weights[k] for k in lifted) == res.opt_weight and is_spanner(g, g.subgraph(lifted), eps)
     return prev.nodes_explored
 
 
@@ -150,13 +176,35 @@ class TestAgainstPreviousOracle:
             res = exact_opt_spanner(g, eps, max_edges=64)
             previous += _check_against_references(res, g, eps, max_edges=64)
             nodes += res.nodes_explored
-        # the previous oracle reached the leaves of dead subtrees here
-        assert (nodes, previous) == (3_927, 14_793)
+        # the previous oracle reached the leaves of dead subtrees here; with
+        # the feasibility cut, searching g itself took 3,927 nodes, and its
+        # zero-weight quotient takes fewer
+        assert (nodes, previous) == (2_678, 14_793)
 
     @pytest.mark.parametrize("k", range(4, 9))
     def test_seeded_grids(self, k):
         g, eps = seeded_grid(k, k), F(1, 4)
         _check_against_references(exact_opt_spanner(g, eps, max_edges=1000), g, eps, max_edges=1000)
+
+    def test_ties_break_on_g_keys(self):
+        # the quotient joins {0, 2} to 1 by (1, 2) and to 3 by (0, 3); the two
+        # optima of weight 3 differ in those edges, and q's keys would pick
+        # (1, 2), whose lift is the larger g-set
+        g = WeightedGraph(4, ((0, 2, F(0)), (0, 3, F(2)), (1, 2, F(2)), (1, 3, F(1)), (2, 3, F(2))))
+        res = exact_opt_spanner(g, F(1))
+        assert (res.opt_weight, res.opt_edges) == (3, {(0, 2), (0, 3), (1, 3)})
+
+    def test_tie_heavy_drawn_graphs(self):
+        # weights in {0, 1, 2} tie often, between and inside the zero-weight
+        # components; a tie-break on the quotient's keys fails here
+        rng = random.Random(25)
+        for i in range(400):
+            g = random_connected_graph(rng, max_n=7, max_extra=6, max_w=2)
+            zero_prob = (0.3, 0.5, 0.7)[i % 3]
+            g = WeightedGraph(g.n, tuple((u, v, F(0) if rng.random() < zero_prob else w) for u, v, w in g.edges))
+            for eps in (F(0), F(1, 10), F(1, 2), F(1)):
+                res, prev = exact_opt_spanner(g, eps), previous_exact_opt_spanner(g, eps)
+                assert (res.opt_weight, res.opt_edges) == (prev.opt_weight, prev.opt_edges), (g, eps)
 
     def test_adjacency_is_built_once_per_call(self, monkeypatch):
         calls = []
@@ -173,9 +221,9 @@ class TestAgainstPreviousOracle:
             g = reduce_sat(inst, eps).graph
             calls.clear()
             explored.append(exact_opt_spanner(g, eps, max_edges=64).nodes_explored)
-            # one for the search on g, one for the distance oracle on its
-            # zero-weight quotient, a graph of its own
-            assert sum(h is g for h in calls) == 1 and len(calls) == 2
+            # one for the distance oracle and one for the search, both on
+            # g's zero-weight quotient, a graph of its own
+            assert len(calls) == 2 and calls[0] is calls[1] is not g
         assert max(explored) > 10 * min(explored)
 
     def test_a_call_leaves_no_cyclic_garbage(self):
@@ -272,14 +320,17 @@ def _check_path(g, k, limit, path):
 
 
 def _check_witness_answers(mp, g) -> list[tuple[bool, bool]]:
-    """Wrap the oracle's threshold check on g so that every answer, those
-    given from a witness or a certificate included, is checked against a
-    fresh full search over an adjacency rebuilt from the same edge set. A
-    path answered lies in that edge set. Every witness stored for the edge
-    is a u-v path of g within the limit, and every certificate stored is the
-    set its definition gave at the search that made it; the lists only grow,
-    by one entry per search. Returns (answer, searched) pairs in the order
-    given, where `searched` tells whether the check ran a search of its own."""
+    """Wrap the oracle's threshold check on g, which runs on g's zero-weight
+    quotient (rebound to g below), so that every answer, those given from a
+    witness or a certificate included, is checked against a fresh full
+    search over an adjacency rebuilt from the same edge set. A path
+    answered lies in that edge set. Every witness stored for the edge is a
+    u-v path of the quotient within the limit, and every certificate stored
+    is the set its definition gave at the search that made it; the lists
+    only grow, by one entry per search. Returns (answer, searched) pairs in
+    the order given, where `searched` tells whether the check ran a search
+    of its own."""
+    g, _ = _searched(g)
     real = oracle_module._Checks.within
     real_search = oracle_module.dijkstra
     answers = []
@@ -333,11 +384,13 @@ def _check_witness_answers(mp, g) -> list[tuple[bool, bool]]:
 
 
 def _check_holds(mp, g) -> list[int]:
-    """Wrap the oracle's exclusion and restore on g so that after every
-    accepted exclusion, and after every restore, each excluded edge holds
-    a path that is wholly available and within its limit, no other edge
-    holds one, and `users` equals the index rebuilt from `held`. Returns
+    """Wrap the oracle's exclusion and restore on g, which run on g's
+    zero-weight quotient (rebound to g below), so that after every accepted
+    exclusion, and after every restore, each excluded edge holds a path
+    that is wholly available and within its limit, no other edge holds
+    one, and `users` equals the index rebuilt from `held`. Returns
     [accepted exclusions, paths that an accepted exclusion replaced]."""
+    g, _ = _searched(g)
     real_exclude = oracle_module._Checks.exclude
     real_restore = oracle_module._Checks.restore
     counts = [0, 0]
@@ -419,7 +472,9 @@ class TestWitnessPaths:
         # failures, and searches pruned toward the target settle few vertices:
         # 730 calls, 363 passing, settled 5,945 vertices over 14,793 nodes.
         # Cutting an exclusion once any excluded edge loses its path, and
-        # keeping every witness and certificate, leaves the counts below.
+        # keeping every witness and certificate, left 599 calls, 290 passing,
+        # settling 5,145 vertices over 3,927 nodes. Searching g's zero-weight
+        # quotient leaves the counts below.
         real = oracle_module.dijkstra
         calls = []
 
@@ -434,9 +489,9 @@ class TestWitnessPaths:
             exact_opt_spanner(reduce_sat(inst, eps).graph, eps, max_edges=64).nodes_explored
             for inst in _hardness_catalogue()
         )
-        assert nodes == 3_927
-        assert (len(calls), sum(found for found, _ in calls)) == (599, 290)
-        assert sum(settled for _, settled in calls) == 5_145
+        assert nodes == 2_678
+        assert (len(calls), sum(found for found, _ in calls)) == (557, 248)
+        assert sum(settled for _, settled in calls) == 2_377
 
 
 class TestHeldPaths:

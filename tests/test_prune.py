@@ -1147,6 +1147,22 @@ class TestIteratePrune:
         hg = greedy_spanner(gs, 1 + x * eps)
         assert hg.total_weight > n * scale
 
+    @pytest.mark.parametrize("name", ["ladder", "multiladder", "greedyhard"])
+    def test_an_unchanged_pass_repeats_the_last_log(self, name, monkeypatch):
+        # each of these runs ends on a pass that changes nothing, before the
+        # pass cap; the previous driver computed that spanner's stretch again
+        _, g, eps, init = catalogue_instance(name)
+        start = g.subgraph(init) if init else None
+        old_h, old_logs, _ = previous_iterate_prune(g, eps, initial_spanner=start)
+        calls = []
+        real = prune_module.stretch
+        monkeypatch.setattr(prune_module, "stretch", lambda *a: calls.append(a) or real(*a))
+        h, logs, states = iterate_prune(g, eps, initial_spanner=start)
+        assert (h, logs) == (old_h, old_logs)
+        assert len(states) < log_star_ceil(1 / eps) + 2 and logs[-1] == logs[-2]
+        # one stretch for the start and one per pass that changed the spanner
+        assert len(calls) == len(logs) - 1
+
     def test_one_memo_entry_per_eps(self):
         g, _, eps, init = catalogue_instance("multiladder")
         iterate_prune(g, eps, initial_spanner=g.subgraph(init))

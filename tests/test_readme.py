@@ -2,10 +2,17 @@
 package root, and every command of the CLI block through `cli.main`."""
 import gc
 import re
+import sys
 import types
+from fractions import Fraction
 from pathlib import Path
 
+import spannerlab.graphs as graphs_module
 from spannerlab.cli import EXIT_OK, main
+from spannerlab.hardness import reduce_sat
+from spannerlab.oracle import exact_opt_spanner
+
+from test_acceptance import _hardness_catalogue
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -41,6 +48,26 @@ def run_cli_block(directory: Path, monkeypatch) -> None:
 
 def test_cli_block_runs(tmp_path, monkeypatch):
     run_cli_block(tmp_path, monkeypatch)
+
+
+def test_apsp_is_only_given_zero_free_graphs(tmp_path, monkeypatch):
+    # the oracle and pruning contract zero-weight edges at their entry, so
+    # no APSP sees one; the CLI block prunes a SAT threshold graph, and the
+    # oracle runs on the ten of the catalogue
+    real, seen = graphs_module.apsp, []
+
+    def checked(g):
+        seen.append(0 not in g.int_weights.values())
+        return real(g)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("spannerlab") and getattr(module, "apsp", None) is real:
+            monkeypatch.setattr(module, "apsp", checked)
+    run_cli_block(tmp_path, monkeypatch)
+    eps = Fraction(1, 10)
+    for inst in _hardness_catalogue():
+        exact_opt_spanner(reduce_sat(inst, eps).graph, eps, max_edges=64)
+    assert len(seen) > 10 and all(seen)
 
 
 def package_name(obj) -> str | None:
