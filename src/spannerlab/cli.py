@@ -112,7 +112,7 @@ def build_parser() -> _Parser:
     r.add_argument("--initial", default=None, help="initial spanner file for prune/iterate")
     r.add_argument("--max-edges", type=int, default=DEFAULT_MAX_EDGES)
     r.add_argument("--cell-cap", type=int, default=DEFAULT_CELL_CAP)
-    r.add_argument("--out", default=None, help="spanner edge-list output")
+    r.add_argument("--out", default=None, help="spanner edge-list output (default: GRAPH's file name plus .ALGORITHM.spanner, in the current directory)")
     r.add_argument("--report", default=None, help="JSON report output")
 
     v = sub.add_parser("verify", help="recheck a spanner file against its graph")
@@ -240,9 +240,10 @@ def _cmd_verify(args) -> int:
     eps = _frac(args.eps)
     if eps < 0:
         raise ParameterError(f"verify needs --eps >= 0, got {args.eps}")
-    if not h.is_subgraph_of(g):
-        raise ParameterError("spanner file is not a subgraph of the graph file")
-    s = stretch(g, h)
+    try:
+        s = stretch(g, h)  # its only ValueError: h is no subgraph of g
+    except ValueError:
+        raise ParameterError("spanner file is not a subgraph of the graph file") from None
     ok = s is not INF and s <= 1 + eps
     print(
         json.dumps(

@@ -245,11 +245,11 @@ def dijkstra(
     when dist(s, t) <= limit.
 
     With a `limit`, the optional row `rest` prunes toward one target t: it
-    must hold t's distances in a graph whose edges include those of `adj`
-    at the same weights, so rest[x] <= w + rest[y] for every edge (x, y, w)
-    of `adj` and rest[t] == 0. A vertex x is then reached only when its
-    distance plus rest[x] is within `limit`. Settled distances stay exact,
-    ``t in dijkstra(adj, s, {t}, limit, rest)`` still holds exactly when
+    must be a consistent lower bound on the distance to t, rest[t] == 0 and
+    rest[x] <= w + rest[y] for every edge (x, y, w) of `adj`, as is t's row
+    in a supergraph, capped at any value or not. A vertex x is then reached
+    only when its distance plus rest[x] is within `limit`. Settled distances
+    stay exact, ``t in dijkstra(adj, s, {t}, limit, rest)`` holds exactly when
     dist(s, t) <= limit, and a search that does not settle t has settled
     s and exactly the vertices x with dist(s, x) + rest[x] <= limit. Without
     `rest` a relaxation pays one extra test when a limit is given and none
@@ -282,7 +282,7 @@ class DistanceOracle:
     Distances are stored as ints in units of 1/scale of the graph; they are
     sums of the graph's `int_weights`, which the oracle shares, and come
     from one Dijkstra per vertex. Zero weights give exact distances too,
-    but the oracle and pruning contract them first (see `quotient`). The
+    but pruning contracts them first (see `quotient`). The
     canonical path between two vertices is the lexicographically smallest
     vertex sequence among all minimum-weight paths; it is materialised
     lazily (one next-hop column per target) and requires strictly positive

@@ -413,16 +413,6 @@ def parse_sat(text: str) -> SatInstance:
     return SatInstance(num_vars, tuple(clauses), pos_order, neg_order)
 
 
-def format_sat(inst: SatInstance) -> str:
-    lines = [f"vars {inst.num_vars}"]
-    for c in inst.clauses:
-        lines.append(f"clause {c.side} " + " ".join(str(v) for v in c.literals))
-    for i in range(inst.num_vars):
-        lines.append(f"order+ {i} " + " ".join(str(j) for j in inst.pos_order[i]))
-        lines.append(f"order- {i} " + " ".join(str(j) for j in inst.neg_order[i]))
-    return "\n".join(lines) + "\n"
-
-
 def read_sat(path: str | Path) -> SatInstance:
     return parse_sat(Path(path).read_text())
 

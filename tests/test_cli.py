@@ -151,6 +151,33 @@ def test_verify_ok_and_fail(tmp_path, ladder_file):
     assert main(["verify", str(ladder_file), str(stars), "--eps", "1/4"]) == EXIT_VERIFY
 
 
+def test_verify_of_a_file_that_is_no_subgraph_is_a_parameter_error(tmp_path, ladder_file, capsys):
+    # another weight on a graph edge, and another vertex count
+    g = read_graph(ladder_file)
+    (u, v, w), *rest = g.edges
+    heavier, wider = tmp_path / "heavier.g", tmp_path / "wider.g"
+    write_graph(WeightedGraph(g.n, ((u, v, w + 1), *rest)), heavier)
+    write_graph(WeightedGraph(g.n + 1, g.edges), wider)
+    for spanner in (heavier, wider):
+        assert main(["verify", str(ladder_file), str(spanner), "--eps", "1/4"]) == EXIT_PARAM
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "parameter error: spanner file is not a subgraph of the graph file\n"
+
+
+def test_run_without_out_writes_into_the_current_directory(tmp_path, ladder_file, monkeypatch, capsys):
+    # the spanner goes to <graph file name>.<algorithm>.spanner where the
+    # command runs, not next to the graph file
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert main(["run", "greedy", str(ladder_file), "--eps", "1/4"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["spanner_file"] == "ladder.g.greedy.spanner"
+    assert [p.name for p in work.iterdir()] == ["ladder.g.greedy.spanner"]
+    assert read_graph(work / "ladder.g.greedy.spanner").is_subgraph_of(read_graph(ladder_file))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ladder.g", "work"]
+
+
 def test_negative_verify_eps_is_a_parameter_error(ladder_file, capsys):
     args = ["verify", str(ladder_file), str(ladder_file)]
     assert main([*args, "--eps=-1/2"]) == EXIT_PARAM

@@ -234,7 +234,8 @@ class TestQuotientApsp:
 
     def test_dijkstra_runs_on_the_sat_catalogue(self, monkeypatch):
         # APSP runs one Dijkstra per vertex, 428 on the SAT graphs; the
-        # oracle runs it on their zero-weight quotients, which leave 222
+        # oracle ran it on their zero-weight quotients, 222, and now reads
+        # bounded rows of its own searches instead
         calls = []
         real = graphs_module.dijkstra
         monkeypatch.setattr(graphs_module, "dijkstra", lambda *a: calls.append(a) or real(*a))
@@ -246,7 +247,7 @@ class TestQuotientApsp:
         calls.clear()
         for g in graphs:
             exact_opt_spanner(g, eps, max_edges=64)
-        assert len(calls) == 222
+        assert len(calls) == 0
         for g in graphs:
             self._check(g)
 
@@ -351,6 +352,31 @@ class TestDijkstra:
                         if t not in got:
                             # a search that misses t settles s and the whole pruned ball
                             assert got.keys() == {s} | {x for x, dx in exact.items() if dx + rest[x] <= limit}
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_graphs(max_n=6, positive=False), st.randoms(use_true_random=False), st.sampled_from([1, 10**400]))
+    def test_capped_rows_prune_as_lower_bounds(self, g, rng, unit):
+        # min(row, c), g's distance row of t capped at any c >= 0 (and c
+        # where t is unreachable), is 0 at t and consistent over every
+        # subgraph of g, so it prunes as the row does; `unit` puts the
+        # weights beyond the float range
+        g = WeightedGraph(g.n, tuple((u, v, w * unit) for u, v, w in g.edges))
+        rows = apsp(g)
+        top = max([d for s in range(g.n) for d in rows.row(s) if d is not INF], default=0)
+        for _ in range(4):
+            adj = g.int_adjacency([k for k in g.edge_keys if rng.random() < 0.7])
+            for s in range(g.n):
+                exact = dijkstra(adj, s)
+                for t in range(g.n):
+                    d = exact.get(t)
+                    for c in {0, rng.randint(0, top), top + 1}:
+                        rest = [min(r, c) for r in rows.row(t)]
+                        for limit in {0, rng.randint(0, top), d or 0, max((d or 0) - 1, 0)}:
+                            got = dijkstra(adj, s, {t}, limit, rest)
+                            assert (t in got) == (t in dijkstra(adj, s, {t}, limit))
+                            assert all(exact[x] == dx for x, dx in got.items())
+                            if t not in got:
+                                assert got.keys() == {s} | {x for x, dx in exact.items() if dx + rest[x] <= limit}
 
     def test_int_weights_use_the_lcm_scale(self):
         g = WeightedGraph(3, ((0, 1, F(3, 2)), (1, 2, F(5, 6)), (0, 2, F(0))))

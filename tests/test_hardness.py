@@ -10,7 +10,6 @@ from spannerlab.hardness import (
     Clause,
     SatInstance,
     assignment_to_spanner,
-    format_sat,
     parse_sat,
     preprocess,
     reduce_sat,
@@ -19,6 +18,7 @@ from spannerlab.hardness import (
 from spannerlab.oracle import exact_opt_spanner, sat_brute_force
 
 from bruteforce import weight_of
+from test_parsers import format_sat
 
 EPS = F(1, 10)
 

@@ -14,10 +14,23 @@ from hypothesis import strategies as st
 
 from spannerlab.cli import EXIT_CAP, EXIT_OK, EXIT_PARAM, EXIT_VERIFY, main
 from spannerlab.graphs import WeightedGraph, format_graph, parse_graph, write_graph
-from spannerlab.hardness import ABOVE, BELOW, Clause, SatInstance, format_sat, parse_sat
+from spannerlab.hardness import ABOVE, BELOW, Clause, SatInstance, parse_sat
 from spannerlab.instances import gen_ladder
 
 from bruteforce import previous_parse_graph
+
+
+def format_sat(inst: SatInstance) -> str:
+    """The formula text of `inst`, every order line written out, which
+    `parse_sat` reads back to `inst`."""
+    lines = [f"vars {inst.num_vars}"]
+    for c in inst.clauses:
+        lines.append(f"clause {c.side} " + " ".join(str(v) for v in c.literals))
+    for i in range(inst.num_vars):
+        lines.append(f"order+ {i} " + " ".join(str(j) for j in inst.pos_order[i]))
+        lines.append(f"order- {i} " + " ".join(str(j) for j in inst.neg_order[i]))
+    return "\n".join(lines) + "\n"
+
 
 ENDPOINTS = ["0", "1", "2", "3", "-1", "x"]
 WEIGHTS = ["0", "1", "3/2", "-1", "1/0", "-0/0", "1/-2", "0.5", "1e2", "nan", "x"]
