@@ -17,7 +17,7 @@ import warnings
 from fractions import Fraction
 from pathlib import Path
 
-from .graphs import INF, WeightedGraph, content_lines, format_rational, read_graph, stretch, write_graph
+from .graphs import INF, WeightedGraph, content_lines, format_rational, parse_rational, read_graph, stretch, write_graph
 from .greedy import greedy_spanner
 from .hardness import read_sat, reduce_sat, write_sidecar
 from .instances import gen_greedy_hard, gen_ladder, gen_multiladder
@@ -44,8 +44,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _frac(text: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+        return parse_rational(text)
+    except (ValueError, ArithmeticError) as exc:
         raise ParameterError(f"bad rational {text!r}: {exc}") from exc
 
 

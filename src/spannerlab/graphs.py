@@ -1,10 +1,11 @@
 """Exact-arithmetic weighted graphs, shortest paths, and edge-list I/O.
 
 Weights enter and leave as `fractions.Fraction` (file I/O and the public
-API); nothing rounds through floats. Parsing builds one `Fraction` per
-distinct weight text, not one per edge. Inside, each graph is scaled once:
-its `scale` is the LCM of the weight denominators, and `int_weights` holds
-every weight times `scale` as a Python int. Every per-edge test (signs,
+API); nothing rounds through floats. A graph is built on its ints: its
+`scale` is the LCM of the weight denominators, and `int_weights` holds every
+weight times `scale` as a Python int. Parsing makes one int per distinct
+weight text; subgraphs and quotients reuse their parent's ints, and the
+Fraction view is derived on demand. Every per-edge test (signs,
 positivity, totals, subgraph checks) and the shortest paths, greedy scans,
 oracle searches and pruning tables all run on these ints, so each stretch
 test is an integer comparison. Distances of disconnected pairs use the ``INF``
@@ -14,7 +15,8 @@ bound check.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+import sys
+from fractions import _RATIONAL_FORMAT, Fraction
 from functools import cached_property
 from heapq import heappop, heappush
 from pathlib import Path
@@ -32,19 +34,56 @@ def edge_key(u: int, v: int) -> EdgeKey:
 
 
 def _as_fraction(w) -> Fraction:
+    if isinstance(w, Fraction):
+        return w
     if isinstance(w, float):
         raise TypeError(f"float weight {w!r} rejected; pass Fraction, int or 'p/q'")
     return Fraction(w)
 
 
+def _checked_edges(n, edges, weight, declared_planar):
+    """{key: weight(w)} of the (u, v, w) in `edges`, keys ascending;
+    ValueError on a negative n, the first bad edge (endpoint, self-loop,
+    duplicate, negative weight) or m > 3n - 6 for a declared graph."""
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
+    seen = {}
+    for u, v, w in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        key = edge_key(u, v)
+        if key in seen:
+            raise ValueError(f"duplicate edge {key}")
+        w = seen[key] = weight(w)
+        if w.numerator < 0:  # an int or a Fraction, whose denominator is positive
+            raise ValueError(f"negative weight on edge {key}")
+    if declared_planar and n >= 3 and len(seen) > 3 * n - 6:
+        raise ValueError(f"declared planar but m={len(seen)} exceeds 3n-6={3 * n - 6}")
+    return {k: seen[k] for k in sorted(seen)}
+
+
+def _graph(n, ints, scale=1, declared_planar=False):
+    """The graph of `ints` (valid, keys ascending) in units of 1/scale, not
+    re-validated, at its own scale: scale / gcd(scale, ints), the LCM of
+    its reduced weight denominators."""
+    if scale > 1 and (d := math.gcd(scale, *ints.values())) > 1:
+        scale //= d
+        ints = {k: w // d for k, w in ints.items()}
+    g = object.__new__(WeightedGraph)
+    g._set(n=n, int_weights=ints, scale=scale, declared_planar=declared_planar)
+    return g
+
+
 class Frozen:
     """Base of the immutable validated values. A subclass names its fields
-    in `_fields` and its `__init__` validates them and stores them with
-    `_set`. Instances compare equal only to instances of the same class
-    with equal fields, hash as the field tuple, print as
-    ``Name(field=value, ...)`` and raise AttributeError on assignment or
-    deletion. A `cached_property` still caches: it writes the instance
-    dict directly."""
+    in `_fields`; its `__init__` validates them and stores them with `_set`,
+    unless a field is a `cached_property` derived from what `_set` stored.
+    Instances compare equal only to instances of the same class with equal
+    fields, hash as the field tuple, print as ``Name(field=value, ...)`` and
+    raise AttributeError on assignment or deletion. A `cached_property`
+    still caches: it writes the instance dict directly."""
 
     _fields: tuple[str, ...] = ()
 
@@ -52,7 +91,7 @@ class Frozen:
         self.__dict__.update(fields)
 
     def _values(self) -> tuple:
-        return tuple(map(self.__dict__.__getitem__, self._fields))
+        return tuple(map(self.__getattribute__, self._fields))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -76,60 +115,39 @@ class Frozen:
 class WeightedGraph(Frozen):
     """Immutable undirected graph with exact nonnegative rational weights.
 
-    Vertices are ``0..n-1``. Edges are stored canonically (``u < v``, sorted),
-    so two graphs built from permuted edge lists compare equal. Setting
-    ``declared_planar`` asserts the caller knows the graph is planar; only the
-    edge-count sanity bound m <= 3n - 6 is checked, never planarity itself.
-    Weights may be given as Fraction, int or 'p/q' text, never float.
+    Vertices are ``0..n-1``. Setting ``declared_planar`` asserts the caller
+    knows the graph is planar; only the edge-count sanity bound m <= 3n - 6
+    is checked, never planarity itself. Weights may be given as Fraction,
+    int or 'p/q' text, never float. A graph holds its ints: `scale`, the LCM
+    of the weight denominators, and `int_weights` (weight times scale, keys
+    ``u < v`` ascending), which parsing, subgraphs and quotients build
+    directly. `edges` (sorted, so permuted edge lists give equal graphs) and
+    `weights` are their Fraction view, derived on demand.
     """
 
     _fields = ("n", "edges", "declared_planar")
 
     def __init__(self, n: int, edges: Iterable[Edge] = (), declared_planar: bool = False):
-        if n < 0:
-            raise ValueError("vertex count must be nonnegative")
-        seen: dict[EdgeKey, Fraction] = {}
-        for u, v, w in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            key = edge_key(u, v)
-            if key in seen:
-                raise ValueError(f"duplicate edge {key}")
-            if not isinstance(w, Fraction):
-                w = _as_fraction(w)
-            if w.numerator < 0:  # a Fraction's denominator is positive
-                raise ValueError(f"negative weight on edge {key}")
-            seen[key] = w
-        norm = tuple((u, v, seen[(u, v)]) for u, v in sorted(seen))
-        if declared_planar and n >= 3 and len(norm) > 3 * n - 6:
-            raise ValueError(
-                f"declared planar but m={len(norm)} exceeds 3n-6={3 * n - 6}"
-            )
-        self._set(n=n, edges=norm, declared_planar=declared_planar)
+        seen = _checked_edges(n, edges, _as_fraction, declared_planar)
+        scale = math.lcm(*{w.denominator for w in seen.values()})
+        ints = {k: w.numerator * (scale // w.denominator) for k, w in seen.items()}
+        self._set(n=n, int_weights=ints, scale=scale, declared_planar=declared_planar)
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.int_weights)
 
     @cached_property
     def weights(self) -> dict[EdgeKey, Fraction]:
-        return {(u, v): w for u, v, w in self.edges}
+        return {k: Fraction(a, self.scale) for k, a in self.int_weights.items()}
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        return tuple(k + (w,) for k, w in self.weights.items())
 
     @cached_property
     def edge_keys(self) -> frozenset[EdgeKey]:
-        return frozenset(self.weights)
-
-    @cached_property
-    def scale(self) -> int:
-        """LCM of the weight denominators: every weight times it is an int."""
-        return math.lcm(*(w.denominator for _, _, w in self.edges))
-
-    @cached_property
-    def int_weights(self) -> dict[EdgeKey, int]:
-        """Edge weights in units of 1/scale, as ints."""
-        return {k: w.numerator * (self.scale // w.denominator) for k, w in self.weights.items()}
+        return frozenset(self.int_weights)
 
     def int_adjacency(self, keys: Iterable[EdgeKey] | None = None) -> list[list[tuple[int, int]]]:
         """Adjacency lists over `keys` (default: every edge) with weights in
@@ -155,12 +173,12 @@ class WeightedGraph(Frozen):
     def subgraph(self, keys: Iterable[EdgeKey]) -> "WeightedGraph":
         """Same vertex set, edges restricted to `keys` (all must exist)."""
         keys = set(keys)
-        missing = keys - self.edge_keys
+        missing = keys - self.int_weights.keys()
         if missing:
             shown = ", ".join(map(str, sorted(missing)[:3])) + (", ..." if len(missing) > 3 else "")
             raise ValueError(f"{len(missing)} edges not in graph: {shown}")
-        kept = tuple(e for e in self.edges if (e[0], e[1]) in keys)
-        return WeightedGraph(self.n, kept, self.declared_planar)
+        kept = {k: w for k, w in self.int_weights.items() if k in keys}
+        return _graph(self.n, kept, self.scale, self.declared_planar)
 
     def is_subgraph_of(self, g: "WeightedGraph") -> bool:
         """Same vertex count, and every edge of self is a g-edge of the same
@@ -207,7 +225,7 @@ def quotient(g: WeightedGraph, keys) -> tuple[WeightedGraph, list[int], dict[Edg
     numbered as `components` numbers them, so q's vertex) and the back-map
     from each edge of q to the g-edge it stands for: the lightest g-edge
     between its two components, ties broken by the smaller key. q's weights
-    are that edge's `int_weights`, in units of 1/g.scale. q is never
+    are that edge's `int_weights` (q.scale is 1), not re-validated. q is never
     declared planar: only m <= 3n - 6 is checked for a declared graph, and a
     declared graph that is not planar can break that bound once contracted.
     With `keys` empty, q is g's vertex set with g's int weights.
@@ -218,14 +236,14 @@ def quotient(g: WeightedGraph, keys) -> tuple[WeightedGraph, list[int], dict[Edg
         qk = edge_key(label[k[0]], label[k[1]])
         if qk[0] != qk[1] and (w, k) < best.get(qk, (INF,)):
             best[qk] = (w, k)
-    q = WeightedGraph(c, tuple((a, b, w) for (a, b), (w, _) in best.items()))
+    q = _graph(c, dict(sorted((qk, w) for qk, (w, _) in best.items())))
     return q, label, {qk: k for qk, (_, k) in best.items()}
 
 
 def is_connected(g: WeightedGraph) -> bool:
     # fewer than n - 1 edges cannot connect n vertices; answering first
     # keeps a huge declared vertex count from allocating per vertex
-    return g.m >= g.n - 1 and components(g.n, g.weights)[1] <= 1
+    return g.m >= g.n - 1 and components(g.n, g.int_weights)[1] <= 1
 
 
 def dijkstra(
@@ -370,36 +388,44 @@ def stretch(g: WeightedGraph, h: WeightedGraph):
     per edge lifts to every pair. Returns INF when h disconnects a pair that
     g connects, or leaves a zero-weight edge's endpoints apart, and exactly
     1 for h = g. An edge that h keeps has ratio at most 1, so only the edges
-    h drops are checked: one Dijkstra in h per smaller endpoint of a dropped
-    edge, stopping once that vertex's dropped neighbours are settled. h = g
-    runs none and builds no adjacency, so it allocates nothing per vertex;
-    each distance map is dropped once used, so memory stays linear.
+    h drops are checked, on h's zero-weight quotient (`quotient`; h itself
+    if h has no zero weight): one inside a component has distance 0, a zero
+    one between two gives INF, and of the rest the lightest per quotient
+    pair has the worst ratio. One Dijkstra runs per smaller quotient endpoint,
+    stopping once its checked neighbours are settled. h = g runs none and
+    builds no adjacency, so it allocates nothing per vertex; each distance
+    map is dropped once used, so memory stays linear.
     """
     if not h.is_subgraph_of(g):
         raise ValueError("h is not a subgraph of g")
+    kept = h.int_weights
+    zeros = [k for k, w in kept.items() if not w]
+    q, label, _ = quotient(h, zeros) if zeros else (h, range(h.n), None)
     dropped_from: dict[int, dict[int, int]] = {}
-    for (u, v), w in g.int_weights.items():
-        if (u, v) not in h.weights:
-            dropped_from.setdefault(u, {})[v] = w
+    for k, w in g.int_weights.items():
+        if k not in kept:
+            a, b = edge_key(label[k[0]], label[k[1]])
+            if a == b:
+                continue
+            if not w:
+                return INF
+            dropped = dropped_from.setdefault(a, {})
+            dropped[b] = min(w, dropped.get(b, w))
     if not dropped_from:  # before the adjacency, which is per vertex
         return Fraction(1)
-    adj = h.int_adjacency()
+    adj = q.int_adjacency()
     # h's weights are a subset of g's, so h.scale divides g.scale and
     # d * factor is dist_h in units of 1/g.scale
     factor = g.scale // h.scale
     # the worst ratio so far is num / den; it starts at 1, the ratio of
     # every edge h keeps
     num = den = 1
-    for u, dropped in dropped_from.items():
-        dist_u = dijkstra(adj, u, dropped.keys())
-        for v, w in dropped.items():
-            d = dist_u.get(v)
+    for a, dropped in dropped_from.items():
+        dist_a = dijkstra(adj, a, dropped.keys())
+        for b, w in dropped.items():
+            d = dist_a.get(b)
             if d is None:
                 return INF
-            if w == 0:
-                if d > 0:
-                    return INF
-                continue
             if d * factor * den > num * w:
                 num, den = d * factor, w
     return Fraction(num, den)
@@ -408,12 +434,11 @@ def stretch(g: WeightedGraph, h: WeightedGraph):
 def scale_to_integers(g: WeightedGraph) -> tuple[WeightedGraph, Fraction]:
     """Uniformly rescale so every weight is an integer; returns (graph, scale).
 
-    The scale is `g.scale`, the LCM of the weight denominators. Uniform
-    scaling keeps every distance ratio, hence the stretch of any subgraph,
-    unchanged.
+    The scale is `g.scale`, the LCM of the weight denominators; the graph
+    is `g.int_weights`. Uniform scaling keeps every distance ratio, hence
+    the stretch of any subgraph, unchanged.
     """
-    scaled = tuple((u, v, w) for (u, v), w in g.int_weights.items())
-    return WeightedGraph(g.n, scaled, g.declared_planar), Fraction(g.scale)
+    return _graph(g.n, dict(g.int_weights), 1, g.declared_planar), Fraction(g.scale)
 
 
 # --- edge-list text format ------------------------------------------------
@@ -435,9 +460,30 @@ def format_rational(x) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def parse_rational(text: str) -> Fraction:
+    """`Fraction(text)`, or OverflowError if its exact numerator or
+    denominator has more digits than Python prints
+    (`sys.get_int_max_str_digits()`); a huge exponent is refused unbuilt."""
+    limit = sys.get_int_max_str_digits()
+    m = limit and "e" in text.lower() and _RATIONAL_FORMAT.match(text)
+    if m and m["exp"] and abs(int(m["exp"])) > limit + 2 * len(text):
+        # the value is M * 10**(exp - f), with M and f (the digits after
+        # the point) under 10**len(text) and len(text): too long unless M is 0
+        if not Fraction(text[: m.start("exp")] + "0"):
+            return Fraction(0)
+        raise OverflowError(f"more than {limit} digits")
+    x = Fraction(text)
+    # without an exponent, neither has more digits than the text
+    if limit and (m or len(text) > limit) and max(abs(x.numerator), x.denominator) >= 10**limit:
+        raise OverflowError(f"more than {limit} digits")
+    return x
+
+
 def format_graph(g: WeightedGraph) -> str:
+    """The edge-list text of g; one ``str(Fraction)`` per distinct int."""
+    text = {a: str(Fraction(a, g.scale)) for a in set(g.int_weights.values())}
     lines = [f"{g.n} {g.m} planar:{1 if g.declared_planar else 0}"]
-    lines.extend(f"{u} {v} {w}" for u, v, w in g.edges)
+    lines.extend(f"{u} {v} {text[a]}" for (u, v), a in g.int_weights.items())
     return "\n".join(lines) + "\n"
 
 
@@ -445,8 +491,8 @@ def parse_graph(text: str) -> WeightedGraph:
     """The graph of an edge-list text; ValueError on any malformed line.
 
     Weight tokens follow `Fraction`'s grammar (``3/2``, ``1.5``, ``1e2``).
-    Each distinct token is parsed once and its `Fraction` shared by every
-    edge that spells its weight the same way."""
+    Each distinct token goes once through `parse_rational` and becomes one
+    int at the graph's scale, which the graph is built from."""
     rows = content_lines(text)
     if not rows:
         raise ValueError("empty graph file")
@@ -458,20 +504,24 @@ def parse_graph(text: str) -> WeightedGraph:
     if len(rows) - 1 != m:
         raise ValueError(f"header promises {m} edges, file has {len(rows) - 1}")
     edges = []
-    parsed: dict[str, Fraction] = {}
+    units: dict[str, Fraction | int] = {}  # token -> its value, then its int
     for line in rows[1:]:
         parts = line.split()
         if len(parts) != 3:
             raise ValueError(f"bad edge line {line!r}")
         token = parts[2]
-        w = parsed.get(token)
-        if w is None:
+        if token not in units:
             try:
-                w = parsed[token] = Fraction(token)
+                units[token] = parse_rational(token)
             except ZeroDivisionError:
                 raise ValueError(f"zero denominator in edge line {line!r}") from None
-        edges.append((int(parts[0]), int(parts[1]), w))
-    return WeightedGraph(n, tuple(edges), planar)
+            except OverflowError as exc:
+                raise ValueError(f"{exc} in edge line {line!r}") from None
+        edges.append((int(parts[0]), int(parts[1]), token))
+    scale = math.lcm(*(w.denominator for w in units.values()))
+    for token, w in units.items():
+        units[token] = w.numerator * (scale // w.denominator)
+    return _graph(n, _checked_edges(n, edges, units.__getitem__, planar), scale, planar)
 
 
 def write_graph(g: WeightedGraph, path: str | Path) -> None:

@@ -29,6 +29,7 @@ from .graphs import (
     DistanceOracle,
     EdgeKey,
     WeightedGraph,
+    _graph,
     _positive_eps,
     apsp,
     edge_key,
@@ -812,8 +813,7 @@ def contract_and_round(g: WeightedGraph, eps) -> tuple[WeightedGraph, dict[EdgeK
     # w < eps*W/n^2 is w*num < den, and floor(w*n^2/(W*eps)) is w*num // den
     num, den = eps.denominator * n * n, w_max * eps.numerator
     q, _, back = quotient(g, [k for k, w in weights.items() if not w or w * num < den])
-    rounded = tuple((a, b, w * num // den) for (a, b), w in q.int_weights.items())
-    return WeightedGraph(q.n, rounded), back
+    return _graph(q.n, {k: w * num // den for k, w in q.int_weights.items()}), back
 
 
 def prune_with_scaling(

@@ -20,14 +20,16 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 from types import SimpleNamespace
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from hypothesis import strategies as st
 
 from spannerlab.graphs import (
     INF,
     DistanceOracle,
+    Edge,
     EdgeKey,
+    Frozen,
     WeightedGraph,
     _find,
     apsp,
@@ -1310,8 +1312,9 @@ def previous_hanging_pairs(edge: EdgeKey, w: int, pairs, dist: DistanceOracle, e
 #
 # Verbatim copies (renamed with a `previous_` prefix) of the edge-list parser,
 # `WeightedGraph.is_subgraph_of`, `WeightedGraph.total_weight`,
-# `DistanceOracle.all_positive` and `prune.contract_and_round` as they were
-# when each worked one Fraction per edge. The parser still accepts any
+# `DistanceOracle.all_positive`, the `WeightedGraph` constructor,
+# `format_graph` and `prune.contract_and_round` as they were when each
+# worked one Fraction per edge. The parser still accepts any
 # `planar:` suffix (only `planar:1` meant planar), so differential tests feed
 # it `planar:0|1` headers only.
 
@@ -1356,6 +1359,49 @@ def previous_total_weight(g: WeightedGraph) -> Fraction:
 
 def previous_all_positive(g: WeightedGraph) -> bool:
     return all(w > 0 for _, _, w in g.edges)
+
+
+def _previous_as_fraction(w) -> Fraction:
+    if isinstance(w, float):
+        raise TypeError(f"float weight {w!r} rejected; pass Fraction, int or 'p/q'")
+    return Fraction(w)
+
+
+class PreviousWeightedGraph(Frozen):
+    """`WeightedGraph` as it was when it stored its Fraction edges and
+    derived its ints; only its constructor is kept."""
+
+    _fields = ("n", "edges", "declared_planar")
+
+    def __init__(self, n: int, edges: Iterable[Edge] = (), declared_planar: bool = False):
+        if n < 0:
+            raise ValueError("vertex count must be nonnegative")
+        seen: dict[EdgeKey, Fraction] = {}
+        for u, v, w in edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+            if u == v:
+                raise ValueError(f"self-loop at vertex {u}")
+            key = edge_key(u, v)
+            if key in seen:
+                raise ValueError(f"duplicate edge {key}")
+            if not isinstance(w, Fraction):
+                w = _previous_as_fraction(w)
+            if w.numerator < 0:  # a Fraction's denominator is positive
+                raise ValueError(f"negative weight on edge {key}")
+            seen[key] = w
+        norm = tuple((u, v, seen[(u, v)]) for u, v in sorted(seen))
+        if declared_planar and n >= 3 and len(norm) > 3 * n - 6:
+            raise ValueError(
+                f"declared planar but m={len(norm)} exceeds 3n-6={3 * n - 6}"
+            )
+        self._set(n=n, edges=norm, declared_planar=declared_planar)
+
+
+def previous_format_graph(g: WeightedGraph) -> str:
+    lines = [f"{g.n} {g.m} planar:{1 if g.declared_planar else 0}"]
+    lines.extend(f"{u} {v} {w}" for u, v, w in g.edges)
+    return "\n".join(lines) + "\n"
 
 
 def previous_contract_and_round(g: WeightedGraph, eps) -> tuple[WeightedGraph, dict[EdgeKey, EdgeKey]]:

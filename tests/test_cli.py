@@ -1,13 +1,15 @@
 import json
+import os
 import subprocess
 import sys
 import warnings
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from spannerlab.cli import EXIT_CAP, EXIT_OK, EXIT_PARAM, EXIT_VERIFY, build_parser, main
-from spannerlab.graphs import read_graph, scale_to_integers, write_graph, WeightedGraph
+from spannerlab.graphs import parse_rational, read_graph, scale_to_integers, write_graph, WeightedGraph
 from spannerlab.instances import gen_ladder
 from spannerlab.prune import iterate_prune
 
@@ -530,6 +532,66 @@ def test_weights_beyond_float_range_print_exactly(tmp_path, capsys, weight, deci
     rows = capsys.readouterr().out.strip().splitlines()[1:]
     assert [row.split(",")[4] for row in rows] == [decimal, decimal]
     assert rows[0].split(",")[8] == "1"  # the greedy weight over the oracle's
+
+
+LIMIT = sys.get_int_max_str_digits()
+
+
+def _cli(*args, cwd):
+    """The CLI in a fresh interpreter, killed after a few seconds: a value
+    too long to print must be refused before it is built, not compute."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return subprocess.run(
+        [sys.executable, "-m", "spannerlab.cli", *map(str, args)],
+        capture_output=True, text=True, timeout=10, cwd=cwd, env={**os.environ, "PYTHONPATH": src},
+    )
+
+
+@pytest.mark.parametrize("weight", ["1e9999999", "1e99999999", "-1e-99999999"])
+def test_huge_exponent_weight_is_refused_at_once(tmp_path, weight):
+    g = tmp_path / "g.g"
+    g.write_text(f"2 1 planar:0\n0 1 {weight}\n")
+    proc = _cli("run", "greedy", g, "--t", "2", cwd=tmp_path)
+    assert (proc.returncode, proc.stdout) == (EXIT_PARAM, "")
+    assert proc.stderr == f"error: more than {LIMIT} digits in edge line '0 1 {weight}'\n"
+
+
+@pytest.mark.parametrize(
+    "args, value",
+    [
+        (["run", "greedy", "{g}", "--eps", "1e-99999999"], "1e-99999999"),
+        (["run", "greedy", "{g}", "--t", "1e99999999"], "1e99999999"),
+        (["gen", "greedyhard", "--eps", "1/64", "--x", "1e99999999", "--out", "gh.g"], "1e99999999"),
+        (["bench", "{m}"], "1e-99999999"),  # the manifest's eps
+    ],
+)
+def test_huge_exponent_parameter_is_refused_at_once(tmp_path, args, value):
+    g, m = tmp_path / "g.g", tmp_path / "m.txt"
+    g.write_text("2 1 planar:0\n0 1 1\n")
+    m.write_text(f"{g} iterate eps=1e-99999999\n")
+    proc = _cli(*(a.format(g=g, m=m) for a in args), cwd=tmp_path)
+    assert (proc.returncode, proc.stdout) == (EXIT_PARAM, "")
+    assert proc.stderr == f"parameter error: bad rational {value!r}: more than {LIMIT} digits\n"
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        ("1e400", F(10) ** 400), ("-1e-400", -F(1, 10**400)), ("0e99999999", F(0)), ("0.00e-99999999", F(0)),
+        (f"1e{LIMIT - 1}", F(10) ** (LIMIT - 1)), (f"10e-{LIMIT}", F(1, 10 ** (LIMIT - 1))),
+        (f"0.{'0' * (LIMIT - 2)}1e1", F(1, 10 ** (LIMIT - 2))), ("1_000e-2", F(10)),
+    ],
+)
+def test_parse_rational_keeps_every_printable_value(text, value):
+    assert parse_rational(text) == value
+
+
+@pytest.mark.parametrize(
+    "text", [f"1e{LIMIT}", f"1e-{LIMIT}", f"-5e{LIMIT}", "1e99999999", "1" * 3000 + "." + "1" * 3000]
+)
+def test_parse_rational_refuses_values_too_long_to_print(text):
+    with pytest.raises(OverflowError, match=f"^more than {LIMIT} digits$"):
+        parse_rational(text)
 
 
 def test_float_range_values_keep_float_formatting():

@@ -1,8 +1,9 @@
+import re
 import tracemalloc
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import spannerlab.graphs as graphs_module
@@ -25,6 +26,7 @@ from spannerlab.instances import gen_ladder, ladder_u, ladder_v
 from spannerlab.oracle import exact_opt_spanner
 
 from bruteforce import (
+    PreviousWeightedGraph,
     Walk,
     brute_all_distances,
     brute_shortest,
@@ -34,6 +36,7 @@ from bruteforce import (
     k44_declared_planar,
     normalize_edges,
     previous_all_positive,
+    previous_format_graph,
     previous_is_subgraph_of,
     previous_stretch,
     previous_total_weight,
@@ -132,6 +135,102 @@ class TestIntBoundary:
         g = WeightedGraph(n)
         assert g.total_weight == previous_total_weight(g) == 0
         assert apsp(g).all_positive == previous_all_positive(g)
+
+
+# integer, p/q and zero weights, and weights beyond the float range
+INT_FIRST_WEIGHTS = st.one_of(
+    st.integers(0, 20).map(F),
+    st.builds(F, st.integers(0, 20), st.integers(1, 12)),
+    st.sampled_from([F(0), F(10) ** 400, 7 * F(10) ** 400, F(1, 10**400), F(3, 2 * 10**400)]),
+)
+
+
+@st.composite
+def int_first_graphs(draw):
+    n = draw(st.integers(0, 7))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges = tuple((u, v, draw(INT_FIRST_WEIGHTS)) for u, v in chosen)
+    planar = draw(st.booleans()) and (n < 3 or len(edges) <= 3 * n - 6)
+    return WeightedGraph(n, edges, planar)
+
+
+def assert_same_graph(built, validated):
+    """`built` is indistinguishable from the graph the constructor
+    validated: value, hash, repr, scale, ints and edge order."""
+    assert built == validated and hash(built) == hash(validated)
+    assert repr(built) == repr(validated)
+    assert (built.scale, built.int_weights) == (validated.scale, validated.int_weights)
+    assert list(built.int_weights) == list(validated.int_weights) == [(u, v) for u, v, _ in validated.edges]
+    assert built.edges == validated.edges and built.m == validated.m
+
+
+class TestIntFirstConstruction:
+    """Graphs built from ints equal the ones the constructor validates from
+    the same Fraction edges, and the constructor fails as it did when it
+    stored Fractions."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(int_first_graphs(), st.data())
+    def test_subgraph_quotient_and_scaling_equal_validated_graphs(self, g, data):
+        keys = data.draw(st.lists(st.sampled_from(sorted(g.edge_keys)), unique=True)) if g.m else []
+        kept = tuple(e for e in g.edges if e[:2] in keys)
+        assert_same_graph(g.subgraph(keys), WeightedGraph(g.n, kept, g.declared_planar))
+        q, _, back = quotient(g, keys)
+        assert_same_graph(q, WeightedGraph(q.n, tuple((a, b, F(g.int_weights[k])) for (a, b), k in back.items())))
+        scaled, scale = scale_to_integers(g)
+        assert scale == g.scale
+        assert_same_graph(scaled, WeightedGraph(g.n, tuple((u, v, w * g.scale) for u, v, w in g.edges), g.declared_planar))
+
+    @settings(max_examples=80, deadline=None)
+    @given(int_first_graphs())
+    def test_format_and_parse_match_the_fraction_path(self, g):
+        text = format_graph(g)
+        assert text == previous_format_graph(g)
+        assert_same_graph(parse_graph(text), g)
+        assert_same_graph(WeightedGraph(g.n, g.edges[::-1], g.declared_planar), g)
+        assert PreviousWeightedGraph(g.n, g.edges[::-1], g.declared_planar).edges == g.edges
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(-1, 4),
+        st.lists(
+            st.tuples(
+                st.integers(-1, 5),
+                st.integers(-1, 5),
+                st.sampled_from([F(1), F(3, 2), 2, "5/4", F(0), F(-1), -2, "-1/2", "x", "1/0", 0.5]),
+            ),
+            min_size=2,
+            max_size=6,
+        ),
+        st.booleans(),
+    )
+    def test_constructor_reports_the_previous_first_error(self, n, edges, planar):
+        seen, faults = set(), 0
+        for u, v, w in edges:
+            key = edge_key(u, v)
+            faults += (
+                not (0 <= u < n and 0 <= v < n) or u == v or key in seen
+                or isinstance(w, float) or w in ("x", "1/0") or F(w) < 0
+            )
+            seen.add(key)
+        assume(faults >= 2)
+        try:
+            expected = PreviousWeightedGraph(n, edges, planar)
+        except Exception as exc:
+            with pytest.raises(type(exc)) as raised:
+                WeightedGraph(n, edges, planar)
+            assert str(raised.value) == str(exc)
+            return
+        assert WeightedGraph(n, edges, planar).edges == expected.edges
+
+    def test_declared_bound_is_checked_after_every_edge(self):
+        complete5 = [(u, v, F(1)) for u in range(5) for v in range(u + 1, 5)]
+        for edges in (complete5, complete5 + [(0, 0, F(1))], complete5 + [(0, 1, 0.5)]):
+            with pytest.raises((ValueError, TypeError)) as previous:
+                PreviousWeightedGraph(5, edges, True)
+            with pytest.raises(type(previous.value), match=f"^{re.escape(str(previous.value))}$"):
+                WeightedGraph(5, edges, True)
 
 
 class TestApsp:
@@ -444,6 +543,62 @@ class TestStretch:
         g = WeightedGraph(side * side, tuple(edges))
         assert stretch(g, g) == 1 and calls == []
         assert stretch(g, g.subgraph(g.edge_keys - {(0, 1)})) == 3 and calls == [0]
+
+    @staticmethod
+    def _count_searches(monkeypatch) -> list:
+        """The number of vertices each Dijkstra that `stretch` runs settles."""
+        settled = []
+        real = graphs_module.dijkstra
+
+        def counting(*args, **kwargs):
+            done = real(*args, **kwargs)
+            settled.append(len(done))
+            return done
+
+        monkeypatch.setattr(graphs_module, "dijkstra", counting)
+        return settled
+
+    def test_searches_on_the_sat_catalogue_optima(self, monkeypatch):
+        # the dropped edges are checked on h's zero-weight quotient: 75
+        # searches settling 1,168 vertices, where searching h itself took
+        # 119 settling 2,883
+        eps = F(1, 10)
+        pairs = []
+        for inst in _hardness_catalogue():
+            g = reduce_sat(inst, eps).graph
+            pairs.append((g, g.subgraph(exact_opt_spanner(g, eps, max_edges=64).opt_edges)))
+        settled = self._count_searches(monkeypatch)
+        assert [stretch(g, h) for g, h in pairs] == [F(11, 10)] * 10
+        assert (len(settled), sum(settled)) == (75, 1168)
+        monkeypatch.undo()
+        assert [previous_stretch(g, h) for g, h in pairs] == [F(11, 10)] * 10
+
+    def test_dropped_edge_inside_a_zero_component_needs_no_search(self, monkeypatch):
+        # 0-2 (weight 5) joins two vertices of h's zero component {0, 1, 2}
+        g = WeightedGraph(4, ((0, 1, F(0)), (1, 2, F(0)), (0, 2, F(5)), (2, 3, F(1))))
+        h = g.subgraph([(0, 1), (1, 2), (2, 3)])
+        settled = self._count_searches(monkeypatch)
+        assert stretch(g, h) == 1 == previous_stretch(g, h)
+        assert settled == []
+
+    def test_zero_dropped_edge_between_components_is_inf(self, monkeypatch):
+        # h keeps {0, 1} and {2, 3} zero-joined and 1-2 of weight 1; g's
+        # zero-weight 0-3 ends in two components, whose distance is 1
+        g = WeightedGraph(4, ((0, 1, F(0)), (2, 3, F(0)), (1, 2, F(1)), (0, 3, F(0))))
+        h = g.subgraph([(0, 1), (2, 3), (1, 2)])
+        settled = self._count_searches(monkeypatch)
+        assert stretch(g, h) is INF and previous_stretch(g, h) is INF
+        assert settled == []
+
+    def test_lightest_dropped_edge_of_a_quotient_pair_is_checked(self, monkeypatch):
+        # components {0, 1} and {2, 3} are 6 apart through vertex 4; g also
+        # joins them by 0-2 (weight 2) and, later in key order, 1-3 (weight
+        # 5); the ratio 3 of the lighter one is the worse; one search checks both
+        g = WeightedGraph(5, ((0, 1, F(0)), (2, 3, F(0)), (1, 4, F(3)), (2, 4, F(3)), (0, 2, F(2)), (1, 3, F(5))))
+        h = g.subgraph([(0, 1), (2, 3), (1, 4), (2, 4)])
+        settled = self._count_searches(monkeypatch)
+        assert stretch(g, h) == 3 == previous_stretch(g, h)
+        assert len(settled) == 1
 
     def test_zero_weight_edge_needs_zero_distance(self):
         g = WeightedGraph(3, ((0, 1, F(0)), (0, 2, F(0)), (1, 2, F(1))))

@@ -1,5 +1,6 @@
 import re
 from fractions import Fraction as F
+from typing import NamedTuple
 
 import pytest
 
@@ -11,7 +12,6 @@ from spannerlab.hardness import (
     SatInstance,
     assignment_to_spanner,
     parse_sat,
-    preprocess,
     reduce_sat,
     spanner_to_assignment,
 )
@@ -21,6 +21,71 @@ from bruteforce import weight_of
 from test_parsers import format_sat
 
 EPS = F(1, 10)
+
+
+class PreprocessResult(NamedTuple):
+    instance: SatInstance
+    forced: dict[int, bool]  # original variable index -> forced value
+    kept_vars: tuple[int, ...]  # original index of each surviving variable
+
+
+def preprocess(inst: SatInstance) -> PreprocessResult:
+    """Eliminate single-polarity variables until every survivor appears both
+    positively and negatively.
+
+    A variable seen only positively is forced true (only negatively: false),
+    which satisfies and deletes every clause containing it; the deletions can
+    expose new single-polarity variables, so this iterates to a fixpoint.
+    Satisfiability is preserved. Variables left with no clause at all are
+    dropped without a forced value. `reduce_sat` takes only preprocessed
+    instances; the package itself never preprocesses one.
+    """
+    clauses = list(inst.clauses)
+    alive = [True] * len(clauses)
+    forced: dict[int, bool] = {}
+    while True:
+        pos: dict[int, list[int]] = {}
+        neg: dict[int, list[int]] = {}
+        for j, c in enumerate(clauses):
+            if not alive[j]:
+                continue
+            store = pos if c.side == ABOVE else neg
+            for v in c.literals:
+                store.setdefault(v, []).append(j)
+        target = None
+        for v in range(inst.num_vars):
+            if v in forced:
+                continue
+            p, m = pos.get(v, []), neg.get(v, [])
+            if (p and not m) or (m and not p):
+                target = (v, bool(p), p or m)
+                break
+        if target is None:
+            break
+        v, value, hits = target
+        forced[v] = value
+        for j in hits:
+            alive[j] = False
+
+    used = sorted(
+        {v for j, c in enumerate(clauses) if alive[j] for v in c.literals}
+    )
+    remap = {old: new for new, old in enumerate(used)}
+    old_index = [j for j in range(len(clauses)) if alive[j]]
+    new_clauses = tuple(
+        Clause(clauses[j].side, tuple(remap[v] for v in clauses[j].literals))
+        for j in old_index
+    )
+    clause_remap = {old: new for new, old in enumerate(old_index)}
+    pos_order = tuple(
+        tuple(clause_remap[j] for j in inst.pos_order[old] if alive[j]) for old in used
+    )
+    neg_order = tuple(
+        tuple(clause_remap[j] for j in inst.neg_order[old] if alive[j]) for old in used
+    )
+    reduced = SatInstance(len(used), new_clauses, pos_order, neg_order)
+    return PreprocessResult(reduced, forced, tuple(used))
+
 
 # one 2-literal clause of each polarity over two variables
 TWO_VAR = SatInstance(2, (Clause(ABOVE, (0, 1)), Clause(BELOW, (0, 1))))

@@ -12,13 +12,14 @@ from spannerlab.graphs import WeightedGraph
 from spannerlab.hardness import (
     Clause,
     ClauseGadget,
-    PreprocessResult,
     ReductionOutput,
     SatInstance,
     VariableGadget,
 )
 from spannerlab.oracle import OracleResult
 from spannerlab.prune import IterationLog, PruneState, RoundLog, ScalingLog
+
+from test_hardness import PreprocessResult
 
 SAT = SatInstance(2, (Clause("above", (0, 1)), Clause("below", (0, 1))), ((0,), (0,)), ((1,), (1,)))
 ROUND = dict(source=0, target=2, length=5, beta=F(1),
