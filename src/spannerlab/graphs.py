@@ -151,7 +151,7 @@ class WeightedGraph(Frozen):
 
     def int_adjacency(self, keys: Iterable[EdgeKey] | None = None) -> list[list[tuple[int, int]]]:
         """Adjacency lists over `keys` (default: every edge) with weights in
-        units of 1/scale, the input of `dijkstra`."""
+        units of 1/scale, the input of a `Search`."""
         adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
         weights = self.int_weights
         for k in weights if keys is None else keys:
@@ -246,52 +246,63 @@ def is_connected(g: WeightedGraph) -> bool:
     return g.m >= g.n - 1 and components(g.n, g.int_weights)[1] <= 1
 
 
-def dijkstra(
-    adj,
-    source: int,
-    targets: Iterable[int] | None = None,
-    limit: int | None = None,
-    rest: list | None = None,
-) -> dict[int, int]:
-    """Exact shortest distances from `source` over int adjacency lists.
+class Search:
+    """Exact shortest distances from one source at a time over the int
+    adjacency lists `adj`, which may change between runs but not in length.
+    The workspace is allocated once: `mark` holds `stamp` - 1 for each vertex
+    the last run reached and `stamp` for each it settled, at the exact
+    distance `dist[x]`, so a run touches only the vertices it reaches."""
 
-    Returns {vertex: distance} for every settled vertex, each exact. The
-    search stops once every vertex of the set `targets` is settled (None:
-    it settles all it can reach; an empty set stops at the source) and
-    never settles a vertex farther than `limit`, so
-    ``t in dijkstra(adj, s, targets, limit)`` holds for a target t exactly
-    when dist(s, t) <= limit.
+    __slots__ = ("adj", "dist", "mark", "stamp")
 
-    With a `limit`, the optional row `rest` prunes toward one target t: it
-    must be a consistent lower bound on the distance to t, rest[t] == 0 and
-    rest[x] <= w + rest[y] for every edge (x, y, w) of `adj`, as is t's row
-    in a supergraph, capped at any value or not. A vertex x is then reached
-    only when its distance plus rest[x] is within `limit`. Settled distances
-    stay exact, ``t in dijkstra(adj, s, {t}, limit, rest)`` holds exactly when
-    dist(s, t) <= limit, and a search that does not settle t has settled
-    s and exactly the vertices x with dist(s, x) + rest[x] <= limit. Without
-    `rest` a relaxation pays one extra test when a limit is given and none
-    otherwise.
-    """
-    dist = {source: 0}
-    done: dict[int, int] = {}
-    heap = [(0, source)]
-    pending = None if targets is None else set(targets)
-    while heap:
-        d, u = heappop(heap)
-        if u in done:
-            continue
-        done[u] = d
-        if pending is not None:
-            pending.discard(u)
-            if not pending:
-                break
-        for v, w in adj[u]:
-            nd = d + w
-            if (limit is None or (nd if rest is None else nd + rest[v]) <= limit) and (v not in dist or nd < dist[v]):
-                dist[v] = nd
-                heappush(heap, (nd, v))
-    return done
+    def __init__(self, adj):
+        self.adj, self.dist, self.mark, self.stamp = adj, [0] * len(adj), [0] * len(adj), 0
+
+    def row(self, far) -> list:
+        """The last run's distances, `far` for every vertex it did not settle."""
+        done = self.stamp
+        return [d if m == done else far for d, m in zip(self.dist, self.mark)]
+
+    def run(self, source: int, targets=None, limit=INF, rest=None) -> bool:
+        """Settle the vertices nearest to `source`, at their exact distances;
+        True when the run stopped with every vertex of `targets` settled.
+
+        The run stops once every vertex of `targets` is settled (None: it
+        settles all it can reach; empty: it stops at the source), testing
+        only the one it waits for, and never settles a vertex farther than
+        `limit`: a target t is settled exactly when dist(s, t) <= limit.
+        The optional row `rest` prunes toward one target t; it must be a
+        consistent nonnegative lower bound on the distance to t, rest[t] ==
+        0 and rest[x] <= w + rest[y] for every edge (x, y, w), as is t's
+        row in a supergraph, capped at any value or not. A vertex x is then
+        reached only when its distance plus rest[x] is within `limit`, and
+        a run that misses t settles s and exactly the x with dist(s, x) +
+        rest[x] <= limit. Settled distances stay exact either way.
+        """
+        adj, dist, mark = self.adj, self.dist, self.mark
+        seen = self.stamp + 1
+        self.stamp = done = seen + 1
+        pending = [-1] if targets is None else [source, *targets]
+        target = pending.pop()
+        dist[source], mark[source] = 0, seen
+        heap = [(0, source)]
+        while heap:
+            d, u = heappop(heap)
+            if mark[u] == done:
+                continue
+            mark[u] = done
+            if u == target:
+                while pending and mark[target] == done:
+                    target = pending.pop()
+                if mark[target] == done:
+                    return True
+            for v, w in adj[u]:
+                nd = d + w
+                # the row is tested last, so only for a distance it would lower
+                if nd <= limit and (mark[v] < seen or nd < dist[v]) and (rest is None or nd + rest[v] <= limit):
+                    dist[v], mark[v] = nd, seen
+                    heappush(heap, (nd, v))
+        return False
 
 
 class DistanceOracle:
@@ -299,8 +310,8 @@ class DistanceOracle:
 
     Distances are stored as ints in units of 1/scale of the graph; they are
     sums of the graph's `int_weights`, which the oracle shares, and come
-    from one Dijkstra per vertex. Zero weights give exact distances too,
-    but pruning contracts them first (see `quotient`). The
+    from one run per vertex of a single `Search`. Zero weights give exact
+    distances too, but pruning contracts them first (see `quotient`). The
     canonical path between two vertices is the lexicographically smallest
     vertex sequence among all minimum-weight paths; it is materialised
     lazily (one next-hop column per target) and requires strictly positive
@@ -316,13 +327,13 @@ class DistanceOracle:
         self.n = g.n
         self.scale = g.scale
         self.int_weights = g.int_weights
-        self._adj = adj = g.int_adjacency()
+        self._adj = g.int_adjacency()
+        search = Search(self._adj)
+        far = sum(self.int_weights.values())  # bounds every distance; an int compares faster than INF
         self._dist = []
         for s in range(g.n):
-            row = [INF] * g.n
-            for v, d in dijkstra(adj, s).items():
-                row[v] = d
-            self._dist.append(row)
+            search.run(s, None, far)
+            self._dist.append(search.row(INF))
         self._next_hop: dict[int, list] = {}
         self.memo: dict = {}
         self.all_positive = 0 not in self.int_weights.values()
@@ -372,7 +383,7 @@ class DistanceOracle:
 def apsp(g: WeightedGraph) -> DistanceOracle:
     """Exact all-pairs shortest paths with deterministic tie-breaking.
 
-    Computed once per graph object, with one Dijkstra per vertex: later
+    Computed once per graph object, with one search per vertex: later
     calls return the same oracle, so every pruning pass over g shares its
     distances and what is memoised on them.
     """
@@ -391,10 +402,10 @@ def stretch(g: WeightedGraph, h: WeightedGraph):
     h drops are checked, on h's zero-weight quotient (`quotient`; h itself
     if h has no zero weight): one inside a component has distance 0, a zero
     one between two gives INF, and of the rest the lightest per quotient
-    pair has the worst ratio. One Dijkstra runs per smaller quotient endpoint,
-    stopping once its checked neighbours are settled. h = g runs none and
-    builds no adjacency, so it allocates nothing per vertex; each distance
-    map is dropped once used, so memory stays linear.
+    pair has the worst ratio. One `Search` runs from each smaller quotient
+    endpoint, stopping once its checked neighbours are settled. h = g runs
+    none and builds no adjacency or workspace, so it allocates nothing per
+    vertex; memory stays linear.
     """
     if not h.is_subgraph_of(g):
         raise ValueError("h is not a subgraph of g")
@@ -413,7 +424,8 @@ def stretch(g: WeightedGraph, h: WeightedGraph):
             dropped[b] = min(w, dropped.get(b, w))
     if not dropped_from:  # before the adjacency, which is per vertex
         return Fraction(1)
-    adj = q.int_adjacency()
+    search = Search(q.int_adjacency())
+    far = sum(q.int_weights.values())  # no distance exceeds it; see DistanceOracle
     # h's weights are a subset of g's, so h.scale divides g.scale and
     # d * factor is dist_h in units of 1/g.scale
     factor = g.scale // h.scale
@@ -421,13 +433,12 @@ def stretch(g: WeightedGraph, h: WeightedGraph):
     # every edge h keeps
     num = den = 1
     for a, dropped in dropped_from.items():
-        dist_a = dijkstra(adj, a, dropped.keys())
+        if not search.run(a, dropped, far):
+            return INF
         for b, w in dropped.items():
-            d = dist_a.get(b)
-            if d is None:
-                return INF
-            if d * factor * den > num * w:
-                num, den = d * factor, w
+            d = search.dist[b] * factor
+            if d * den > num * w:
+                num, den = d, w
     return Fraction(num, den)
 
 

@@ -2,8 +2,9 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import itemgetter
 
-from .graphs import WeightedGraph, dijkstra, is_connected
+from .graphs import Search, WeightedGraph, _find, is_connected
 
 
 def greedy_spanner(g: WeightedGraph, t) -> WeightedGraph:
@@ -12,8 +13,9 @@ def greedy_spanner(g: WeightedGraph, t) -> WeightedGraph:
     more than t.
 
     Ties between equal-weight edges are broken by ascending (min endpoint,
-    max endpoint), so the result is independent of input edge order. Each
-    distance query runs a fresh bounded Dijkstra on the current spanner, in
+    max endpoint), so the result is independent of input edge order. An
+    edge joining two components of the spanner so far (a union-find) is
+    kept at once; any other runs one bounded `Search` on the spanner, in
     integer weights: an integer distance is at most t*w exactly when it is
     at most floor(t*w). A zero-weight edge is kept exactly when the spanner
     does not yet join its ends by zero-weight edges.
@@ -24,12 +26,17 @@ def greedy_spanner(g: WeightedGraph, t) -> WeightedGraph:
     if not is_connected(g):
         raise ValueError("greedy_spanner requires a connected graph")
 
-    order = sorted(g.int_weights.items(), key=lambda kw: (kw[1], kw[0]))
     adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    search = Search(adj)
+    parent = list(range(g.n))
     chosen = []
-    for (u, v), w in order:
-        if v not in dijkstra(adj, u, {v}, t.numerator * w // t.denominator):
-            chosen.append((u, v))
-            adj[u].append((v, w))
-            adj[v].append((u, w))
+    for (u, v), w in sorted(g.int_weights.items(), key=itemgetter(1, 0)):
+        ru, rv = _find(parent, u), _find(parent, v)
+        if ru != rv:
+            parent[ru] = rv
+        elif search.run(u, (v,), t.numerator * w // t.denominator):
+            continue
+        chosen.append((u, v))
+        adj[u].append((v, w))
+        adj[v].append((u, w))
     return g.subgraph(chosen)

@@ -84,14 +84,8 @@ class SatInstance(Frozen):
     def satisfied_by(self, assignment) -> bool:
         if len(assignment) != self.num_vars:
             raise ValueError("assignment length mismatch")
-        for c in self.clauses:
-            if c.side == ABOVE:
-                if not any(assignment[v] for v in c.literals):
-                    return False
-            else:
-                if not any(not assignment[v] for v in c.literals):
-                    return False
-        return True
+        # an above clause needs a true literal, a below clause a false one
+        return all(any(bool(assignment[v]) == (c.side == ABOVE) for v in c.literals) for c in self.clauses)
 
 
 class VariableGadget(NamedTuple):
@@ -174,8 +168,7 @@ def reduce_sat(inst: SatInstance, eps) -> ReductionOutput:
             (inst.pos_order[i], "u", True),
             (inst.neg_order[i], "v", False),
         )
-        true_edges: tuple[EdgeKey, ...] = ()
-        false_edges: tuple[EdgeKey, ...] = ()
+        crossings: list[tuple[EdgeKey, ...]] = []  # the true edges, then the false ones
         apexes: list[EdgeKey] = []
         terminals: list[EdgeKey] = []
         for order, tag, upper in sides:
@@ -203,14 +196,9 @@ def reduce_sat(inst: SatInstance, eps) -> ReductionOutput:
             add(prev, end, zero)
             terminals.append(add(end, end2, Fraction(2 * hi)))
             add(end2, t, zero)
-            if upper:
-                true_edges = tuple(cross)
-            else:
-                false_edges = tuple(cross)
+            crossings.append(tuple(cross))
         chord = add(s, t, Fraction(4 * hi) / (1 + eps))
-        variables.append(
-            VariableGadget(chord, true_edges, false_edges, tuple(apexes), tuple(terminals))
-        )
+        variables.append(VariableGadget(chord, *crossings, tuple(apexes), tuple(terminals)))
 
     clause_gadgets = []
     for j, clause in enumerate(inst.clauses):
@@ -257,9 +245,7 @@ def assignment_to_spanner(out: ReductionOutput, assignment) -> WeightedGraph:
     between adjacent variable gadgets through a clause cycle's zero-weight
     edges and land exactly on the stretch budget.)
     """
-    if len(assignment) != out.instance.num_vars:
-        raise ValueError("assignment length mismatch")
-    if not out.instance.satisfied_by(assignment):
+    if not out.instance.satisfied_by(assignment):  # which checks the length first
         raise ValueError("assignment does not satisfy the instance")
     keys = {k for k, w in out.graph.int_weights.items() if w == 0}
     for i, gadget in enumerate(out.variables):

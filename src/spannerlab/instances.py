@@ -37,6 +37,12 @@ def _rung_weights(n: int, eps: Fraction, perturb: bool, scale_index=None):
     return weights
 
 
+def _ladder_edges(base: int, n: int, rungs: list[Fraction], spoke: Fraction) -> list:
+    """The rungs and spokes of a ladder whose vertices start at `base`."""
+    u, v = base + ladder_u(0), base + ladder_v(n, 0)  # the star centers
+    return [(u + i, v + i, rungs[i]) for i in range(n + 1)] + [(c, c + j, spoke) for c in (u, v) for j in range(1, n + 1)]
+
+
 def gen_ladder(n: int, eps, perturb: bool = False) -> WeightedGraph:
     """Two stars of 2n spokes (weight eps/2) joined by n+1 unit rungs.
 
@@ -47,12 +53,7 @@ def gen_ladder(n: int, eps, perturb: bool = False) -> WeightedGraph:
     eps = _positive_eps(eps)
     if n < 1:
         raise ValueError("n must be at least 1")
-    rungs = _rung_weights(n, eps, perturb)
-    spoke = eps / 2
-    edges = [(ladder_u(i), ladder_v(n, i), rungs[i]) for i in range(n + 1)]
-    for j in range(1, n + 1):
-        edges.append((ladder_u(0), ladder_u(j), spoke))
-        edges.append((ladder_v(n, 0), ladder_v(n, j), spoke))
+    edges = _ladder_edges(0, n, _rung_weights(n, eps, perturb), eps / 2)
     return WeightedGraph(2 * n + 2, tuple(edges), declared_planar=True)
 
 
@@ -75,17 +76,10 @@ def gen_multiladder(k: int, n: int, eps, perturb: bool = False) -> WeightedGraph
         return 1 + b * (2 * n + 2)
 
     for b in range(k):
-        base = offset(b)
-        u = lambda i: base + i
-        v = lambda i: base + n + 1 + i
         rungs = _rung_weights(
             n, eps, perturb, scale_index=lambda i, b=b: Fraction(b * (n + 1) + i, 2 * k * (n + 1))
         )
-        for i in range(n + 1):
-            edges.append((u(i), v(i), rungs[i]))
-        for j in range(1, n + 1):
-            edges.append((u(0), u(j), spoke))
-            edges.append((v(0), v(j), spoke))
+        edges += _ladder_edges(offset(b), n, rungs, spoke)
     edges.append((s, offset(0), Fraction(1)))
     for b in range(k - 1):
         edges.append((offset(b) + n + 1, offset(b + 1), Fraction(1)))

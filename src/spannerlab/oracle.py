@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .graphs import INF, EdgeKey, WeightedGraph, _find, apsp, components, dijkstra, edge_key, is_connected, quotient, stretch
+from .graphs import INF, EdgeKey, Search, WeightedGraph, _find, apsp, components, edge_key, is_connected, quotient, stretch
 from .hardness import SatInstance
 
 DEFAULT_MAX_EDGES = 24
@@ -29,18 +29,16 @@ class OracleResult(NamedTuple):
     nodes_explored: int
 
 
-def _path(adj, done: dict[int, int], v: int, bit: dict[EdgeKey, int]) -> int:
+def _path(search: Search, v: int, bit: dict[EdgeKey, int]) -> int:
     """The bitset (edge k is bit[k]) of a shortest path from the source of
-    the search that settled `done` (vertex -> distance) to its vertex v,
-    over the positive adjacency `adj` it searched: each step goes back to a
-    settled neighbour whose distance plus the edge weight is the current
-    one (an unsettled one reads as the current one, which no positive
-    weight keeps), and only the source is at distance 0."""
-    path = 0
-    x = v
-    while dx := done[x]:
-        for y, w in adj[x]:
-            if done.get(y, dx) + w == dx:
+    the last run of `search` to a vertex v it settled, over the positive
+    adjacency it searched: each step goes back to a settled neighbour whose
+    distance plus the edge weight is the current one, and only the source
+    is at distance 0."""
+    dist, mark, done, path, x = search.dist, search.mark, search.stamp, 0, v
+    while dx := dist[x]:
+        for y, w in search.adj[x]:
+            if mark[y] == done and dist[y] + w == dx:
                 break
         path |= bit[edge_key(x, y)]
         x = y
@@ -53,12 +51,12 @@ class _Checks:
 
     The edges are numbered once, and every edge set below is an int bitset
     in which the edge k is the bit `bit[k]`. `available` holds the edges
-    not excluded so far and `adj` is always their adjacency; the excluded
-    edges form the stack `excluded`, edited by `exclude` and `restore`. A
-    check asks whether dist(u, v) <= limit for an edge k = (u, v) over the
-    available edges, with `limit` its entry in `thresholds`. Two memos,
-    each holding per edge everything its searches found, answer most
-    checks without a search:
+    not excluded so far and `search.adj` is always their adjacency; the
+    excluded edges form the stack `excluded`, edited by `exclude` and
+    `restore`. A check asks whether dist(u, v) <= limit for an edge
+    k = (u, v) over the available edges, with `limit` its entry in
+    `thresholds`. Two memos, each holding per edge everything its searches
+    found, answer most checks without a search:
 
     - `witness[k]` holds the u-v paths within the limit that searches
       found. While one of them is wholly available the answer is yes.
@@ -79,11 +77,11 @@ class _Checks:
     limit tells apart from the true distances.
     """
 
-    __slots__ = ("weights", "adj", "bit", "available", "excluded", "thresholds", "rows", "witness", "cert", "held")
+    __slots__ = ("weights", "search", "bit", "available", "excluded", "thresholds", "rows", "witness", "cert", "held")
 
-    def __init__(self, g: WeightedGraph, adj, thresholds: dict[EdgeKey, int], rows: dict[int, list[int]]):
+    def __init__(self, g: WeightedGraph, search: Search, thresholds: dict[EdgeKey, int], rows: dict[int, list[int]]):
         self.weights = g.int_weights
-        self.adj = adj
+        self.search = search
         self.bit = {k: 1 << i for i, k in enumerate(self.weights)}
         self.available = (1 << g.m) - 1
         self.excluded: list[EdgeKey] = []
@@ -101,8 +99,8 @@ class _Checks:
         w, b = self.weights[k], self.bit[k]
         self.available ^= b
         self.excluded.append(k)
-        self.adj[u].remove((v, w))
-        self.adj[v].remove((u, w))
+        self.search.adj[u].remove((v, w))
+        self.search.adj[v].remove((u, w))
         held = self.held
         for j in (k, *[j for j, path in held.items() if path & b]):
             path = self.within(j)
@@ -119,8 +117,8 @@ class _Checks:
         u, v = k
         w = self.weights[k]
         self.available |= self.bit[k]
-        self.adj[u].append((v, w))
-        self.adj[v].append((u, w))
+        self.search.adj[u].append((v, w))
+        self.search.adj[v].append((u, w))
 
     def within(self, k: EdgeKey) -> int | None:
         """The bitset of a path within the edge k's threshold over the
@@ -135,16 +133,16 @@ class _Checks:
         u, v = k
         limit = self.thresholds[k]
         rest = self.rows[v]
-        done = dijkstra(self.adj, u, {v}, limit, rest)
-        if v in done:
-            path = _path(self.adj, done, v, self.bit)
+        search = self.search
+        if search.run(u, (v,), limit, rest):
+            path = _path(search, v, self.bit)
             self.witness[k].append(path)
             return path
-        weights, bit = self.weights, self.bit
+        weights, bit, dist, mark, done = self.weights, self.bit, search.dist, search.mark, search.stamp
         cert = 0
         for a, b in self.excluded:
             w = weights[a, b]
-            if (a in done and done[a] + w + rest[b] <= limit) or (b in done and done[b] + w + rest[a] <= limit):
+            if (mark[a] == done and dist[a] + w + rest[b] <= limit) or (mark[b] == done and dist[b] + w + rest[a] <= limit):
                 cert |= bit[a, b]
         self.cert[k].append(cert)
         return None
@@ -198,10 +196,11 @@ def exact_opt_spanner(g: WeightedGraph, eps, max_edges: int = DEFAULT_MAX_EDGES)
     decides that by checking the new edge and re-checking only the excluded
     edges whose held path has it, so every leaf reached is feasible. A
     check answers from the edge's stored witness paths and failure
-    certificates where it can, and otherwise runs a Dijkstra pruned toward
-    v by v's row: no APSP runs, but one Dijkstra from each v ending a q-edge
+    certificates where it can, and otherwise runs a search pruned toward
+    v by v's row: no APSP runs, but one run from each v ending a q-edge
     (u, v), u < v, bounded by the largest (1+eps)*w of those edges, reads
-    the row up to that bound. eps must be >= 0 (ValueError otherwise).
+    the row up to that bound. The rows and the checks share one `Search`
+    over q's available edges. eps must be >= 0 (ValueError otherwise).
     """
     eps = Fraction(eps)
     if eps < 0:
@@ -221,16 +220,15 @@ def exact_opt_spanner(g: WeightedGraph, eps, max_edges: int = DEFAULT_MAX_EDGES)
     lims: dict[int, int] = {}
     for (_, v), w in weights.items():
         lims[v] = max(lims.get(v, 0), (num + den) * w // den)
-    adj = q.int_adjacency()
+    paths = Search(q.int_adjacency())
     rows = {}
     for v, lim in lims.items():
-        rows[v] = row = [lim + 1] * q.n
-        for x, d in dijkstra(adj, v, None, lim).items():
-            row[x] = d
+        paths.run(v, None, lim)
+        rows[v] = paths.row(lim + 1)
     thresholds = {(u, v): (num + den) * rows[v][u] // den for u, v in weights}
 
     nodes = 0
-    checks = _Checks(q, adj, thresholds, rows)
+    checks = _Checks(q, paths, thresholds, rows)
     forced = set()
     for k in weights:
         nodes += 1

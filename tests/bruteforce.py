@@ -72,8 +72,10 @@ def weight_of(g: WeightedGraph, u: int, v: int) -> Fraction:
     return g.weights[edge_key(u, v)]
 
 
-def all_simple_paths(g: WeightedGraph, s: int, t: int):
-    """Yield (weight, vertex tuple) of every simple s-t path."""
+def all_simple_paths(g: WeightedGraph, s: int, t: int, bound=INF):
+    """Yield (weight, vertex tuple) of every simple s-t path of weight at
+    most `bound` (default: every one); a prefix heavier than `bound` is
+    not extended, since no weight is negative."""
     path = [s]
     seen = {s}
     adj = adjacency(g)
@@ -83,7 +85,7 @@ def all_simple_paths(g: WeightedGraph, s: int, t: int):
             yield acc, tuple(path)
             return
         for v, w in adj[u]:
-            if v in seen:
+            if v in seen or acc + w > bound:
                 continue
             seen.add(v)
             path.append(v)
@@ -115,11 +117,13 @@ def brute_all_distances(g: WeightedGraph):
 def brute_greedy(g: WeightedGraph, t) -> frozenset:
     """Greedy t-spanner edge keys straight from the definition: scan edges by
     (w, u, v) and keep an edge iff the shortest path over the edges kept so
-    far, found by simple-path enumeration, is longer than t * w."""
+    far is longer than t * w, that is, iff simple-path enumeration finds no
+    path of weight at most t * w (heavier prefixes are cut, so that chains
+    and grids of a few hundred vertices stay cheap)."""
     t = Fraction(t)
     kept = []
     for u, v, w in sorted(g.edges, key=lambda e: (e[2], e[0], e[1])):
-        if brute_shortest(WeightedGraph(g.n, tuple(kept)), u, v)[0] > t * w:
+        if next(all_simple_paths(WeightedGraph(g.n, tuple(kept)), u, v, t * w), None) is None:
             kept.append((u, v, w))
     return frozenset((u, v) for u, v, _ in kept)
 
@@ -1482,3 +1486,87 @@ def previous_evaluate(self, hanging: list[int]) -> tuple[list[int], array]:
                 picks[c] = j
         values[offset + c] = best
     return values, picks
+
+
+# --- the dict-based shortest-path search that `graphs.Search` replaced --------
+#
+# A verbatim copy (renamed with a `previous_` prefix) of `graphs.dijkstra` as
+# it was before every caller moved to one `Search` that reuses an array
+# workspace. Each run of a search must settle exactly the map it returns.
+
+
+def previous_dijkstra(
+    adj,
+    source: int,
+    targets: Iterable[int] | None = None,
+    limit: int | None = None,
+    rest: list | None = None,
+) -> dict[int, int]:
+    """Exact shortest distances from `source` over int adjacency lists.
+
+    Returns {vertex: distance} for every settled vertex, each exact. The
+    search stops once every vertex of the set `targets` is settled (None:
+    it settles all it can reach; an empty set stops at the source) and
+    never settles a vertex farther than `limit`, so
+    ``t in previous_dijkstra(adj, s, targets, limit)`` holds for a target t exactly
+    when dist(s, t) <= limit.
+
+    With a `limit`, the optional row `rest` prunes toward one target t: it
+    must be a consistent lower bound on the distance to t, rest[t] == 0 and
+    rest[x] <= w + rest[y] for every edge (x, y, w) of `adj`, as is t's row
+    in a supergraph, capped at any value or not. A vertex x is then reached
+    only when its distance plus rest[x] is within `limit`. Settled distances
+    stay exact, ``t in previous_dijkstra(adj, s, {t}, limit, rest)`` holds exactly when
+    dist(s, t) <= limit, and a search that does not settle t has settled
+    s and exactly the vertices x with dist(s, x) + rest[x] <= limit. Without
+    `rest` a relaxation pays one extra test when a limit is given and none
+    otherwise.
+    """
+    dist = {source: 0}
+    done: dict[int, int] = {}
+    heap = [(0, source)]
+    pending = None if targets is None else set(targets)
+    while heap:
+        d, u = heappop(heap)
+        if u in done:
+            continue
+        done[u] = d
+        if pending is not None:
+            pending.discard(u)
+            if not pending:
+                break
+        for v, w in adj[u]:
+            nd = d + w
+            if (limit is None or (nd if rest is None else nd + rest[v]) <= limit) and (v not in dist or nd < dist[v]):
+                dist[v] = nd
+                heappush(heap, (nd, v))
+    return done
+
+
+def settled_map(search, source: int, targets=None, limit=None, rest=None) -> dict[int, int]:
+    """{x: dist[x]} for every x that one run of `search` settles, with
+    `previous_dijkstra`'s arguments (a limit of None is no limit). The run's
+    result must say whether it settled every target."""
+    found = search.run(source, targets, INF if limit is None else limit, rest)
+    done = {x: d for x, d in enumerate(search.row(None)) if d is not None}
+    assert found == (targets is not None and all(t in done for t in targets))
+    return done
+
+
+def count_runs(monkeypatch, module) -> list[tuple]:
+    """Rebind `module.Search` to a subclass that records every run as
+    (source, targets, number of vertices settled, whether every target was
+    settled); returns the list of records. Only the code that looks
+    `Search` up in `module` counts."""
+    runs = []
+
+    class Counting(module.Search):
+        __slots__ = ()
+
+        def run(self, source, targets=None, *args):
+            found = super().run(source, targets, *args)
+            runs.append((source, targets, self.mark.count(self.stamp), found))
+            return found
+
+    monkeypatch.setattr(module, "Search", Counting)
+    return runs

@@ -495,13 +495,15 @@ def test_bench_greedy_gap_ratio(tmp_path):
     assert F(rows["greedy"][7]) > 2  # vs the exact optimum as well
 
 
-def test_module_entrypoint_runs():
+def test_module_entrypoint_runs(tmp_path):
+    out = tmp_path / "smoke.g"
     proc = subprocess.run(
         [sys.executable, "-m", "spannerlab.cli", "gen", "ladder", "--n", "1",
-         "--eps", "1/2", "--out", "/tmp/_spannerlab_smoke.g"],
+         "--eps", "1/2", "--out", str(out)],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
+    assert out.is_file()
 
 
 def test_deterministic_across_processes(tmp_path, ladder_file):

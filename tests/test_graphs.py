@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 import spannerlab.graphs as graphs_module
 from spannerlab.graphs import (
     INF,
+    Search,
     WeightedGraph,
     apsp,
     components,
-    dijkstra,
     edge_key,
     format_graph,
     is_connected,
@@ -32,15 +32,18 @@ from bruteforce import (
     brute_shortest,
     brute_stretch_over_pairs,
     concat,
+    count_runs,
     floor_pow2,
     k44_declared_planar,
     normalize_edges,
     previous_all_positive,
+    previous_dijkstra,
     previous_format_graph,
     previous_is_subgraph_of,
     previous_stretch,
     previous_total_weight,
     random_connected_graph,
+    settled_map,
     small_graphs,
     walk_from_vertices,
     zero_weighted,
@@ -332,12 +335,10 @@ class TestQuotientApsp:
         assert apsp(g).dist(0, 2) == apsp(g).dist(1, 2) == 2
 
     def test_dijkstra_runs_on_the_sat_catalogue(self, monkeypatch):
-        # APSP runs one Dijkstra per vertex, 428 on the SAT graphs; the
+        # APSP runs one search per vertex, 428 on the SAT graphs; the
         # oracle ran it on their zero-weight quotients, 222, and now reads
         # bounded rows of its own searches instead
-        calls = []
-        real = graphs_module.dijkstra
-        monkeypatch.setattr(graphs_module, "dijkstra", lambda *a: calls.append(a) or real(*a))
+        calls = count_runs(monkeypatch, graphs_module)
         eps = F(1, 10)
         graphs = [reduce_sat(inst, eps).graph for inst in _hardness_catalogue()]
         for g in graphs:
@@ -401,26 +402,26 @@ class TestDijkstra:
     @given(small_graphs(max_n=7, positive=False), st.randoms(use_true_random=False))
     def test_target_and_limit_match_enumeration(self, g, rng):
         # zero-weight edges included: settled vertices may tie at distance 0
-        adj = g.int_adjacency()
+        search = Search(g.int_adjacency())
         brute = brute_all_distances(g)
         oracle = apsp(g)
         for s in range(g.n):
             exact = {t: d * g.scale for (u, t), d in brute.items() if u == s and d is not INF}
-            assert dijkstra(adj, s) == exact
+            assert settled_map(search, s) == exact
             assert oracle.row(s) == [exact.get(t, INF) for t in range(g.n)]
             limit = rng.randint(0, max(exact.values()) + 1)
-            assert dijkstra(adj, s, limit=limit) == {t: d for t, d in exact.items() if d <= limit}
+            assert settled_map(search, s, limit=limit) == {t: d for t, d in exact.items() if d <= limit}
             for t in range(g.n):
-                got = dijkstra(adj, s, {t}, limit)
+                got = settled_map(search, s, {t}, limit)
                 assert (t in got) == (t in exact and exact[t] <= limit)
                 assert all(exact[v] == d for v, d in got.items())
             # target sets mixing unreachable vertices, vertices beyond the
             # limit and zero-distance ties; an empty set stops at the source
-            assert dijkstra(adj, s, set(), limit) == {s: 0}
+            assert settled_map(search, s, set(), limit) == {s: 0}
             for _ in range(4):
                 targets = {t for t in range(g.n) if rng.random() < 0.4}
                 for lim in (limit, None):
-                    got = dijkstra(adj, s, targets, lim)
+                    got = settled_map(search, s, targets, lim)
                     for t in targets:
                         assert (t in got) == (t in exact and (lim is None or exact[t] <= lim))
                     assert all(exact[v] == d for v, d in got.items())
@@ -438,14 +439,14 @@ class TestDijkstra:
             subsets = [[k for k in keys if rng.random() < 0.6] for _ in range(32)]
         rows = apsp(g)
         for sub in subsets:
-            adj = g.int_adjacency(sub)
+            search = Search(g.int_adjacency(sub))
             for s in range(g.n):
-                exact = dijkstra(adj, s)
+                exact = settled_map(search, s)
                 for t in range(g.n):
                     rest = rows.row(t)
                     d = exact.get(t)
                     for limit in {0, rng.randint(0, 30), d or 0, max((d or 0) - 1, 0)}:
-                        got = dijkstra(adj, s, {t}, limit, rest)
+                        got = settled_map(search, s, {t}, limit, rest)
                         assert (t in got) == (d is not None and d <= limit)
                         assert all(exact[x] == dx for x, dx in got.items())
                         if t not in got:
@@ -463,16 +464,16 @@ class TestDijkstra:
         rows = apsp(g)
         top = max([d for s in range(g.n) for d in rows.row(s) if d is not INF], default=0)
         for _ in range(4):
-            adj = g.int_adjacency([k for k in g.edge_keys if rng.random() < 0.7])
+            search = Search(g.int_adjacency([k for k in g.edge_keys if rng.random() < 0.7]))
             for s in range(g.n):
-                exact = dijkstra(adj, s)
+                exact = settled_map(search, s)
                 for t in range(g.n):
                     d = exact.get(t)
                     for c in {0, rng.randint(0, top), top + 1}:
                         rest = [min(r, c) for r in rows.row(t)]
                         for limit in {0, rng.randint(0, top), d or 0, max((d or 0) - 1, 0)}:
-                            got = dijkstra(adj, s, {t}, limit, rest)
-                            assert (t in got) == (t in dijkstra(adj, s, {t}, limit))
+                            got = settled_map(search, s, {t}, limit, rest)
+                            assert (t in got) == (t in settled_map(search, s, {t}, limit))
                             assert all(exact[x] == dx for x, dx in got.items())
                             if t not in got:
                                 assert got.keys() == {s} | {x for x, dx in exact.items() if dx + rest[x] <= limit}
@@ -484,6 +485,68 @@ class TestDijkstra:
         assert g.int_adjacency([(0, 1)]) == [[(1, 9)], [(0, 9)], []]
         assert apsp(g).dist(1, 2) == F(5, 6) and apsp(g).row(1)[2] == 5
         assert WeightedGraph(2).scale == 1
+
+
+class TestSearchReuse:
+    """One `Search` keeps its workspace over many runs while its adjacency
+    is edited between them; every run settles exactly the map that the
+    dict-based search it replaced returns."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(small_graphs(max_n=7, positive=False), st.sampled_from([1, 10**400]), st.randoms(use_true_random=False))
+    def test_runs_on_an_edited_adjacency_match_previous_dijkstra(self, g, unit, rng):
+        # edits as greedy makes them (append a new edge) and as the
+        # oracle's checks do (remove an edge, re-add the last removed);
+        # g's rows bound every subgraph's distances from below, capped or not
+        g = WeightedGraph(g.n, tuple((u, v, w * unit) for u, v, w in g.edges))
+        rows = apsp(g)
+        top = max([d for s in range(g.n) for d in rows.row(s) if d is not INF], default=0)
+        outside = sorted(g.int_weights)
+        rng.shuffle(outside)
+        inside, removed = [], []
+        adj = [[] for _ in range(g.n)]
+        search = Search(adj)
+        for _ in range(24):
+            edit = rng.randrange(4)
+            if edit == 0 and outside:
+                k = outside.pop()
+            elif edit == 1 and inside:
+                k = inside.pop(rng.randrange(len(inside)))
+                removed.append(k)
+                adj[k[0]].remove((k[1], g.int_weights[k]))
+                adj[k[1]].remove((k[0], g.int_weights[k]))
+                k = None
+            elif edit == 2 and removed:
+                k = removed.pop()
+            else:
+                k = None
+            if k is not None:
+                inside.append(k)
+                adj[k[0]].append((k[1], g.int_weights[k]))
+                adj[k[1]].append((k[0], g.int_weights[k]))
+            s, t = rng.randrange(g.n), rng.randrange(g.n)
+            targets = rng.choice([None, set(), {t}, {x for x in range(g.n) if rng.random() < 0.4}])
+            limit = rng.choice([None, 0, rng.randint(0, top + 1)])
+            rest = None
+            if limit is not None and targets == {t} and rng.random() < 0.5:
+                rest = [min(r, c) for r in rows.row(t)] if (c := rng.randint(0, top + 1)) <= top else rows.row(t)
+            expect = previous_dijkstra(adj, s, targets, limit, rest)
+            assert settled_map(search, s, targets, limit, rest) == expect
+
+    def test_a_run_after_one_stopped_at_its_target_reads_no_stale_entry(self):
+        # the first run stops on settling 1, leaving 2 reached at distance
+        # 1; the second must find 2 anew, at distance 2 over 1-0-2, not
+        # keep the stale 1 (which would also hide the edge 1-2 of weight 3)
+        adj = [[(1, 1), (2, 1)], [(0, 1), (2, 3)], [(0, 1), (1, 3)]]
+        search = Search(adj)
+        assert settled_map(search, 0, {1}) == {0: 0, 1: 1} == previous_dijkstra(adj, 0, {1})
+        assert search.mark[2] == search.stamp - 1  # reached, not settled
+        assert settled_map(search, 1) == {1: 0, 0: 1, 2: 2} == previous_dijkstra(adj, 1)
+        # an empty target set stops at the source, a limit of 0 settles only
+        # the source here, and a run waits for every target within its limit
+        assert settled_map(search, 2, set()) == {2: 0}
+        assert settled_map(search, 2, None, 0) == {2: 0}
+        assert settled_map(search, 2, {0, 1}, 1) == {2: 0, 0: 1} == previous_dijkstra(adj, 2, {0, 1}, 1)
 
 
 class TestStretch:
@@ -529,34 +592,20 @@ class TestStretch:
         assert stretch(g, h) == previous_stretch(g, h)
 
     def test_checks_only_dropped_edges(self, monkeypatch):
-        calls = []
-        real = graphs_module.dijkstra
-
-        def counting(*args, **kwargs):
-            calls.append(args[1])
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(graphs_module, "dijkstra", counting)
+        runs = count_runs(monkeypatch, graphs_module)
         side = 16
         edges = [(r * side + c, r * side + c + 1, F(1)) for r in range(side) for c in range(side - 1)]
         edges += [(r * side + c, (r + 1) * side + c, F(1)) for r in range(side - 1) for c in range(side)]
         g = WeightedGraph(side * side, tuple(edges))
-        assert stretch(g, g) == 1 and calls == []
-        assert stretch(g, g.subgraph(g.edge_keys - {(0, 1)})) == 3 and calls == [0]
+        assert stretch(g, g) == 1 and runs == []
+        assert stretch(g, g.subgraph(g.edge_keys - {(0, 1)})) == 3 and [r[0] for r in runs] == [0]
 
     @staticmethod
-    def _count_searches(monkeypatch) -> list:
-        """The number of vertices each Dijkstra that `stretch` runs settles."""
-        settled = []
-        real = graphs_module.dijkstra
-
-        def counting(*args, **kwargs):
-            done = real(*args, **kwargs)
-            settled.append(len(done))
-            return done
-
-        monkeypatch.setattr(graphs_module, "dijkstra", counting)
-        return settled
+    def _count_searches(monkeypatch):
+        """A function giving the number of vertices that each search
+        `stretch` has run so far settled."""
+        runs = count_runs(monkeypatch, graphs_module)
+        return lambda: [settled for _, _, settled, _ in runs]
 
     def test_searches_on_the_sat_catalogue_optima(self, monkeypatch):
         # the dropped edges are checked on h's zero-weight quotient: 75
@@ -569,7 +618,7 @@ class TestStretch:
             pairs.append((g, g.subgraph(exact_opt_spanner(g, eps, max_edges=64).opt_edges)))
         settled = self._count_searches(monkeypatch)
         assert [stretch(g, h) for g, h in pairs] == [F(11, 10)] * 10
-        assert (len(settled), sum(settled)) == (75, 1168)
+        assert (len(settled()), sum(settled())) == (75, 1168)
         monkeypatch.undo()
         assert [previous_stretch(g, h) for g, h in pairs] == [F(11, 10)] * 10
 
@@ -579,7 +628,7 @@ class TestStretch:
         h = g.subgraph([(0, 1), (1, 2), (2, 3)])
         settled = self._count_searches(monkeypatch)
         assert stretch(g, h) == 1 == previous_stretch(g, h)
-        assert settled == []
+        assert settled() == []
 
     def test_zero_dropped_edge_between_components_is_inf(self, monkeypatch):
         # h keeps {0, 1} and {2, 3} zero-joined and 1-2 of weight 1; g's
@@ -588,7 +637,7 @@ class TestStretch:
         h = g.subgraph([(0, 1), (2, 3), (1, 2)])
         settled = self._count_searches(monkeypatch)
         assert stretch(g, h) is INF and previous_stretch(g, h) is INF
-        assert settled == []
+        assert settled() == []
 
     def test_lightest_dropped_edge_of_a_quotient_pair_is_checked(self, monkeypatch):
         # components {0, 1} and {2, 3} are 6 apart through vertex 4; g also
@@ -598,7 +647,7 @@ class TestStretch:
         h = g.subgraph([(0, 1), (2, 3), (1, 4), (2, 4)])
         settled = self._count_searches(monkeypatch)
         assert stretch(g, h) == 3 == previous_stretch(g, h)
-        assert len(settled) == 1
+        assert len(settled()) == 1
 
     def test_zero_weight_edge_needs_zero_distance(self):
         g = WeightedGraph(3, ((0, 1, F(0)), (0, 2, F(0)), (1, 2, F(1))))

@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spannerlab.greedy as greedy_module
 from spannerlab.graphs import WeightedGraph, edge_key, stretch
 from spannerlab.greedy import greedy_spanner
 from spannerlab.instances import gen_greedy_hard, gen_ladder, ladder_u, ladder_v
 
-from bruteforce import brute_greedy, brute_msf_weight, random_connected_graph, zero_weighted
+from bruteforce import brute_greedy, brute_msf_weight, count_runs, random_connected_graph, seeded_grid, zero_weighted
 
 
 def test_rejects_bad_parameters():
@@ -102,3 +103,36 @@ class TestProperties:
         rng.shuffle(edges)
         permuted = WeightedGraph(g.n, tuple(edges))
         assert greedy_spanner(permuted, F(5, 4)) == greedy_spanner(g, F(5, 4))
+
+
+class TestSearchesOnlyInsideAComponent:
+    """An edge whose ends lie in two components of the spanner so far is
+    kept without a search; every other edge runs one bounded search."""
+
+    def test_a_tree_runs_no_search(self, monkeypatch):
+        runs = count_runs(monkeypatch, greedy_module)
+        tree = WeightedGraph(5, ((0, 1, F(3)), (1, 2, F(1, 2)), (1, 3, F(5)), (3, 4, F(0))))
+        assert greedy_spanner(tree, F(101, 100)) == tree
+        assert runs == []
+
+    def test_searches_on_the_greedy_hard_instance(self, monkeypatch):
+        # the searches of every edge, the 130 that join two components
+        # included, took 391 runs settling 26,321 vertices
+        runs = count_runs(monkeypatch, greedy_module)
+        g = gen_greedy_hard(F(1, 1024), 2)
+        h = greedy_spanner(g, F(513, 512))
+        assert (len(runs), sum(settled for _, _, settled, _ in runs)) == (131, 25_547)
+        # each run has one target, settled exactly when the edge is dropped
+        assert sum(found for *_, found in runs) == g.m - h.m
+
+    @pytest.mark.parametrize("eps, x", [(F(1, 16), 1), (F(1, 16), 2), (F(1, 64), 1), (F(1, 64), 2), (F(1, 64), 4),
+                                        (F(1, 256), 1), (F(1, 256), 2), (F(1, 256), 4)])
+    def test_greedy_hard_matches_definitional_greedy(self, eps, x):
+        g = gen_greedy_hard(eps, x)
+        assert greedy_spanner(g, 1 + x * eps).edge_keys == brute_greedy(g, 1 + x * eps)
+
+    @pytest.mark.parametrize("k", range(6, 11))
+    def test_seeded_grids_match_definitional_greedy(self, k):
+        g = seeded_grid(k, k)
+        for t in (F(21, 20), F(3, 2), F(2)):
+            assert greedy_spanner(g, t).edge_keys == brute_greedy(g, t)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spannerlab.oracle as oracle_module
-from spannerlab.graphs import INF, WeightedGraph, _find, apsp, components, dijkstra, edge_key, quotient
+from spannerlab.graphs import INF, WeightedGraph, _find, apsp, components, edge_key, quotient
 from spannerlab.hardness import ABOVE, BELOW, Clause, SatInstance, reduce_sat
 from spannerlab.instances import gen_ladder, ladder_u, ladder_v
 from spannerlab.oracle import (
@@ -21,7 +21,9 @@ from spannerlab.oracle import (
 from bruteforce import (
     _previous_completion_bound,
     brute_opt_spanner,
+    count_runs,
     feasible_exclusion_opt_spanner,
+    previous_dijkstra,
     previous_exact_opt_spanner,
     random_connected_graph,
     seeded_grid,
@@ -355,34 +357,29 @@ def _check_witness_answers(mp, g) -> list[tuple[bool, bool]]:
     of its own."""
     g, _ = _searched(g)
     real = oracle_module._Checks.within
-    real_search = oracle_module.dijkstra
     answers = []
-    searches = [0]
+    searches = count_runs(mp, oracle_module)
     # per _Checks and g-edge: the witnesses and the certificates' edge sets
     # that its searches produced, in order
     made: dict = {}
 
-    def counting(*args):
-        searches[0] += 1
-        return real_search(*args)
-
     def checked(self, k):
-        before = searches[0]
+        before = len(searches)
         found = real(self, k)
         got = found is not None
         keys = _edges(self, self.available)
         fresh = g.int_adjacency(keys)
-        assert [sorted(row) for row in self.adj] == [sorted(row) for row in fresh]
+        assert [sorted(row) for row in self.search.adj] == [sorted(row) for row in fresh]
         assert keys == g.edge_keys - set(self.excluded)
         u, v = k
         limit = self.thresholds[k]
-        assert got == (v in dijkstra(fresh, u, {v}, limit))
+        assert got == (v in previous_dijkstra(fresh, u, {v}, limit))
         row, exact = self.rows[v], apsp(g).row(v)
         cap = min([r for r, d in zip(row, exact) if r != d], default=INF)
         assert cap > max(self.thresholds[j] for j in self.thresholds if j[1] == v)
         assert row == [min(d, cap) for d in exact]
         witnesses, certs = made.setdefault((self, k), ([], []))
-        searched = searches[0] > before
+        searched = len(searches) > before
         if got:
             assert keys.issuperset(_edges(self, found))
             if searched:
@@ -390,7 +387,7 @@ def _check_witness_answers(mp, g) -> list[tuple[bool, bool]]:
         elif searched:
             # the certificate is every excluded edge that leaves the ball of
             # u within the limit, from either endpoint, by its definition
-            dist_u = dijkstra(fresh, u)
+            dist_u = previous_dijkstra(fresh, u)
             to_v = apsp(g).row(v)
             certs.append({
                 (a, b)
@@ -404,7 +401,6 @@ def _check_witness_answers(mp, g) -> list[tuple[bool, bool]]:
         answers.append((got, searched))
         return found
 
-    mp.setattr(oracle_module, "dijkstra", counting)
     mp.setattr(oracle_module._Checks, "within", checked)
     return answers
 
@@ -514,25 +510,15 @@ class TestWitnessPaths:
         # with no targets, each bounded by the largest floor((1+eps)*w) of
         # the edges (u, v), u < v, toward its source v: APSP on the
         # quotients ran 222 full searches settling 5,250 vertices.
-        real = oracle_module.dijkstra
-        calls = []
-        rows = []
-
-        def counting(adj, source, targets=None, limit=None, rest=None):
-            done = real(adj, source, targets, limit, rest)
-            if targets is None:
-                rows.append(len(done))
-            else:
-                calls.append((all(t in done for t in targets), len(done)))
-            return done
-
-        monkeypatch.setattr(oracle_module, "dijkstra", counting)
+        runs = count_runs(monkeypatch, oracle_module)
         eps = F(1, 10)
         nodes = sum(
             exact_opt_spanner(reduce_sat(inst, eps).graph, eps, max_edges=64).nodes_explored
             for inst in _hardness_catalogue()
         )
         assert nodes == 2_678
+        rows = [settled for _, targets, settled, _ in runs if targets is None]
+        calls = [(found, settled) for _, targets, settled, found in runs if targets is not None]
         assert (len(calls), sum(found for found, _ in calls)) == (557, 248)
         assert sum(settled for _, settled in calls) == 2_380
         assert (len(rows), sum(rows)) == (203, 1_930)
