@@ -149,14 +149,10 @@ class WeightedGraph(Frozen):
     def edge_keys(self) -> frozenset[EdgeKey]:
         return frozenset(self.int_weights)
 
-    def int_adjacency(self, keys: Iterable[EdgeKey] | None = None) -> list[list[tuple[int, int]]]:
-        """Adjacency lists over `keys` (default: every edge) with weights in
-        units of 1/scale, the input of a `Search`."""
+    def int_adjacency(self) -> list[list[tuple[int, int]]]:
+        """Adjacency lists with weights in units of 1/scale, the input of a `Search`."""
         adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        weights = self.int_weights
-        for k in weights if keys is None else keys:
-            u, v = k
-            w = weights[k]
+        for (u, v), w in self.int_weights.items():
             adj[u].append((v, w))
             adj[v].append((u, w))
         return adj
@@ -337,11 +333,6 @@ class DistanceOracle:
         self._next_hop: dict[int, list] = {}
         self.memo: dict = {}
         self.all_positive = 0 not in self.int_weights.values()
-
-    def dist(self, u: int, v: int):
-        """Exact distance as a Fraction, or the INF sentinel when disconnected."""
-        d = self._dist[u][v]
-        return d if d is INF else Fraction(d, self.scale)
 
     def row(self, u: int):
         """The distance row of u as ints in units of 1/scale, INF where

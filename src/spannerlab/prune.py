@@ -20,7 +20,9 @@ from __future__ import annotations
 import warnings
 from bisect import insort
 from collections import Counter, defaultdict
+from collections.abc import Mapping
 from fractions import Fraction
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from typing import NamedTuple
 
@@ -47,19 +49,13 @@ class CellCapError(RuntimeError):
     """Raised when the (source, target) length-table would exceed the cell cap."""
 
 
-def hanging_kappa(eps: Fraction) -> Fraction:
-    """Cover fraction used when collecting hanging edges: 1 / (3 (1 + eps))."""
-    return Fraction(1, 3) / (1 + eps)
-
-
-def endpoint_hanging_sets(
-    pool: frozenset[EdgeKey], dist: DistanceOracle, eps
-) -> dict[tuple[int, int], frozenset[EdgeKey]]:
+def endpoint_hanging_sets(pool: frozenset[EdgeKey], dist: DistanceOracle, eps) -> _Hanging:
     """For every ordered pair (s, t), the pool edges hanging at exactly the
-    endpoints of the canonical shortest s-t path.
+    endpoints of the canonical shortest s-t path, as a `_Hanging`: their
+    weights summed into the pairs' slots, the sets built only when read.
 
-    An edge (a, b) of weight w qualifies when dist(s, t) >= kappa * w and the
-    better orientation satisfies dist(a, s) + dist(s, t) + dist(t, b)
+    An edge (a, b) of weight w qualifies when dist(s, t) >= w / (3 (1 + eps))
+    and the better orientation satisfies dist(a, s) + dist(s, t) + dist(t, b)
     <= (1 + eps) * w. The result is symmetric in (s, t). `dist` is the
     oracle of the graph, whose int weights it carries: the pairs at which an
     edge hangs do not depend on the pool, so they are found once per edge
@@ -67,30 +63,53 @@ def endpoint_hanging_sets(
     """
     eps = Fraction(eps)
     plan = _plan(dist, eps)
-    hangs_at = plan.hangs_at
-    members: dict[tuple[int, int], list[EdgeKey]] = {}
+    hangs_at, hung, slot, n = plan.hangs_at, plan.hung, plan.slot, plan.n
+    weights = [0] * plan.offset
     for k in pool:
-        at = hangs_at.get(k)
+        w, at = dist.int_weights[k], hangs_at.get(k)
         if at is None:
-            at = hangs_at[k] = _hanging_pairs(k, dist.int_weights[k], dist, eps)
-        for pair in at:
-            members.setdefault(pair, []).append(k)
-    out = plan.none_hang.copy()
-    for (s, t), keys in members.items():
-        out[(s, t)] = out[(t, s)] = frozenset(keys)
-    return out
+            at = hangs_at[k] = _hanging_pairs(k, w, dist, eps)
+            for s, t in at:
+                hung[slot[s * n + t]].append(k)
+        for s, t in at:
+            weights[slot[s * n + t]] += w
+    return _Hanging(plan, pool, weights)
+
+
+class _Hanging(Mapping):
+    """Each ordered connected pair -> the frozenset of `pool` edges hanging
+    there, built from `plan.hung` on first read; `weights[i]` sums their int
+    weights for the pair in slot i (see `_WalkPlan`; index 0 holds 0)."""
+
+    def __init__(self, plan: _WalkPlan, pool: frozenset[EdgeKey], weights: list[int]):
+        self.plan, self.pool, self.weights = plan, pool, weights
+
+    @cached_property
+    def _sets(self) -> dict:
+        out, pool, hung = {}, self.pool, self.plan.hung
+        for i, (s, t) in enumerate(self.plan.pairs, 1):
+            out[(s, t)] = out[(t, s)] = frozenset(k for k in hung[i] if k in pool)
+        return out
+
+    def __getitem__(self, pair):
+        return self._sets[pair]
+
+    def __iter__(self):
+        return iter(self._sets)
+
+    def __len__(self):
+        return len(self._sets)
 
 
 def _hanging_pairs(edge: EdgeKey, w: int, dist: DistanceOracle, eps: Fraction) -> tuple:
     """The pairs (s, t), s < t, at whose endpoints `edge`, of int weight w,
     hangs; ascending."""
     a, b = edge
-    kappa = hanging_kappa(eps)
-    stretch_bound = 1 + eps
-    # distances are ints in units of 1/scale, so d >= kappa*w holds exactly
-    # when d >= ceil(kappa*w) and lhs <= (1+eps)*w when lhs <= floor((1+eps)*w)
-    need = -(-kappa.numerator * w // kappa.denominator)
-    budget = stretch_bound.numerator * w // stretch_bound.denominator
+    p, q = eps.numerator, eps.denominator
+    # distances are ints in units of 1/scale, so d >= w / (3 (1 + eps)) holds exactly
+    # when d >= ceil(q w / (3 (p + q))) and lhs <= (1 + eps) w when lhs <= floor((p + q) w / q)
+    need = -(-q * w // (3 * (p + q)))
+    budget = (p + q) * w // q
     # a pair with d >= need and a detour within budget has both endpoints
     # within budget - need of a or of b, so in one component with the edge
     reach = budget - need
@@ -132,6 +151,7 @@ def _warn_if_large(eps: Fraction, warned: bool) -> None:
 
 
 _UNPICKED = -2  # a cell's pick, until it is requested
+_ONE = Fraction(1)  # the ratio of every tail round
 
 
 class _WalkPlan:
@@ -139,8 +159,8 @@ class _WalkPlan:
     (see `_plan`). `pairs` lists the connected pairs s < t, ascending;
     `bound[s][t]` is floor((1+eps) * dist(s, t)), -1 when t == s or t is
     unreachable, and `max_level` the largest. `hangs_at` maps each edge met
-    so far to the pairs at which it hangs, and `none_hang` every ordered
-    pair to the empty set. Which cells are realizable, and through which
+    so far to the pairs at which it hangs, and `hung[i]` lists those edges
+    for the pair in slot i (below). Which cells are realizable, and through which
     joins, depends only on the distances and eps, so `join` builds them
     once (`cells_of` is None until then) and every pool re-evaluates them.
     Cells are numbered in the order they are finalised: the empty walk at
@@ -179,8 +199,8 @@ class _WalkPlan:
         for i, (s, t) in enumerate(pairs, 1):
             slot[s * n + t] = slot[t * n + s] = i
         self.offset = 1 + len(pairs)
-        self.none_hang = dict.fromkeys((pair for s, t in pairs for pair in ((s, t), (t, s))), frozenset())
         self.hangs_at: dict[EdgeKey, tuple] = {}
+        self.hung: list[list[EdgeKey]] = [[] for _ in range(self.offset)]
         self.cells_of = None
 
     def join(self, dist: DistanceOracle) -> None:
@@ -314,8 +334,9 @@ class _WalkPlan:
 
     def evaluate(self, hanging: list[int]) -> list[int]:
         """The round's value list (see the class docstring) for the endpoint
-        hanging weights of `pairs`. It picks no join: `WalkTables.pick`
-        finds a cell's pick from these values when a walk needs it.
+        hanging weights `hanging`, indexed by slot, 0 first. It picks no
+        join: `WalkTables.pick` finds a cell's pick from these values when a
+        walk needs it.
 
         A canonical cell's value is the largest of its base value and its
         join sums. A reversed cell copies its twin's value: the same base
@@ -323,7 +344,7 @@ class _WalkPlan:
         offset, base, start, mirror = self.offset, self.base, self.join_start, self.mirror
         jl, jr, jb = self.join_left, self.join_right, self.join_bonus
         n_cells = len(base)
-        values = [0, *hanging, *[0] * n_cells]
+        values = [*hanging, *[0] * n_cells]
         for c in range(n_cells):
             twin = mirror[c]
             if twin < c:
@@ -376,7 +397,8 @@ class WalkTables:
     L exists that is derivable from shortest paths by concatenation. Each
     realizable cell's value is the heaviest multiset weight of pool edges
     hanging on its walk that the join rule can certify. `entries` maps each
-    pair to its cells (length -> cell number).
+    pair to its cells (length -> cell number); `anchored` is the pool's
+    `endpoint_hanging_sets`, built as a mapping only when read.
     """
 
     def __init__(self, dist, pool, anchored, plan: _WalkPlan, values):
@@ -424,16 +446,15 @@ def fill_tables(
     max(L', L - L') is below the largest power of two not above L. Which
     cells exist and how they join is planned once per (dist, eps); each
     round only re-evaluates the plan, in ascending length order, for the
-    pool's hanging weights. Only the canonical cells (s < t) are evaluated:
+    pool's hanging weights, which `endpoint_hanging_sets` sums into the
+    pairs' slots. Only the canonical cells (s < t) are evaluated:
     (t, s, L) joins the mirrored halves of (s, t, L) under the same bonus
     test, so it takes its twin's value. Every pick is found on request.
     """
     eps = _positive_eps(eps)
     plan = _joined_plan(dist, eps, cell_cap)
     anchored = endpoint_hanging_sets(pool, dist, eps)
-    weight = dist.int_weights.__getitem__
-    values = plan.evaluate([sum(map(weight, anchored[pair])) for pair in plan.pairs])
-    return WalkTables(dist, pool, anchored, plan, values)
+    return WalkTables(dist, pool, anchored, plan, plan.evaluate(anchored.weights))
 
 
 def select_best_triple(tables: WalkTables):
@@ -466,30 +487,31 @@ def reconstruct(tables: WalkTables, s: int, t: int, length: int) -> tuple[tuple[
     (`tables.pick`, which finds each on first request): a join
     adds the pair's endpoint hanging set when it collects it, then its left
     and right halves (`plan.halves`); a base cell appends its canonical path and
-    adds its endpoint hanging set. A sub-cell met twice is expanded twice,
+    adds its endpoint hanging set: the pool edges among `plan.hung` at the
+    pair's slot. A sub-cell met twice is expanded twice,
     once per place on the walk. The walk weighs exactly `length` in units of
     1/scale of the oracle; the multiset weight is the cell value.
     """
     root = tables.entries.get((s, t), {}).get(length)
     if root is None:
         raise ValueError(f"cell {(s, t, length)} is not realizable")
-    plan, dist, anchored = tables.plan, tables.dist, tables.anchored
-    offset, cell_s, cell_t = plan.offset, plan.cell_s, plan.cell_t
+    plan, dist, pool = tables.plan, tables.dist, tables.pool
+    offset, cell_s, cell_t, hung = plan.offset, plan.cell_s, plan.cell_t, plan.hung
     walk, mset = [s], Counter()
     # a diagonal cell is the walk at s alone; no join reaches one, so every
     # other leaf is a base cell with s != t
     stack = [root] if s != t else []
     while stack:
         c = stack.pop()
-        cs, ct, j = cell_s[c], cell_t[c], tables.pick(c)
+        j = tables.pick(c)
         if j >= 0:
-            if plan.join_bonus[j]:
-                mset.update(anchored[(cs, ct)])
+            at = plan.join_bonus[j]  # the pair's slot, or 0, whose list is empty
             left, right = plan.halves(c, j)
             stack += (right - offset, left - offset)
         else:
-            walk += dist.path(cs, ct)[1:]
-            mset.update(anchored[(cs, ct)])
+            at = plan.base[c]
+            walk += dist.path(cell_s[c], cell_t[c])[1:]
+        mset.update(k for k in hung[at] if k in pool)
     weight = dist.int_weights
     if sum(weight[edge_key(a, b)] for a, b in zip(walk, walk[1:])) != length:
         raise AssertionError(f"walk of cell {(s, t, length)} does not weigh {length}")
@@ -529,7 +551,7 @@ class _Tail:
     first such is the value pass's pick; a reversed cell met on the way is
     decided over its own contributors. Weights are positive, so a pair's
     hanging weight leaves v0 exactly when a departed pool edge hangs there;
-    the other pairs keep the reference round's `anchored` sets. A broken
+    the other pairs keep the reference round's hanging sets. A broken
     cell stays broken for the pass. Valid for the same plan, which is one
     per (oracle, eps), and a pool within the last. The reference round's
     `tables` answer the walks: the tail writes the pick of each cell it
@@ -643,6 +665,7 @@ def prune_round(
     """Run one round: evaluate the tables for the remaining pool, take the
     best ratio, and exchange walk for multiset when the ratio reaches 1.
     Rounds after one of ratio exactly 1 are answered by the state's `_Tail`.
+    `prune` checks eps and fetches the plan once per pass, not per round.
 
     Returns True when an exchange happened; False leaves the state's edges
     and logs untouched.
@@ -653,22 +676,28 @@ def prune_round(
     if dist is None:
         dist = apsp(g)
     eps = _positive_eps(eps)
+    return _exchange(g, pool, state, dist, _joined_plan(dist, eps, cell_cap), eps, cell_cap)
+
+
+def _exchange(g, pool, state: PruneState, dist, plan: _WalkPlan, eps: Fraction, cell_cap: int) -> bool:
+    """`prune_round` on a nonempty pool, eps checked and `plan` that of
+    (dist, eps). A ratio is below 1 when its numerator is below its denominator."""
     tail = state.tail
-    if tail and tail.plan is _plan(dist, eps) and pool <= tail.pool:
-        plan, tables = _joined_plan(dist, eps, cell_cap), tail.tables
+    if tail and tail.plan is plan and pool <= tail.pool:
+        tables = tail.tables
         cell = tail.best(pool)
         if cell is None:
             return False
-        s, t, length, beta = plan.cell_s[cell], plan.cell_t[cell], plan.cell_len[cell], Fraction(1)
+        s, t, length, beta = plan.cell_s[cell], plan.cell_t[cell], plan.cell_len[cell], _ONE
     else:
         tables = fill_tables(pool, dist, eps, cell_cap)
         best = select_best_triple(tables)
         if best is None:
             return False
         s, t, length, beta = best
-        if beta < 1:
+        if beta.numerator < beta.denominator:
             return False
-        state.tail = _Tail(tables) if beta == 1 else None
+        state.tail = _Tail(tables) if beta.numerator == beta.denominator else None
     walk, mset = reconstruct(tables, s, t, length)
     support = frozenset(mset)
     state.added.update(map(edge_key, walk, walk[1:]))
@@ -709,11 +738,12 @@ def prune(
     _warn_if_large(eps, _warned)
     g, h, lift = _zero_quotient(g, h) or (g, h, None)
     dist = apsp(g)
+    plan = _plan(dist, eps)  # the pass's first value pass joins it
     state = PruneState()
-    max_rounds = h.m + 1
-    for _ in range(max_rounds):
+    for _ in range(h.m + 1):
+        pool = frozenset(h.edge_keys - state.added - state.removed)
         before = len(state.removed)
-        if not prune_round(g, h, state, eps, dist=dist, cell_cap=cell_cap):
+        if not pool or not _exchange(g, pool, state, dist, plan, eps, cell_cap):
             break
         if len(state.removed) <= before:
             raise AssertionError("no progress recorded despite an exchange")

@@ -47,7 +47,6 @@ from spannerlab.prune import (
     RoundLog,
     _UNPICKED,
     _positive_eps,
-    hanging_kappa,
     log_star_ceil,
 )
 
@@ -70,6 +69,29 @@ def adjacency(g: WeightedGraph) -> list[list[tuple[int, Fraction]]]:
 
 def weight_of(g: WeightedGraph, u: int, v: int) -> Fraction:
     return g.weights[edge_key(u, v)]
+
+
+def oracle_dist(dist: DistanceOracle, u: int, v: int):
+    """The oracle's u-v distance as an exact Fraction, or INF when disconnected."""
+    d = dist.row(u)[v]
+    return d if d is INF else Fraction(d, dist.scale)
+
+
+def int_adjacency(g: WeightedGraph, keys: Iterable[EdgeKey]) -> list[list[tuple[int, int]]]:
+    """Adjacency lists of g over the edges `keys`, weights in units of
+    1/g.scale: the input of a `Search` over part of g."""
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    for k in keys:
+        u, v = k
+        w = g.int_weights[k]
+        adj[u].append((v, w))
+        adj[v].append((u, w))
+    return adj
+
+
+def hanging_kappa(eps: Fraction) -> Fraction:
+    """Cover fraction used when collecting hanging edges: 1 / (3 (1 + eps))."""
+    return Fraction(1, 3) / (1 + eps)
 
 
 def all_simple_paths(g: WeightedGraph, s: int, t: int, bound=INF):
@@ -246,15 +268,15 @@ def brute_walk_tables(g: WeightedGraph, pool, dist, eps, anchored_weight):
     bound = {}
     for s in range(n):
         for t in range(n):
-            if s != t and dist.dist(s, t) is not INF:
-                bound[(s, t)] = int((1 + Fraction(eps)) * dist.dist(s, t))
+            if s != t and oracle_dist(dist, s, t) is not INF:
+                bound[(s, t)] = int((1 + Fraction(eps)) * oracle_dist(dist, s, t))
     values: dict[tuple[int, int, int], int] = {}
     for level in range(1, max(bound.values(), default=0) + 1):
         for (s, t), b in bound.items():
             if level > b:
                 continue
             best = None
-            if int(dist.dist(s, t)) == level:
+            if int(oracle_dist(dist, s, t)) == level:
                 best = anchored_weight[(s, t)]
             for z in range(n):
                 for left in range(1, level):
@@ -455,8 +477,8 @@ def is_hanging(dist: DistanceOracle, edge, walk: Walk, kappa, eps) -> HangingWit
     k = len(verts)
     for i in range(k - 1):
         vi = verts[i]
-        da_vi = dist.dist(a, vi)
-        db_vi = dist.dist(b, vi)
+        da_vi = oracle_dist(dist, a, vi)
+        db_vi = oracle_dist(dist, b, vi)
         if da_vi is INF and db_vi is INF:
             continue
         for j in range(i + 1, k):
@@ -465,11 +487,11 @@ def is_hanging(dist: DistanceOracle, edge, walk: Walk, kappa, eps) -> HangingWit
                 continue
             vj = verts[j]
             if da_vi is not INF:
-                d_tail = dist.dist(vj, b)
+                d_tail = oracle_dist(dist, vj, b)
                 if d_tail is not INF and da_vi + seg + d_tail <= budget:
                     return HangingWitness(edge_key(a, b), i, j, kappa)
             if db_vi is not INF:
-                d_tail = dist.dist(vj, a)
+                d_tail = oracle_dist(dist, vj, a)
                 if d_tail is not INF and db_vi + seg + d_tail <= budget:
                     return HangingWitness(edge_key(a, b), i, j, kappa)
     return None
@@ -1145,7 +1167,7 @@ def previous_stretch(g: WeightedGraph, h: WeightedGraph):
 
 def _previous_feasible(g: WeightedGraph, keys, thresholds) -> bool:
     """Does the edge set `keys` keep every g-edge within its threshold?"""
-    adj = g.int_adjacency(keys)
+    adj = int_adjacency(g, keys)
     for (u, v), limit in thresholds.items():
         if edge_key(u, v) in keys:
             continue
@@ -1157,7 +1179,7 @@ def _previous_feasible(g: WeightedGraph, keys, thresholds) -> bool:
 def _previous_local_ok(g: WeightedGraph, keys, thresholds, around: EdgeKey) -> bool:
     """Cheap necessary check after dropping `around`: every g-edge touching
     one of its endpoints must still be within threshold."""
-    adj = g.int_adjacency(keys)
+    adj = int_adjacency(g, keys)
     for x in around:
         for y, _ in adjacency(g)[x]:
             k = edge_key(x, y)
@@ -1231,7 +1253,7 @@ def previous_exact_opt_spanner(g: WeightedGraph, eps, max_edges: int = 24, local
     forced = set()
     for k in candidates:
         nodes += 1
-        if k[1] not in _previous_dijkstra(g.int_adjacency(all_keys - {k}), k[0], k[1], thresholds[k]):
+        if k[1] not in _previous_dijkstra(int_adjacency(g, all_keys - {k}), k[0], k[1], thresholds[k]):
             forced.add(k)
     free = sorted((k for k in candidates if k not in forced), key=lambda k: (-weights[k], k))
     free_weights = [weights[k] for k in free]
@@ -1486,6 +1508,33 @@ def previous_evaluate(self, hanging: list[int]) -> tuple[list[int], array]:
                 picks[c] = j
         values[offset + c] = best
     return values, picks
+
+
+# --- reconstruct before it read the hanging sets through the plan -----------
+#
+# A copy (renamed with a `previous_` prefix, its realizability check
+# dropped) of `prune.reconstruct` as it was when it read each endpoint
+# hanging set from the tables' full `anchored` mapping, not from the pool
+# edges among `plan.hung`.
+
+
+def previous_reconstruct_from_anchored(tables, s: int, t: int, length: int) -> tuple[tuple[int, ...], Counter]:
+    plan, dist, anchored = tables.plan, tables.dist, tables.anchored
+    offset, cell_s, cell_t = plan.offset, plan.cell_s, plan.cell_t
+    walk, mset = [s], Counter()
+    stack = [tables.entries[(s, t)][length]] if s != t else []
+    while stack:
+        c = stack.pop()
+        cs, ct, j = cell_s[c], cell_t[c], tables.pick(c)
+        if j >= 0:
+            if plan.join_bonus[j]:
+                mset.update(anchored[(cs, ct)])
+            left, right = plan.halves(c, j)
+            stack += (right - offset, left - offset)
+        else:
+            walk += dist.path(cs, ct)[1:]
+            mset.update(anchored[(cs, ct)])
+    return tuple(walk), mset
 
 
 # --- the dict-based shortest-path search that `graphs.Search` replaced --------

@@ -26,14 +26,21 @@ from spannerlab.instances import gen_greedy_hard, gen_ladder
 from spannerlab.oracle import exact_opt_spanner, is_spanner, sat_brute_force
 from spannerlab.prune import (
     fill_tables,
-    hanging_kappa,
     iterate_prune,
     prune,
     prune_with_scaling,
     reconstruct,
 )
 
-from bruteforce import int_walk_weight, is_hanging, random_connected_graph, table_cells, walk_from_vertices
+from bruteforce import (
+    hanging_kappa,
+    int_walk_weight,
+    is_hanging,
+    oracle_dist,
+    random_connected_graph,
+    table_cells,
+    walk_from_vertices,
+)
 
 
 def _report(capsys, criterion: int, started: float, budget_s: float, detail: str):
@@ -138,7 +145,7 @@ def test_criterion_4_table_consistency(capsys):
                 # the endpoint-set lower bound is well-posed exactly at the
                 # base length, where the base candidate realises it; at other
                 # lengths it cannot coexist with walk-weight exactness
-                if length == int(dist.dist(s, t)):
+                if length == int(oracle_dist(dist, s, t)):
                     assert entry.value >= sum(g.int_weights[k] for k in tables.anchored[(s, t)])
                 for key in sorted(mset):
                     edge = (key[0], key[1], g.weights[key])

@@ -34,8 +34,10 @@ from bruteforce import (
     concat,
     count_runs,
     floor_pow2,
+    int_adjacency,
     k44_declared_planar,
     normalize_edges,
+    oracle_dist,
     previous_all_positive,
     previous_dijkstra,
     previous_format_graph,
@@ -240,7 +242,7 @@ class TestApsp:
     def test_ladder_direct_rung_beats_detour(self):
         g = gen_ladder(2, F(1, 2))
         d = apsp(g)
-        assert d.dist(ladder_u(0), ladder_v(2, 0)) == F(1)
+        assert oracle_dist(d, ladder_u(0), ladder_v(2, 0)) == F(1)
 
     def test_one_oracle_per_graph(self):
         g = WeightedGraph(3, ((0, 1, F(1)), (1, 2, F(2))))
@@ -248,10 +250,10 @@ class TestApsp:
         assert apsp(WeightedGraph(3, g.edges)) is not apsp(g)
 
     def test_single_vertex(self):
-        assert apsp(WeightedGraph(1)).dist(0, 0) == 0
+        assert oracle_dist(apsp(WeightedGraph(1)), 0, 0) == 0
 
     def test_disconnected_sentinel(self):
-        assert apsp(WeightedGraph(2)).dist(0, 1) is INF
+        assert oracle_dist(apsp(WeightedGraph(2)), 0, 1) is INF
 
     @settings(max_examples=60, deadline=None)
     @given(small_graphs(max_n=8))
@@ -259,7 +261,7 @@ class TestApsp:
         oracle = apsp(g)
         brute = brute_all_distances(g)
         for pair, d in brute.items():
-            assert oracle.dist(*pair) == d
+            assert oracle_dist(oracle, *pair) == d
 
     @settings(max_examples=40, deadline=None)
     @given(small_graphs())
@@ -332,7 +334,7 @@ class TestQuotientApsp:
         # 1-3 (weight 2); every cross distance is 2
         g = WeightedGraph(4, ((0, 1, F(0)), (2, 3, F(0)), (0, 2, F(5)), (1, 3, F(2))))
         self._check(g)
-        assert apsp(g).dist(0, 2) == apsp(g).dist(1, 2) == 2
+        assert oracle_dist(apsp(g), 0, 2) == oracle_dist(apsp(g), 1, 2) == 2
 
     def test_dijkstra_runs_on_the_sat_catalogue(self, monkeypatch):
         # APSP runs one search per vertex, 428 on the SAT graphs; the
@@ -439,7 +441,7 @@ class TestDijkstra:
             subsets = [[k for k in keys if rng.random() < 0.6] for _ in range(32)]
         rows = apsp(g)
         for sub in subsets:
-            search = Search(g.int_adjacency(sub))
+            search = Search(int_adjacency(g, sub))
             for s in range(g.n):
                 exact = settled_map(search, s)
                 for t in range(g.n):
@@ -464,7 +466,7 @@ class TestDijkstra:
         rows = apsp(g)
         top = max([d for s in range(g.n) for d in rows.row(s) if d is not INF], default=0)
         for _ in range(4):
-            search = Search(g.int_adjacency([k for k in g.edge_keys if rng.random() < 0.7]))
+            search = Search(int_adjacency(g, [k for k in g.edge_keys if rng.random() < 0.7]))
             for s in range(g.n):
                 exact = settled_map(search, s)
                 for t in range(g.n):
@@ -482,8 +484,8 @@ class TestDijkstra:
         g = WeightedGraph(3, ((0, 1, F(3, 2)), (1, 2, F(5, 6)), (0, 2, F(0))))
         assert g.scale == 6
         assert g.int_weights == {(0, 1): 9, (0, 2): 0, (1, 2): 5}
-        assert g.int_adjacency([(0, 1)]) == [[(1, 9)], [(0, 9)], []]
-        assert apsp(g).dist(1, 2) == F(5, 6) and apsp(g).row(1)[2] == 5
+        assert int_adjacency(g, [(0, 1)]) == [[(1, 9)], [(0, 9)], []]
+        assert oracle_dist(apsp(g), 1, 2) == F(5, 6) and apsp(g).row(1)[2] == 5
         assert WeightedGraph(2).scale == 1
 
 
@@ -697,7 +699,7 @@ class TestNormalize:
         d0, d1 = apsp(g), apsp(g1)
         for s in range(g.n):
             for t in range(g.n):
-                assert d0.dist(s, t) == d1.dist(s, t)
+                assert oracle_dist(d0, s, t) == oracle_dist(d1, s, t)
 
 
 class TestFloorPow2:

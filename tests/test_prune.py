@@ -33,7 +33,6 @@ from spannerlab.prune import (
     contract_and_round,
     endpoint_hanging_sets,
     fill_tables,
-    hanging_kappa,
     iterate_prune,
     log_star_ceil,
     prune,
@@ -48,9 +47,11 @@ from hypothesis import strategies as st
 
 from bruteforce import (
     brute_endpoint_hanging_sets,
+    hanging_kappa,
     int_walk_weight,
     is_hanging,
     k44_declared_planar,
+    oracle_dist,
     previous_contract_and_round,
     previous_evaluate,
     previous_fill_tables,
@@ -60,6 +61,7 @@ from bruteforce import (
     previous_prune,
     previous_prune_round,
     previous_reconstruct,
+    previous_reconstruct_from_anchored,
     previous_select_best_triple,
     previous_walk_plan,
     random_connected_graph,
@@ -254,7 +256,7 @@ class TestFillTables:
         g, dist, tables = ladder_tables(n, with_center_rung=True)
         seen = 0
         for (s, t, length), entry in table_cells(tables).items():
-            if s != t and length == int(dist.dist(s, t)):
+            if s != t and length == int(oracle_dist(dist, s, t)):
                 assert entry.value >= hanging_weight(g, tables, (s, t))
                 seen += 1
         assert seen > 50
@@ -819,21 +821,57 @@ class TestRatioOneTail:
             prune_round(scaled, h, state, eps, dist=dist, cell_cap=cap - 1)
         assert prune_round(scaled, h, state, eps, dist=dist, cell_cap=cap) and state.tail is tail
 
-    def test_hanging_sets_are_built_only_for_value_passes(self, monkeypatch):
+    def test_hanging_weights_are_summed_once_per_value_pass(self, monkeypatch):
+        # each evaluate reads the slot sums of exactly one hanging call, made
+        # for it, and no round builds the hanging sets themselves
         g, scaled, eps, init = catalogue_instance("multiladder")
-        counts = Counter()
+        summed, evaluated = [], []
+        hanging_sets, evaluate = prune_module.endpoint_hanging_sets, prune_module._WalkPlan.evaluate
 
-        def counted(name, original):
-            def wrapper(*args):
-                counts[name] += 1
-                return original(*args)
-            return wrapper
+        def counted_hanging(*args):
+            summed.append(hanging_sets(*args))
+            return summed[-1]
 
-        monkeypatch.setattr(prune_module, "endpoint_hanging_sets", counted("hanging", prune_module.endpoint_hanging_sets))
-        monkeypatch.setattr(prune_module._WalkPlan, "evaluate", counted("evaluate", prune_module._WalkPlan.evaluate))
+        def counted_evaluate(plan, hanging):
+            evaluated.append(hanging)
+            return evaluate(plan, hanging)
+
+        monkeypatch.setattr(prune_module, "endpoint_hanging_sets", counted_hanging)
+        monkeypatch.setattr(prune_module._WalkPlan, "evaluate", counted_evaluate)
         _, _, states = iterate_prune(scaled, eps, initial_spanner=scaled.subgraph(init))
         assert sum(len(st.rounds) for st in states) > 20
-        assert counts["hanging"] == counts["evaluate"] > 0
+        assert len(summed) == len(evaluated) > 0
+        assert all(anchored.weights is hanging for anchored, hanging in zip(summed, evaluated))
+        assert not any("_sets" in vars(anchored) for anchored in summed)
+
+    @pytest.mark.parametrize("name", ["multiladder", "greedyhard"])
+    def test_tail_rounds_build_no_fraction(self, name, monkeypatch):
+        # Fraction constructions per round in the passes of `iterate_prune`:
+        # a round the tail answers builds none (its logged ratio is one
+        # shared Fraction(1)); a value pass builds at least its ratio
+        _, scaled, eps, init = catalogue_instance(name)
+        built, rounds = [0], []
+        new, exchange = F.__new__, prune_module._exchange
+
+        def counted_new(cls, *args, **kwargs):
+            built[0] += 1
+            return new(cls, *args, **kwargs)
+
+        def counted_exchange(g, pool, state, *args):
+            tail, before = state.tail, built[0]
+            exchanged = exchange(g, pool, state, *args)
+            rounds.append((tail is not None, built[0] - before, exchanged))
+            return exchanged
+
+        monkeypatch.setattr(F, "__new__", counted_new)
+        monkeypatch.setattr(prune_module, "_exchange", counted_exchange)
+        _, _, states = iterate_prune(scaled, eps, initial_spanner=scaled.subgraph(init) if init else None)
+        monkeypatch.undo()
+        tail_rounds = [fractions for answered, fractions, _ in rounds if answered]
+        value_passes = [fractions for answered, fractions, _ in rounds if not answered]
+        assert sum(len(st.rounds) for st in states) == sum(exchanged for *_, exchanged in rounds)
+        assert len(tail_rounds) >= 20 and tail_rounds == [0] * len(tail_rounds)
+        assert all(value_passes)
 
 
 def checked_iterate_prune(g, eps, initial=None) -> int:
@@ -860,6 +898,58 @@ def checked_iterate_prune(g, eps, initial=None) -> int:
         mp.setattr(prune_module, "fill_tables", checked)
         iterate_prune(g, eps, initial_spanner=initial)
     return len(passes)
+
+
+def slot_checked_iterate_prune(g, eps, initial=None) -> int:
+    """`iterate_prune` with every value pass checked against its hanging
+    sets: the slot sums it evaluated equal the per-pair sums over a fresh
+    `endpoint_hanging_sets` for its pool, whose sets its own `anchored`
+    mapping equals, and `reconstruct` gives every canonical cell the walk
+    and multiset read from that full mapping. Returns the number of value
+    passes."""
+    fill, passes = prune_module.fill_tables, []
+
+    def checked(pool, dist, eps, cell_cap=prune_module.DEFAULT_CELL_CAP):
+        tables = fill(pool, dist, eps, cell_cap)
+        plan, fresh = tables.plan, dict(endpoint_hanging_sets(pool, dist, eps))
+        sums = [sum(dist.int_weights[k] for k in fresh[pair]) for pair in plan.pairs]
+        assert tables.values[: plan.offset] == [0, *sums]
+        # a copy, so the picks found here stay out of the round's own cache
+        probe = copy.copy(tables)
+        probe.picks = array("q", tables.picks)
+        for c in plan.by_pair:
+            cell = plan.cell_s[c], plan.cell_t[c], plan.cell_len[c]
+            assert reconstruct(probe, *cell) == previous_reconstruct_from_anchored(probe, *cell)
+        assert dict(tables.anchored) == fresh
+        passes.append(1)
+        return tables
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(prune_module, "fill_tables", checked)
+        iterate_prune(g, eps, initial_spanner=initial)
+    return len(passes)
+
+
+class TestSlotSums:
+    """The hanging weights a value pass sums into pair slots, and the
+    hanging sets `reconstruct` reads through the plan, against the sets."""
+
+    @pytest.mark.parametrize("name", ["ladder", "multiladder", "greedyhard"])
+    def test_catalogue_value_passes(self, name):
+        g, _, eps, init = catalogue_instance(name)
+        assert slot_checked_iterate_prune(g, eps, None if init is None else g.subgraph(init)) > 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.randoms(use_true_random=False),
+        st.sampled_from(["integer", "rational", "zero"]),
+        st.sampled_from([F(1, 64), F(1, 10), F(1, 4), F(1)]),
+    )
+    def test_random_graphs(self, rng, weights, eps):
+        g = random_connected_graph(rng, max_n=8, max_extra=6, integer=weights == "integer")
+        if weights == "zero":
+            g = zero_weighted(rng, g, 0.3)
+        slot_checked_iterate_prune(g, eps)
 
 
 class TestLazyPicks:
@@ -1422,3 +1512,29 @@ def test_every_entry_rejects_nonpositive_eps(eps):
     for entry in entries:
         with pytest.raises(ValueError, match="^eps must be positive$"):
             entry()
+
+
+def run_pruning_entry(name, g, eps):
+    """The result of pruning entry `name` on g, starting from g itself."""
+    if name == "prune_round":
+        state = PruneState()
+        return prune_round(g, g, state, eps), state
+    if name == "fill_tables":
+        tables = fill_tables(g.edge_keys, apsp(g), eps)
+        return tables.values, dict(tables.anchored)
+    if name == "prune":
+        return prune(g, g, eps)
+    if name == "iterate_prune":
+        return iterate_prune(g, eps)
+    return prune_with_scaling(g, eps)
+
+
+@pytest.mark.parametrize("name", ["prune_round", "fill_tables", "prune", "iterate_prune", "prune_with_scaling"])
+def test_each_pruning_entry_checks_eps(name):
+    # the rounds inside a pass take eps as checked once by their entry; each
+    # entry still checks it, and takes it as a string too
+    g, _ = scaled_ladder(3)
+    for eps in (F(0), F(-1, 4)):
+        with pytest.raises(ValueError, match="^eps must be positive$"):
+            run_pruning_entry(name, g, eps)
+    assert run_pruning_entry(name, g, F(1, 4)) == run_pruning_entry(name, scaled_ladder(3)[0], "1/4")
