@@ -20,9 +20,7 @@ from __future__ import annotations
 import warnings
 from bisect import insort
 from collections import Counter, defaultdict
-from collections.abc import Mapping
 from fractions import Fraction
-from functools import cached_property
 from heapq import heapify, heappop, heappush
 from typing import NamedTuple
 
@@ -49,63 +47,39 @@ class CellCapError(RuntimeError):
     """Raised when the (source, target) length-table would exceed the cell cap."""
 
 
-def endpoint_hanging_sets(pool: frozenset[EdgeKey], dist: DistanceOracle, eps) -> _Hanging:
-    """For every ordered pair (s, t), the pool edges hanging at exactly the
-    endpoints of the canonical shortest s-t path, as a `_Hanging`: their
-    weights summed into the pairs' slots, the sets built only when read.
+def endpoint_hanging_sets(pool: frozenset[EdgeKey], dist: DistanceOracle, eps) -> list[int]:
+    """The int weights of the pool edges hanging at exactly the endpoints of
+    the canonical shortest s-t path, summed into the slot of each connected
+    pair (s, t) (see `_WalkPlan`; index 0 holds 0).
 
     An edge (a, b) of weight w qualifies when dist(s, t) >= w / (3 (1 + eps))
     and the better orientation satisfies dist(a, s) + dist(s, t) + dist(t, b)
-    <= (1 + eps) * w. The result is symmetric in (s, t). `dist` is the
-    oracle of the graph, whose int weights it carries: the pairs at which an
-    edge hangs do not depend on the pool, so they are found once per edge
-    and kept on the plan of (dist, eps). No join of the plan is built here.
+    <= (1 + eps) * w. The result is symmetric in (s, t): (s, t) and (t, s)
+    share a slot. `dist` is the oracle of the graph, whose int weights it
+    carries: the slots at which an edge hangs do not depend on the pool, so
+    they are found once per edge and kept on the plan of (dist, eps), in
+    `hangs_at` and `hung`. No join of the plan is built here.
     """
     eps = Fraction(eps)
     plan = _plan(dist, eps)
-    hangs_at, hung, slot, n = plan.hangs_at, plan.hung, plan.slot, plan.n
+    hangs_at, hung = plan.hangs_at, plan.hung
     weights = [0] * plan.offset
     for k in pool:
         w, at = dist.int_weights[k], hangs_at.get(k)
         if at is None:
-            at = hangs_at[k] = _hanging_pairs(k, w, dist, eps)
-            for s, t in at:
-                hung[slot[s * n + t]].append(k)
-        for s, t in at:
-            weights[slot[s * n + t]] += w
-    return _Hanging(plan, pool, weights)
+            at = hangs_at[k] = _hanging_pairs(k, w, dist, eps, plan.slot)
+            for i in at:
+                hung[i].append(k)
+        for i in at:
+            weights[i] += w
+    return weights
 
 
-class _Hanging(Mapping):
-    """Each ordered connected pair -> the frozenset of `pool` edges hanging
-    there, built from `plan.hung` on first read; `weights[i]` sums their int
-    weights for the pair in slot i (see `_WalkPlan`; index 0 holds 0)."""
-
-    def __init__(self, plan: _WalkPlan, pool: frozenset[EdgeKey], weights: list[int]):
-        self.plan, self.pool, self.weights = plan, pool, weights
-
-    @cached_property
-    def _sets(self) -> dict:
-        out, pool, hung = {}, self.pool, self.plan.hung
-        for i, (s, t) in enumerate(self.plan.pairs, 1):
-            out[(s, t)] = out[(t, s)] = frozenset(k for k in hung[i] if k in pool)
-        return out
-
-    def __getitem__(self, pair):
-        return self._sets[pair]
-
-    def __iter__(self):
-        return iter(self._sets)
-
-    def __len__(self):
-        return len(self._sets)
-
-
-def _hanging_pairs(edge: EdgeKey, w: int, dist: DistanceOracle, eps: Fraction) -> tuple:
-    """The pairs (s, t), s < t, at whose endpoints `edge`, of int weight w,
-    hangs; ascending."""
+def _hanging_pairs(edge: EdgeKey, w: int, dist: DistanceOracle, eps: Fraction, slot: list[int]) -> tuple:
+    """The slots (`slot[s * n + t]`) of the pairs s < t at whose endpoints
+    `edge`, of int weight w, hangs; ascending, as the pairs are."""
     a, b = edge
-    p, q = eps.numerator, eps.denominator
+    n, p, q = dist.n, eps.numerator, eps.denominator
     # distances are ints in units of 1/scale, so d >= w / (3 (1 + eps)) holds exactly
     # when d >= ceil(q w / (3 (p + q))) and lhs <= (1 + eps) w when lhs <= floor((p + q) w / q)
     need = -(-q * w // (3 * (p + q)))
@@ -114,7 +88,7 @@ def _hanging_pairs(edge: EdgeKey, w: int, dist: DistanceOracle, eps: Fraction) -
     # within budget - need of a or of b, so in one component with the edge
     reach = budget - need
     row_a, row_b = dist.row(a), dist.row(b)
-    near = [v for v in range(dist.n) if row_a[v] <= reach or row_b[v] <= reach]
+    near = [v for v in range(n) if row_a[v] <= reach or row_b[v] <= reach]
     out = []
     for i, s in enumerate(near):
         dist_s = dist.row(s)
@@ -124,7 +98,7 @@ def _hanging_pairs(edge: EdgeKey, w: int, dist: DistanceOracle, eps: Fraction) -
                 continue
             dist_t = dist.row(t)
             if dist_s[a] + d + dist_t[b] <= budget or dist_s[b] + d + dist_t[a] <= budget:
-                out.append((s, t))
+                out.append(slot[s * n + t])
     return tuple(out)
 
 
@@ -159,10 +133,11 @@ class _WalkPlan:
     (see `_plan`). `pairs` lists the connected pairs s < t, ascending;
     `bound[s][t]` is floor((1+eps) * dist(s, t)), -1 when t == s or t is
     unreachable, and `max_level` the largest. `hangs_at` maps each edge met
-    so far to the pairs at which it hangs, and `hung[i]` lists those edges
-    for the pair in slot i (below). Which cells are realizable, and through which
-    joins, depends only on the distances and eps, so `join` builds them
-    once (`cells_of` is None until then) and every pool re-evaluates them.
+    so far to the slots (below) of the pairs at which it hangs, ascending,
+    and `hung[i]` lists the edges that hang at the pair in slot i. Which
+    cells are realizable, and through which joins, depends only on the
+    distances and eps, so `join` builds them once (`cells_of` is None until
+    then) and every pool re-evaluates them.
     Cells are numbered in the order they are finalised: the empty walk at
     each vertex first, then by ascending length and pair. A round's values
     live in one list: index 0 holds 0, index 1 + i the endpoint hanging
@@ -199,16 +174,28 @@ class _WalkPlan:
         for i, (s, t) in enumerate(pairs, 1):
             slot[s * n + t] = slot[t * n + s] = i
         self.offset = 1 + len(pairs)
-        self.hangs_at: dict[EdgeKey, tuple] = {}
+        self.hangs_at: dict[EdgeKey, tuple[int, ...]] = {}
         self.hung: list[list[EdgeKey]] = [[] for _ in range(self.offset)]
         self.cells_of = None
 
-    def join(self, dist: DistanceOracle) -> None:
-        """Number the realizable cells and build the joins of the canonical
-        ones; weights must be positive. A canonical cell (s, t, L) writes
-        its joins as it is numbered, by via z and then length l of (s, z),
-        both ascending, wherever (z, t) has a cell of length L - l: both
-        halves are shorter, so already numbered, and need no sort."""
+    def join(self, dist: DistanceOracle, cap: int) -> _WalkPlan:
+        """The plan, its realizable cells numbered and the joins of the
+        canonical ones built on first use. Every call first checks that the
+        weights are positive and that the length range fits the per-pair
+        cell cap `cap`, so no join is built unless both hold. A canonical
+        cell (s, t, L) writes its joins as it is numbered, by via z and then
+        length l of (s, z), both ascending, wherever (z, t) has a cell of
+        length L - l: both halves are shorter, so already numbered, and need
+        no sort."""
+        if not dist.all_positive:
+            raise ValueError("pruning requires strictly positive weights")
+        if self.max_level + 1 > cap:
+            raise CellCapError(
+                f"length range {self.max_level + 1} exceeds the per-pair cell cap {cap}; "
+                "pass cell_cap (--cell-cap) to override"
+            )
+        if self.cells_of is not None:
+            return self
         n, slot, offset, bound = self.n, self.slot, self.offset, self.bound
         rows = [dist.row(s) for s in range(n)]
         # pair -> {length: cell}, lengths ascending
@@ -312,6 +299,7 @@ class _WalkPlan:
         # canonical cells in (s, t, L) order; a reversed cell ties its twin
         # and comes after it, so no selection picks it
         self.by_pair = [c for pair in sorted(cells_of) if pair[0] < pair[1] for c in cells_of[pair].values()]
+        return self
 
     def joins(self, c: int):
         """The joins of cell c in its order: its own, or for a reversed cell
@@ -368,23 +356,6 @@ def _plan(dist: DistanceOracle, eps: Fraction) -> _WalkPlan:
     return plan
 
 
-def _joined_plan(dist: DistanceOracle, eps: Fraction, cap: int) -> _WalkPlan:
-    """The plan of (dist, eps) with its joins, built on first use. Every use
-    checks that the weights are positive and that the length range fits the
-    per-pair cell cap, so no join is built unless both hold."""
-    if not dist.all_positive:
-        raise ValueError("pruning requires strictly positive weights")
-    plan = _plan(dist, eps)
-    if plan.max_level + 1 > cap:
-        raise CellCapError(
-            f"length range {plan.max_level + 1} exceeds the per-pair cell cap {cap}; "
-            "pass cell_cap (--cell-cap) to override"
-        )
-    if plan.cells_of is None:
-        plan.join(dist)
-    return plan
-
-
 class WalkTables:
     """The walk tables of one round: the plan's numbered cells, the round's
     `values` (indexed as in `_WalkPlan`) and each cell's picked join, read
@@ -397,13 +368,12 @@ class WalkTables:
     L exists that is derivable from shortest paths by concatenation. Each
     realizable cell's value is the heaviest multiset weight of pool edges
     hanging on its walk that the join rule can certify. `entries` maps each
-    pair to its cells (length -> cell number); `anchored` is the pool's
-    `endpoint_hanging_sets`, built as a mapping only when read.
+    pair to its cells (length -> cell number); the pool edges hanging at a
+    pair are those of `plan.hung` at its slot.
     """
 
-    def __init__(self, dist, pool, anchored, plan: _WalkPlan, values):
-        self.dist, self.pool, self.anchored = dist, pool, anchored
-        self.plan, self.values = plan, values
+    def __init__(self, dist, pool, plan: _WalkPlan, values):
+        self.dist, self.pool, self.plan, self.values = dist, pool, plan, values
         self.picks = [_UNPICKED] * len(plan.base)
         self.entries, self.max_level = plan.cells_of, plan.max_level
 
@@ -446,15 +416,14 @@ def fill_tables(
     max(L', L - L') is below the largest power of two not above L. Which
     cells exist and how they join is planned once per (dist, eps); each
     round only re-evaluates the plan, in ascending length order, for the
-    pool's hanging weights, which `endpoint_hanging_sets` sums into the
-    pairs' slots. Only the canonical cells (s < t) are evaluated:
+    slot list of the pool's hanging weights that `endpoint_hanging_sets`
+    returns. Only the canonical cells (s < t) are evaluated:
     (t, s, L) joins the mirrored halves of (s, t, L) under the same bonus
     test, so it takes its twin's value. Every pick is found on request.
     """
     eps = _positive_eps(eps)
-    plan = _joined_plan(dist, eps, cell_cap)
-    anchored = endpoint_hanging_sets(pool, dist, eps)
-    return WalkTables(dist, pool, anchored, plan, plan.evaluate(anchored.weights))
+    plan = _plan(dist, eps).join(dist, cell_cap)
+    return WalkTables(dist, pool, plan, plan.evaluate(endpoint_hanging_sets(pool, dist, eps)))
 
 
 def select_best_triple(tables: WalkTables):
@@ -554,14 +523,14 @@ class _Tail:
     the other pairs keep the reference round's hanging sets. A broken
     cell stays broken for the pass. Valid for the same plan, which is one
     per (oracle, eps), and a pool within the last. The reference round's
-    `tables` answer the walks: the tail writes the pick of each cell it
-    finds intact into their pick cache, over any pick found before.
+    `tables` hold the plan and v0 and answer the walks: the tail writes the
+    pick of each cell it finds intact into their pick cache, over any pick
+    found before.
     """
 
     def __init__(self, tables: WalkTables):
         plan, values = tables.plan, tables.values
-        self.tables, self.plan, self.pool = tables, plan, tables.pool
-        self.values, self.picks = values, tables.picks
+        self.tables, self.pool = tables, tables.pool
         self.cands = [c for c in plan.by_pair if values[plan.offset + c] == plan.cell_len[c]]
         self.cursor = 0  # cands before it are broken
         self.broken = bytearray(len(values))  # by value index
@@ -569,16 +538,16 @@ class _Tail:
     def best(self, pool: frozenset) -> int | None:
         """The cell the value pass would select for `pool`, or None when no
         cell keeps ratio 1."""
-        broken, slot, n = self.broken, self.plan.slot, self.plan.n
-        hangs_at = self.plan.hangs_at  # filled by the reference round
+        broken, plan = self.broken, self.tables.plan
+        hangs_at = plan.hangs_at  # filled by the reference round
         for k in self.pool - pool:
-            for s, t in hangs_at[k]:
-                broken[slot[s * n + t]] = 1
+            for i in hangs_at[k]:
+                broken[i] = 1
         self.pool = pool
         intact: set[int] = set()
         while self.cursor < len(self.cands):
             c = self.cands[self.cursor]
-            x = self.plan.offset + c
+            x = plan.offset + c
             if not broken[x] and self._intact(x, intact):
                 return c
             self.cursor += 1
@@ -587,7 +556,8 @@ class _Tail:
     def _intact(self, root: int, intact: set[int]) -> bool:
         """Whether the cell at value index `root` is intact; every cell
         decided on the way joins `intact` (with its pick) or `broken`."""
-        plan, v0, broken, picks = self.plan, self.values, self.broken, self.picks
+        tables, broken = self.tables, self.broken
+        plan, v0, picks = tables.plan, tables.values, tables.picks
         offset, base, mirror = plan.offset, plan.base, plan.mirror
         jl, jr, jb = plan.join_left, plan.join_right, plan.join_bonus
         stack = [[root, None, 0]]  # value index, its joins once the base failed, position to resume at
@@ -670,20 +640,20 @@ def prune_round(
     Returns True when an exchange happened; False leaves the state's edges
     and logs untouched.
     """
+    eps = _positive_eps(eps)
     pool = frozenset(h.edge_keys - state.added - state.removed)
     if not pool:
         return False
     if dist is None:
         dist = apsp(g)
-    eps = _positive_eps(eps)
-    return _exchange(g, pool, state, dist, _joined_plan(dist, eps, cell_cap), eps, cell_cap)
+    return _exchange(g, pool, state, dist, _plan(dist, eps).join(dist, cell_cap), eps, cell_cap)
 
 
 def _exchange(g, pool, state: PruneState, dist, plan: _WalkPlan, eps: Fraction, cell_cap: int) -> bool:
     """`prune_round` on a nonempty pool, eps checked and `plan` that of
     (dist, eps). A ratio is below 1 when its numerator is below its denominator."""
     tail = state.tail
-    if tail and tail.plan is plan and pool <= tail.pool:
+    if tail and tail.tables.plan is plan and pool <= tail.pool:
         tables = tail.tables
         cell = tail.best(pool)
         if cell is None:

@@ -256,6 +256,17 @@ def brute_endpoint_hanging_sets(g: WeightedGraph, pool, eps):
     return out
 
 
+def hanging_sets(plan, pool) -> dict:
+    """Each ordered connected pair of `plan` -> the frozenset of `pool`
+    edges hanging at its endpoints, read from `plan.hung` at the pair's
+    slot: the sets whose weights `prune.endpoint_hanging_sets` sums into
+    slots. Call that first for a pool that has edges it has not met."""
+    out, hung = {}, plan.hung
+    for i, (s, t) in enumerate(plan.pairs, 1):
+        out[(s, t)] = out[(t, s)] = frozenset(k for k in hung[i] if k in pool)
+    return out
+
+
 def brute_walk_tables(g: WeightedGraph, pool, dist, eps, anchored_weight):
     """Reference for the length-table recurrence, enumerated directly:
     a cell (s, t, L) is realizable iff L equals the pair distance or some via
@@ -1515,11 +1526,11 @@ def previous_evaluate(self, hanging: list[int]) -> tuple[list[int], array]:
 # A copy (renamed with a `previous_` prefix, its realizability check
 # dropped) of `prune.reconstruct` as it was when it read each endpoint
 # hanging set from the tables' full `anchored` mapping, not from the pool
-# edges among `plan.hung`.
+# edges among `plan.hung`; that mapping is now rebuilt by `hanging_sets`.
 
 
 def previous_reconstruct_from_anchored(tables, s: int, t: int, length: int) -> tuple[tuple[int, ...], Counter]:
-    plan, dist, anchored = tables.plan, tables.dist, tables.anchored
+    plan, dist, anchored = tables.plan, tables.dist, hanging_sets(tables.plan, tables.pool)
     offset, cell_s, cell_t = plan.offset, plan.cell_s, plan.cell_t
     walk, mset = [s], Counter()
     stack = [tables.entries[(s, t)][length]] if s != t else []

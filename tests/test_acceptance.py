@@ -34,6 +34,7 @@ from spannerlab.prune import (
 
 from bruteforce import (
     hanging_kappa,
+    hanging_sets,
     int_walk_weight,
     is_hanging,
     oracle_dist,
@@ -135,7 +136,7 @@ def test_criterion_4_table_consistency(capsys):
         for g, pool, eps in instances:
             dist = apsp(g)
             tables = fill_tables(frozenset(pool), dist, eps)
-            kappa = hanging_kappa(eps)
+            kappa, anchored = hanging_kappa(eps), hanging_sets(tables.plan, tables.pool)
             for (s, t, length), entry in table_cells(tables).items():
                 if s == t:
                     continue
@@ -146,7 +147,7 @@ def test_criterion_4_table_consistency(capsys):
                 # base length, where the base candidate realises it; at other
                 # lengths it cannot coexist with walk-weight exactness
                 if length == int(oracle_dist(dist, s, t)):
-                    assert entry.value >= sum(g.int_weights[k] for k in tables.anchored[(s, t)])
+                    assert entry.value >= sum(g.int_weights[k] for k in anchored[(s, t)])
                 for key in sorted(mset):
                     edge = (key[0], key[1], g.weights[key])
                     assert is_hanging(dist, edge, walk_from_vertices(g, walk), kappa, eps) is not None

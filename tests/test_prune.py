@@ -48,6 +48,7 @@ from hypothesis import strategies as st
 from bruteforce import (
     brute_endpoint_hanging_sets,
     hanging_kappa,
+    hanging_sets,
     int_walk_weight,
     is_hanging,
     k44_declared_planar,
@@ -96,9 +97,14 @@ def rung(n, i):
     return edge_key(ladder_u(i), ladder_v(n, i))
 
 
+def anchored(tables):
+    """The endpoint hanging sets of the tables' pool, by ordered pair."""
+    return hanging_sets(tables.plan, tables.pool)
+
+
 def hanging_weight(g, tables, pair):
-    """The endpoint hanging weight of `pair`, summed from `tables.anchored`."""
-    return sum(g.int_weights[k] for k in tables.anchored[pair])
+    """The endpoint hanging weight of `pair`, summed from `anchored(tables)`."""
+    return sum(g.int_weights[k] for k in anchored(tables)[pair])
 
 
 def levels(tables, s, t):
@@ -153,19 +159,19 @@ class TestEndpointHangingSets:
         n = 4
         g, dist, tables = ladder_tables(n, with_center_rung=False)
         pair = (ladder_u(0), ladder_v(n, 0))
-        assert tables.anchored[pair] == {rung(n, i) for i in range(1, n + 1)}
+        assert anchored(tables)[pair] == {rung(n, i) for i in range(1, n + 1)}
         assert hanging_weight(g, tables, pair) == 32
 
     def test_center_pair_with_full_pool_adds_the_rung_itself(self):
         n = 6
         g, dist, tables = ladder_tables(n, with_center_rung=True)
         pair = (ladder_u(0), ladder_v(n, 0))
-        assert tables.anchored[pair] == {rung(n, i) for i in range(n + 1)}
+        assert anchored(tables)[pair] == {rung(n, i) for i in range(n + 1)}
 
     def test_membership_agrees_with_endpoint_witness(self):
         n = 4
         g, dist, tables = ladder_tables(n, with_center_rung=True)
-        kappa = hanging_kappa(EPS)
+        kappa, sets = hanging_kappa(EPS), anchored(tables)
         for s in range(g.n):
             for t in range(s + 1, g.n):
                 walk = walk_from_vertices(g, dist.path(s, t))
@@ -177,31 +183,36 @@ class TestEndpointHangingSets:
                     )
                     # the endpoint-anchored set contains exactly the edges whose
                     # lex-smallest witness spans the whole shortest path
-                    if key in tables.anchored[(s, t)]:
+                    if key in sets[(s, t)]:
                         assert witness is not None
                         seg = walk.weight
                         assert seg >= kappa * g.weights[key]
                     if at_endpoints:
-                        assert key in tables.anchored[(s, t)]
+                        assert key in sets[(s, t)]
 
     @settings(max_examples=40, deadline=None)
     @given(st.randoms(use_true_random=False))
     def test_matches_definition_on_rational_weights(self, rng):
         # rational weights leave kappa*w and (1+eps)*w fractional in units of
         # 1/scale, so the ceil and floor of the integer thresholds both matter;
-        # every eps and a shrinking pool reuse one oracle and its memo
+        # every eps and a shrinking pool reuse one oracle and its memo; the
+        # slot sums are those of the sets rebuilt from the plan
         g = random_connected_graph(rng, max_n=7, max_extra=4, integer=False)
         pool = frozenset(k for k in sorted(g.edge_keys) if rng.random() < 0.7)
         for eps in (F(1, 64), F(1, 10), F(1, 4), F(1)):
             for subpool in (pool, frozenset(k for k in sorted(pool) if rng.random() < 0.5)):
-                got = endpoint_hanging_sets(subpool, apsp(g), eps)
+                weights = endpoint_hanging_sets(subpool, apsp(g), eps)
+                plan = prune_module._plan(apsp(g), eps)
+                got = hanging_sets(plan, subpool)
                 assert got == brute_endpoint_hanging_sets(g, subpool, eps)
+                assert weights == [0, *(sum(g.int_weights[k] for k in got[pair]) for pair in plan.pairs)]
 
     def test_empty_pool_gives_empty_sets(self):
         g, _ = scaled_ladder(3)
         dist = apsp(g)
-        sets = endpoint_hanging_sets(frozenset(), dist, EPS)
-        assert all(not v for v in sets.values())
+        weights = endpoint_hanging_sets(frozenset(), dist, EPS)
+        sets = hanging_sets(prune_module._plan(dist, EPS), frozenset())
+        assert all(not v for v in sets.values()) and not any(weights)
 
     def test_builds_no_joins_and_rejects_nothing_new(self):
         # the hanging pairs live on the plan, whose joins only the tables
@@ -215,12 +226,13 @@ class TestEndpointHangingSets:
 
     def test_no_diagonal_entries(self):
         g, dist, tables = ladder_tables(3, with_center_rung=True)
-        assert (2, 2) not in tables.anchored
+        assert (2, 2) not in anchored(tables)
+        assert tables.plan.slot[2 * g.n + 2] == 0 and not tables.plan.hung[0]
 
     @pytest.mark.parametrize("name", ["ladder", "multiladder", "greedyhard", "grid"])
     def test_memoised_pairs_match_the_previous_scan(self, name):
-        # the pairs of every edge, as memoised on the oracle, against the scan
-        # that fetched both distance rows per pair: same tuples, same order
+        # the pairs of every edge, as memoised on the oracle by slot, against
+        # the scan that fetched both distance rows per pair: same pairs, same order
         if name == "grid":
             g, eps = seeded_grid(5, 5), EPS
         else:
@@ -232,7 +244,8 @@ class TestEndpointHangingSets:
         assert hangs_at.keys() == g.edge_keys
         assert any(hangs_at.values())
         for k, at in hangs_at.items():
-            assert at == previous_hanging_pairs(k, g.int_weights[k], plan.pairs, dist, eps)
+            pairs = tuple(plan.pairs[i - 1] for i in at)
+            assert pairs == previous_hanging_pairs(k, g.int_weights[k], plan.pairs, dist, eps)
 
 
 class TestFillTables:
@@ -299,7 +312,8 @@ class TestFillTables:
             pool = greedy_spanner(g, 1 + eps).edge_keys
             dist = apsp(g)
             tables = fill_tables(frozenset(pool), dist, eps)
-            anchored_weight = {pair: hanging_weight(g, tables, pair) for pair in tables.anchored}
+            sets = anchored(tables)
+            anchored_weight = {pair: sum(g.int_weights[k] for k in edges) for pair, edges in sets.items()}
             ref = brute_walk_tables(g, pool, dist, eps, anchored_weight)
             mine = {(s, t, L): e.value for (s, t, L), e in table_cells(tables).items() if s != t}
             assert mine == ref
@@ -347,8 +361,10 @@ def assert_same_tables(new, old):
         lengths.setdefault((s, t), []).append(length)
     assert lengths == {pair: old.levels(*pair) for pair in old.entries}
     assert (plan_bounds(new.plan), new.max_level) == (old.bounds, old.max_level)
-    assert new.anchored == old.anchored
-    assert {pair: hanging_weight(old.graph, new, pair) for pair in new.anchored} == old.anchored_weight
+    sets = anchored(new)
+    assert sets == old.anchored
+    weight = old.graph.int_weights
+    assert {pair: sum(weight[k] for k in edges) for pair, edges in sets.items()} == old.anchored_weight
     assert select_best_triple(new) == previous_select_best_triple(old)
     # the previous tables run on a scaled copy, whose weights are the new
     # graph's int weights, so lengths and walk weights compare in those units
@@ -432,7 +448,7 @@ def assert_same_plan(g, eps):
     the expanded plan."""
     dist = apsp(g)
     bounds, max_level = previous_length_bounds(dist, eps)
-    new = prune_module._joined_plan(dist, eps, max_level + 1)
+    new = prune_module._plan(dist, eps).join(dist, max_level + 1)
     old = previous_walk_plan(dist, bounds, max_level)
     assert_mirror_invariants(new)
     expanded = expanded_plan(new)
@@ -711,19 +727,19 @@ class TestRatioOneTail:
                 tail_rounds += 1
                 full = fill_tables(pool, dist, eps)
                 probe, probe_tables = copy.copy(tail), copy.copy(tail.tables)
-                probe.broken, probe.picks = bytearray(tail.broken), array("q", tail.picks)
-                probe_tables.picks = probe.picks
-                intact, offset = set(), tail.plan.offset
-                for x in range(offset, len(tail.values)):
+                probe.broken, probe.tables = bytearray(tail.broken), probe_tables
+                probe_tables.picks = array("q", tail.tables.picks)
+                intact, offset, values = set(), tail.tables.plan.offset, tail.tables.values
+                for x in range(offset, len(values)):
                     if not probe.broken[x]:
                         probe._intact(x, intact)
                 now = {x for x, b in enumerate(tail.broken) if b}
                 assert marked <= now
-                for x in range(offset, len(tail.values)):
+                for x in range(offset, len(values)):
                     if probe.broken[x]:
-                        assert full.values[x] < tail.values[x] and x not in intact
+                        assert full.values[x] < values[x] and x not in intact
                     else:
-                        assert full.values[x] == tail.values[x] and x in intact
+                        assert full.values[x] == values[x] and x in intact
                         assert full.pick(x - offset) == probe_tables.pick(x - offset)
                 marked = now
             if not exchanged:
@@ -745,13 +761,13 @@ class TestRatioOneTail:
             pool = frozenset(h.edge_keys - state.added - state.removed)
             if tail is not None and pool <= tail.pool:
                 probe, probe_tables = copy.copy(tail), copy.copy(tail.tables)
-                probe.broken = bytearray(tail.broken)
-                probe.picks = probe_tables.picks = array("q", [len(tail.plan.join_left)]) * len(tail.picks)
+                probe.broken, probe.tables = bytearray(tail.broken), probe_tables
+                probe_tables.picks = array("q", [len(tail.tables.plan.join_left)]) * len(tail.tables.picks)
                 cell = probe.best(pool)
             exchanged = prune_round(scaled, h, state, eps, dist=dist)
             if tail is not None and state.tail is tail and tail.pool == pool:
                 tail_rounds += 1
-                plan, last = tail.plan, state.rounds[-1] if exchanged else None
+                plan, last = tail.tables.plan, state.rounds[-1] if exchanged else None
                 if cell is None:
                     assert not exchanged
                 else:
@@ -778,10 +794,9 @@ class TestRatioOneTail:
             exchanged = prune_round(scaled, h, state, eps, dist=dist)
             if tail is not None and state.tail is tail and tail.pool == pool:
                 tail_rounds += 1
-                anchored = endpoint_hanging_sets(pool, dist, eps)
-                hanging = [sum(scaled.int_weights[k] for k in anchored[pair]) for pair in tail.plan.pairs]
-                changed = {i for i, w in enumerate(hanging, 1) if w != tail.values[i]}
-                assert {i for i in range(1, tail.plan.offset) if tail.broken[i]} == changed
+                hanging, values = endpoint_hanging_sets(pool, dist, eps), tail.tables.values
+                changed = {i for i in range(1, len(hanging)) if hanging[i] != values[i]}
+                assert {i for i in range(1, len(hanging)) if tail.broken[i]} == changed
             if not exchanged:
                 break
         assert tail_rounds > 3
@@ -816,14 +831,14 @@ class TestRatioOneTail:
         h, dist, state = scaled.subgraph(init), apsp(scaled), PruneState()
         while state.tail is None:  # up to the first ratio-1 round
             assert prune_round(scaled, h, state, eps, dist=dist)
-        tail, cap = state.tail, state.tail.plan.max_level + 1
+        tail, cap = state.tail, state.tail.tables.plan.max_level + 1
         with pytest.raises(CellCapError):
             prune_round(scaled, h, state, eps, dist=dist, cell_cap=cap - 1)
         assert prune_round(scaled, h, state, eps, dist=dist, cell_cap=cap) and state.tail is tail
 
     def test_hanging_weights_are_summed_once_per_value_pass(self, monkeypatch):
         # each evaluate reads the slot sums of exactly one hanging call, made
-        # for it, and no round builds the hanging sets themselves
+        # for it
         g, scaled, eps, init = catalogue_instance("multiladder")
         summed, evaluated = [], []
         hanging_sets, evaluate = prune_module.endpoint_hanging_sets, prune_module._WalkPlan.evaluate
@@ -841,8 +856,7 @@ class TestRatioOneTail:
         _, _, states = iterate_prune(scaled, eps, initial_spanner=scaled.subgraph(init))
         assert sum(len(st.rounds) for st in states) > 20
         assert len(summed) == len(evaluated) > 0
-        assert all(anchored.weights is hanging for anchored, hanging in zip(summed, evaluated))
-        assert not any("_sets" in vars(anchored) for anchored in summed)
+        assert all(weights is hanging for weights, hanging in zip(summed, evaluated))
 
     @pytest.mark.parametrize("name", ["multiladder", "greedyhard"])
     def test_tail_rounds_build_no_fraction(self, name, monkeypatch):
@@ -902,25 +916,26 @@ def checked_iterate_prune(g, eps, initial=None) -> int:
 
 def slot_checked_iterate_prune(g, eps, initial=None) -> int:
     """`iterate_prune` with every value pass checked against its hanging
-    sets: the slot sums it evaluated equal the per-pair sums over a fresh
-    `endpoint_hanging_sets` for its pool, whose sets its own `anchored`
-    mapping equals, and `reconstruct` gives every canonical cell the walk
-    and multiset read from that full mapping. Returns the number of value
-    passes."""
+    sets: the slot sums it evaluated equal those a fresh
+    `endpoint_hanging_sets` returns for its pool and the per-pair sums over
+    the sets rebuilt from the plan, and `reconstruct` gives every canonical
+    cell the walk and multiset read from those sets. Returns the number of
+    value passes."""
     fill, passes = prune_module.fill_tables, []
 
     def checked(pool, dist, eps, cell_cap=prune_module.DEFAULT_CELL_CAP):
         tables = fill(pool, dist, eps, cell_cap)
-        plan, fresh = tables.plan, dict(endpoint_hanging_sets(pool, dist, eps))
+        plan, weights = tables.plan, endpoint_hanging_sets(pool, dist, eps)
+        fresh = hanging_sets(plan, pool)
         sums = [sum(dist.int_weights[k] for k in fresh[pair]) for pair in plan.pairs]
-        assert tables.values[: plan.offset] == [0, *sums]
+        assert tables.values[: plan.offset] == weights == [0, *sums]
         # a copy, so the picks found here stay out of the round's own cache
         probe = copy.copy(tables)
         probe.picks = array("q", tables.picks)
         for c in plan.by_pair:
             cell = plan.cell_s[c], plan.cell_t[c], plan.cell_len[c]
             assert reconstruct(probe, *cell) == previous_reconstruct_from_anchored(probe, *cell)
-        assert dict(tables.anchored) == fresh
+        assert anchored(tables) == fresh
         passes.append(1)
         return tables
 
@@ -1049,19 +1064,19 @@ class TestReconstruct:
         pool = frozenset(greedy_spanner(g, 1 + EPS).edge_keys)
         tables = fill_tables(pool, apsp(g), EPS)
         old = previous_fill_tables(g, pool, apsp(g), EPS)
-        plan, anchored = tables.plan, tables.anchored
+        plan, sets = tables.plan, anchored(tables)
         collecting = [
             (s, t, length)
             for (s, t), cells in sorted(plan.cells_of.items())
             for length, c in cells.items()
-            if tables.pick(c) >= 0 and plan.join_bonus[tables.pick(c)] and anchored[(s, t)]
+            if tables.pick(c) >= 0 and plan.join_bonus[tables.pick(c)] and sets[(s, t)]
         ]
         assert collecting == [(4, 9, 5), (9, 4, 5)]
         for s, t, length in collecting:
             walk, mset = reconstruct(tables, s, t, length)
             old_walk, old_mset = previous_reconstruct(old, s, t, length)
             assert walk == old_walk.vertices and mset == old_mset
-            assert anchored[(s, t)] <= mset.keys()
+            assert sets[(s, t)] <= mset.keys()
 
     def test_a_tie_that_splits_the_twins(self):
         # (6, 14, 9) and (14, 6, 9) both pick via 9 with left length 4, so
@@ -1521,7 +1536,7 @@ def run_pruning_entry(name, g, eps):
         return prune_round(g, g, state, eps), state
     if name == "fill_tables":
         tables = fill_tables(g.edge_keys, apsp(g), eps)
-        return tables.values, dict(tables.anchored)
+        return tables.values, anchored(tables)
     if name == "prune":
         return prune(g, g, eps)
     if name == "iterate_prune":
@@ -1537,4 +1552,9 @@ def test_each_pruning_entry_checks_eps(name):
     for eps in (F(0), F(-1, 4)):
         with pytest.raises(ValueError, match="^eps must be positive$"):
             run_pruning_entry(name, g, eps)
+        if name == "prune_round":  # a round with every edge removed checks eps too
+            state = PruneState()
+            state.removed |= g.edge_keys
+            with pytest.raises(ValueError, match="^eps must be positive$"):
+                prune_round(g, g, state, eps)
     assert run_pruning_entry(name, g, F(1, 4)) == run_pruning_entry(name, scaled_ladder(3)[0], "1/4")
