@@ -182,11 +182,13 @@ class _WalkPlan:
         """The plan, its realizable cells numbered and the joins of the
         canonical ones built on first use. Every call first checks that the
         weights are positive and that the length range fits the per-pair
-        cell cap `cap`, so no join is built unless both hold. A canonical
-        cell (s, t, L) writes its joins as it is numbered, by via z and then
-        length l of (s, z), both ascending, wherever (z, t) has a cell of
-        length L - l: both halves are shorter, so already numbered, and need
-        no sort."""
+        cell cap `cap`, so no join is built unless both hold. Only occupied
+        levels are visited, ascending: those of a pair's distance, and those
+        that a pass over each numbered level finds its cells joining to. A
+        canonical cell (s, t, L) writes its joins as it is numbered, by via
+        z and then length l of (s, z), both ascending, wherever (z, t) has a
+        cell of length L - l: both halves are shorter, so already numbered,
+        and need no sort."""
         if not dist.all_positive:
             raise ValueError("pruning requires strictly positive weights")
         if self.max_level + 1 > cap:
@@ -212,30 +214,29 @@ class _WalkPlan:
         at = [None] * (n * n)  # key -> the pair's dict in cells_of, the diagonal's set now
         at[:: n + 1] = cells_of.values()
 
-        # only occupied levels are visited: base lengths, plus each length
-        # that some new cell reaches with a finalised one
         reach: dict[int, set[int]] = defaultdict(set)  # length -> canonical keys with a cell there
         for s, t in self.pairs:
             reach[rows[s][t]].add(s * n + t)
         levels = list(reach)
         heapify(levels)
-        # partners of finalised cells, ascending: ends[t] holds each s with a
-        # cell from s to t, starts[s] each such t; a pair's first cell is its base
-        ends: list[list[int]] = [[] for _ in range(n)]
-        starts: list[list[int]] = [[] for _ in range(n)]
+        # partners[s], ascending: each z with cells (s, z) and (z, s); twins
+        # are numbered at the same level, the reversed one last
+        partners: list[list[int]] = [[] for _ in range(n)]
         while levels:
             level = heappop(levels)
             top = 1 << (level.bit_length() - 1)
             canonical = reach.pop(level)
             # a cell's twin is realizable at the same length, and numbered
             # after it: its key t*n + s is the larger
-            for key in sorted([*canonical, *[k % n * n + k // n for k in canonical]]):
+            keys = sorted([*canonical, *[k % n * n + k // n for k in canonical]])
+            for key in keys:
                 s, t = pair = divmod(key, n)
                 c = len(cell_len)
                 if at[key] is None:
                     at[key] = cells_of[pair] = {}
-                    insort(starts[s], t)
-                    insort(ends[t], s)
+                    if s > t:
+                        insort(partners[s], t)
+                        insort(partners[t], s)
                 at[key][level] = c
                 cell_s.append(s)
                 cell_t.append(t)
@@ -246,7 +247,7 @@ class _WalkPlan:
                 if s < t:
                     mirror.append(c)  # until its twin is numbered
                     bonus, low = slot[key], level - top
-                    for z in starts[s]:
+                    for z in partners[s]:
                         right_at = at[z * n + t]
                         if right_at is None or z == t or row_s[z] + row_t[z] > level:
                             continue
@@ -264,37 +265,29 @@ class _WalkPlan:
                     mirror.append(twin)
                     mirror[twin] = c
                 join_start.append(len(join_left))
-                # record the canonical cells the new cell reaches with the
-                # finalised cells of each partner pair, up to the bound; a
-                # partner's lengths ascend from its distance
-                for x in ends[s]:
-                    if x >= t:
-                        break
+            # record the canonical cells that each cell (s, t) of the level
+            # reaches as a right half, after the cells (x, s) of each partner
+            # x, up to the bound; a partner's lengths ascend from its
+            # distance. A cell's joins as a left half are its twin's as a
+            # right half. A join of two cells of this level is met from both
+            # twins; only the one whose partner is the smaller end records it
+            for key in keys:
+                s, t = divmod(key, n)
+                row_s = rows[s]
+                for x in partners[s]:
                     lim = bound[t][x] - level
-                    if row_s[x] > lim:
+                    if row_s[x] > lim:  # as when x == t: bound[t][t] is -1
                         continue
-                    out = x * n + t
+                    if x > t and lim >= level:
+                        lim = level - 1
+                    out = x * n + t if x < t else t * n + x
                     for l in at[x * n + s]:
                         if l > lim:
                             break
-                        keys = reach[l + level]
-                        if not keys:  # a length first reached
+                        found = reach[l + level]
+                        if not found:  # a length first reached
                             heappush(levels, l + level)
-                        keys.add(out)
-                for y in reversed(starts[t]):
-                    if y <= s:
-                        break
-                    lim = bound[s][y] - level
-                    if row_t[y] > lim:
-                        continue
-                    out = s * n + y
-                    for l in at[t * n + y]:
-                        if l > lim:
-                            break
-                        keys = reach[l + level]
-                        if not keys:  # a length first reached
-                            heappush(levels, l + level)
-                        keys.add(out)
+                        found.add(out)
 
         # canonical cells in (s, t, L) order; a reversed cell ties its twin
         # and comes after it, so no selection picks it
@@ -629,7 +622,6 @@ def prune_round(
     h: WeightedGraph,
     state: PruneState,
     eps,
-    dist: DistanceOracle | None = None,
     cell_cap: int = DEFAULT_CELL_CAP,
 ) -> bool:
     """Run one round: evaluate the tables for the remaining pool, take the
@@ -644,8 +636,7 @@ def prune_round(
     pool = frozenset(h.edge_keys - state.added - state.removed)
     if not pool:
         return False
-    if dist is None:
-        dist = apsp(g)
+    dist = apsp(g)
     return _exchange(g, pool, state, dist, _plan(dist, eps).join(dist, cell_cap), eps, cell_cap)
 
 

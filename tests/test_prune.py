@@ -4,7 +4,7 @@ import random
 import sys
 import warnings
 from array import array
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction as F
 from itertools import groupby
 from types import SimpleNamespace
@@ -472,6 +472,22 @@ def wide_ladder():
     return WeightedGraph(scaled.n, tuple((u, v, w * 10**4) for u, v, w in scaled.edges), scaled.declared_planar)
 
 
+def plan_input(name):
+    """(graph, eps) of a fixed plan input: a scaled catalogue instance, the
+    wide ladder, a seeded 6x6 grid, or the triangle with every edge of weight
+    4 at eps 1, whose 15 cells include six of length 8, each joining two
+    cells of length 4, the later numbered of which is the left half of some
+    of these joins."""
+    if name == "wide-ladder":
+        return wide_ladder(), EPS
+    if name == "grid6":
+        return seeded_grid(6, 6), F(1, 4)
+    if name == "triangle":
+        return WeightedGraph(3, ((0, 1, F(4)), (0, 2, F(4)), (1, 2, F(4)))), F(1)
+    _, scaled, eps, _ = catalogue_instance(name)
+    return scaled, eps
+
+
 class TestPlanAgainstPreviousBuilder:
     """The plan builder, which joins each new cell only with partner cells
     whose lengths fit the bound and stores the joins of canonical cells
@@ -483,8 +499,9 @@ class TestPlanAgainstPreviousBuilder:
         g, scaled, eps, _ = catalogue_instance(name)
         assert assert_same_plan(scaled, eps) == assert_same_plan(g, eps) > 1000
 
-    def test_wide_ladder(self):
-        assert assert_same_plan(wide_ladder(), EPS) > 10
+    @pytest.mark.parametrize("name, joins", [("wide-ladder", 10), ("triangle", 5)], ids=["wide-ladder", "triangle"])
+    def test_fixed_graphs(self, name, joins):
+        assert assert_same_plan(*plan_input(name)) > joins
 
     @pytest.mark.parametrize("k", [4, 5, 6])
     def test_seeded_grids(self, k):
@@ -496,6 +513,27 @@ class TestPlanAgainstPreviousBuilder:
         g = random_connected_graph(rng, max_n=8, max_extra=6, integer=integer)
         for eps in (F(1, 64), F(1, 10), F(1, 4), F(1, 2), F(1)):
             assert_same_plan(g, eps)
+
+
+class TestPlanDiscovery:
+    """White box: the builder records each join exactly once in its sets of
+    canonical keys per length, and each pair once more as it seeds them."""
+
+    @pytest.mark.parametrize("name", ["ladder", "multiladder", "greedyhard", "wide-ladder", "grid6", "triangle"])
+    def test_one_add_per_join(self, name, monkeypatch):
+        g, eps = plan_input(name)
+        adds = []
+
+        class CountedSet(set):
+            def add(self, key):
+                adds.append(key)
+                super().add(key)
+
+        monkeypatch.setattr(prune_module, "defaultdict", lambda factory: defaultdict(CountedSet))
+        dist = apsp(g)
+        plan = prune_module._plan(dist, eps).join(dist, prune_module.DEFAULT_CELL_CAP)
+        assert len(adds) == len(plan.join_left) + len(plan.pairs)
+        assert plan.join_left
 
 
 class TestAgainstPreviousTables:
@@ -545,8 +583,8 @@ class TestAgainstPreviousTables:
             assert_same_tables(reused, previous)
             assert_same_tables(fill_tables(pool, rational_dist, eps), previous)
             assert table_cells(fill_tables(pool, DistanceOracle(scaled), eps)) == table_cells(reused)
-            exchanged = prune_round(scaled, h, state, eps, dist=dist)
-            assert prune_round(g, h_rational, rational_state, eps, dist=rational_dist) == exchanged
+            exchanged = prune_round(scaled, h, state, eps)
+            assert prune_round(g, h_rational, rational_state, eps) == exchanged
             assert (rational_state.added, rational_state.removed) == (state.added, state.removed)
             assert rational_state.rounds == state.rounds
             if not exchanged:
@@ -588,7 +626,7 @@ def assert_same_prune(g, scaled, eps, init):
 def lockstep(g, h, eps, dist, state, old_state):
     """One round of `prune_round` and of the previous round loop on copies
     of the same state; asserts they agree and returns whether they exchanged."""
-    exchanged = prune_round(g, h, state, eps, dist=dist)
+    exchanged = prune_round(g, h, state, eps)
     assert previous_prune_round(g, h, old_state, eps, dist=dist) == exchanged
     assert (state.added, state.removed, state.rounds) == (old_state.added, old_state.removed, old_state.rounds)
     return exchanged
@@ -720,7 +758,7 @@ class TestRatioOneTail:
         while True:
             tail = state.tail
             pool = frozenset(h.edge_keys - state.added - state.removed)
-            exchanged = prune_round(scaled, h, state, eps, dist=dist)
+            exchanged = prune_round(scaled, h, state, eps)
             if state.tail is not tail:  # a value pass ran
                 marked = set()
             elif tail is not None and tail.pool == pool:  # the tail answered
@@ -764,7 +802,7 @@ class TestRatioOneTail:
                 probe.broken, probe.tables = bytearray(tail.broken), probe_tables
                 probe_tables.picks = array("q", [len(tail.tables.plan.join_left)]) * len(tail.tables.picks)
                 cell = probe.best(pool)
-            exchanged = prune_round(scaled, h, state, eps, dist=dist)
+            exchanged = prune_round(scaled, h, state, eps)
             if tail is not None and state.tail is tail and tail.pool == pool:
                 tail_rounds += 1
                 plan, last = tail.tables.plan, state.rounds[-1] if exchanged else None
@@ -791,7 +829,7 @@ class TestRatioOneTail:
         while True:
             tail = state.tail
             pool = frozenset(h.edge_keys - state.added - state.removed)
-            exchanged = prune_round(scaled, h, state, eps, dist=dist)
+            exchanged = prune_round(scaled, h, state, eps)
             if tail is not None and state.tail is tail and tail.pool == pool:
                 tail_rounds += 1
                 hanging, values = endpoint_hanging_sets(pool, dist, eps), tail.tables.values
@@ -828,13 +866,13 @@ class TestRatioOneTail:
     def test_a_tail_round_checks_the_cell_cap(self):
         # the tail reuses a cached plan, so it too checks the cap
         _, scaled, eps, init = catalogue_instance("ladder")
-        h, dist, state = scaled.subgraph(init), apsp(scaled), PruneState()
+        h, state = scaled.subgraph(init), PruneState()
         while state.tail is None:  # up to the first ratio-1 round
-            assert prune_round(scaled, h, state, eps, dist=dist)
+            assert prune_round(scaled, h, state, eps)
         tail, cap = state.tail, state.tail.tables.plan.max_level + 1
         with pytest.raises(CellCapError):
-            prune_round(scaled, h, state, eps, dist=dist, cell_cap=cap - 1)
-        assert prune_round(scaled, h, state, eps, dist=dist, cell_cap=cap) and state.tail is tail
+            prune_round(scaled, h, state, eps, cell_cap=cap - 1)
+        assert prune_round(scaled, h, state, eps, cell_cap=cap) and state.tail is tail
 
     def test_hanging_weights_are_summed_once_per_value_pass(self, monkeypatch):
         # each evaluate reads the slot sums of exactly one hanging call, made
